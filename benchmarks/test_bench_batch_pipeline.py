@@ -3,9 +3,11 @@ the sharded-engine throughput trajectory.
 
 Not a paper figure: these benchmarks guard the batch fast path and the
 flow-sharded engine introduced for the production-scale roadmap.
-``process_batch`` must (a) stay byte-identical to the per-packet reference
-path and (b) actually amortize the per-packet overhead — at the 50-meeting
-scenario it must clear a 3x throughput margin.  The shard sweep additionally
+``process`` and ``process_batch`` run media on one memoized implementation,
+so per-packet entry must stay within call overhead of the batch — at the
+50-meeting scenario ``process`` must reach 0.7x of ``process_batch``'s
+packets/sec (byte-identity of both against the unmemoized walk is
+tests/test_batch_pipeline.py's job).  The shard sweep additionally
 records packets/sec of ``ShardedScallopPipeline`` at k in {1, 4} into an
 untracked ``BENCH_shard_throughput.local.json`` artifact (path overridable
 via ``BENCH_SHARD_THROUGHPUT_JSON``) so the perf trajectory is tracked
@@ -72,12 +74,14 @@ def test_batch_pipeline_throughput(benchmark):
     benchmark.extra_info["speedup_1m"] = round(by_meetings[1].speedup, 2)
     benchmark.extra_info["speedup_50m"] = round(by_meetings[50].speedup, 2)
 
-    # the batch path exists to be a fast path: the 50-meeting scenario (the
-    # paper-scale regime, and the best-protected measurement thanks to
-    # best-of-3 with GC deferred) must clear a 3x margin; smaller points are
-    # reported in extra_info but not asserted on, to keep shared-runner
-    # timing noise from failing CI without a code defect
-    assert by_meetings[50].speedup >= 3.0
+    # default scenarios deliver per packet, so process() must not fork from
+    # the batch path again: what separates them is one call frame, one cache
+    # stamp check and one accounting fold per packet (~1.1x).  A ratio within
+    # one run at the 50-meeting point (the paper-scale regime, and the
+    # best-protected measurement thanks to best-of-3 with GC deferred);
+    # smaller points are reported in extra_info but not asserted on, to keep
+    # shared-runner timing noise from failing CI without a code defect
+    assert by_meetings[50].per_packet_pps >= 0.7 * by_meetings[50].batched_pps
 
 
 def test_obs_tracing_overhead(benchmark):

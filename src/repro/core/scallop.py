@@ -157,8 +157,15 @@ class ScallopSfu:
         """Entry point for every packet the switch receives."""
         result = self.pipeline.process(datagram)
         self._account_result(datagram, result)
-        for output in result.outputs:
-            self.simulator.schedule(result.forwarding_delay_s, lambda d=output: self.network.send(d))
+        if result.outputs:
+            # one event for the fan-out: per-replica events would carry
+            # consecutive order numbers, so nothing could run between them
+            self.simulator.schedule(result.forwarding_delay_s, self._send_replicas, result.outputs)
+
+    def _send_replicas(self, replicas: Sequence[Datagram]) -> None:
+        send = self.network.send
+        for replica in replicas:
+            send(replica)
 
     def handle_datagram_batch(self, datagrams: Sequence[Datagram]) -> None:
         """Entry point for a packet burst (batch-mode network delivery).
@@ -181,9 +188,7 @@ class ScallopSfu:
             # (ingress arrival + forwarding delay) in ``arrived_at``, so the
             # network admits each one on its true schedule even though the
             # whole burst rides this single event
-            self.simulator.schedule(
-                forwarding_delay_s, lambda batch=outputs: self.network.send_burst(batch)
-            )
+            self.simulator.schedule(forwarding_delay_s, self.network.send_burst, outputs)
 
     def _account_result(self, datagram: Datagram, result) -> None:
         """Per-packet stats/latency/CPU-copy bookkeeping shared by both the
@@ -208,7 +213,7 @@ class ScallopSfu:
             delay = AGENT_PROCESSING_DELAY_S if arrived is None else max(
                 0.0, arrived + AGENT_PROCESSING_DELAY_S - now
             )
-            self.simulator.schedule(delay, lambda d=copy: self.agent.handle_cpu_packet(d))
+            self.simulator.schedule(delay, self.agent.handle_cpu_packet, copy)
 
     def _agent_send(self, datagram: Datagram) -> None:
         """Packets originated by the switch agent (e.g. STUN responses)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.datagram import Datagram, PayloadKind
 from ..rtp.av1 import DependencyDescriptor
@@ -104,6 +104,11 @@ class IngressParser:
         self.packets_parsed = 0
         self.cpu_punts = 0
         self._rtp_parse_cache: dict = {}
+        #: ``ssrc -> (frame number, memo keys)`` of each video stream's newest
+        #: memoized frame.  A video key embeds its frame number (DD bytes)
+        #: and dies with the frame, so the memo retains one frame per stream
+        #: instead of filling to its limit with dead entries.
+        self._live_frame_keys: Dict[int, Tuple[int, List[tuple]]] = {}
         self.parse_cache_hits = 0
 
     def parse(self, datagram: Datagram) -> ParseResult:
@@ -166,9 +171,19 @@ class IngressParser:
             return cached
         result = self._parse_rtp(packet)
         self.packets_parsed += 1
-        if len(self._rtp_parse_cache) >= self.PARSE_CACHE_LIMIT:
-            self._rtp_parse_cache.clear()
-        self._rtp_parse_cache[key] = result
+        cache = self._rtp_parse_cache
+        if len(cache) >= self.PARSE_CACHE_LIMIT:
+            cache.clear()
+            self._live_frame_keys.clear()
+        frame_number = result.frame_number
+        if frame_number is not None:
+            live = self._live_frame_keys.get(key[0])
+            if live is None or live[0] != frame_number:
+                for stale in live[1] if live is not None else ():
+                    cache.pop(stale, None)
+                live = self._live_frame_keys[key[0]] = (frame_number, [])
+            live[1].append(key)
+        cache[key] = result
         return result
 
     # -- RTP -----------------------------------------------------------------------

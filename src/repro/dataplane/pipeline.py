@@ -31,12 +31,12 @@ Architecturally the model is split the way the paper splits the system:
 * :class:`ScallopPipeline` is the single-datapath composition of the two,
   preserving the original one-object API used throughout the repo.
 
-The datapath can be driven per packet (:meth:`PipelineDatapath.process`, the
-reference path) or per burst (:meth:`PipelineDatapath.process_batch`, the fast
-path used by multi-meeting sweeps).  Both produce byte-identical outputs; the
-batch path amortizes parsing and table-lookup work behind caches that are
-invalidated on every control-plane write (tracked through per-table write
-generations, compared against the datapath's own generation stamp).
+The datapath can be driven per packet (:meth:`PipelineDatapath.process`) or
+per burst (:meth:`PipelineDatapath.process_batch`).  Both run media on one
+memoized implementation with byte-identical outputs: parsing and table-lookup
+work sits behind caches that are invalidated on every control-plane write
+(tracked through per-table write generations, compared against the datapath's
+own generation stamp); a burst pays the stamp check and accounting fold once.
 """
 
 from __future__ import annotations
@@ -997,36 +997,31 @@ class PipelineDatapath:
 
     def process(self, datagram: Datagram) -> PipelineResult:
         """Run one ingress packet through the pipeline."""
-        if datagram.kind is PayloadKind.RTP and isinstance(datagram.payload, PacketView):
-            # wire-native media never materializes an RtpPacket: the single
-            # packet runs through the (cached) wire path with its accounting
-            # folded in immediately, so per-packet and batch wire processing
-            # stay indistinguishable
+        payload = datagram.payload
+        if datagram.kind is PayloadKind.RTP and isinstance(payload, (RtpPacket, PacketView)):
+            # media runs the memoized implementation as a batch of one, its
+            # accounting folded in immediately, so per-packet and batch
+            # processing stay indistinguishable (the unmemoized walk lives on
+            # as the test suites' oracle, tests/reference_datapath.py)
+            media = self._process_media_fast if isinstance(payload, RtpPacket) else self._process_media_wire
             self._ensure_resolution_cache_fresh()
             tally: Dict[Tuple[str, bool], List[int]] = {}
             acc = [0, 0, 0, 0, 0]
-            result = self._process_media_wire(datagram, tally, acc)
+            result = media(datagram, tally, acc)
             self._fold_batch_accounting(acc)
             if tally:
                 self.counters.account_tally(tally)
             return result
         parse = self.parser.parse(datagram)
         result = PipelineResult(parse=parse)
-
-        if parse.packet_class == PacketClass.STUN or parse.packet_class == PacketClass.UNKNOWN:
-            self._punt(datagram, parse, result)
-            return result
-
         if parse.packet_class == PacketClass.RTCP_FEEDBACK:
             self._handle_feedback(datagram, parse, result)
-            return result
-
-        if parse.packet_class == PacketClass.RTCP_SENDER:
+        elif parse.packet_class == PacketClass.RTCP_SENDER:
             self._handle_sender_rtcp(datagram, parse, result)
-            return result
-
-        # RTP media (audio or video)
-        self._handle_media(datagram, parse, result)
+        else:
+            # STUN / UNKNOWN (the parser classifies only RtpPacket and
+            # PacketView payloads as media, and those returned above)
+            self._punt(datagram, parse, result)
         return result
 
     def process_batch(self, datagrams: Sequence[Datagram]) -> List[PipelineResult]:
@@ -1036,15 +1031,15 @@ class PipelineDatapath:
         be processed as a batch without changing any observable result: the
         outputs are byte-identical to calling :meth:`process` on each datagram
         in order, and the packet/byte accounting (:class:`PipelineCounters`),
-        parser, and PRE counters advance identically.  What the batch path
-        amortizes is the Python-level overhead that dominates the behavioural
+        parser, and PRE counters advance identically.  Both entry points
+        avoid the Python-level overhead that dominates the behavioural
         model: RTP parses are memoized on the raw extension bytes, the
         ``(src, ssrc) -> (entry, resolved targets)`` lookup chain is served
         from a cache invalidated on every control-plane write, and replicas
         share one immutable meta view instead of copying the dict per copy.
         The per-table ``lookups``/``hits`` tallies are the one observable
-        that legitimately differs: served-from-cache packets never touch the
-        tables, which is precisely the amortization being measured.
+        that legitimately differs from an unmemoized walk: served-from-cache
+        packets never touch the tables.
         """
         self._ensure_resolution_cache_fresh()
         results: List[PipelineResult] = []
@@ -1102,17 +1097,18 @@ class PipelineDatapath:
     def _process_media_fast(
         self, datagram: Datagram, tally: Dict[Tuple[str, bool], List[int]], acc: List[int]
     ) -> PipelineResult:
-        """Batch-path equivalent of :meth:`process` for one RTP datagram.
+        """Media path of :meth:`process` and :meth:`process_batch` for one
+        object (``RtpPacket``) datagram.
 
         Structured for per-packet cost: one flow-cache probe serves the
         entry, the layer mode, and the memoized resolution together; the
         result and the replica datagrams are minted through ``__new__`` plus
-        a prepared ``__dict__`` (the frozen-dataclass ``__init__`` work was
-        already paid by the reference path that validated this flow); and the
-        common no-adaptation fan-out — every replica forwards the ingress
-        payload unchanged — iterates the bare address tuple with the flow's
-        shared meta proxy.  Outputs and counters stay byte-for-byte those of
-        :meth:`process`.
+        a prepared ``__dict__`` carrying every field (nothing is left for
+        the frozen-dataclass ``__init__`` to derive); and the common
+        no-adaptation fan-out — every replica forwards the ingress payload
+        unchanged — iterates the bare address tuple with the flow's shared
+        meta proxy.  Outputs and counters stay byte-for-byte those of the
+        unmemoized table walk (``tests/reference_datapath.py``).
         """
         packet: RtpPacket = datagram.payload  # type: ignore[assignment]
         # parse_rtp_cached with the hit path inlined (key build + probe +
@@ -1612,40 +1608,6 @@ class PipelineDatapath:
 
     # -- media -------------------------------------------------------------------
 
-    def _handle_media(self, datagram: Datagram, parse: ParseResult, result: PipelineResult) -> None:
-        packet: RtpPacket = datagram.payload  # type: ignore[assignment]
-        entry = self.stream_table.lookup((datagram.src, packet.ssrc))
-        if entry is None:
-            self.counters.table_misses += 1
-            self.counters.account(parse.packet_class, datagram.size, to_cpu=False)
-            return
-
-        to_cpu = parse.needs_cpu and parse.has_extended_descriptor
-        self.counters.account(parse.packet_class, datagram.size, to_cpu=to_cpu)
-        if to_cpu:
-            result.cpu_copies.append(datagram)
-
-        is_video = parse.packet_class == PacketClass.RTP_VIDEO
-        egress_schedule = self._egress_schedule(datagram)
-        targets = self._resolve_targets(entry, parse)
-        for target in targets:
-            out_packet: Optional[RtpPacket] = packet
-            if is_video:
-                out_packet = self._apply_adaptation(packet, parse, target.address)
-                if out_packet is None:
-                    result.dropped_replicas += 1
-                    self.counters.adaptation_drops += 1
-                    continue
-            out = Datagram(
-                src=self.sfu_address,
-                dst=target.address,
-                payload=out_packet,
-                arrived_at=egress_schedule,
-                meta=dict(datagram.meta, origin=datagram.src, origin_ssrc=packet.ssrc),
-            )
-            result.outputs.append(out)
-            self.counters.replicas_out += 1
-
     def _resolve_targets(self, entry: StreamForwardingEntry, parse: ParseResult) -> List[ReplicaTarget]:
         targets, _raw_replicas, _misses = self._resolve_targets_detail(
             entry, self._media_layer(entry, parse)
@@ -1712,23 +1674,6 @@ class PipelineDatapath:
                 continue
             targets.append(target)
         return tuple(targets), len(replicas), misses
-
-    def _apply_adaptation(
-        self, packet: RtpPacket, parse: ParseResult, receiver: Address
-    ) -> Optional[RtpPacket]:
-        entry = self.adaptation_table.lookup((packet.ssrc, receiver))
-        if entry is None:
-            return packet
-        forward = parse.template_id is None or parse.template_id in entry.allowed_templates
-        rewriter = self.trackers.read(entry.stream_index)
-        if rewriter is None:
-            return packet if forward else None
-        self.touched_tracker_indices.add(entry.stream_index)
-        frame_number = parse.frame_number if parse.frame_number is not None else 0
-        new_seq = rewriter.on_packet(packet.sequence_number, frame_number, forward)
-        if new_seq is None:
-            return None
-        return packet.with_sequence_number(new_seq)
 
     # -- RTCP ----------------------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Batched vs. per-packet data-plane throughput across concurrent meetings.
 
-The batch fast path (:meth:`~repro.dataplane.pipeline.ScallopPipeline.process_batch`)
-exists because per-packet operations on independent streams commute: a burst
-can be processed as a batch with byte-identical outputs while the Python-level
-overhead (parsing, table lookup chains, per-replica dict copies) is amortized.
-This module quantifies that claim: it configures N concurrent meetings on one
-pipeline, replays identical AV1 ingress through both paths, and reports
-packets/second for each.
+:meth:`~repro.dataplane.pipeline.ScallopPipeline.process` and
+:meth:`~repro.dataplane.pipeline.ScallopPipeline.process_batch` run media on
+one memoized implementation with byte-identical outputs; what a batch still
+amortizes is the per-call overhead (one cache-stamp check and one accounting
+fold per burst instead of per packet).  This module measures that remainder:
+it configures N concurrent meetings on one pipeline, replays identical AV1
+ingress through both entry points, and reports packets/second for each.
 
 Timing hygiene: the replica datagrams allocated per run are enough to trigger
 generational GC pauses mid-measurement, so collection is deferred while the
@@ -62,7 +62,7 @@ def gil_enabled() -> bool:
 
 @dataclass(frozen=True)
 class BatchThroughputPoint:
-    """One sweep point: N meetings, throughput of both processing paths."""
+    """One sweep point: N meetings, throughput of both entry points."""
 
     num_meetings: int
     num_packets: int
@@ -145,7 +145,7 @@ def measure_point(
     best_batched = float("inf")
     num_packets = 0
     for _ in range(repeats):
-        reference, senders = build_meeting_pipeline(num_meetings, participants)
+        per_packet, senders = build_meeting_pipeline(num_meetings, participants)
         batched, _ = build_meeting_pipeline(num_meetings, participants)
         traffic = media_ingress(senders, frames)
         num_packets = len(traffic)
@@ -155,7 +155,7 @@ def measure_point(
         try:
             start = time.perf_counter()
             for datagram in traffic:
-                reference.process(datagram)
+                per_packet.process(datagram)
             best_per_packet = min(best_per_packet, time.perf_counter() - start)
 
             start = time.perf_counter()
@@ -918,11 +918,11 @@ def format_shard_sweep(points: Sequence[ShardThroughputPoint]) -> str:
 
 def format_batch_sweep(points: Sequence[BatchThroughputPoint]) -> str:
     lines = [
-        f"{'meetings':>9} {'packets':>9} {'per-packet pps':>15} {'batched pps':>13} {'speedup':>8}"
+        f"{'meetings':>9} {'packets':>9} {'per-packet pps':>15} {'batched pps':>13} {'batch/pkt':>9}"
     ]
     for point in points:
         lines.append(
             f"{point.num_meetings:>9} {point.num_packets:>9} {point.per_packet_pps:>15,.0f} "
-            f"{point.batched_pps:>13,.0f} {point.speedup:>7.2f}x"
+            f"{point.batched_pps:>13,.0f} {point.speedup:>8.2f}x"
         )
     return "\n".join(lines)

@@ -155,6 +155,18 @@ class Datagram:
     def __setstate__(self, state: dict) -> None:
         object.__setattr__(self, "__dict__", state)
 
+    def restamped(self, sent_at: float, arrived_at: Optional[float]) -> "Datagram":
+        """Return a copy with new schedule stamps (what every link hop does).
+
+        One field-dict copy: a hop never changes ``size``/``kind``, so nothing
+        is re-derived; ``payload`` and ``meta`` are shared with the source,
+        which is left untouched.
+        """
+        fields = self.__dict__.copy()
+        fields["sent_at"] = sent_at
+        fields["arrived_at"] = arrived_at
+        return Datagram.from_fields(fields)
+
     def redirect(self, src: Address, dst: Address) -> "Datagram":
         """Return a copy with rewritten addresses (what the SFU egress does)."""
         return replace(self, src=src, dst=dst)

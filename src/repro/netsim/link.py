@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from .datagram import Address, Datagram
+from .datagram import NETWORK_OVERHEAD_BYTES, Address, Datagram
 from .simulator import Simulator
 
 
@@ -151,7 +151,7 @@ class Link:
         delay = self._admit(datagram)
         if delay is None:
             return False
-        self.simulator.schedule(delay, lambda d=datagram: self.deliver(d))
+        self.simulator.schedule(delay, self.deliver, datagram)
         return True
 
     def send_burst(self, datagrams: Sequence[Datagram]) -> int:
@@ -204,14 +204,14 @@ class Link:
             if delay is None:
                 continue
             arrival = at + delay
-            accepted.append(replace(datagram, arrived_at=arrival))
+            accepted.append(datagram.restamped(datagram.sent_at, arrival))
             if arrival > last_arrival:
                 last_arrival = arrival
         if accepted:
             accepted.sort(key=_arrival_key)  # jitter/reordering can permute
             event_delay = max(0.0, last_arrival - now)
             if self.deliver_batch is not None:
-                self.simulator.schedule(event_delay, lambda batch=accepted: self.deliver_batch(batch))
+                self.simulator.schedule(event_delay, self.deliver_batch, accepted)
             else:
                 self.simulator.schedule_batch(
                     event_delay, [lambda d=datagram: self.deliver(d) for datagram in accepted]
@@ -234,14 +234,17 @@ class Link:
             self.packets_dropped += 1
             return None
 
-        serialization = datagram.wire_size * 8.0 / profile.bandwidth_bps
-        queue_delay = max(0.0, self._busy_until - now)
-        queued_bytes = queue_delay * profile.bandwidth_bps / 8.0
-        if queued_bytes + datagram.wire_size > profile.queue_limit_bytes:
+        wire_size = datagram.size + NETWORK_OVERHEAD_BYTES
+        bandwidth_bps = profile.bandwidth_bps
+        busy_until = self._busy_until
+        serialization = wire_size * 8.0 / bandwidth_bps
+        queue_delay = busy_until - now if busy_until > now else 0.0
+        queued_bytes = queue_delay * bandwidth_bps / 8.0
+        if queued_bytes + wire_size > profile.queue_limit_bytes:
             self.packets_dropped += 1
             return None
 
-        self._busy_until = max(self._busy_until, now) + serialization
+        self._busy_until = (now if now > busy_until else busy_until) + serialization
         # the returned delay is relative to the caller's admission time, so a
         # frontier lift shows up as extra queueing delay
         delay = (now - origin) + queue_delay + serialization + profile.propagation_delay_s
@@ -251,7 +254,7 @@ class Link:
             delay += self.rng.uniform(0, profile.reorder_extra_delay_s)
 
         self.packets_sent += 1
-        self.bytes_sent += datagram.wire_size
+        self.bytes_sent += wire_size
         return delay
 
     @property
@@ -388,8 +391,7 @@ class Network:
             raise KeyError(f"source not attached: {datagram.src}")
         # per-packet mode: the simulator event carries the timing, so any
         # stale burst schedule from an earlier hop must not leak through
-        stamped = replace(datagram, sent_at=self.simulator.now, arrived_at=None)
-        return uplink.send(stamped)
+        return uplink.send(datagram.restamped(self.simulator.now, None))
 
     def send_burst(self, datagrams: Sequence[Datagram]) -> int:
         """Send a burst of datagrams (e.g. one video frame) as a unit.
@@ -409,7 +411,7 @@ class Network:
         now = self.simulator.now
         by_src: Dict[Address, List[Datagram]] = {}
         for datagram in datagrams:
-            by_src.setdefault(datagram.src, []).append(replace_sent_at(datagram, now))
+            by_src.setdefault(datagram.src, []).append(datagram.restamped(now, datagram.arrived_at))
         # validate every source before transmitting anything, so a burst with
         # a detached sender fails atomically instead of half-sent
         for src in by_src:
@@ -460,7 +462,7 @@ class Network:
             # event runs, so the endpoint sees one load-sized batch per event
             if not self._rx_drain_pending.get(dst):
                 self._rx_drain_pending[dst] = True
-                self.simulator.schedule(self.rx_coalesce_window_s, lambda: self._drain_rx_queue(dst))
+                self.simulator.schedule(self.rx_coalesce_window_s, self._drain_rx_queue, dst)
 
         return deliver_burst
 
@@ -487,10 +489,3 @@ class Network:
         for datagram in batch:
             handle(datagram)
 
-
-def replace_sent_at(datagram: Datagram, time: float) -> Datagram:
-    """Stamp the send time on a datagram (kept out of the dataclass API to
-    avoid accidental mutation by user code)."""
-    from dataclasses import replace as _replace
-
-    return _replace(datagram, sent_at=time)

@@ -11,41 +11,35 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 
 class SimulationError(RuntimeError):
     """Raised on scheduling errors (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    order: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+class EventHandle(list):
+    """One pending event: ``[time, order, callback, args]``.
 
+    The heap entry is itself the handle :meth:`Simulator.schedule` returns.
+    Being a list, entries compare in C, and ``order`` is unique, so a
+    comparison never reaches the callback.  Cancelling nulls the callback;
+    the run loop skips such entries when they surface.
+    """
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    __slots__ = ()
 
     def cancel(self) -> None:
         """Cancel the event if it has not fired yet."""
-        self._event.cancelled = True
+        self[2] = None
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self[2] is None
 
 
 class Simulator:
@@ -53,7 +47,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[_Event] = []
+        self._queue: List[EventHandle] = []
         self._counter = itertools.count()
         self._events_processed = 0
 
@@ -74,19 +68,19 @@ class Simulator:
     #: rate-adaptation run crashes on an infinitesimally negative delta.
     NEGATIVE_DELAY_TOLERANCE = 1e-9
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             if delay < -self.NEGATIVE_DELAY_TOLERANCE:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
             delay = 0.0
-        event = _Event(time=self._now + delay, order=next(self._counter), callback=callback)
+        event = EventHandle((self._now + delay, next(self._counter), callback, args))
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        return self.schedule(time - self._now, callback)
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
+        return self.schedule(time - self._now, callback, *args)
 
     def schedule_batch(self, delay: float, callbacks: Sequence[Callable[[], None]]) -> EventHandle:
         """Schedule a list of callbacks to fire back-to-back as one event.
@@ -106,16 +100,21 @@ class Simulator:
         if the queue drains earlier, so periodic processes can compute rates
         over a fixed horizon.
         """
+        queue = self._queue
+        heappop = heapq.heappop
         processed = 0
-        while self._queue:
-            event = self._queue[0]
-            if until is not None and event.time > until:
+        while queue:
+            event = queue[0]
+            time = event[0]
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._queue)
-            if event.cancelled:
+            heappop(queue)
+            callback = event[2]
+            if callback is None:
                 continue
-            self._now = max(self._now, event.time)
-            event.callback()
+            if time > self._now:
+                self._now = time
+            callback(*event[3])
             self._events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -230,7 +231,17 @@ def extract_dependency_descriptor(
     extension: Optional[RtpHeaderExtension],
 ) -> Optional[DependencyDescriptor]:
     """Extract and parse the AV1 DD from an RTP header-extension block."""
-    raw = find_extension(extension, EXT_ID_AV1_DEPENDENCY_DESCRIPTOR)
+    if extension is None:
+        return None
+    return _descriptor_of_block(extension.profile, extension.data)
+
+
+@lru_cache(maxsize=1024)
+def _descriptor_of_block(profile: int, data: bytes) -> Optional[DependencyDescriptor]:
+    # Memoized on the block's bytes: every receiver of a replicated packet
+    # decodes the same block.  The descriptor is immutable, so one instance
+    # is shared; the bound only has to cover a replica's packets in flight.
+    raw = find_extension(RtpHeaderExtension(profile, data), EXT_ID_AV1_DEPENDENCY_DESCRIPTOR)
     if raw is None:
         return None
     return DependencyDescriptor.parse(raw)

@@ -210,8 +210,13 @@ class ScenarioRun(Testbed):
 
     @staticmethod
     def _client_address(meeting_index: int, participant_index: int) -> Address:
+        # participant indices are cumulative (never reused): joins past the
+        # 254th spill, 254 at a time, into the first octets above 10, which
+        # nothing else uses.  The first 254 keep their historical addresses
+        # (they feed crc32 flow placement).
+        page, host = divmod(participant_index, 254)
         return Address(
-            f"10.{1 + meeting_index // 200}.{meeting_index % 200}.{participant_index + 2}",
+            f"{10 + page}.{1 + meeting_index // 200}.{meeting_index % 200}.{host + 2}",
             6000 + participant_index,
         )
 

@@ -248,6 +248,8 @@ class WebRtcClient:
             src=self.address,
             dst=self.remote,
             payload=payload,
+            size=payload.size,
+            kind=PayloadKind.RTP,
             meta={"tx_time": self.simulator.now},
         )
         self.packets_sent += 1
@@ -267,7 +269,7 @@ class WebRtcClient:
     def _send_rtcp(self, packets: List[RtcpPacket]) -> None:
         if not packets or self._detached:
             return
-        datagram = Datagram(src=self.address, dst=self.remote, payload=tuple(packets))
+        datagram = Datagram(src=self.address, dst=self.remote, payload=tuple(packets), kind=PayloadKind.RTCP)
         self.packets_sent += 1
         self.bytes_sent += datagram.size
         self.network.send(datagram)
@@ -413,7 +415,7 @@ class WebRtcClient:
         if new_nacks:
             pending = self._pending_nacks.setdefault(packet.ssrc, [])
             pending.extend(new_nacks)
-            self.simulator.schedule(NACK_BATCH_DELAY_S, lambda ssrc=packet.ssrc: self._flush_nacks(ssrc))
+            self.simulator.schedule(NACK_BATCH_DELAY_S, self._flush_nacks, packet.ssrc)
         if receiver.frozen and receiver.plis_sent > 0:
             self._send_rtcp([PictureLossIndication(sender_ssrc=self.video_ssrc, media_ssrc=packet.ssrc)])
 

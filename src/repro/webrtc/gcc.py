@@ -45,13 +45,6 @@ BURST_INTERVAL_S = 0.005
 
 
 @dataclass
-class _Arrival:
-    recv_time: float
-    send_time: float
-    size_bytes: int
-
-
-@dataclass
 class _PacketGroup:
     first_send_time: float
     last_send_time: float
@@ -69,7 +62,12 @@ class RemoteBitrateEstimator:
 
     def __init__(self, initial_estimate_bps: float = 1_500_000.0) -> None:
         self._estimate_bps = float(initial_estimate_bps)
-        self._arrivals: Deque[_Arrival] = deque()
+        #: ``(recv_time, size_bytes)`` per packet of the rate window in call
+        #: order, their running byte total, and how many adjacent pairs run
+        #: backwards in time (burst schedules with jitter are not monotone)
+        self._arrivals: Deque[Tuple[float, int]] = deque()
+        self._window_bytes = 0
+        self._inversions = 0
         self._current_group: Optional[_PacketGroup] = None
         self._previous_group: Optional[_PacketGroup] = None
         self._delay_slope_avg = 0.0
@@ -92,10 +90,17 @@ class RemoteBitrateEstimator:
 
     def on_packet(self, recv_time: float, send_time: float, size_bytes: int) -> None:
         """Register the arrival of one media packet."""
-        self._arrivals.append(_Arrival(recv_time=recv_time, send_time=send_time, size_bytes=size_bytes))
+        arrivals = self._arrivals
+        if arrivals and recv_time < arrivals[-1][0]:
+            self._inversions += 1
+        arrivals.append((recv_time, size_bytes))
+        self._window_bytes += size_bytes
         cutoff = recv_time - RATE_WINDOW_S
-        while self._arrivals and self._arrivals[0].recv_time < cutoff:
-            self._arrivals.popleft()
+        while arrivals[0][0] < cutoff:
+            expired_time, expired_bytes = arrivals.popleft()
+            self._window_bytes -= expired_bytes
+            if arrivals[0][0] < expired_time:
+                self._inversions -= 1
         if self._last_update_time is None:
             self._last_update_time = recv_time
 
@@ -145,11 +150,18 @@ class RemoteBitrateEstimator:
 
     def incoming_rate_bps(self, now: float) -> float:
         """Received bitrate over the last :data:`RATE_WINDOW_S` seconds."""
-        if not self._arrivals:
+        arrivals = self._arrivals
+        if not arrivals:
             return 0.0
-        window_start = max(self._arrivals[0].recv_time, now - RATE_WINDOW_S)
+        oldest = arrivals[0][0]
+        window_start = max(oldest, now - RATE_WINDOW_S)
         duration = max(1e-3, now - window_start)
-        total_bytes = sum(a.size_bytes for a in self._arrivals if a.recv_time >= window_start)
+        if window_start == oldest and not self._inversions:
+            # receive times ascend from the window start: every arrival is
+            # inside the window and the running total is the scan's sum
+            total_bytes = self._window_bytes
+        else:
+            total_bytes = sum(size for recv_time, size in arrivals if recv_time >= window_start)
         return total_bytes * 8.0 / duration
 
     def _update_rate(self, now: float) -> None:

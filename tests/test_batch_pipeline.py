@@ -28,6 +28,8 @@ from repro.rtp.rtcp import Nack, Remb, SenderReport
 from repro.stun.message import make_binding_request
 from repro.webrtc.encoder import AudioSource, RtpPacketizer, SvcEncoder
 
+from reference_datapath import reference_process
+
 SFU = Address("10.0.0.1", 5000)
 ALICE = Address("10.0.1.1", 6000)
 BOB = Address("10.0.1.2", 6001)
@@ -107,7 +109,7 @@ class TestBatchEquivalence:
         reference, _ = build_pipeline(mode=mode)
         batched, _ = build_pipeline(mode=mode)
         traffic = mixed_traffic()
-        assert_equivalent([reference.process(d) for d in traffic], batched.process_batch(traffic))
+        assert_equivalent([reference_process(reference, d) for d in traffic], batched.process_batch(traffic))
         assert dataclasses.asdict(reference.counters) == dataclasses.asdict(batched.counters)
 
     @pytest.mark.parametrize("rewriter_cls", [SequenceRewriterLowMemory, SequenceRewriterLowRetransmission])
@@ -115,7 +117,7 @@ class TestBatchEquivalence:
         reference, _ = build_pipeline(with_adaptation=True, rewriter_cls=rewriter_cls)
         batched, _ = build_pipeline(with_adaptation=True, rewriter_cls=rewriter_cls)
         traffic = mixed_traffic(frames=40)
-        assert_equivalent([reference.process(d) for d in traffic], batched.process_batch(traffic))
+        assert_equivalent([reference_process(reference, d) for d in traffic], batched.process_batch(traffic))
         assert dataclasses.asdict(reference.counters) == dataclasses.asdict(batched.counters)
         assert reference.counters.adaptation_drops > 0  # the scenario exercises suppression
 
@@ -123,7 +125,7 @@ class TestBatchEquivalence:
         reference, _ = build_pipeline()
         batched, _ = build_pipeline()
         traffic = mixed_traffic()
-        [reference.process(d) for d in traffic]
+        [reference_process(reference, d) for d in traffic]
         batched.process_batch(traffic)
         assert reference.pre.replications_performed == batched.pre.replications_performed
         assert reference.pre.copies_produced == batched.pre.copies_produced

@@ -1,13 +1,17 @@
 """Unit tests for receiver-side GCC and the simulated WebRTC client."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.datagram import Address, Datagram
 from repro.netsim.link import LinkProfile, Network
 from repro.netsim.simulator import Simulator
 from repro.rtp.rtcp import Nack, PictureLossIndication, Remb
 from repro.webrtc.client import ClientConfig, WebRtcClient
-from repro.webrtc.gcc import RemoteBitrateEstimator
+from repro.webrtc.gcc import RATE_WINDOW_S, RemoteBitrateEstimator
 
 A = Address("10.0.1.1", 6000)
 B = Address("10.0.1.2", 6001)
@@ -63,6 +67,58 @@ def build_pair(seed=1, video_bitrate=800_000):
     net.attach(a)
     net.attach(b)
     return sim, net, a, b
+
+
+class _ScannedRateWindow:
+    """The definition ``incoming_rate_bps`` must equal: arrivals kept in call
+    order, expired from the head only, summed by a scan on every query."""
+
+    def __init__(self):
+        self.arrivals = deque()
+
+    def on_packet(self, recv_time, size_bytes):
+        self.arrivals.append((recv_time, size_bytes))
+        cutoff = recv_time - RATE_WINDOW_S
+        while self.arrivals and self.arrivals[0][0] < cutoff:
+            self.arrivals.popleft()
+
+    def incoming_rate_bps(self, now):
+        if not self.arrivals:
+            return 0.0
+        window_start = max(self.arrivals[0][0], now - RATE_WINDOW_S)
+        duration = max(1e-3, now - window_start)
+        total = sum(size for recv_time, size in self.arrivals if recv_time >= window_start)
+        return total * 8.0 / duration
+
+
+class TestIncomingRateWindow:
+    # steps of either sign: burst schedules with jitter hand the estimator
+    # receive times that run backwards, and a negative step larger than the
+    # window strands old arrivals behind a newer head
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.004, 0.033, 0.3, 0.9, 1.0, 1.7, -0.002, -0.05, -1.2]),
+                st.integers(min_value=1, max_value=1500),
+                st.sampled_from([0.0, 0.01, 0.5, 1.0, 2.5, -0.01, -0.6]),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_equals_scan_definition(self, steps):
+        estimator, model = RemoteBitrateEstimator(), _ScannedRateWindow()
+        assert estimator.incoming_rate_bps(0.0) == 0.0
+        recv_time = 10.0
+        for step, size, query_offset in steps:
+            recv_time += step
+            estimator.on_packet(recv_time=recv_time, send_time=recv_time, size_bytes=size)
+            model.on_packet(recv_time, size)
+            # the rate update asks at the arrival's own time; anything else
+            # (stats, tests) may ask at any other
+            for now in (recv_time, recv_time + query_offset):
+                assert estimator.incoming_rate_bps(now) == model.incoming_rate_bps(now)
 
 
 class TestWebRtcClientPeerToPeer:

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event simulator, datagrams, links, and network."""
 
+import pickle
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.datagram import Address, Datagram, PayloadKind, payload_size
 from repro.netsim.link import DEFAULT_ACCESS_PROFILE, Link, LinkProfile, Network
@@ -92,7 +97,143 @@ class TestSimulator:
         assert seen == [1.0, 2.0]
 
 
+class _ModelSimulator:
+    """The event-order contract as a sorted list: fire by ``(time, order)``,
+    ``order`` being the position of the ``schedule`` call among all of them."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []  # [time, order, tag, respawn_delay, cancelled]
+        self.order = 0
+        self.fired = []
+
+    def schedule(self, delay, tag, respawn_delay):
+        entry = [self.now + delay, self.order, tag, respawn_delay, False]
+        self.order += 1
+        self.pending.append(entry)
+        return entry
+
+    def run(self, until, max_events):
+        processed = 0
+        while self.pending:
+            self.pending.sort(key=lambda entry: (entry[0], entry[1]))
+            entry = self.pending[0]
+            if until is not None and entry[0] > until:
+                break
+            self.pending.pop(0)
+            if entry[4]:
+                continue
+            self.now = max(self.now, entry[0])
+            self.fired.append((entry[2], self.now))
+            if entry[3] is not None:
+                self.schedule(entry[3], entry[2] + 1000, None)
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                return
+        if until is not None and self.now < until:
+            self.now = until
+
+
+# few distinct delays, so that ties on the timestamp are the common case
+_DELAYS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+_SIM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS, st.none() | _DELAYS),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("run"), st.none() | _DELAYS, st.none() | st.integers(min_value=1, max_value=4)),
+    ),
+    max_size=40,
+)
+
+
+class TestSimulatorEventOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_SIM_OPS)
+    def test_fires_in_sorted_time_order_model(self, ops):
+        sim, model = Simulator(), _ModelSimulator()
+        fired = []
+        handles = []  # (handle, model entry)
+
+        def fire(tag, respawn_delay):
+            fired.append((tag, sim.now))
+            if respawn_delay is not None:
+                sim.schedule(respawn_delay, fire, tag + 1000, None)
+
+        for op in ops:
+            if op[0] == "schedule":
+                _, delay, respawn_delay = op
+                tag = len(handles)
+                handle = sim.schedule(delay, fire, tag, respawn_delay)
+                handles.append((handle, model.schedule(delay, tag, respawn_delay)))
+            elif op[0] == "cancel":
+                if handles:
+                    handle, entry = handles[op[1] % len(handles)]
+                    handle.cancel()
+                    entry[4] = True
+            else:
+                _, horizon, max_events = op
+                until = None if horizon is None else sim.now + horizon
+                sim.run(until=until, max_events=max_events)
+                model.run(until, max_events)
+            assert fired == model.fired
+            assert sim.now == model.now
+            assert sim.events_processed == len(fired)
+            for handle, entry in handles:
+                assert handle.time == entry[0]
+                assert handle.cancelled == entry[4]
+        sim.run()
+        model.run(None, None)
+        assert fired == model.fired
+
+    def test_arguments_are_delivered(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0.2, lambda *args: seen.append(args), 1, "two")
+        sim.schedule_at(0.1, seen.append, "first")
+        sim.schedule(0.3, lambda: seen.append("no args"))
+        sim.run()
+        assert seen == ["first", (1, "two"), "no args"]
+
+    def test_entries_never_compare_callbacks(self):
+        # same timestamp, incomparable callbacks and arguments: the unique
+        # order number decides before the comparison can reach them
+        sim = Simulator()
+        seen = []
+        for index in range(50):
+            sim.schedule(0.5, lambda arg, i=index: seen.append(i), object())
+        sim.run()
+        assert seen == list(range(50))
+
+
 class TestDatagram:
+    def test_restamped_copies_the_record_only(self):
+        packet = video_packet()
+        meta = {"tx_time": 1.5}
+        original = Datagram(src=A, dst=B, payload=packet, sent_at=0.25, meta=meta)
+        before = dict(original.__dict__)
+        stamped = original.restamped(2.0, 2.5)
+        assert (stamped.sent_at, stamped.arrived_at) == (2.0, 2.5)
+        assert stamped.payload is packet and stamped.meta is meta
+        assert (stamped.src, stamped.dst) == (A, B)
+        assert (stamped.size, stamped.kind) == (original.size, PayloadKind.RTP)
+        assert stamped.wire_size == original.wire_size
+        # value semantics: the source record is untouched
+        assert original.__dict__ == before and original.arrived_at is None
+        assert stamped.restamped(0.25, None) == original
+        assert sorted(stamped.__dict__) == sorted(before)
+
+    def test_restamped_round_trips_through_getstate(self):
+        # SFU replicas share a read-only meta view, which __getstate__ must
+        # still materialize on a restamped copy
+        replica = Datagram(
+            src=A, dst=B, payload=video_packet(), meta=MappingProxyType({"origin": A})
+        ).restamped(1.0, 1.25)
+        clone = pickle.loads(pickle.dumps(replica))
+        assert clone == replica
+        assert (clone.sent_at, clone.arrived_at) == (1.0, 1.25)
+        assert clone.meta == {"origin": A} and isinstance(clone.meta, dict)
+        assert replica.__getstate__()["meta"] == {"origin": A}
+
     def test_size_and_kind_derived(self):
         packet = video_packet()
         datagram = Datagram(src=A, dst=B, payload=packet)

@@ -27,6 +27,7 @@ from repro.dataplane.sanitize import (
 from repro.dataplane.sharding import ShardedScallopPipeline
 from repro.netsim.datagram import Address
 
+from reference_datapath import reference_process
 from test_sharded_pipeline import (
     MeetingScenario,
     apply_op,
@@ -164,6 +165,28 @@ class TestSanitizedEquivalence:
         finally:
             plain.close()
             sanitized.close()
+
+    def test_sanitized_per_packet_process_matches_reference_walk(self):
+        # process() runs media on the memoized implementation: its cache
+        # fills and rewriter reads must stay on the datapath's side of the
+        # write barrier, and its outputs must match the unmemoized walk
+        seed = 43
+        scenario_a, scenario_b = MeetingScenario(seed), MeetingScenario(seed)
+        reference = scenario_a.configure(ScallopPipeline(SFU, sanitize=False))
+        sanitized = scenario_b.configure(ScallopPipeline(SFU, sanitize=True))
+        for phase in range(2):
+            for op in scenario_a.churn_ops(seed + phase):
+                apply_op(reference, op)
+                apply_op(sanitized, op)
+            chunk_a = scenario_a.traffic_chunk(seed * 3 + phase)
+            chunk_b = scenario_b.traffic_chunk(seed * 3 + phase)
+            assert_results_identical(
+                [reference_process(reference, d) for d in chunk_a],
+                [sanitized.process(d) for d in chunk_b],
+            )
+        assert_engines_agree(reference, sanitized)
+        assert sanitized.isolation_findings() == []
+        assert sanitized.datapath.isolation_log.read_counts.get("stream_table.lookup", 0) > 0
 
 
 # --------------------------------------------------------------------------- canned scenario gate

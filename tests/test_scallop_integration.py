@@ -5,9 +5,12 @@ import pytest
 
 from repro.core.capacity import ReplicationDesign, RewriteVariant
 from repro.core.scallop import ScallopSfu
-from repro.netsim.datagram import Address
+from repro.dataplane.pipeline import ForwardingMode, ReplicaTarget, StreamForwardingEntry
+from repro.dataplane.pre import L2Port
+from repro.netsim.datagram import Address, Datagram
 from repro.netsim.link import LinkProfile, Network
 from repro.netsim.simulator import Simulator
+from repro.rtp.packet import RtpPacket
 from repro.webrtc.client import ClientConfig, WebRtcClient
 
 SFU_ADDR = Address("10.0.0.1", 5000)
@@ -188,3 +191,73 @@ class TestMembershipChurn:
         assert stats.mean_video_fps() > 15
         # and the meeting was promoted off the two-party design
         assert sfu.agent.meeting_design("meeting-1") != ReplicationDesign.TWO_PARTY
+
+
+class TestFanOutEvent:
+    """The replicas of one ingress packet leave from one simulator event."""
+
+    def _sfu_with_two_senders(self):
+        sim = Simulator()
+        net = Network(sim)
+        sfu = ScallopSfu(SFU_ADDR, sim, net)
+        receivers = [Address(f"10.0.2.{index}", 7000 + index) for index in (1, 2, 3)]
+        senders = {}
+        for name, fan_out in (("A", 3), ("B", 2)):
+            sender = Address(f"10.0.3.{fan_out}", 6000 + fan_out)
+            mgid = sfu.pipeline.pre.create_tree()
+            for rid, address in enumerate(receivers[:fan_out], start=1):
+                sfu.pipeline.pre.add_node(mgid, rid=rid, ports=[L2Port(port=rid, l2_xid=rid)])
+                sfu.pipeline.install_replica_target(
+                    mgid, rid, ReplicaTarget(address=address, participant_id=f"{name}{rid}")
+                )
+            ssrc = 1000 + fan_out
+            sfu.pipeline.install_stream(
+                (sender, ssrc),
+                StreamForwardingEntry(
+                    mode=ForwardingMode.REPLICATE, meeting_id=name, sender=sender, mgid=mgid
+                ),
+            )
+            packet = RtpPacket(payload_type=111, sequence_number=1, timestamp=0, ssrc=ssrc, payload=b"x" * 80)
+            senders[name] = Datagram(src=sender, dst=SFU_ADDR, payload=packet)
+        return sim, net, sfu, receivers, senders
+
+    def test_same_instant_ingress_fans_out_in_target_order(self):
+        sim, net, sfu, receivers, senders = self._sfu_with_two_senders()
+        sent = []
+        net.send = lambda datagram: sent.append((sim.now, datagram.payload.ssrc, datagram.dst))
+        sim.run(until=1.0)
+        sfu.handle_datagram(senders["A"])
+        sfu.handle_datagram(senders["B"])
+        before = sim.events_processed
+        sim.run()
+        egress = 1.0 + sfu.forwarding_delay_s
+        assert sent == [
+            (egress, 1003, receivers[0]),
+            (egress, 1003, receivers[1]),
+            (egress, 1003, receivers[2]),
+            (egress, 1002, receivers[0]),
+            (egress, 1002, receivers[1]),
+        ]
+        # one event per ingress packet, not one per replica
+        assert sim.events_processed - before == 2
+        assert sfu.stats.packets_out == 5
+
+    def test_replicas_reach_the_uplink_restamped(self):
+        sim, net, sfu, receivers, senders = self._sfu_with_two_senders()
+        delivered = []
+
+        class Sink:
+            def __init__(self, address):
+                self.address = address
+
+            def handle_datagram(self, datagram):
+                delivered.append((self.address, datagram.sent_at, datagram.arrived_at))
+
+        for address in receivers:
+            net.attach(Sink(address))
+        sfu.handle_datagram(senders["A"])
+        sim.run()
+        assert [address for address, _sent, _arrived in delivered] == receivers
+        assert {(sent, arrived) for _address, sent, arrived in delivered} == {
+            (sfu.forwarding_delay_s, None)
+        }

@@ -364,6 +364,37 @@ class TestScheduleExecution:
             run.run_for(2.0)
             assert run.reconcile() == []
 
+    def test_cumulative_joins_outgrow_one_host_octet(self):
+        # participant indices are never reused, and the index used to be the
+        # last IPv4 octet: the STUN response to a meeting's 254th cumulative
+        # joiner raised ValueError encoding "10.1.0.256"
+        scenario = Scenario(
+            meetings=(MeetingSpec(participants=2, send_video=False),), seed=6
+        )
+        with build_scenario(scenario) as run:
+            addresses = [str(client.address) for client in run.clients]
+            assert addresses == ["10.1.0.2:6000", "10.1.0.3:6001"]
+            for index in range(2, 302):
+                joiner = run.add_participant(0)
+                assert joiner.config.participant_id == f"m0-p{index}"
+                addresses.append(str(joiner.address))
+                run.run_for(0.02)
+                if index < 299:
+                    run.leave(0, index)
+            assert len(set(addresses)) == 302
+            # the last pre-spill index keeps its historical address; the
+            # next one lands in a range nothing else uses
+            assert addresses[253:255] == ["10.1.0.255:6253", "11.1.0.2:6254"]
+            # the last three joiners stay for a STUN round trip from their
+            # spilled addresses, then leave as well
+            run.run_for(2.5)
+            for index in range(299, 302):
+                assert run.find_client(0, index).rtt_samples_ms
+                run.leave(0, index)
+            run.run_for(0.5)
+            assert run.joins == 302 and len(run.clients) == 2
+            assert run.reconcile() == []
+
 
 class TestContextManager:
     def test_close_runs_on_exception(self):

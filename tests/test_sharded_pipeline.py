@@ -33,6 +33,8 @@ from repro.rtp.rtcp import Nack, Remb, SenderReport
 from repro.stun.message import make_binding_request
 from repro.webrtc.encoder import AudioSource, RtpPacketizer, SvcEncoder
 
+from reference_datapath import reference_process
+
 SFU = Address("10.0.0.1", 5000)
 
 
@@ -217,7 +219,7 @@ def run_scenario(n_shards: int, seed: int, executor: str = "serial"):
             chunk = scenario_a.traffic_chunk(seed * 31 + phase)
             chunk_b = scenario_b.traffic_chunk(seed * 31 + phase)
             assert [d.to_bytes() for d in chunk] == [d.to_bytes() for d in chunk_b]
-            reference_results = [reference.process(d) for d in chunk]
+            reference_results = [reference_process(reference, d) for d in chunk]
             sharded_results = sharded.process_batch(chunk_b)
             assert_results_identical(reference_results, sharded_results)
         assert_engines_agree(reference, sharded)
@@ -362,7 +364,7 @@ class TestProcessBackend:
             traffic_a = scenario_a.traffic_chunk(3, frames=4)
             traffic_b = scenario_b.traffic_chunk(3, frames=4)
             # interleave single-packet and batched processing
-            reference_results = [reference.process(d) for d in traffic_a]
+            reference_results = [reference_process(reference, d) for d in traffic_a]
             sharded_results = [sharded.process(d) for d in traffic_b[:5]]
             sharded_results += sharded.process_batch(traffic_b[5:])
             assert_results_identical(reference_results, sharded_results)
@@ -388,7 +390,7 @@ class TestProcessBackend:
                 )
             first = scenario_a.traffic_chunk(1)
             assert_results_identical(
-                [reference.process(d) for d in first],
+                [reference_process(reference, d) for d in first],
                 sharded.process_batch(scenario_b.traffic_chunk(1)),
             )
             # unrelated control write in meeting 1 -> full worker resync
@@ -401,7 +403,7 @@ class TestProcessBackend:
                 )
             second = scenario_a.traffic_chunk(2)
             assert_results_identical(
-                [reference.process(d) for d in second],
+                [reference_process(reference, d) for d in second],
                 sharded.process_batch(scenario_b.traffic_chunk(2)),
             )
             assert_engines_agree(reference, sharded)

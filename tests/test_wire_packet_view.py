@@ -37,6 +37,8 @@ from repro.rtp.packet import RtpHeaderExtension, RtpPacket, RtpParseError
 from repro.rtp.wire import PacketView, pack_rtp_header
 from repro.webrtc.encoder import RtpPacketizer, SvcEncoder
 
+from reference_datapath import reference_process
+
 SFU = Address("10.0.0.1", 5000)
 
 
@@ -356,7 +358,7 @@ class TestWirePipelineEquivalence:
         wire_single, _ = _build_adapted_pipeline()
         traffic_obj = _media(senders, wire=False)
         traffic_wire = _media(senders, wire=True)
-        object_results = [reference.process(d) for d in traffic_obj]
+        object_results = [reference_process(reference, d) for d in traffic_obj]
         wire_results = [wire_single.process(d) for d in traffic_wire]
         assert_wire_results_match(object_results, wire_results)
         assert dataclasses.asdict(reference.counters) == dataclasses.asdict(wire_single.counters)
