@@ -12,21 +12,14 @@ Three parts, centred on the batched fast path and the flow-sharded engine:
    amortizes the per-call overhead, so the two stay within ~1.1x of each
    other as the meeting population grows.
 
-2. **Shard-count sweep** — the same 50-meeting ingress through
-   :class:`~repro.dataplane.sharding.ShardedScallopPipeline` at k in
-   {1, 2, 4}: flows partition across share-nothing datapath shards with
-   byte-identical outputs.  Under the in-process serial executor the sweep
-   quantifies the GIL bound (flat throughput, small partitioning overhead);
-   ``executor="process"`` is the parallel escape hatch behind the same API.
-
-3. **End-to-end burst mode** — a declarative multi-meeting
+2. **End-to-end burst mode** — a declarative multi-meeting
    :class:`repro.scenario.Scenario` with ``frame_bursts`` traffic and a
    4-shard SFU, where each video frame traverses the network as one
    schedule-preserving burst and the SFU ingests it through the sharded
    batch engine.  (The canned ``zipf_hotset`` scenario is the heterogeneous
    sibling: ``python -m repro.scenario zipf_hotset``.)
 
-4. **Load-aware placement** (``--skew``) — replay a Zipf-skewed population
+3. **Load-aware placement** (``--skew``) — replay a Zipf-skewed population
    (meeting sizes and per-meeting activity both Zipf-distributed, the hottest
    senders colocated by the CRC32 default the way a real hash collision pins
    them) through a 4-shard engine with the rebalancer armed, and print the
@@ -38,8 +31,8 @@ Three parts, centred on the batched fast path and the flow-sharded engine:
 Run with:  python examples/mega_meeting_sweep.py [--skew] [--profile]
 
 ``--profile`` attaches a :class:`repro.experiments.CoordinatorStats` to the
-burst-mode call's 4-shard engine and prints the coordinator's Amdahl stage
-table (partition / encode / dispatch / replay / reassemble) after the run.
+burst-mode call's 4-shard engine and prints the coordinator's stage table
+(partition / dispatch / reassemble) after the run.
 """
 
 import argparse
@@ -49,9 +42,7 @@ from repro.experiments import (
     CoordinatorStats,
     build_skewed_meeting_pipeline,
     format_batch_sweep,
-    format_shard_sweep,
     run_batch_throughput_sweep,
-    run_shard_throughput_sweep,
     skewed_media_ingress,
     zipf_frames,
 )
@@ -59,7 +50,6 @@ from repro.netsim.datagram import Address
 from repro.scenario import BackendSpec, Scenario, TrafficSpec, build_scenario
 
 MEETING_SIZES = [1, 5, 10, 25, 50]
-SHARD_COUNTS = [1, 2, 4]
 SFU = Address("10.0.0.1", 5000)
 
 
@@ -98,7 +88,6 @@ def run_skewed_rebalance_demo(num_meetings: int = 50, n_shards: int = 4) -> None
         pipeline=ShardedScallopPipeline(
             SFU,
             n_shards=n_shards,
-            executor="serial",
             rebalance_config=RebalancerConfig(
                 epoch_batches=2, trigger_ratio=1.15, target_ratio=1.05, migration_budget=6
             ),
@@ -178,7 +167,7 @@ def main() -> None:
         "--profile",
         action="store_true",
         help="attach CoordinatorStats to the burst-mode call's sharded engine "
-        "and print its Amdahl stage table",
+        "and print its stage table",
     )
     args = parser.parse_args()
     if args.skew:
@@ -187,10 +176,6 @@ def main() -> None:
     print("=== pipeline throughput, 8 participants/meeting ===")
     points = run_batch_throughput_sweep(meeting_counts=MEETING_SIZES)
     print(format_batch_sweep(points))
-    print()
-    print("=== sharded engine at 50 meetings (serial executor: GIL-bound by design) ===")
-    shard_points = run_shard_throughput_sweep(shard_counts=SHARD_COUNTS, num_meetings=50)
-    print(format_shard_sweep(shard_points))
     run_burst_mode_call(profile=args.profile)
 
 

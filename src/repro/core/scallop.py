@@ -63,9 +63,7 @@ class ScallopSfu:
         downlink_profile: Optional[LinkProfile] = None,
         adaptation_thresholds_bps: Optional[Tuple[float, float]] = None,
         n_shards: int = 1,
-        shard_executor: str = "serial",
         rebalance: Union[bool, RebalancerConfig, None] = None,
-        srtp: Optional[object] = None,
         profile: bool = False,
         obs: Union[bool, ObsConfig, None] = None,
     ) -> None:
@@ -77,25 +75,22 @@ class ScallopSfu:
         elif rebalance is False:
             rebalance = None
         #: ``n_shards=1`` keeps the single-datapath reference engine;
-        #: ``n_shards>=2`` (or any sharded-only feature such as the process
-        #: executor, the load-aware rebalancer, or the coordinator stage
-        #: profile) partitions every ingress burst by flow across
-        #: share-nothing datapath shards behind the same pipeline API (the
-        #: outputs are byte-identical either way).
-        if n_shards > 1 or shard_executor != "serial" or rebalance is not None or profile:
+        #: ``n_shards>=2`` (or any sharded-only feature such as the load-aware
+        #: rebalancer or the coordinator stage profile) partitions every
+        #: ingress burst by flow across share-nothing datapath shards behind
+        #: the same pipeline API (the outputs are byte-identical either way).
+        if n_shards > 1 or rebalance is not None or profile:
             self.pipeline = ShardedScallopPipeline(
                 address,
                 n_shards=n_shards,
                 capacities=capacities,
-                executor=shard_executor,
                 rebalance_config=rebalance,
-                srtp=srtp,
                 profile=profile,
                 obs=obs,
             )
         else:
             obs_config = ObsConfig() if obs is True else (obs or None)
-            self.pipeline = ScallopPipeline(address, capacities, srtp=srtp, obs=obs_config)
+            self.pipeline = ScallopPipeline(address, capacities, obs=obs_config)
         if adaptation_thresholds_bps is not None:
             high, low = adaptation_thresholds_bps
 
@@ -139,9 +134,7 @@ class ScallopSfu:
         self._running = False
 
     def close(self) -> None:
-        """Stop periodic work and release pipeline backend resources (the
-        sharded engine's process executor spawns per-shard worker pools that
-        would otherwise outlive the simulation)."""
+        """Stop periodic work and release pipeline backend resources."""
         self.stop()
         self.pipeline.close()
 

@@ -341,13 +341,11 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
 
 # --------------------------------------------------------------------------- packed state codec
 #
-# The sharded pipeline's process executor ships mutated rewriter state back to
-# the coordinator after every batch.  Pickling the rewriter objects costs
-# hundreds of bytes per stream (class references, per-int object overhead, the
-# duplicate-guard set as a pickled Python set); this codec packs the exact
-# register-file contents into a flat struct layout instead — which is also the
-# honest model of what the hardware would DMA: the registers are integers, not
-# Python objects.
+# A cross-SFU meeting migration (``repro.cluster.snapshot.MeetingSnapshot``)
+# ships every adapted stream's rewriter state to the destination box.  This
+# codec packs the exact register-file contents into a flat struct layout —
+# the honest model of what the hardware would DMA: the registers are
+# integers, not Python objects.
 #
 # Layout (big-endian, see ``_STATE_HEAD``):
 #
@@ -357,7 +355,9 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
 #        packets_dropped_for_safety                       (5 signed 64-bit)
 #   i    highest_seq, highest_frame, emit_horizon          (-1 encodes None)
 #   d    gap_carry
-#   u16  len(emitted) + that many u16 sequence numbers
+#   u16  len(emitted) + that many u16 sequence numbers, ascending (a set has
+#        no order of its own; sorting makes the image canonical, so a
+#        restored rewriter re-packs to the same bytes)
 #
 # followed, for S-LR only, by ``_STATE_LR``:
 #
@@ -384,7 +384,7 @@ def pack_rewriter_state(rewriter: Union["SequenceRewriterLowMemory", "SequenceRe
     """Pack a rewriter's full per-stream state into a flat byte record.
 
     Raises :class:`TypeError` for rewriter classes outside the paper's two
-    variants (callers fall back to pickle for exotic implementations of the
+    variants (other implementations of the
     :class:`~repro.dataplane.pipeline.SequenceRewriter` protocol).
     """
     if type(rewriter) is SequenceRewriterLowMemory:
@@ -411,7 +411,7 @@ def pack_rewriter_state(rewriter: Union["SequenceRewriterLowMemory", "SequenceRe
         )
     )
     out += _U16.pack(len(emitted))
-    for seq in emitted:
+    for seq in sorted(emitted):
         out += _U16.pack(seq)
     if tag == 1:
         out += _STATE_LR.pack(
@@ -437,7 +437,7 @@ def unpack_rewriter_state(
 
     The round trip is exact: the clone and the original produce identical
     ``on_packet`` outputs for any subsequent event sequence (property-tested
-    in ``tests/test_shard_transport.py``).
+    in ``tests/test_seqrewrite.py``).
     """
     (
         tag,
@@ -500,25 +500,6 @@ def unpack_rewriter_state(
         rewriter._packets_in_current_frame = packets_in_current_frame
         rewriter._frame_offsets = frame_offsets
     return rewriter
-
-
-def extract_flow_state(
-    trackers, indices: Sequence[int]
-) -> Dict[int, Optional[bytes]]:
-    """Extract one flow's rewriter register images for a live migration.
-
-    ``trackers`` is any register array exposing ``peek(index)``; ``indices``
-    are the flow's stream-tracker cells (one per adapted receiver, from
-    :meth:`~repro.dataplane.pipeline.PipelineControlPlane.tracker_indices_for_ssrc`).
-    Returns ``index -> packed image`` (``None`` for empty cells), the exact
-    payload a migration ships between shards.  Rewriter classes outside the
-    packed codec raise :class:`TypeError` — migration callers fall back to
-    shipping the object itself (serial mode) or pickling (process mode).
-    """
-    return {
-        index: (None if rewriter is None else pack_rewriter_state(rewriter))
-        for index, rewriter in ((index, trackers.peek(index)) for index in indices)
-    }
 
 
 def clone_rewriter(

@@ -108,8 +108,7 @@ class SwitchAgent:
         :meth:`~repro.dataplane.pipeline.PipelineControlPlane.batched_writes`,
         so a join that installs dozens of table entries and PRE nodes bumps
         each write generation once — datapath caches invalidate once per
-        join, and process-executor workers resync on one snapshot instead of
-        one per write.
+        join instead of once per write.
         """
         with self.pipeline.batched_writes():
             if meeting_id in self.replication.meetings:

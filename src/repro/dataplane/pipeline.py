@@ -202,9 +202,9 @@ class PipelineCounters:
     replicas_out: int = 0
     adaptation_drops: int = 0
     table_misses: int = 0
-    #: Ingress packets whose SRTP auth tag failed verification (tampered or
-    #: wrongly keyed); such packets are accounted and then dropped without
-    #: producing replicas, mirroring a real SFU's auth-before-forward order.
+    #: Always 0: the model does not terminate SRTP (neither does the paper's
+    #: prototype).  Kept because the ``bench/`` ledger and the telemetry
+    #: snapshot read it.
     srtp_auth_failures: int = 0
     by_class_packets: Dict[str, int] = field(default_factory=dict)
     by_class_bytes: Dict[str, int] = field(default_factory=dict)
@@ -240,7 +240,6 @@ class PipelineCounters:
         self.replicas_out += other.replicas_out
         self.adaptation_drops += other.adaptation_drops
         self.table_misses += other.table_misses
-        self.srtp_auth_failures += other.srtp_auth_failures
         for label, packets in other.by_class_packets.items():
             self.by_class_packets[label] = self.by_class_packets.get(label, 0) + packets
         for label, size in other.by_class_bytes.items():
@@ -285,8 +284,7 @@ class _CachedResolution:
     address tuple with none of the per-replica adaptation checks.
     ``meta_proxy`` lazily holds the flow's shared replica-meta view (origin
     fields depend only on the flow), built by the first meta-less packet and
-    reused by every later one — the same sharing the packed shard transport's
-    replay does per flow.
+    reused by every later one.
     """
 
     __slots__ = (
@@ -362,24 +360,15 @@ class PipelineControlPlane:
         self,
         sfu_address: Address,
         capacities: TofinoCapacities = DEFAULT_CAPACITIES,
-        srtp: Optional[object] = None,
         obs: Optional[ObsConfig] = None,
     ) -> None:
         self.sfu_address = sfu_address
         self.capacities = capacities
         self.accountant = ResourceAccountant(capacities)
         self.pre = PacketReplicationEngine(self.accountant)
-        #: Optional observability config.  Plain frozen-dataclass data, so it
-        #: survives the control-plane snapshot pickle: process-executor worker
-        #: replicas arm their datapaths' obs state from this exactly like the
-        #: coordinator does, which keeps instrumentation executor-invariant.
+        #: Optional observability config; every attached datapath arms its
+        #: obs state from it, so instrumentation is shard-count-invariant.
         self.obs_config = obs
-        #: Optional :class:`~repro.rtp.srtp.SrtpProfile`.  When set, the
-        #: wire-native media path authenticates and decrypts each ingress
-        #: packet and re-protects every egress replica.  Datapaths bind it
-        #: read-only (the profile is stateless per packet); it is a plain
-        #: picklable value, so process-executor control snapshots carry it.
-        self.srtp = srtp
 
         self.stream_table: ExactMatchTable[Tuple[Address, int], StreamForwardingEntry] = ExactMatchTable(
             "stream_forwarding", max_entries=capacities.exact_match_entries
@@ -403,8 +392,7 @@ class PipelineControlPlane:
         #: engine's flow-routing cache invalidates on every placement write;
         #: deliberately *not* part of :meth:`write_stamp` — datapath packet
         #: processing never reads placement, only the partitioner does, so a
-        #: migration must not invalidate datapath caches or force a worker
-        #: snapshot reship.
+        #: migration must not invalidate datapath caches.
         self.placement_table: ExactMatchTable[Tuple[Address, int], int] = ExactMatchTable(
             "flow_placement", max_entries=capacities.exact_match_entries
         )
@@ -425,8 +413,8 @@ class PipelineControlPlane:
         #: would resolve differently at release time.
         self._tracker_charges: Dict[Tuple[int, Address], Tuple[Optional[object], int]] = {}
         #: Reverse index for live migration: which receivers hold adaptation
-        #: state for a given sender SSRC, so a flow's rewriter register
-        #: indices can be enumerated without scanning the adaptation table.
+        #: state for a given sender SSRC, so a migrated flow's stream-state
+        #: charges can be re-attributed without scanning the adaptation table.
         self._adaptation_receivers: Dict[int, Set[Address]] = {}
         #: Write-batching state (:meth:`batched_writes`): nesting depth and
         #: the register indices whose datapath fan-out is deferred.
@@ -477,8 +465,7 @@ class PipelineControlPlane:
         Meeting setup installs dozens of table entries, PRE nodes, and
         rewriter registers back to back; outside this context every one of
         them bumps a write generation (invalidating every datapath's
-        memoized flow resolution and, under the process executor, forcing a
-        fresh control-plane snapshot per write) and fans register writes out
+        memoized flow resolution) and fans register writes out
         to every shard view individually.  Inside the context, each touched
         table/PRE bumps its generation exactly once at exit and register
         fan-out happens once per index.
@@ -693,19 +680,6 @@ class PipelineControlPlane:
             self.placement_table.remove(key)
         return len(stale)
 
-    def tracker_indices_for_ssrc(self, sender_ssrc: int) -> List[int]:
-        """Rewriter register indices holding state for a sender SSRC's
-        adaptation entries — the per-flow state a live migration must move."""
-        receivers = self._adaptation_receivers.get(sender_ssrc)
-        if not receivers:
-            return []
-        indices: List[int] = []
-        for receiver in receivers:
-            index = self.stream_indices.lookup((sender_ssrc, receiver))
-            if index is not None:
-                indices.append(index)
-        return indices
-
     def reattribute_ssrc_charges(self, sender_ssrc: int) -> None:
         """Re-route a sender SSRC's stream-state attribution through the
         charge-scope router (called after its flow migrates shards; the
@@ -774,116 +748,6 @@ class PipelineControlPlane:
                 self.install_adaptation(sender_ssrc, receiver, allowed, rewriter)
         return len(records)
 
-    # ------------------------------------------------------------------ worker-local replica API
-
-    def build_worker_datapath(self, shard_id: int) -> "PipelineDatapath":
-        """Construct and attach the datapath of a worker process's *private*
-        control-plane replica.
-
-        This is the sanctioned bootstrap for the process executor's shard
-        workers: ``self`` is the replica the worker just unpickled, so
-        attaching a datapath mutates state no other thread or process can
-        observe.  Keeping the attach inside a control-plane method — rather
-        than the worker calling ``attach_datapath`` on what textually looks
-        like shared control state — lets the share-nothing checker hold
-        worker code to the same zero-mutation rule as the datapaths (this
-        method retired the two grandfathered archlint baseline entries from
-        PR 6).
-        """
-        datapath = PipelineDatapath(self, shard_id=shard_id)
-        self.attach_datapath(datapath)
-        return datapath
-
-    def apply_tracker_images(
-        self, updates: Sequence[Tuple[int, Optional[SequenceRewriter]]]
-    ) -> None:
-        """Apply decoded rewriter register images to the canonical register
-        file (fanning out to attached datapath views as usual).
-
-        Worker-local replica API: the migration images a process-executor
-        worker receives ahead of a batch land in its own replica's registers
-        through this method; the coordinator uses the same method to fold
-        workers' post-batch register state home.
-        """
-        for index, rewriter in updates:
-            self._write_tracker(index, rewriter)
-
-    # ------------------------------------------------------------------ pickling (process-shard escape hatch)
-
-    def __getstate__(self) -> dict:
-        """Snapshot for shipping a read-only replica to a worker process:
-        datapath backrefs and charge-scope plumbing stay with the coordinator."""
-        state = dict(self.__dict__)
-        state["_datapaths"] = []
-        state["_charge_scope_router"] = None
-        state["_tracker_charges"] = {}
-        state["_write_batch_depth"] = 0
-        state["_deferred_tracker_indices"] = set()
-        return state
-
-
-@dataclass
-class DatapathLocalStats:
-    """Per-datapath tally of the *shared* PRE data-plane counters.
-
-    The only writes a datapath's packet path performs on shared
-    control-plane structures are pure accounting: the PRE's
-    ``replications_performed``/``copies_produced`` bumps and the tables'
-    ``lookups``/``hits``.  Under the serial and process executors those
-    bumps are single-writer and go straight to the shared objects; under
-    the thread executor concurrent ``+=`` on shared attributes would be a
-    data race (lost updates on free-threaded builds, and even under the
-    GIL the read-modify-write can interleave).  Thread-mode datapaths
-    therefore accumulate here — private, unsynchronized — and the
-    :class:`~repro.dataplane.sharding.ThreadShardRunner` folds the tallies
-    into the shared structures at the batch barrier.  The folds are
-    commutative sums, so every counter ends exactly where serial execution
-    would put it.
-    """
-
-    replications_performed: int = 0
-    copies_produced: int = 0
-
-
-class ShardTableView:
-    """Thread-mode read view of a shared :class:`ExactMatchTable`.
-
-    ``lookup`` resolves against the shared table via the non-counting
-    ``peek`` and tallies ``lookups``/``hits`` locally; the runner folds the
-    tallies into the shared table at the batch barrier (see
-    :class:`DatapathLocalStats` for why).  Bound in place of the datapath's
-    table aliases *before* the shard-isolation sanitizer wraps them, so
-    sanitized thread-mode runs put the write barrier around the view.
-    """
-
-    __slots__ = ("table", "lookups", "hits")
-
-    def __init__(self, table: ExactMatchTable) -> None:
-        self.table = table
-        self.lookups = 0
-        self.hits = 0
-
-    def lookup(self, key):
-        self.lookups += 1
-        value = self.table.peek(key)
-        if value is not None:
-            self.hits += 1
-        return value
-
-    def peek(self, key):
-        return self.table.peek(key)
-
-    @property
-    def version(self) -> int:
-        return self.table.version
-
-    def __contains__(self, key) -> bool:
-        return key in self.table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
 class PipelineDatapath:
     """The per-packet engine: parses, matches, replicates, rewrites.
 
@@ -907,31 +771,23 @@ class PipelineDatapath:
         trackers: Optional[RegisterArray] = None,
         shard_id: int = 0,
         sanitize: Optional[bool] = None,
-        local_stats: bool = False,
     ) -> None:
         self.control = control
         self.shard_id = shard_id
         self.sfu_address = control.sfu_address
         self.parser = IngressParser()
         self.counters = PipelineCounters()
-        #: Optional SRTP profile shared by all datapaths (stateless per
-        #: packet, so concurrent use is race-free).
-        self.srtp = control.srtp
         #: This datapath's rewriter register view.  The single-datapath
         #: pipeline shares the control plane's canonical array; shard
         #: datapaths get their own fanned-out copy.
         self.trackers: RegisterArray[SequenceRewriter] = (
             trackers if trackers is not None else control.stream_trackers
         )
-        #: Rewriter register indices read since the last sync point; the
-        #: process-pool shard runner uses this to ship mutated rewriter state
-        #: back to the coordinator after each batch.
-        self.touched_tracker_indices: Set[int] = set()
         #: Per-shard observability bundle (metrics registry + packet tracer),
         #: armed iff the control plane carries an :class:`ObsConfig`.  Private
         #: to this datapath — never aliased across shards, never written by
-        #: the control plane — so it needs no sanitizer wrapping and folds
-        #: commutatively at executor barriers.
+        #: the control plane — so it needs no sanitizer wrapping and merges
+        #: commutatively at snapshot time.
         obs_config = getattr(control, "obs_config", None)
         self.obs: Optional[DatapathObs] = (
             DatapathObs(
@@ -943,32 +799,12 @@ class PipelineDatapath:
             else None
         )
 
-        # read-mostly bindings into the control plane (hot-path aliases).
-        # Thread-mode (``local_stats=True``) datapaths bind ShardTableView
-        # wrappers instead of the raw tables and accumulate all shared-counter
-        # accounting privately; the ThreadShardRunner folds both back at the
-        # batch barrier through ``table_views``/``local_stats`` (raw handles,
-        # deliberately outside the sanitizer's wrapped bindings).
+        # read-mostly bindings into the control plane (hot-path aliases)
         self.pre = control.pre
-        self.local_stats: Optional[DatapathLocalStats] = None
-        self.table_views: Tuple[ShardTableView, ...] = ()
-        if local_stats:
-            self.local_stats = DatapathLocalStats()
-            self.stream_table = ShardTableView(control.stream_table)
-            self.replica_table = ShardTableView(control.replica_table)
-            self.adaptation_table = ShardTableView(control.adaptation_table)
-            self.feedback_table = ShardTableView(control.feedback_table)
-            self.table_views = (
-                self.stream_table,
-                self.replica_table,
-                self.adaptation_table,
-                self.feedback_table,
-            )
-        else:
-            self.stream_table = control.stream_table
-            self.replica_table = control.replica_table
-            self.adaptation_table = control.adaptation_table
-            self.feedback_table = control.feedback_table
+        self.stream_table = control.stream_table
+        self.replica_table = control.replica_table
+        self.adaptation_table = control.adaptation_table
+        self.feedback_table = control.feedback_table
 
         # Batch fast-path state: forwarding resolution memoized per flow and
         # invalidated whenever the control plane touches the stream table, the
@@ -987,8 +823,7 @@ class PipelineDatapath:
         #: bound above in write-barrier proxies that raise
         #: :class:`~repro.dataplane.sanitize.ShardIsolationError` on any
         #: mutation through a datapath-held reference.  ``sanitize=None``
-        #: defers to ``REPRO_SANITIZE`` in the environment, which is how the
-        #: mode reaches process-pool shard workers rebuilding their datapaths.
+        #: defers to ``REPRO_SANITIZE`` in the environment.
         self.isolation_log = None
         if resolve_sanitize(sanitize):
             self.isolation_log = sanitize_datapath(self)
@@ -1209,13 +1044,8 @@ class PipelineDatapath:
             # (deferred through acc; folded at the batch boundary)
             raw = resolution.raw_replicas
             if raw is not None:
-                local = self.local_stats
-                if local is None:
-                    acc[2] += 1
-                    acc[3] += raw
-                else:
-                    local.replications_performed += 1
-                    local.copies_produced += raw
+                acc[2] += 1
+                acc[3] += raw
             if resolution.replica_misses:
                 counters.table_misses += resolution.replica_misses
 
@@ -1298,7 +1128,6 @@ class PipelineDatapath:
             "meta": None,
         }
         trackers_read = self.trackers.read
-        touched = self.touched_tracker_indices
         mint = Datagram.from_fields
         copy_fields = dict
         replicas_out = 0
@@ -1311,7 +1140,6 @@ class PipelineDatapath:
                 if rewriter is None:
                     out_packet = packet if forward else None
                 else:
-                    touched.add(adaptation.stream_index)
                     new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
                     out_packet = None if new_seq is None else packet.with_sequence_number(new_seq)
                 if out_packet is None:
@@ -1378,25 +1206,6 @@ class PipelineDatapath:
         counters = self.counters
         size = datagram.size
 
-        srtp = self.srtp
-        if srtp is not None:
-            # auth-before-forward: verify the truncated tag, then strip it and
-            # decrypt the payload so rewriting operates on plaintext bytes.
-            # (The SRTP header and extension are cleartext per RFC 3711, so the
-            # parse above — header/extension only — is identical either way.)
-            plain = srtp.unprotect_ingress(view.buf)
-            if plain is None:
-                counters.srtp_auth_failures += 1
-                key = (parse.class_value, False)
-                slot = tally.get(key)
-                if slot is None:
-                    tally[key] = [1, size]
-                else:
-                    slot[0] += 1
-                    slot[1] += size
-                return result
-            view = PacketView(plain)
-
         ssrc = parse.ssrc if parse.ssrc is not None else view.ssrc
         flow = (datagram.src, ssrc)
         flow_cache = self._flow_cache
@@ -1461,13 +1270,8 @@ class PipelineDatapath:
         else:
             raw = resolution.raw_replicas
             if raw is not None:
-                local = self.local_stats
-                if local is None:
-                    acc[2] += 1
-                    acc[3] += raw
-                else:
-                    local.replications_performed += 1
-                    local.copies_produced += raw
+                acc[2] += 1
+                acc[3] += raw
             if resolution.replica_misses:
                 counters.table_misses += resolution.replica_misses
 
@@ -1476,8 +1280,7 @@ class PipelineDatapath:
 
         if not (resolution.has_adaptation and parse.is_video):
             # no replica is rate-adapted: every target gets the ingress bytes
-            # unchanged, and under SRTP all replicas share one egress-protected
-            # buffer (same sharing as the per-target loop's protected_same)
+            # unchanged
             addresses = resolution.addresses
             if not addresses:
                 if traced:
@@ -1486,7 +1289,6 @@ class PipelineDatapath:
                         arrived_at, size, parse_hit, flow_hit, 0, 0, False,
                     )
                 return result
-            out_view = view if srtp is None else PacketView(srtp.protect_egress(view.buf))
             if datagram.meta:
                 meta = MappingProxyType(
                     dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
@@ -1500,7 +1302,7 @@ class PipelineDatapath:
             base_copy = {
                 "src": self.sfu_address,
                 "dst": None,
-                "payload": out_view,
+                "payload": view,
                 "size": size,
                 "kind": PayloadKind.RTP,
                 "sent_at": 0.0,
@@ -1541,11 +1343,9 @@ class PipelineDatapath:
             "meta": None,
         }
         trackers_read = self.trackers.read
-        touched = self.touched_tracker_indices
         mint = Datagram.from_fields
         copy_fields = dict
         replicas_out = 0
-        protected_same: Optional[PacketView] = None
         for target, adaptation in resolution.targets:
             out_payload: Optional[PacketView] = view
             if adaptation is not None:
@@ -1554,7 +1354,6 @@ class PipelineDatapath:
                 if rewriter is None:
                     out_payload = view if forward else None
                 else:
-                    touched.add(adaptation.stream_index)
                     if sequence_number < 0:
                         sequence_number = view.sequence_number
                     new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
@@ -1569,15 +1368,6 @@ class PipelineDatapath:
                     result.dropped_replicas += 1
                     counters.adaptation_drops += 1
                     continue
-            if srtp is not None:
-                # re-protect under the egress session key; unrewritten
-                # replicas of the same packet share one protected buffer
-                if out_payload is view:
-                    if protected_same is None:
-                        protected_same = PacketView(srtp.protect_egress(view.buf))
-                    out_payload = protected_same
-                else:
-                    out_payload = PacketView(srtp.protect_egress(out_payload.buf))
             if shared_meta is None:
                 shared_meta = MappingProxyType(
                     dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
@@ -1648,19 +1438,9 @@ class PipelineDatapath:
             mgid = entry.mgid
         if mgid is None:
             return (), None, 0
-        local = self.local_stats
-        if local is None:
-            replicas = self.pre.replicate(
-                mgid, l1_xid=entry.l1_xid, rid=entry.rid, l2_xid=entry.l2_xid
-            )
-        else:
-            # thread mode: pure tree walk on the shared PRE, accounting kept
-            # local and folded at the batch barrier (no shared-counter race)
-            replicas = self.pre.expand(
-                mgid, l1_xid=entry.l1_xid, rid=entry.rid, l2_xid=entry.l2_xid
-            )
-            local.replications_performed += 1
-            local.copies_produced += len(replicas)
+        replicas = self.pre.replicate(
+            mgid, l1_xid=entry.l1_xid, rid=entry.rid, l2_xid=entry.l2_xid
+        )
         targets: List[ReplicaTarget] = []
         misses = 0
         for replica in replicas:
@@ -1841,10 +1621,9 @@ class ScallopPipeline(ControlPlaneFacade):
         sfu_address: Address,
         capacities: TofinoCapacities = DEFAULT_CAPACITIES,
         sanitize: Optional[bool] = None,
-        srtp: Optional[object] = None,
         obs: Optional[ObsConfig] = None,
     ) -> None:
-        self.control = PipelineControlPlane(sfu_address, capacities, srtp=srtp, obs=obs)
+        self.control = PipelineControlPlane(sfu_address, capacities, obs=obs)
         self.datapath = PipelineDatapath(self.control, sanitize=sanitize)
         self.control.attach_datapath(self.datapath)
         self.sfu_address = sfu_address

@@ -178,19 +178,17 @@ class PacketReplicationEngine:
 
     # ------------------------------------------------------------------ data-plane API
 
-    def expand(
+    def replicate(
         self,
         mgid: int,
         l1_xid: Optional[int] = None,
         rid: Optional[int] = None,
         l2_xid: Optional[int] = None,
     ) -> List[Replica]:
-        """The pure replication tree walk: L1/L2 pruning, **no accounting**.
+        """Replicate a packet through a tree, applying L1 and L2 pruning.
 
-        Reads only immutable-per-generation tree structure, so concurrent
-        datapaths may call it freely; callers that own the data-plane tally
-        (:meth:`replicate`, or a thread-mode datapath accumulating
-        per-shard local stats) account the replication themselves.
+        ``l1_xid`` prunes whole L1 nodes (other meetings sharing the tree);
+        the (``rid``, ``l2_xid``) pair prunes the sender's own copy.
         """
         tree = self._require_tree(mgid)
         replicas: List[Replica] = []
@@ -206,21 +204,6 @@ class PacketReplicationEngine:
                 ):
                     continue
                 replicas.append(Replica(rid=node.rid, egress_port=port.port))
-        return replicas
-
-    def replicate(
-        self,
-        mgid: int,
-        l1_xid: Optional[int] = None,
-        rid: Optional[int] = None,
-        l2_xid: Optional[int] = None,
-    ) -> List[Replica]:
-        """Replicate a packet through a tree, applying L1 and L2 pruning.
-
-        ``l1_xid`` prunes whole L1 nodes (other meetings sharing the tree);
-        the (``rid``, ``l2_xid``) pair prunes the sender's own copy.
-        """
-        replicas = self.expand(mgid, l1_xid=l1_xid, rid=rid, l2_xid=l2_xid)
         self.replications_performed += 1
         self.copies_produced += len(replicas)
         return replicas

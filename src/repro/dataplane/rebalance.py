@@ -6,8 +6,7 @@ and per-shard packet rates; this module turns observed skew into an explicit
 :class:`MigrationPlan` — a list of ``flow -> shard`` moves — that the sharded
 engine executes at the next batch boundary
 (:meth:`~repro.dataplane.sharding.ShardedScallopPipeline.apply_migrations`).
-The policy never touches engine state itself, so it is trivially unit-testable
-and the same planner drives both executors.
+The policy never touches engine state itself, so it is trivially unit-testable.
 
 The algorithm is **greedy hottest-flow-to-coldest-shard**: while the plan's
 projected load still leaves the hottest shard above target, take the hottest
@@ -31,11 +30,10 @@ unless they are deliberately damped, so every decision is gated three ways:
 
 ``migration_budget`` (churn bound per epoch)
     At most this many flows move per plan.  Each migration invalidates the
-    engine's flow-routing cache and, under the process executor, ships the
-    flow's rewriter register images to the destination worker — bounded churn
-    keeps that cost strictly amortized.  Whatever skew the budget leaves
-    behind is picked up next epoch, by which time the telemetry has also seen
-    the effect of this epoch's moves.
+    engine's flow-routing cache — bounded churn keeps that cost strictly
+    amortized.  Whatever skew the budget leaves behind is picked up next
+    epoch, by which time the telemetry has also seen the effect of this
+    epoch's moves.
 
 ``cooldown_epochs`` (per-flow damping)
     A flow that just moved may not move again for this many epochs.  Without

@@ -15,18 +15,16 @@ attribute store from datapath-held references raises
 :class:`ShardIsolationError` and lands in a per-shard
 :class:`IsolationLog` consumable by tests.
 
-Enable it with ``REPRO_SANITIZE=1`` in the environment (reaches process-pool
-shard workers too, which rebuild their datapaths from a forked environment)
-or explicitly via ``ShardedScallopPipeline(..., sanitize=True)`` /
+Enable it with ``REPRO_SANITIZE=1`` in the environment or explicitly via
+``ShardedScallopPipeline(..., sanitize=True)`` /
 ``ScallopPipeline(..., sanitize=True)``.  The engines' own control handles
 stay unwrapped — the control plane mutating its own state is the sanctioned
 path — so the whole existing control API works unchanged under the
 sanitizer.
 
-Why this matters now: under the GIL a stray cross-shard write is benign
-interleaving; under free-threaded CPython (the ROADMAP's next scaling step)
-it is a data race.  The sanitizer makes such writes loud while they are
-still deterministic.
+Why this matters: shards run one after another, so a stray cross-shard
+write is silent — it simply leaks state from one modelled switch pipe into
+another.  The sanitizer makes such writes loud.
 """
 
 from __future__ import annotations
@@ -96,11 +94,8 @@ class IsolationLog:
 
 #: Method names blocked by the write barrier.  A *superset* of archlint's
 #: ``MUTATING_METHODS`` (tools/archlint/rules.py): every control-plane write
-#: API plus the generic container mutators, plus the worker-local replica API
-#: (``build_worker_datapath``/``apply_tracker_images``), which process-pool
-#: workers may call on their own unpickled replica but a datapath must never
-#: reach through its shared-control proxy.  Conspicuously absent: ``lookup``,
-#: ``peek``, ``read``, ``entries``, ``replicate``, ``expand``,
+#: API plus the generic container mutators.  Conspicuously absent: ``lookup``,
+#: ``peek``, ``read``, ``entries``, ``replicate``,
 #: ``note_replication``, ``write_stamp`` — the sanctioned data-plane surface.
 BLOCKED_METHODS = frozenset(
     {
@@ -130,8 +125,6 @@ BLOCKED_METHODS = frozenset(
         "reattribute_ssrc_charges",
         "set_charge_scope_router",
         "attach_datapath",
-        "build_worker_datapath",
-        "apply_tracker_images",
         "_write_tracker",
         "allocate_stream_state",
         "release_stream_state",
@@ -232,8 +225,7 @@ class WriteBarrierProxy:
 
 def resolve_sanitize(flag) -> bool:
     """Resolve the tri-state sanitize switch: an explicit ``True``/``False``
-    wins; ``None`` defers to the ``REPRO_SANITIZE`` environment variable
-    (which is what reaches process-pool shard workers)."""
+    wins; ``None`` defers to the ``REPRO_SANITIZE`` environment variable."""
     if flag is not None:
         return bool(flag)
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")

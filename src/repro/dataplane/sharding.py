@@ -15,47 +15,18 @@ the unsharded pipeline; resource charges land in one global
 :class:`~repro.dataplane.resources.ResourceAccountant` ledger with per-shard
 attribution views.
 
-Execution backends
-------------------
+Serial sharding
+---------------
 
-``serial`` (default) runs the shards in-process, one after another.  This
-models the partitioning and keeps all state live, but offers no wall-clock
-speedup: the shards' Python bytecode all contends for one interpreter and one
-GIL, so k serial shards do the same work as one datapath plus partitioning
-overhead.  That bound is a property of CPython, not of the architecture — the
-per-shard state is already share-nothing.
-
-``thread`` drives the same in-process datapaths from a persistent per-shard
-worker-thread pool (:class:`ThreadShardRunner`): no snapshots, no codec, no
-register shipping — state is shared, so a migration is nothing beyond the
-coordinator's placement-table write.  On GIL builds it is correct but
-GIL-bound (byte-identical to serial, verified under churn and live
-migration); on free-threaded CPython (3.13t+, PEP 703) the shards genuinely
-run in parallel, which is where the share-nothing discipline CI enforces
-(archlint + the runtime sanitizer) pays off as wall-clock speedup.  The one
-piece of shared state a datapath's packet path *writes* — PRE and table
-lookup accounting — is accumulated in per-datapath local stats and folded
-back at the batch barrier (see
-:class:`~repro.dataplane.pipeline.DatapathLocalStats`).
-
-``process`` is the escape hatch for real parallelism: each shard is pinned to
-its own single-worker process pool holding a replica of the control plane
-(resynchronized whenever any control-plane write generation moves).  Batches
-cross the process boundary through the **zero-pickle packed transport**
-(:mod:`repro.dataplane.shardcodec`): each shard receives one flat
-length-prefixed blob carrying only what the datapath reads — source address,
-wire size, and the RTP header region; media payload bytes never leave the
-coordinator.  Results return as packed rewrite descriptions (destination +
-optional rewritten sequence number per replica) that the coordinator replays
-against the original payloads it kept, and mutated sequence-rewriter state
-returns as packed register images
-(:func:`repro.core.seqrewrite.pack_rewriter_state`) folded into the canonical
-registers after every batch.  Pickle survives in exactly two places: the rare
-control-plane snapshot on generation change, and per-record fallbacks for
-traffic the packed forms cannot express (RTCP feedback fan-out, exotic
-rewriter classes).  Per-batch transport volume is tracked in
-:attr:`ProcessShardRunner.transport` so benchmarks can compare it against the
-old pickled object graphs.
+The shards run in-process, one after another, on the calling thread.  This
+models a multi-pipe switch — each pipe owns a disjoint slice of the flows, and
+the partition, placement and migration logic is the part worth reproducing —
+but it buys no wall-clock speedup: k shards do the work of one datapath plus
+the partitioning.  In Scallop the parallelism belongs to the switch hardware,
+not to the software model of it.  Input-order reassembly behind a per-batch
+barrier also makes the coordinator a point where all shards meet, so running
+shards on thread or process pools does not pay here (measured at 0.84x and
+0.13x of one shard).
 
 Load-aware placement
 --------------------
@@ -70,24 +41,19 @@ partitioning feed an EWMA tracker (:mod:`repro.dataplane.loadstats`), a
 greedy hysteresis-damped policy (:mod:`repro.dataplane.rebalance`) turns
 observed skew into migration plans, and :meth:`ShardedScallopPipeline.migrate_flow`
 executes them at batch boundaries — the migrating sender's rewriter register
-state follows the flow (shared objects in ``serial`` mode; packed
-:func:`~repro.core.seqrewrite.pack_rewriter_state` images shipped to the
-destination worker in ``process`` mode), so outputs remain byte-identical to
-the unsharded pipeline across every migration epoch.
+state follows the flow (every shard's register view aliases the same rewriter
+objects), so outputs remain byte-identical to the unsharded pipeline across
+every migration epoch.
 """
 
 from __future__ import annotations
 
-import pickle
-import threading
 import zlib
-from dataclasses import dataclass, field as dataclass_field
-from queue import SimpleQueue
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..netsim.datagram import Address, Datagram
 from ..obs.hooks import DatapathObs, ObsConfig
-from ..obs.registry import SIZE_BYTES_BUCKETS, MetricsRegistry
 from ..rtp.packet import RtpPacket
 from ..rtp.wire import PacketView
 from ..rtp.wirebatch import WireBatchView
@@ -106,15 +72,6 @@ from .resources import (
     TofinoCapacities,
 )
 from .sanitize import IsolationViolation, resolve_sanitize
-from .shardcodec import (
-    ShardBlobWriter,
-    decode_ingress_batch,
-    decode_result_batch,
-    decode_tracker_updates,
-    encode_ingress_batch,
-    encode_result_batch,
-    encode_tracker_updates,
-)
 from .tables import RegisterArray
 
 
@@ -123,30 +80,9 @@ def flow_shard(src: Address, ssrc: int, n_shards: int) -> int:
 
     Uses CRC32 over the canonical flow string rather than Python's ``hash``:
     string hashing is randomized per interpreter (PYTHONHASHSEED), and the
-    process backend needs the coordinator and every worker to agree on the
-    partitioning across process boundaries and across runs.
+    partitioning must be the same across runs.
     """
     return zlib.crc32(f"{src.ip}:{src.port}/{ssrc}".encode("ascii")) % n_shards
-
-
-#: The shard execution backends, in cost order (see module docstring).
-VALID_EXECUTORS = ("serial", "thread", "process")
-
-
-def validate_executor(executor: str) -> str:
-    """Validate a shard-executor name; returns it unchanged.
-
-    The single source of truth for the executor vocabulary:
-    :class:`ShardedScallopPipeline` validates through this function and the
-    scenario layer's ``BackendSpec`` imports it, so the error text and the
-    accepted set cannot drift between the engine and the spec.
-    """
-    if executor not in VALID_EXECUTORS:
-        raise ValueError(
-            f"unknown shard executor: {executor!r} (expected one of "
-            f"{', '.join(VALID_EXECUTORS)})"
-        )
-    return executor
 
 
 @dataclass(frozen=True)
@@ -156,486 +92,6 @@ class ShardParserStats:
     packets_parsed: int
     cpu_punts: int
     parse_cache_hits: int
-
-
-class SerialShardRunner:
-    """Run each shard's partition inline on the calling thread."""
-
-    def __init__(self, engine: "ShardedScallopPipeline") -> None:
-        self._engine = engine
-
-    def run_batches(self, partitions: Sequence[List[Datagram]]) -> List[List[PipelineResult]]:
-        shards = self._engine.shards
-        return [
-            shards[shard_id].process_batch(partition) if partition else []
-            for shard_id, partition in enumerate(partitions)
-        ]
-
-    def on_flow_migrated(self, src: Address, ssrc: int, to_shard: int) -> None:
-        """No state to move: in-process shard register views alias the same
-        rewriter objects (control-plane fan-out writes one object to every
-        view), so the migrated flow's state is already wherever it lands."""
-
-    def close(self) -> None:
-        pass
-
-
-# ----------------------------------------------------------------------------- thread backend
-
-
-class ThreadShardRunner:
-    """Dispatch shard partitions to a persistent per-shard worker-thread pool.
-
-    The shards are the very same in-process :class:`PipelineDatapath` objects
-    the serial runner drives, over the one shared control plane — so there
-    are no snapshots, no transport codec, and no register shipping, and a
-    live migration needs nothing beyond the coordinator's placement-table
-    write.  Each shard gets one long-lived daemon thread fed through a
-    :class:`queue.SimpleQueue` pair; the coordinator dispatches every
-    non-empty partition, then joins them in shard order (a batch barrier).
-
-    Correctness rests on the share-nothing discipline CI already enforces
-    (archlint + the runtime sanitizer): a datapath's packet path reads
-    shared control state but writes only its own private state — except for
-    pure accounting (PRE replication tallies, table ``lookups``/``hits``),
-    which thread-mode datapaths accumulate in per-datapath local stats
-    (``PipelineDatapath.local_stats`` / ``ShardTableView``) that
-    :meth:`_fold_local_stats` sums into the shared structures at the
-    barrier.  The folds are commutative sums, so every counter lands exactly
-    where serial execution would have put it and outputs stay
-    byte-identical for any shard count.
-
-    Under the GIL the threads interleave without overlapping, so throughput
-    matches serial minus queue overhead; on free-threaded CPython (3.13t+)
-    the same code runs shards in parallel.  The parallelism benchmark
-    records ``sys._is_gil_enabled()`` next to every measurement so the two
-    regimes are never compared against each other.
-    """
-
-    def __init__(self, engine: "ShardedScallopPipeline") -> None:
-        self._engine = engine
-        n = engine.n_shards
-        self._threads: List[Optional[threading.Thread]] = [None] * n
-        self._tasks: List[SimpleQueue] = [SimpleQueue() for _ in range(n)]
-        self._done: List[SimpleQueue] = [SimpleQueue() for _ in range(n)]
-
-    def _ensure_thread(self, shard_id: int) -> None:
-        if self._threads[shard_id] is None:
-            thread = threading.Thread(
-                target=self._shard_main,
-                args=(shard_id,),
-                name=f"scallop-shard-{shard_id}",
-                daemon=True,
-            )
-            self._threads[shard_id] = thread
-            thread.start()
-
-    def _shard_main(self, shard_id: int) -> None:
-        """Worker-thread loop: run this shard's partitions until told to stop.
-
-        Touches only the shard's own datapath (whose packet path keeps all
-        shared-counter accounting in local stats); exceptions are shipped to
-        the coordinator and re-raised there, keeping the thread alive.
-        """
-        datapath = self._engine.shards[shard_id]
-        tasks = self._tasks[shard_id]
-        done = self._done[shard_id]
-        while True:
-            partition = tasks.get()
-            if partition is None:
-                return
-            try:
-                done.put(("ok", datapath.process_batch(partition)))
-            except BaseException as error:  # noqa: BLE001 - relayed to coordinator
-                done.put(("err", error))
-
-    def run_batches(self, partitions: Sequence[List[Datagram]]) -> List[List[PipelineResult]]:
-        engine = self._engine
-        active = [shard_id for shard_id, partition in enumerate(partitions) if partition]
-        results: List[List[PipelineResult]] = [[] for _ in partitions]
-        try:
-            if len(active) <= 1:
-                # nothing to overlap: run inline on the coordinator thread
-                # (shared in-process state makes this indistinguishable from
-                # the worker thread running it) and skip the queue round trip
-                for shard_id in active:
-                    results[shard_id] = engine.shards[shard_id].process_batch(
-                        partitions[shard_id]
-                    )
-            else:
-                for shard_id in active:
-                    self._ensure_thread(shard_id)
-                    self._tasks[shard_id].put(partitions[shard_id])
-                first_error: Optional[BaseException] = None
-                for shard_id in active:
-                    status, payload = self._done[shard_id].get()
-                    if status == "ok":
-                        results[shard_id] = payload
-                    elif first_error is None:
-                        first_error = payload
-                if first_error is not None:
-                    raise first_error
-        finally:
-            # barrier: every worker is idle again, fold the per-shard tallies
-            # of shared-counter accounting into the shared structures (also on
-            # error, so partial tallies are not carried into the next batch)
-            self._fold_local_stats()
-        return results
-
-    def _fold_local_stats(self) -> None:
-        """Fold per-datapath local accounting into the shared structures.
-
-        Runs on the coordinator thread with all workers quiesced.  Sums are
-        commutative, so the shared PRE tallies and table ``lookups``/``hits``
-        equal what serial execution of the same packets would have produced.
-        """
-        pre = self._engine.control.pre
-        for shard in self._engine.shards:
-            local = shard.local_stats
-            if local is not None and local.replications_performed:
-                pre.replications_performed += local.replications_performed
-                pre.copies_produced += local.copies_produced
-                local.replications_performed = 0
-                local.copies_produced = 0
-            for view in shard.table_views:
-                if view.lookups:
-                    view.table.lookups += view.lookups
-                    view.table.hits += view.hits
-                    view.lookups = 0
-                    view.hits = 0
-
-    def on_flow_migrated(self, src: Address, ssrc: int, to_shard: int) -> None:
-        """No state to move, exactly like the serial runner: all shard
-        register views alias the same rewriter objects, so the placement
-        write that triggered this call *is* the whole migration."""
-
-    def close(self) -> None:
-        for shard_id, thread in enumerate(self._threads):
-            if thread is not None:
-                self._tasks[shard_id].put(None)
-        for shard_id, thread in enumerate(self._threads):
-            if thread is not None:
-                thread.join(timeout=5.0)
-                self._threads[shard_id] = None
-
-
-# ----------------------------------------------------------------------------- process backend
-
-#: Worker-process shard state, keyed by shard id.  Each shard is pinned to a
-#: dedicated single-worker pool, so a worker only ever sees one shard id.
-_WORKER_SHARDS: Dict[int, "_WorkerShardState"] = {}
-
-
-@dataclass
-class _WorkerShardState:
-    stamp: Tuple[int, ...]
-    control: PipelineControlPlane
-    datapath: PipelineDatapath
-    #: Result-encode buffer recycled across this worker's batches (the
-    #: worker-side twin of the runner's per-shard ingress writers).
-    result_writer: ShardBlobWriter = dataclass_field(default_factory=ShardBlobWriter)
-
-
-def _worker_process_batch(
-    shard_id: int,
-    stamp: Tuple[int, ...],
-    control_blob: Optional[bytes],
-    batch_blob: bytes,
-    migration_blob: Optional[bytes] = None,
-):
-    """Process one packed shard batch inside a worker process.
-
-    ``batch_blob`` is the zero-pickle ingress blob
-    (:func:`~repro.dataplane.shardcodec.encode_ingress_batch`); the worker
-    reconstructs header-only datagram views, runs them through its datapath,
-    and returns ``(results_blob, fallback_blob, counters, parser_delta,
-    pre_delta, tracker_blob, obs_delta)``, where the blobs are the packed
-    result and rewriter-register codecs and the deltas cover exactly this
-    batch (``obs_delta`` is ``None`` unless observability is armed).
-
-    ``migration_blob`` carries packed rewriter register images
-    (:func:`~repro.dataplane.shardcodec.encode_tracker_updates`) for flows the
-    control plane just migrated *onto* this shard: the coordinator's canonical
-    registers hold their latest state (mutated on whichever shard owned them
-    last), and the images are applied before any packet of this batch runs, so
-    a migrated flow's sequence space continues exactly where it left off —
-    with no control-plane snapshot (and therefore no pickle) involved.
-    """
-    state = _WORKER_SHARDS.get(shard_id)
-    if state is None or state.stamp != stamp:
-        if control_blob is None:
-            raise RuntimeError(
-                f"shard {shard_id}: worker state stale at stamp {stamp} but no control snapshot shipped"
-            )
-        control: PipelineControlPlane = pickle.loads(control_blob)
-        # sanctioned worker-local replica API: the replica attaches its own
-        # datapath inside a control-plane method, so worker code performs no
-        # control mutations of its own (archlint holds it to the same
-        # zero-mutation rule as the datapaths — no baseline entries needed)
-        datapath = control.build_worker_datapath(shard_id)
-        state = _WorkerShardState(stamp=stamp, control=control, datapath=datapath)
-        _WORKER_SHARDS[shard_id] = state
-    if migration_blob is not None:
-        # migrated-in rewriter state lands in this worker's register file
-        # (the datapath shares the control replica's canonical array)
-        state.control.apply_tracker_images(decode_tracker_updates(migration_blob))
-    datapath = state.datapath
-    datapath.counters = PipelineCounters()
-    parser = datapath.parser
-    parsed0, punts0, hits0 = parser.packets_parsed, parser.cpu_punts, parser.parse_cache_hits
-    pre = state.control.pre
-    repl0, copies0 = pre.replications_performed, pre.copies_produced
-    datapath.touched_tracker_indices.clear()
-
-    datagrams = decode_ingress_batch(batch_blob, state.control.sfu_address)
-    results = datapath.process_batch(datagrams)
-    # under srtp the worker re-protects every egress replica, so results are
-    # never expressible as (dst, seq) rewrite replays of the originals the
-    # coordinator kept — force the per-record fallback encoding instead
-    results_blob, fallback_blob = encode_result_batch(
-        results, datagrams, replayable=state.control.srtp is None,
-        writer=state.result_writer,
-    )
-
-    trackers = state.control.stream_trackers
-    tracker_blob = encode_tracker_updates(
-        {index: trackers.peek(index) for index in datapath.touched_tracker_indices}
-    )
-    parser_delta = (
-        parser.packets_parsed - parsed0,
-        parser.cpu_punts - punts0,
-        parser.parse_cache_hits - hits0,
-    )
-    pre_delta = (pre.replications_performed - repl0, pre.copies_produced - copies0)
-    # observability delta: plain builtins (dicts/lists/ints), drained so
-    # worker-side and coordinator-side obs state stay disjoint; rides the
-    # executor's own return channel exactly like ``counters``
-    obs_delta = datapath.obs.to_delta() if datapath.obs is not None else None
-    return (
-        results_blob,
-        fallback_blob,
-        datapath.counters,
-        parser_delta,
-        pre_delta,
-        tracker_blob,
-        obs_delta,
-    )
-
-
-@dataclass
-class ShardTransportStats:
-    """Bytes crossing the coordinator/worker boundary (per runner lifetime).
-
-    ``batch_bytes_out`` counts packed ingress blobs, ``result_bytes_in`` the
-    packed result + fallback blobs, ``tracker_bytes_in`` the packed rewriter
-    register images, ``migration_bytes_out`` the packed register images
-    shipped to a migration's destination worker (zero-pickle, measured so the
-    cost of placement churn is visible), and ``snapshot_bytes_out`` the
-    pickled control-plane snapshots (shipped only on generation change).  The
-    shard benchmark compares these against ``pickle.dumps`` of the same
-    object graphs to quantify the transport shrink.
-
-    ``pickle_fallback_records`` counts the individual records that crossed
-    the boundary through a whitelisted pickle fallback (exotic ingress
-    payloads, inexpressible results, unknown rewriter classes) — the runtime
-    cross-check of archlint's zero-pickle whitelist.  For every canned
-    scenario it must stay 0 (asserted in ``tests/test_shard_transport.py``);
-    a nonzero value means some regular traffic type silently fell off the
-    packed transport.  Control-plane snapshots are deliberate pickle, not a
-    fallback, and are tracked separately in ``snapshots_shipped``.
-    """
-
-    batches: int = 0
-    batch_bytes_out: int = 0
-    result_bytes_in: int = 0
-    tracker_bytes_in: int = 0
-    migration_bytes_out: int = 0
-    migrations_shipped: int = 0
-    snapshot_bytes_out: int = 0
-    snapshots_shipped: int = 0
-    pickle_fallback_records: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "batches": self.batches,
-            "batch_bytes_out": self.batch_bytes_out,
-            "result_bytes_in": self.result_bytes_in,
-            "tracker_bytes_in": self.tracker_bytes_in,
-            "migration_bytes_out": self.migration_bytes_out,
-            "migrations_shipped": self.migrations_shipped,
-            "snapshot_bytes_out": self.snapshot_bytes_out,
-            "snapshots_shipped": self.snapshots_shipped,
-            "pickle_fallback_records": self.pickle_fallback_records,
-        }
-
-
-class ProcessShardRunner:
-    """Dispatch shard partitions to per-shard single-worker process pools.
-
-    Shard state must stay pinned to one OS process (rewriter registers and
-    parse caches live there between batches), so each shard gets its own
-    ``ProcessPoolExecutor(max_workers=1)`` rather than one shared pool whose
-    scheduler could bounce a shard between workers.  Partitions ship as
-    packed ingress blobs and come back as packed rewrite descriptions that
-    are replayed against the original datagrams (kept coordinator-side), so
-    media payload bytes never cross the process boundary in either direction.
-    """
-
-    def __init__(self, engine: "ShardedScallopPipeline") -> None:
-        self._engine = engine
-        self._executors: List[Optional[object]] = [None] * engine.n_shards
-        self._shipped_stamp: List[Optional[Tuple[int, ...]]] = [None] * engine.n_shards
-        #: Register indices whose state must ship to a shard's worker before
-        #: its next batch (flows migrated onto that shard since its last
-        #: dispatch); drained into a packed tracker-image blob per dispatch.
-        self._pending_migrations: List[Set[int]] = [set() for _ in range(engine.n_shards)]
-        #: Per-shard ingress-encode buffers recycled across batches: steady
-        #: state packs every batch into an already-sized bytearray.
-        self._encode_writers: List[ShardBlobWriter] = [
-            ShardBlobWriter() for _ in range(engine.n_shards)
-        ]
-        self.transport = ShardTransportStats()
-        #: Blob-size distributions behind the scalar byte counters (per-batch
-        #: observations, so the cost is one bisect per dispatch, not per
-        #: packet); surfaced through the telemetry bus as
-        #: ``repro.transport.*_blob_bytes`` histograms.
-        self.transport_obs = MetricsRegistry()
-        self._batch_blob_hist = self.transport_obs.histogram(
-            "repro.transport.batch_blob_bytes", SIZE_BYTES_BUCKETS
-        )
-        self._result_blob_hist = self.transport_obs.histogram(
-            "repro.transport.result_blob_bytes", SIZE_BYTES_BUCKETS
-        )
-
-    def on_flow_migrated(self, src: Address, ssrc: int, to_shard: int) -> None:
-        """Queue the migrating flow's rewriter register images for the
-        destination worker.  The coordinator's canonical registers are current
-        (every batch folds worker mutations back), so the images are read at
-        dispatch time and cross as packed state — never pickle."""
-        indices = self._engine.control.tracker_indices_for_ssrc(ssrc)
-        if indices:
-            self._pending_migrations[to_shard].update(indices)
-
-    def _executor(self, shard_id: int):
-        executor = self._executors[shard_id]
-        if executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            executor = ProcessPoolExecutor(max_workers=1)
-            self._executors[shard_id] = executor
-        return executor
-
-    def run_batches(self, partitions: Sequence[List[Datagram]]) -> List[List[PipelineResult]]:
-        engine = self._engine
-        stamp = engine.control_stamp()
-        snapshot: Optional[bytes] = None
-        transport = self.transport
-        futures: Dict[int, object] = {}
-        trackers = engine.control.stream_trackers
-        # stage profile: the codec passes run on the coordinator thread
-        # inside the dispatch window; time them separately so the Amdahl
-        # serial fraction can attribute them (profile is the engine's
-        # CoordinatorStats, or None for the uninstrumented default)
-        profile = engine.coordinator_stats
-        clock = profile.clock if profile is not None else None
-        for shard_id, partition in enumerate(partitions):
-            if not partition:
-                continue
-            blob = None
-            if self._shipped_stamp[shard_id] != stamp:
-                if snapshot is None:
-                    snapshot = pickle.dumps(engine.control)
-                blob = snapshot
-                self._shipped_stamp[shard_id] = stamp
-                transport.snapshot_bytes_out += len(snapshot)
-                transport.snapshots_shipped += 1
-            migration_blob = None
-            pending = self._pending_migrations[shard_id]
-            if pending:
-                if blob is None:
-                    # zero-pickle migration: ship the flow's current register
-                    # images read off the coordinator's canonical array
-                    migration_blob = encode_tracker_updates(
-                        {index: trackers.peek(index) for index in pending}, stats=transport
-                    )
-                    transport.migration_bytes_out += len(migration_blob)
-                    transport.migrations_shipped += 1
-                # a full snapshot (blob is not None) already carries the
-                # canonical registers, migrated state included
-                pending.clear()
-            # srtp workers must authenticate and decrypt, so they need the
-            # full wire bytes; plain workers read only the header region
-            if clock is None:
-                batch_blob = encode_ingress_batch(
-                    partition, stats=transport,
-                    full_payload=engine.control.srtp is not None,
-                    writer=self._encode_writers[shard_id],
-                    size_histogram=self._batch_blob_hist,
-                )
-            else:
-                e0 = clock()
-                batch_blob = encode_ingress_batch(
-                    partition, stats=transport,
-                    full_payload=engine.control.srtp is not None,
-                    writer=self._encode_writers[shard_id],
-                    size_histogram=self._batch_blob_hist,
-                )
-                profile.note_stage("encode", clock() - e0)
-            transport.batches += 1
-            transport.batch_bytes_out += len(batch_blob)
-            futures[shard_id] = self._executor(shard_id).submit(
-                _worker_process_batch, shard_id, stamp, blob, batch_blob, migration_blob
-            )
-        all_results: List[List[PipelineResult]] = [[] for _ in partitions]
-        for shard_id, future in futures.items():
-            (
-                results_blob,
-                fallback_blob,
-                counters,
-                parser_delta,
-                pre_delta,
-                tracker_blob,
-                obs_delta,
-            ) = future.result()
-            transport.result_bytes_in += len(results_blob) + len(fallback_blob)
-            transport.tracker_bytes_in += len(tracker_blob)
-            if clock is None:
-                all_results[shard_id] = decode_result_batch(
-                    results_blob, fallback_blob, partitions[shard_id], engine.sfu_address,
-                    stats=transport, size_histogram=self._result_blob_hist,
-                )
-            else:
-                r0 = clock()
-                all_results[shard_id] = decode_result_batch(
-                    results_blob, fallback_blob, partitions[shard_id], engine.sfu_address,
-                    stats=transport, size_histogram=self._result_blob_hist,
-                )
-                profile.note_stage("replay", clock() - r0)
-            shard = engine.shards[shard_id]
-            shard.counters.merge(counters)
-            parser = shard.parser
-            parser.packets_parsed += parser_delta[0]
-            parser.cpu_punts += parser_delta[1]
-            parser.parse_cache_hits += parser_delta[2]
-            engine.pre.replications_performed += pre_delta[0]
-            engine.pre.copies_produced += pre_delta[1]
-            engine.control.apply_tracker_images(
-                decode_tracker_updates(tracker_blob, stats=transport)
-            )
-            if obs_delta is not None and shard.obs is not None:
-                # fold the worker's per-batch obs delta into the coordinator
-                # shard's registry/trace buffer: commutative sums, so the
-                # snapshot equals what serial execution would have produced
-                shard.obs.fold_delta(obs_delta)
-        return all_results
-
-    def close(self) -> None:
-        for executor in self._executors:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-        self._executors = [None] * self._engine.n_shards
-        self._shipped_stamp = [None] * self._engine.n_shards
-        self._pending_migrations = [set() for _ in range(self._engine.n_shards)]
 
 
 class ShardedScallopPipeline(ControlPlaneFacade):
@@ -655,35 +111,29 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         sfu_address: Address,
         n_shards: int = 2,
         capacities: TofinoCapacities = DEFAULT_CAPACITIES,
-        executor: str = "serial",
         rebalance: bool = False,
         rebalance_config: Optional[RebalancerConfig] = None,
         sanitize: Optional[bool] = None,
-        srtp: Optional[object] = None,
         profile: bool = False,
         obs: Union[bool, ObsConfig, None] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        validate_executor(executor)
         self.sfu_address = sfu_address
         self.n_shards = n_shards
-        self.executor = executor
         #: Shard-isolation sanitizer switch (``None`` defers to
-        #: ``REPRO_SANITIZE``); resolved once so every shard agrees.  Under
-        #: the process executor the env var is what reaches the workers —
-        #: they rebuild their datapaths from a forked environment.
+        #: ``REPRO_SANITIZE``); resolved once so every shard agrees.
         self.sanitize = resolve_sanitize(sanitize)
         # observability knob: True arms the defaults, an ObsConfig arms it
-        # verbatim; the config rides the control plane (and therefore its
-        # pickled snapshot), so process workers arm identically
+        # verbatim; the config rides the control plane, which every shard
+        # arms its obs state from
         if obs is True:
             obs_config: Optional[ObsConfig] = ObsConfig()
         elif obs:
             obs_config = obs
         else:
             obs_config = None
-        self.control = PipelineControlPlane(sfu_address, capacities, srtp=srtp, obs=obs_config)
+        self.control = PipelineControlPlane(sfu_address, capacities, obs=obs_config)
         self.shard_accountants = [
             ShardResourceAccountant(self.control.accountant, shard_id)
             for shard_id in range(n_shards)
@@ -697,9 +147,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
                 ),
                 shard_id=shard_id,
                 sanitize=self.sanitize,
-                # thread-mode datapaths keep shared-counter accounting in
-                # per-shard local stats, folded at the batch barrier
-                local_stats=executor == "thread",
             )
             self.control.attach_datapath(datapath)
             self.shards.append(datapath)
@@ -724,7 +171,7 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         #: at the next batch boundary (two-level lookups are cheap to rebuild).
         self._placement_version = self.control.placement_table.version
         self._rebuild_pinned_flows()
-        #: Optional Amdahl stage profile (attach a
+        #: Optional coordinator stage profile (attach a
         #: :class:`repro.experiments.coordstats.CoordinatorStats`); ``None``
         #: keeps the data path free of timing instrumentation.  ``profile=
         #: True`` attaches one declaratively; the import is deferred to here
@@ -735,12 +182,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             from ..experiments.coordstats import CoordinatorStats
 
             self.coordinator_stats = CoordinatorStats()
-        if executor == "process":
-            self._runner = ProcessShardRunner(self)
-        elif executor == "thread":
-            self._runner = ThreadShardRunner(self)
-        else:
-            self._runner = SerialShardRunner(self)
 
         # telemetry -> policy -> migration loop (off by default: telemetry
         # costs one per-flow tally pass per batch on the partitioning path)
@@ -836,34 +277,10 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             return None
         return self.shard_accountants[self.shard_for_flow(src, sender_ssrc)]
 
-    def control_stamp(self) -> Tuple[int, ...]:
-        """Write generation over *all* control state (wider than the flow
-        caches' stamp: worker replicas must also refresh on feedback/ssrc
-        table writes, which the in-process shards read live).  The placement
-        table is deliberately absent: workers never read placement (the
-        coordinator partitions), so a migration must not force a snapshot —
-        migrated rewriter state ships as packed register images instead."""
-        control = self.control
-        return (
-            control.stream_table.version,
-            control.replica_table.version,
-            control.adaptation_table.version,
-            control.feedback_table.version,
-            control.ssrc_table.version,
-            control.pre.generation,
-        )
-
     # ------------------------------------------------------------------ data path
 
     def process(self, datagram: Datagram) -> PipelineResult:
         """Run one packet through the shard that owns its flow."""
-        if not isinstance(self._runner, SerialShardRunner):
-            # process: shard state (rewriter registers, caches) lives in the
-            # worker processes; processing inline on the coordinator would
-            # fork the sequence-rewriter state without any stamp change to
-            # resync it.  thread: state is in-process, but routing through
-            # the batch path keeps the local-stats fold at every barrier.
-            return self.process_batch([datagram])[0]
         self._sync_placement_cache()
         return self.shards[self._shard_of(datagram)].process(datagram)
 
@@ -879,14 +296,15 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         one batch and outputs stay byte-identical across placement changes.
         """
         stats = self.coordinator_stats
-        if self.n_shards == 1 and isinstance(self._runner, SerialShardRunner):
+        shards = self.shards
+        if self.n_shards == 1:
             if stats is None:
-                return self.shards[0].process_batch(datagrams)
-            # single-shard serial has no partition/reassemble work: the whole
+                return shards[0].process_batch(datagrams)
+            # a single shard has no partition/reassemble work: the whole
             # burst is one dispatch
             clock = stats.clock
             t0 = clock()
-            results = self.shards[0].process_batch(datagrams)
+            results = shards[0].process_batch(datagrams)
             stats.note_stage("dispatch", clock() - t0)
             stats.note_batch(len(datagrams))
             return results
@@ -949,7 +367,10 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             stats.note_stage("partition", t1 - t0)
         else:
             t1 = 0
-        shard_results = self._runner.run_batches(partitions)
+        shard_results = [
+            shards[shard].process_batch(partition) if partition else []
+            for shard, partition in enumerate(partitions)
+        ]
         if clock is not None:
             t2 = clock()
             stats.note_stage("dispatch", t2 - t1)
@@ -1012,8 +433,8 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         pins by address, but a pin minted from the decaying tail would
         otherwise live forever.  Silent pins are released by *migrating the
         flow back to its hash-default shard* rather than deleting the table
-        entry, so rewriter state (were the flow to resurrect) ships
-        correctly under the process executor too.
+        entry, so its accountant attribution and load-tracker row follow it
+        home.
         """
         tracker = self.load_tracker
         if tracker is None:
@@ -1042,12 +463,11 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         Installs (or, when the target is the flow's CRC32 default, removes)
         the placement exception — bumping the placement generation, which
         drops the flow-routing cache — re-attributes the flow's stream-state
-        occupancy to the destination shard's accountant view, and hands the
-        runner the flow's rewriter register indices so the process executor
-        ships their packed images to the destination worker with its next
-        batch.  Safe while traffic is in flight because routing is only read
-        at batch partitioning time: the current batch completed with the old
-        placement, the next one sees the new placement and the moved state.
+        occupancy to the destination shard's accountant view.  Rewriter
+        state needs no move: every shard's register view aliases the same
+        rewriter objects.  Safe while traffic is in flight because routing is
+        only read at batch partitioning time: the current batch completed
+        with the old placement, the next one sees the new placement.
         """
         if not 0 <= to_shard < self.n_shards:
             raise ValueError(f"shard {to_shard} out of range for {self.n_shards} shards")
@@ -1059,7 +479,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             self.control.remove_placement(src, ssrc)
         else:
             self.control.install_placement(src, ssrc, to_shard)
-        self._runner.on_flow_migrated(src, ssrc, to_shard)
         if ssrc >= 0:
             self.control.reattribute_ssrc_charges(ssrc)
         if self.load_tracker is not None:
@@ -1080,8 +499,8 @@ class ShardedScallopPipeline(ControlPlaneFacade):
     # ------------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release backend resources (worker processes, for ``process``)."""
-        self._runner.close()
+        """No backend resources to release (API parity with
+        :class:`~repro.dataplane.pipeline.ScallopPipeline`)."""
 
     def __enter__(self) -> "ShardedScallopPipeline":
         return self
@@ -1122,8 +541,7 @@ class ShardedScallopPipeline(ControlPlaneFacade):
 
         One row per shard, combining the datapath's traffic tallies with the
         shard accountant's occupancy attribution — the observable the
-        placement control loop (:meth:`enable_rebalancing`) acts on, surfaced
-        in ``BENCH_shard_throughput.json``.
+        placement control loop (:meth:`enable_rebalancing`) acts on.
         """
         rows: List[Dict[str, float]] = []
         for shard, accountant in zip(self.shards, self.shard_accountants):
@@ -1145,9 +563,7 @@ class ShardedScallopPipeline(ControlPlaneFacade):
 
         Read-only fold into a fresh :class:`~repro.obs.hooks.DatapathObs`
         (the shards keep accumulating); ``None`` when observability is not
-        armed.  Safe to call between batches for any executor: serial/thread
-        shards are quiescent at that point, and process-worker deltas were
-        folded into the coordinator-side shard objects at the batch barrier.
+        armed.  Safe to call between batches, when every shard is quiescent.
         """
         armed = [shard.obs for shard in self.shards if shard.obs is not None]
         if not armed:
@@ -1157,28 +573,10 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             merged.merge_from(obs)
         return merged
 
-    def transport_stats(self) -> Optional[Dict[str, int]]:
-        """Coordinator/worker transport volume (``None`` for the serial
-        executor, which moves no bytes)."""
-        runner = self._runner
-        if isinstance(runner, ProcessShardRunner):
-            return runner.transport.as_dict()
-        return None
-
-    @property
-    def transport_obs(self) -> Optional[MetricsRegistry]:
-        """Blob-size histogram registry (process executor only)."""
-        runner = self._runner
-        if isinstance(runner, ProcessShardRunner):
-            return runner.transport_obs
-        return None
-
     def isolation_findings(self) -> List[IsolationViolation]:
         """Blocked control-plane mutation attempts across all shards, as
         recorded by the shard-isolation sanitizer (empty when it is off or
-        nothing fired).  In-process executors (serial, thread) only:
-        worker-process logs stay in the workers — a violation there still
-        raises, failing the batch loudly on the coordinator."""
+        nothing fired)."""
         findings: List[IsolationViolation] = []
         for shard in self.shards:
             log = shard.isolation_log

@@ -1,9 +1,7 @@
 """One module per paper table/figure, plus shared experiment scaffolding.
 
 Every experiment topology is built through the declarative Scenario API
-(:mod:`repro.scenario`); the flat ``MeetingSetupConfig``/``build_*_testbed``
-builders re-exported here are deprecated shims kept for source
-compatibility (see :mod:`repro.experiments.runner`).
+(:mod:`repro.scenario`).
 
 | Paper artifact | Module |
 |---|---|
@@ -17,33 +15,19 @@ compatibility (see :mod:`repro.experiments.runner`).
 | Figure 19 (forwarding latency) | :mod:`repro.experiments.fig_latency` |
 """
 
-from .runner import MeetingSetupConfig, Testbed, add_participant, build_scallop_testbed, build_software_testbed
 from .coordstats import CoordinatorStats
 from .batch_throughput import (
     BatchThroughputPoint,
     ObsOverheadPoint,
-    ParallelismPoint,
     RebalancePoint,
-    ShardThroughputPoint,
     build_meeting_pipeline,
     build_skewed_meeting_pipeline,
     format_batch_sweep,
-    format_parallelism_matrix,
     format_rebalance_point,
-    format_shard_sweep,
-    gil_enabled,
-    measure_coordinator_profile,
     measure_obs_overhead,
-    measure_parallelism_crossover,
-    measure_parallelism_point,
     measure_rebalance_point,
-    measure_shard_point,
-    measure_shard_transport,
     media_ingress,
-    protect_media_ingress,
     run_batch_throughput_sweep,
-    run_parallelism_matrix,
-    run_shard_throughput_sweep,
     skewed_media_ingress,
     zipf_frames,
 )
@@ -59,15 +43,12 @@ from .fig_rate_adaptation import (
 )
 from .fig_scalability import (
     ScalabilityHeadline,
-    ShardScalingPoint,
     format_design_space,
     format_headline,
-    format_shard_scaling,
     headline_numbers,
     run_design_space_sweep,
     run_improvement_sweep,
     run_minmax_sweep,
-    run_shard_scaling_sweep,
 )
 from .fig_seqrewrite import (
     RewriteOverheadPoint,
@@ -89,36 +70,18 @@ from .fig_trace import (
 )
 
 __all__ = [
-    "MeetingSetupConfig",
-    "Testbed",
-    "add_participant",
-    "build_scallop_testbed",
-    "build_software_testbed",
     "BatchThroughputPoint",
     "CoordinatorStats",
     "ObsOverheadPoint",
-    "ParallelismPoint",
     "RebalancePoint",
-    "ShardThroughputPoint",
     "build_meeting_pipeline",
     "build_skewed_meeting_pipeline",
     "format_batch_sweep",
-    "format_parallelism_matrix",
     "format_rebalance_point",
-    "format_shard_sweep",
-    "gil_enabled",
-    "measure_coordinator_profile",
     "measure_obs_overhead",
-    "measure_parallelism_crossover",
-    "measure_parallelism_point",
     "measure_rebalance_point",
-    "measure_shard_point",
-    "measure_shard_transport",
     "media_ingress",
-    "protect_media_ingress",
     "run_batch_throughput_sweep",
-    "run_parallelism_matrix",
-    "run_shard_throughput_sweep",
     "skewed_media_ingress",
     "zipf_frames",
     "PacketAccountingResult",
@@ -139,15 +102,12 @@ __all__ = [
     "format_rate_adaptation",
     "run_rate_adaptation",
     "ScalabilityHeadline",
-    "ShardScalingPoint",
     "format_design_space",
     "format_headline",
-    "format_shard_scaling",
     "headline_numbers",
     "run_design_space_sweep",
     "run_improvement_sweep",
     "run_minmax_sweep",
-    "run_shard_scaling_sweep",
     "RewriteOverheadPoint",
     "evaluate_loss_rate",
     "format_sweep",

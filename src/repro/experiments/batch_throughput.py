@@ -16,14 +16,9 @@ clock runs and both paths take the best of ``repeats`` passes.
 from __future__ import annotations
 
 import gc
-
-# this benchmark measures the packed transport *against* pickled object
-# graphs, so the pickle use here is the experiment, not a hot-path leak
-import pickle  # archlint: ignore[zero-pickle]
-import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..dataplane.pipeline import (
     ForwardingMode,
@@ -34,31 +29,12 @@ from ..dataplane.pipeline import (
 )
 from ..dataplane.pre import L2Port
 from ..dataplane.rebalance import RebalancerConfig
-from ..dataplane.shardcodec import encode_ingress_batch, encode_result_batch
 from ..dataplane.sharding import ShardedScallopPipeline, flow_shard
 from ..netsim.datagram import Address, Datagram
-from ..rtp.srtp import SrtpProfile
 from ..rtp.wire import PacketView
 from ..webrtc.encoder import RtpPacketizer, SvcEncoder
-from .coordstats import CoordinatorStats
 
 SFU_ADDRESS = Address("10.0.0.1", 5000)
-
-#: Fixed master key for benchmark SRTP profiles (determinism across runs).
-BENCH_SRTP_KEY = b"scallop-bench-master"
-
-
-def gil_enabled() -> bool:
-    """Whether this interpreter runs with the GIL engaged.
-
-    ``sys._is_gil_enabled`` exists on 3.13+ (PEP 703); older interpreters
-    always hold the GIL.  Every parallelism benchmark point records this —
-    thread-executor numbers from a GIL build and a free-threaded build are
-    different experiments and must never be compared as a regression.
-    """
-    probe = getattr(sys, "_is_gil_enabled", None)
-    return True if probe is None else bool(probe())
-
 
 @dataclass(frozen=True)
 class BatchThroughputPoint:
@@ -186,124 +162,6 @@ def run_batch_throughput_sweep(
 
 
 @dataclass(frozen=True)
-class ShardThroughputPoint:
-    """One shard-sweep point: the sharded engine at ``n_shards`` on a fixed
-    multi-meeting workload."""
-
-    num_meetings: int
-    n_shards: int
-    executor: str
-    num_packets: int
-    pps: float
-    #: Ingress representation: "object" (RtpPacket dataclasses) or "wire"
-    #: (packed PacketView buffers).
-    ingress: str = "object"
-    #: Per-shard skew from the final measured run (groundwork for ROADMAP's
-    #: skew-aware rebalancing): packets each shard processed and its
-    #: stream-tracker occupancy attribution.
-    shard_packets: Tuple[int, ...] = ()
-    shard_occupancy: Tuple[float, ...] = ()
-
-
-def measure_shard_point(
-    n_shards: int,
-    num_meetings: int = 50,
-    participants: int = 8,
-    frames: int = 12,
-    repeats: int = 3,
-    executor: str = "serial",
-    wire_native: bool = False,
-    warmup_packets: int = 64,
-) -> ShardThroughputPoint:
-    """Measure ``process_batch`` throughput of the sharded engine at one
-    shard count (best-of-``repeats`` with GC deferred, like
-    :func:`measure_point`).
-
-    ``warmup_packets`` ingress packets run before the clock starts so every
-    backend is measured at steady state: the process executor spawns its
-    per-shard worker pools and ships the (one-time) control-plane snapshot on
-    first contact, costs that belong to meeting setup rather than per-batch
-    forwarding.
-    """
-    best = float("inf")
-    num_packets = 0
-    shard_packets: Tuple[int, ...] = ()
-    shard_occupancy: Tuple[float, ...] = ()
-    for _ in range(repeats):
-        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=n_shards, executor=executor)
-        try:
-            engine, senders = build_meeting_pipeline(num_meetings, participants, pipeline=engine)
-            traffic = media_ingress(senders, frames, wire_native=wire_native)
-            num_packets = len(traffic)
-            if warmup_packets:
-                # replaying a slice is safe here because this workload
-                # installs no sequence rewriters (nothing is stateful across
-                # the replay); zero the skew tallies afterwards so the
-                # shard_load() rows cover exactly the timed run
-                engine.process_batch(traffic[:warmup_packets])
-                for shard in engine.shards:
-                    shard.counters = PipelineCounters()
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                engine.process_batch(traffic)
-                best = min(best, time.perf_counter() - start)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            load = engine.shard_load()
-            shard_packets = tuple(int(row["data_plane_packets"]) for row in load)
-            shard_occupancy = tuple(row["stream_tracker_occupancy"] for row in load)
-        finally:
-            engine.close()
-    return ShardThroughputPoint(
-        num_meetings=num_meetings,
-        n_shards=n_shards,
-        executor=executor,
-        num_packets=num_packets,
-        pps=num_packets / best,
-        ingress="wire" if wire_native else "object",
-        shard_packets=shard_packets,
-        shard_occupancy=shard_occupancy,
-    )
-
-
-def run_shard_throughput_sweep(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    num_meetings: int = 50,
-    participants: int = 8,
-    frames: int = 12,
-    repeats: int = 3,
-    executor: str = "serial",
-    wire_native: bool = False,
-) -> List[ShardThroughputPoint]:
-    """Sweep shard counts on a fixed workload.
-
-    With the default ``serial`` executor this measures the *cost* of
-    partitioning: all shards execute on one interpreter under one GIL, so
-    throughput is flat-to-slightly-lower as k grows — the point of the sweep
-    is to track that overhead across PRs and to catch regressions in the
-    partition/reassembly path.  The ``process`` executor is the parallel
-    escape hatch, fed by the zero-pickle packed shard transport; pass
-    ``wire_native=True`` to feed either executor packed ingress buffers.
-    """
-    return [
-        measure_shard_point(
-            k,
-            num_meetings=num_meetings,
-            participants=participants,
-            frames=frames,
-            repeats=repeats,
-            executor=executor,
-            wire_native=wire_native,
-        )
-        for k in shard_counts
-    ]
-
-
-@dataclass(frozen=True)
 class ObsOverheadPoint:
     """Throughput of the k=1 serial engine bare vs with the telemetry plane
     armed at the default 1-in-``sample_rate`` flow tracing."""
@@ -389,242 +247,6 @@ def measure_obs_overhead(
     )
 
 
-def measure_coordinator_profile(
-    n_shards: int = 4,
-    num_meetings: int = 50,
-    participants: int = 8,
-    frames: int = 12,
-    executors: Sequence[str] = ("serial", "process"),
-    wire_native: bool = True,
-    warmup_packets: int = 64,
-) -> Dict[str, Dict[str, object]]:
-    """Amdahl stage profile of the sharded coordinator loop, per executor.
-
-    Attaches a :class:`~repro.experiments.coordstats.CoordinatorStats` to a
-    fresh engine, runs the standard multi-meeting burst once (after warmup,
-    GC deferred like every timing here), and returns each executor's
-    ``as_dict()`` stage breakdown — partition / encode / dispatch / replay /
-    reassemble ns, per-packet rates, and the serial-fraction estimate.  The
-    serial executor has no codec stages (encode/replay stay 0); the process
-    executor shows the full five-stage split.
-    """
-    profiles: Dict[str, Dict[str, object]] = {}
-    for executor in executors:
-        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=n_shards, executor=executor)
-        try:
-            engine, senders = build_meeting_pipeline(
-                num_meetings, participants, pipeline=engine
-            )
-            traffic = media_ingress(senders, frames, wire_native=wire_native)
-            if warmup_packets:
-                engine.process_batch(traffic[:warmup_packets])
-            stats = CoordinatorStats()
-            engine.coordinator_stats = stats
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                engine.process_batch(traffic)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            profiles[executor] = stats.as_dict()
-        finally:
-            engine.close()
-    return profiles
-
-
-# --------------------------------------------------------------------------- executor parallelism / Amdahl crossover
-
-
-@dataclass(frozen=True)
-class ParallelismPoint:
-    """One executor-matrix point: an executor at ``n_shards`` on wire-native
-    ingress, optionally under SRTP-grade per-packet work."""
-
-    executor: str
-    n_shards: int
-    #: 0 = plain wire-native ingress; >= 1 = SRTP profile with that many
-    #: keystream-derivation rounds per packet (the per-packet work knob).
-    srtp_rounds: int
-    num_packets: int
-    pps: float
-    #: GIL regime the point was measured under (see :func:`gil_enabled`).
-    gil_enabled: bool
-
-
-def protect_media_ingress(traffic: Sequence[Datagram], profile: SrtpProfile) -> List[Datagram]:
-    """What wire-native senders emit under SRTP: every packed buffer
-    protected with the ingress session keys (tag appended, payload XORed)."""
-    return [
-        Datagram(
-            src=datagram.src,
-            dst=datagram.dst,
-            payload=PacketView(profile.protect_ingress(datagram.payload)),
-        )
-        for datagram in traffic
-    ]
-
-
-def measure_parallelism_point(
-    executor: str,
-    n_shards: int,
-    srtp_rounds: int = 0,
-    num_meetings: int = 12,
-    participants: int = 6,
-    frames: int = 10,
-    repeats: int = 2,
-    warmup_packets: int = 64,
-) -> ParallelismPoint:
-    """Measure one executor-matrix point on wire-native ingress.
-
-    Same hygiene as :func:`measure_shard_point` (fresh engine per repeat,
-    warmup before the clock, GC deferred, best-of-``repeats``); the workload
-    is always wire-native so the plain-vs-srtp delta is purely the per-packet
-    crypto work, not a representation change.
-    """
-    profile = SrtpProfile(BENCH_SRTP_KEY, rounds=srtp_rounds) if srtp_rounds else None
-    best = float("inf")
-    num_packets = 0
-    for _ in range(repeats):
-        engine = ShardedScallopPipeline(
-            SFU_ADDRESS, n_shards=n_shards, executor=executor, srtp=profile
-        )
-        try:
-            engine, senders = build_meeting_pipeline(num_meetings, participants, pipeline=engine)
-            traffic = media_ingress(senders, frames, wire_native=True)
-            if profile is not None:
-                traffic = protect_media_ingress(traffic, profile)
-            num_packets = len(traffic)
-            if warmup_packets:
-                engine.process_batch(traffic[:warmup_packets])
-                for shard in engine.shards:
-                    shard.counters = PipelineCounters()
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                engine.process_batch(traffic)
-                best = min(best, time.perf_counter() - start)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        finally:
-            engine.close()
-    return ParallelismPoint(
-        executor=executor,
-        n_shards=n_shards,
-        srtp_rounds=srtp_rounds,
-        num_packets=num_packets,
-        pps=num_packets / best,
-        gil_enabled=gil_enabled(),
-    )
-
-
-def run_parallelism_matrix(
-    executors: Sequence[str] = ("serial", "thread", "process"),
-    shard_counts: Sequence[int] = (1, 4),
-    srtp_levels: Sequence[int] = (0, 1),
-    num_meetings: int = 12,
-    participants: int = 6,
-    frames: int = 10,
-    repeats: int = 2,
-) -> List[ParallelismPoint]:
-    """The executor matrix: {serial, thread, process} x k x {plain, srtp}.
-
-    On a GIL interpreter the thread rows are expected to sit at-or-below
-    serial (the executor is correct but not parallel); on a free-threaded
-    build they are where flow sharding finally pays inside one process.
-    Every point records its GIL regime so the two cases are never conflated.
-    """
-    return [
-        measure_parallelism_point(
-            executor,
-            k,
-            srtp_rounds=rounds,
-            num_meetings=num_meetings,
-            participants=participants,
-            frames=frames,
-            repeats=repeats,
-        )
-        for executor in executors
-        for k in shard_counts
-        for rounds in srtp_levels
-    ]
-
-
-def measure_parallelism_crossover(
-    rounds_levels: Sequence[int] = (1, 2, 4, 8),
-    n_shards: int = 4,
-    num_meetings: int = 12,
-    participants: int = 6,
-    frames: int = 10,
-    repeats: int = 2,
-    margin: float = 1.05,
-) -> Dict[str, object]:
-    """Locate the Amdahl crossover: the srtp work level at which thread-k
-    sharding beats the serial engine.
-
-    Sweeps ``rounds_levels`` (keystream-derivation rounds per packet — pure
-    CPU work, deterministic at every fixed level) and compares
-    serial-k1 against thread-``n_shards`` at each level.  ``crossover_rounds``
-    is the first level whose thread/serial ratio clears ``margin``, or
-    ``None`` if the sweep never crosses — the expected outcome under a GIL,
-    where added per-packet work scales both engines equally because the
-    thread executor cannot overlap it.  The margin exists exactly for that
-    regime: GIL-bound ratios hover around 1.0 (the executor overhead
-    amortizes as srtp work grows) and scheduler jitter can nudge a level a
-    percent or two past parity, which is not parallelism paying — a genuine
-    free-threaded crossover clears the margin by a wide margin.  On a
-    free-threaded build the crossover is the headline number: the work level
-    past which parallelism pays.
-    """
-    levels: List[Dict[str, object]] = []
-    crossover: Optional[int] = None
-    for rounds in rounds_levels:
-        serial = measure_parallelism_point(
-            "serial", 1, srtp_rounds=rounds, num_meetings=num_meetings,
-            participants=participants, frames=frames, repeats=repeats,
-        )
-        threaded = measure_parallelism_point(
-            "thread", n_shards, srtp_rounds=rounds, num_meetings=num_meetings,
-            participants=participants, frames=frames, repeats=repeats,
-        )
-        ratio = threaded.pps / serial.pps if serial.pps else 0.0
-        levels.append(
-            {
-                "srtp_rounds": rounds,
-                "serial_k1_pps": round(serial.pps),
-                f"thread_k{n_shards}_pps": round(threaded.pps),
-                "ratio": round(ratio, 3),
-                "gil_enabled": serial.gil_enabled and threaded.gil_enabled,
-            }
-        )
-        if crossover is None and ratio > margin:
-            crossover = rounds
-    return {
-        "n_shards": n_shards,
-        "rounds_levels": list(rounds_levels),
-        "margin": margin,
-        "levels": levels,
-        "crossover_rounds": crossover,
-    }
-
-
-def format_parallelism_matrix(points: Sequence[ParallelismPoint]) -> str:
-    lines = [
-        f"{'executor':>9} {'shards':>7} {'srtp':>5} {'packets':>9} {'pps':>13} {'gil':>5}"
-    ]
-    for point in points:
-        srtp = f"r={point.srtp_rounds}" if point.srtp_rounds else "off"
-        lines.append(
-            f"{point.executor:>9} {point.n_shards:>7} {srtp:>5} {point.num_packets:>9} "
-            f"{point.pps:>13,.0f} {'on' if point.gil_enabled else 'OFF':>5}"
-        )
-    return "\n".join(lines)
-
-
 # --------------------------------------------------------------------------- skewed workloads / rebalancing
 
 
@@ -659,7 +281,7 @@ def build_skewed_meeting_pipeline(
     the adversarial-but-realistic hash collision ROADMAP motivates ("a few
     hot senders pin one shard").  Combined with Zipf activity this yields a
     static max/mean packet skew well above 2x at k=4, which is the workload
-    the rebalancer is benchmarked (and CI-gated) against.
+    the rebalancer is tested against.
     """
     if pipeline is None:
         pipeline = ScallopPipeline(SFU_ADDRESS)
@@ -782,7 +404,7 @@ def measure_rebalance_point(
     armed (short epochs so the loop converges within ``batches``).  Both
     figures are the max/mean per-shard packet ratio of the *final* batch —
     i.e. after the control loop has converged — so the point is deterministic
-    (packet counts, not timings) and safe to gate CI on.
+    (packet counts, not timings).
     """
     if config is None:
         # short epochs + a tight target so the loop converges (and bottoms
@@ -798,7 +420,7 @@ def measure_rebalance_point(
         n_shards,
         participants,
         colocate_hot=colocate_hot,
-        pipeline=ShardedScallopPipeline(SFU_ADDRESS, n_shards=n_shards, executor="serial"),
+        pipeline=ShardedScallopPipeline(SFU_ADDRESS, n_shards=n_shards),
     )
     static_packets, num_packets = _final_batch_shard_packets(
         static_engine, senders, frames_by_sender, batches
@@ -811,7 +433,7 @@ def measure_rebalance_point(
         participants,
         colocate_hot=colocate_hot,
         pipeline=ShardedScallopPipeline(
-            SFU_ADDRESS, n_shards=n_shards, executor="serial", rebalance_config=config
+            SFU_ADDRESS, n_shards=n_shards, rebalance_config=config
         ),
     )
     rebalanced_packets, _ = _final_batch_shard_packets(
@@ -847,72 +469,6 @@ def format_rebalance_point(point: RebalancePoint) -> str:
         f"{point.skew_rebalanced:>8.2f}x",
         f"skew cut {point.skew_reduction:.2f}x via {point.migrations} migrations",
     ]
-    return "\n".join(lines)
-
-
-def measure_shard_transport(
-    n_shards: int = 4,
-    num_meetings: int = 50,
-    participants: int = 8,
-    frames: int = 12,
-) -> Dict[str, float]:
-    """Quantify the packed shard transport against pickled object graphs.
-
-    Partitions the standard 50-meeting ingress exactly the way the sharded
-    engine would, encodes every partition with the packed ingress codec, runs
-    the partitions through serial shards to obtain the results a worker would
-    return, and encodes those with the packed result codec — then measures
-    the same objects under ``pickle.dumps`` (what the process executor used
-    to ship).  Returns per-batch byte totals and the shrink factors.
-    """
-    engine, senders = build_meeting_pipeline(
-        num_meetings,
-        participants,
-        pipeline=ShardedScallopPipeline(SFU_ADDRESS, n_shards=n_shards, executor="serial"),
-    )
-    traffic = media_ingress(senders, frames)
-    partitions: List[List[Datagram]] = [[] for _ in range(n_shards)]
-    for datagram in traffic:
-        partitions[flow_shard(datagram.src, datagram.payload.ssrc, n_shards)].append(datagram)
-
-    packed_ingress = pickle_ingress = packed_results = pickle_results = 0
-    for shard_id, partition in enumerate(partitions):
-        if not partition:
-            continue
-        packed_ingress += len(encode_ingress_batch(partition))
-        # the pickled size is the comparison baseline being measured
-        pickle_ingress += len(pickle.dumps(partition, protocol=pickle.HIGHEST_PROTOCOL))  # archlint: ignore[zero-pickle]
-        results = engine.shards[shard_id].process_batch(partition)
-        blob, fallback = encode_result_batch(results, partition)
-        packed_results += len(blob) + len(fallback)
-        pickle_results += len(pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL))  # archlint: ignore[zero-pickle]
-    engine.close()
-    packed_total = packed_ingress + packed_results
-    pickle_total = pickle_ingress + pickle_results
-    return {
-        "num_packets": len(traffic),
-        "packed_ingress_bytes": packed_ingress,
-        "pickle_ingress_bytes": pickle_ingress,
-        "packed_result_bytes": packed_results,
-        "pickle_result_bytes": pickle_results,
-        "ingress_shrink": pickle_ingress / packed_ingress if packed_ingress else 0.0,
-        "result_shrink": pickle_results / packed_results if packed_results else 0.0,
-        "total_shrink": pickle_total / packed_total if packed_total else 0.0,
-    }
-
-
-def format_shard_sweep(points: Sequence[ShardThroughputPoint]) -> str:
-    baseline = points[0].pps if points else 0.0
-    baseline_k = points[0].n_shards if points else 1
-    relative = f"vs k={baseline_k}"
-    lines = [
-        f"{'shards':>7} {'executor':>9} {'ingress':>8} {'packets':>9} {'pps':>13} {relative:>9}"
-    ]
-    for point in points:
-        lines.append(
-            f"{point.n_shards:>7} {point.executor:>9} {point.ingress:>8} {point.num_packets:>9} "
-            f"{point.pps:>13,.0f} {point.pps / baseline:>8.2f}x"
-        )
     return "\n".join(lines)
 
 

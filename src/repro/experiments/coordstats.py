@@ -1,13 +1,9 @@
-"""Amdahl stage profile for the sharded coordinator (`CoordinatorStats`).
+"""Stage profile for the sharded coordinator (`CoordinatorStats`).
 
 The sharded engine's batch loop has a fixed stage structure: partition the
-burst by flow, (process executor only) encode each partition into its packed
-shard blob, dispatch the partitions to the shard backend, (process executor
-only) replay the workers' rewrite descriptions into egress datagrams, and
-reassemble the per-shard results into input order.  Partition, encode,
-replay, and reassemble run on the coordinator thread regardless of the
-executor — they are the *serial* fraction that Amdahl's law says bounds any
-speedup from adding shards.
+burst by flow, dispatch the partitions to their shards, and reassemble the
+per-shard results into input order.  Partition and reassemble are the cost of
+sharding itself; dispatch is the datapath work.
 
 :class:`CoordinatorStats` accumulates per-batch wall time of each stage.  It
 lives in the experiments namespace on purpose: the clock
@@ -22,31 +18,23 @@ no timing instrumentation at all.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..obs.registry import BATCH_NS_BUCKETS, Histogram
 
 #: Stage names in coordinator-loop order (also the display order).
-STAGES = ("partition", "encode", "dispatch", "replay", "reassemble")
+STAGES = ("partition", "dispatch", "reassemble")
 
 
 class CoordinatorStats:
-    """Per-stage wall-time accumulator for the sharded coordinator loop.
-
-    ``dispatch_ns`` spans the whole backend call, so for the process executor
-    it *contains* ``encode_ns`` and ``replay_ns`` (which run on the
-    coordinator thread inside that window).  :meth:`serial_fraction` accounts
-    for the overlap.
-    """
+    """Per-stage wall-time accumulator for the sharded coordinator loop."""
 
     __slots__ = (
         "clock",
         "batches",
         "packets",
         "partition_ns",
-        "encode_ns",
         "dispatch_ns",
-        "replay_ns",
         "reassemble_ns",
         "stage_hists",
     )
@@ -56,9 +44,7 @@ class CoordinatorStats:
         self.batches = 0
         self.packets = 0
         self.partition_ns = 0
-        self.encode_ns = 0
         self.dispatch_ns = 0
-        self.replay_ns = 0
         self.reassemble_ns = 0
         #: Per-stage per-batch duration distributions behind the scalar
         #: totals (one bisect per batch per stage when profiling is on).
@@ -73,8 +59,8 @@ class CoordinatorStats:
 
     def note_stage(self, stage: str, ns: int) -> None:
         """Charge ``ns`` of coordinator wall time to ``stage``: adds to the
-        scalar total (the Amdahl arithmetic reads those) and observes the
-        per-batch histogram (the telemetry bus reads that)."""
+        scalar total and observes the per-batch histogram (the telemetry bus
+        reads that)."""
         setattr(self, stage + "_ns", getattr(self, stage + "_ns") + ns)
         self.stage_hists[stage].observe(float(ns))
 
@@ -83,46 +69,8 @@ class CoordinatorStats:
     def stage_ns(self) -> Dict[str, int]:
         return {
             "partition": self.partition_ns,
-            "encode": self.encode_ns,
             "dispatch": self.dispatch_ns,
-            "replay": self.replay_ns,
             "reassemble": self.reassemble_ns,
-        }
-
-    def serial_ns(self) -> int:
-        """Coordinator-thread (non-parallelizable) time: partition and
-        reassemble, plus the codec passes that run inside the dispatch
-        window."""
-        return self.partition_ns + self.reassemble_ns + self.encode_ns + self.replay_ns
-
-    def total_ns(self) -> int:
-        """Wall time of the whole coordinated loop (dispatch already
-        contains the codec passes, so they are not added again)."""
-        return self.partition_ns + self.dispatch_ns + self.reassemble_ns
-
-    def serial_fraction(self) -> Optional[float]:
-        """Amdahl serial-fraction estimate of the coordinator loop, or
-        ``None`` before any batch was timed."""
-        total = self.total_ns()
-        if total <= 0:
-            return None
-        return self.serial_ns() / total
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready stage profile (the ``"coordinator"`` bench key)."""
-        packets = self.packets
-        stage_ns = self.stage_ns()
-        per_packet = {
-            name: (ns / packets if packets else 0.0) for name, ns in stage_ns.items()
-        }
-        return {
-            "batches": self.batches,
-            "packets": packets,
-            "stage_ns": stage_ns,
-            "stage_ns_per_packet": per_packet,
-            "serial_ns": self.serial_ns(),
-            "total_ns": self.total_ns(),
-            "serial_fraction": self.serial_fraction(),
         }
 
     def snapshot_series(self, prefix: str = "repro.coord.") -> Dict[str, Dict[str, object]]:
@@ -148,7 +96,4 @@ class CoordinatorStats:
         for name, ns in self.stage_ns().items():
             per_packet = ns / packets if packets else 0.0
             lines.append(f"{name:<12}{ns / 1e6:>12.3f}{per_packet:>12.0f}")
-        serial = self.serial_fraction()
-        serial_text = "n/a" if serial is None else f"{serial:.3f}"
-        lines.append(f"{'serial fraction (Amdahl)':<24}{serial_text:>12}")
         return "\n".join(lines)

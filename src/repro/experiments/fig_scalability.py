@@ -100,59 +100,6 @@ def format_headline(headline: ScalabilityHeadline) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ShardScalingPoint:
-    """Measured dataplane throughput at one shard count, with the scaling
-    efficiency relative to perfect linear speedup over k=1."""
-
-    n_shards: int
-    pps: float
-    speedup: float
-    efficiency: float
-
-
-def run_shard_scaling_sweep(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    num_meetings: int = 50,
-    executor: str = "serial",
-    repeats: int = 3,
-) -> List[ShardScalingPoint]:
-    """Shard-count scaling of the behavioural dataplane (ROADMAP item 1).
-
-    Complements the analytic capacity lines above with a *measured* series:
-    the same 50-meeting ingress replayed through
-    :class:`~repro.dataplane.sharding.ShardedScallopPipeline` at increasing
-    shard counts.  Under the in-process ``serial`` executor the efficiency
-    column quantifies the GIL bound (flows are share-nothing, but CPython
-    executes the shards sequentially); the ``process`` executor reports what
-    the escape hatch buys once per-packet work outweighs serialization.
-    """
-    from .batch_throughput import run_shard_throughput_sweep
-
-    points = run_shard_throughput_sweep(
-        shard_counts, num_meetings=num_meetings, executor=executor, repeats=repeats
-    )
-    baseline = points[0].pps if points else 0.0
-    return [
-        ShardScalingPoint(
-            n_shards=point.n_shards,
-            pps=point.pps,
-            speedup=point.pps / baseline if baseline else 0.0,
-            efficiency=(point.pps / baseline) / point.n_shards if baseline else 0.0,
-        )
-        for point in points
-    ]
-
-
-def format_shard_scaling(points: Sequence[ShardScalingPoint]) -> str:
-    lines = [f"{'shards':>7}{'pps':>14}{'speedup':>9}{'efficiency':>11}"]
-    for point in points:
-        lines.append(
-            f"{point.n_shards:>7}{point.pps:>14,.0f}{point.speedup:>8.2f}x{point.efficiency:>10.2f}"
-        )
-    return "\n".join(lines)
-
-
 def format_design_space(points: Sequence[DesignSpacePoint]) -> str:
     lines = [
         f"{'N':>5}{'NRA':>12}{'RA-R':>12}{'RA-SR':>12}{'S-LM':>12}{'S-LR':>12}{'BW':>12}{'SW':>12}"

@@ -34,18 +34,12 @@ class Address:
 
     def __hash__(self) -> int:
         # The datapath probes a dict keyed on (src, ssrc) once per packet, so
-        # the generated field-tuple hash is memoized on the instance.  The
-        # cache never crosses a process boundary: __reduce__ rebuilds a
-        # pickled address from its fields alone, so a hash computed under one
-        # process's string-hash seed is never replayed under another's.
+        # the generated field-tuple hash is memoized on the instance.
         state = self.__dict__
         cached = state.get("_hash")
         if cached is None:
             cached = state["_hash"] = hash((self.ip, self.port))
         return cached
-
-    def __reduce__(self):
-        return (Address, (self.ip, self.port))
 
 
 class PayloadKind(str, Enum):
@@ -142,18 +136,6 @@ class Datagram:
         instance = object.__new__(cls)
         object.__setattr__(instance, "__dict__", fields)
         return instance
-
-    def __getstate__(self) -> dict:
-        # replicas share one read-only MappingProxyType meta view, which
-        # cannot be pickled; materialize it so datagrams can cross process
-        # boundaries (the sharded pipeline's process-pool escape hatch)
-        state = dict(self.__dict__)
-        if not isinstance(state["meta"], dict):
-            state["meta"] = dict(state["meta"])
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        object.__setattr__(self, "__dict__", state)
 
     def restamped(self, sent_at: float, arrived_at: Optional[float]) -> "Datagram":
         """Return a copy with new schedule stamps (what every link hop does).

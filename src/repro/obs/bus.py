@@ -2,7 +2,6 @@
 
 The repo grew its observability organically — :class:`~repro.dataplane.
 pipeline.PipelineCounters`, ``ShardedScallopPipeline.shard_load()``,
-:class:`~repro.dataplane.sharding.ShardTransportStats`,
 :class:`~repro.dataplane.loadstats.FlowLoadTracker` EWMA rows,
 :class:`~repro.experiments.coordstats.CoordinatorStats`,
 :class:`~repro.dataplane.resources.ResourceAccountant` occupancy, rebalancer
@@ -15,9 +14,6 @@ prefix                                  source
 ======================================  =======================================
 ``repro.dataplane.*``                   merged :class:`PipelineCounters`
 ``repro.dataplane.shardN.*``            per-shard ``shard_load()`` rows + pps
-``repro.transport.*``                   process-executor transport counters
-                                        (zero-valued under serial/thread, so
-                                        the schema is executor-invariant)
 ``repro.coord.*``                       coordinator stage profile (histograms;
                                         present only when ``profile=True``)
 ``repro.load.*``                        :class:`FlowLoadTracker` EWMA rows
@@ -32,46 +28,34 @@ prefix                                  source
 ``repro.client.e2e_latency_ms``         client-side RTP latency samples
 ======================================  =======================================
 
+The ``repro.transport.*`` series (the removed process shard executor's
+coordinator/worker byte counters) are gone from ``repro.obs/v1`` snapshots.
+
 The bus only *reads*: it introspects engines duck-typed through ``getattr``
 (both :class:`ScallopPipeline` and :class:`ShardedScallopPipeline` work, and
 so would any future engine exposing the same surfaces), merges the per-shard
-obs registries commutatively, and restores the executor-invariant total order
-over trace records.  Nothing here reads a clock — ``sim_time_s`` is handed in
-by the caller from ``Simulator.now``.
+obs registries commutatively, and restores the shard-count-invariant total
+order over trace records.  Nothing here reads a clock — ``sim_time_s`` is
+handed in by the caller from ``Simulator.now``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .registry import LATENCY_MS_BUCKETS, MetricsRegistry
 from .tracing import TraceRecord, sorted_trace_records
 
-__all__ = ["SCHEMA", "CORE_SERIES", "TRANSPORT_KEYS", "TRUNK_KEYS", "TelemetryBus"]
+__all__ = ["SCHEMA", "CORE_SERIES", "TRUNK_KEYS", "TelemetryBus"]
 
 #: Version tag stamped into every snapshot; consumers (the CI gate, the
 #: federation/SLA layers to come) validate against it before reading series.
 SCHEMA = "repro.obs/v1"
 
-#: The keys of :meth:`ShardTransportStats.as_dict`, pinned here so snapshots
-#: carry the full transport series (zero-valued) even for executors that move
-#: no bytes — serial/thread snapshots stay schema-identical to process ones.
-TRANSPORT_KEYS = (
-    "batches",
-    "batch_bytes_out",
-    "result_bytes_in",
-    "tracker_bytes_in",
-    "migration_bytes_out",
-    "migrations_shipped",
-    "snapshot_bytes_out",
-    "snapshots_shipped",
-    "pickle_fallback_records",
-)
-
-#: The counter fields of :class:`~repro.cluster.TrunkStats`, pinned like
-#: :data:`TRANSPORT_KEYS` so every snapshot carries the federation series
-#: (zero-valued on a single-box engine) — a dashboard built against a cluster
-#: run reads unchanged against a classic one.  ``subscriptions`` is a gauge
+#: The counter fields of :class:`~repro.cluster.TrunkStats`, pinned here so
+#: every snapshot carries the federation series (zero-valued on a single-box
+#: engine) — a dashboard built against a cluster run reads unchanged against
+#: a classic one.  ``subscriptions`` is a gauge
 #: accumulated across engines (each box's live subscription count sums into
 #: the fleet total).
 TRUNK_KEYS = (
@@ -105,8 +89,6 @@ CORE_SERIES = (
     "repro.coord.stage_ns.partition",
     "repro.coord.stage_ns.dispatch",
     "repro.coord.stage_ns.reassemble",
-    "repro.transport.batch_bytes_out",
-    "repro.transport.result_bytes_in",
     "repro.trunk.packets_in",
     "repro.trunk.subscriptions",
     "repro.client.e2e_latency_ms",
@@ -146,7 +128,6 @@ class TelemetryBus:
                 registry.inc(f"repro.dataplane.class.{label}.packets", int(packets))
 
         self._add_shard_rows(engine, counters, sim_time_s)
-        self._add_transport(engine)
         self._add_trunk(engine)
         self._add_load_and_rebalance(engine)
 
@@ -204,27 +185,13 @@ class TelemetryBus:
             pps = packets / sim_time_s if sim_time_s > 0.0 else 0.0
             registry.set_gauge(prefix + "pps", pps)
 
-    def _add_transport(self, engine: object) -> None:
-        registry = self.registry
-        transport: Optional[Dict[str, int]] = None
-        transport_stats = getattr(engine, "transport_stats", None)
-        if callable(transport_stats):
-            transport = transport_stats()
-        for key in TRANSPORT_KEYS:
-            value = 0 if transport is None else int(transport.get(key, 0))
-            registry.inc("repro.transport." + key, value)
-        transport_obs = getattr(engine, "transport_obs", None)
-        if transport_obs is not None:
-            registry.merge(transport_obs)
-
     def _add_trunk(self, engine: object) -> None:
         """Fold a federated box's trunk counters into ``repro.trunk.*``.
 
         A :class:`~repro.cluster.ClusterSfu` exports its
         :class:`~repro.cluster.TrunkStats` on the pipeline as
         ``trunk_stats``; a classic engine has none and contributes zeros, so
-        the namespace exists in every snapshot (same pinning pattern as
-        :data:`TRANSPORT_KEYS`).
+        the namespace exists in every snapshot.
         """
         registry = self.registry
         stats = getattr(engine, "trunk_stats", None)
@@ -278,7 +245,7 @@ class TelemetryBus:
 
         The merge is read-only (per-shard registries are untouched) and
         commutative, and the final :func:`sorted_trace_records` pass erases
-        shard completion order — the executor-invariance contract.
+        shard order — the shard-count-invariance contract.
         """
         shards = getattr(engine, "shards", None)
         if shards:

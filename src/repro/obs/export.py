@@ -4,7 +4,7 @@ Three renderings of one :meth:`TelemetryBus.snapshot` dict:
 
 ``to_json``
     Canonical JSON — ``sort_keys=True`` so two equal snapshots serialize
-    byte-identically (the executor-invariance tests compare these bytes).
+    byte-identically (the shard-count-invariance tests compare these bytes).
 
 ``render_prometheus``
     Prometheus text exposition (counters, gauges, cumulative ``_bucket``

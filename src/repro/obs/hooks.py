@@ -1,12 +1,9 @@
 """Hot-path hook objects the dataplane binds when observability is armed.
 
 ``ObsConfig`` is a tiny frozen dataclass carried by
-:class:`~repro.dataplane.pipeline.PipelineControlPlane`; because it is plain
-picklable data it survives the control-plane snapshot, which is how process
-workers learn that (and how) they must arm their own per-shard obs state —
-``build_worker_datapath`` reads it exactly like the coordinator-side
-constructor does, so worker shards and coordinator shards are instrumented
-identically and metric folds stay executor-invariant.
+:class:`~repro.dataplane.pipeline.PipelineControlPlane`; every datapath the
+control plane serves arms its own per-shard obs state from it, so all shards
+are instrumented identically and metric folds stay shard-count-invariant.
 
 ``DatapathObs`` is the per-shard bundle: one private
 :class:`~repro.obs.registry.MetricsRegistry` plus one
@@ -21,10 +18,10 @@ probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .registry import MetricsRegistry
-from .tracing import PacketTracer, TraceRecord
+from .tracing import PacketTracer
 
 __all__ = ["ObsConfig", "DatapathObs"]
 
@@ -105,27 +102,7 @@ class DatapathObs:
 
     def merge_from(self, other: "DatapathObs") -> None:
         """Read-only fold of another shard's obs state into this one
-        (used by snapshot-time merges for serial/thread executors)."""
+        (used by snapshot-time merges)."""
         self.registry.merge(other.registry)
         if self.tracer is not None and other.tracer is not None:
             self.tracer.fold_records(list(other.tracer.records))
-
-    def to_delta(self) -> Tuple[Dict[str, object], List[TraceRecord]]:
-        """Drain accumulated state into a plain-builtin payload.
-
-        Process workers call this after each batch; the payload rides the
-        executor's own return channel (no explicit serialization here) and
-        the coordinator folds it with :meth:`fold_delta` at the barrier.
-        Draining keeps worker-side and coordinator-side state disjoint, so
-        nothing is ever double-counted.
-        """
-        records: List[TraceRecord] = []
-        if self.tracer is not None:
-            records = self.tracer.take_record_delta()
-        return self.registry.to_delta(), records
-
-    def fold_delta(self, payload: Tuple[Dict[str, object], List[TraceRecord]]) -> None:
-        registry_delta, records = payload
-        self.registry.fold_delta(registry_delta)
-        if self.tracer is not None and records:
-            self.tracer.fold_records(records)

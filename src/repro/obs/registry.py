@@ -12,9 +12,9 @@ determinism rule covers this module like any other ``repro.*`` module).
 Histograms are Prometheus-shaped: a tuple of upper bounds, one count per
 ``value <= bound`` bucket plus an overflow bucket, a running sum, and a
 total count.  Merging two histograms with identical bounds is element-wise
-integer addition — commutative and associative, which is what lets the
-thread/process shard executors fold per-shard registries at the batch
-barrier in any order and still produce executor-invariant snapshots.
+integer addition — commutative and associative, which is what lets a
+snapshot fold per-shard registries in any order and still come out
+identical for every shard count.
 
 Two percentile estimators live on :class:`Histogram`:
 
@@ -51,7 +51,7 @@ LATENCY_MS_BUCKETS: Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
 )
 
-#: Packet / blob sizes in bytes.
+#: Packet sizes in bytes.
 SIZE_BYTES_BUCKETS: Tuple[float, ...] = (
     64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0, 16384.0, 65536.0,
 )
@@ -234,8 +234,8 @@ class MetricsRegistry:
 
         Counters and gauges add; histograms merge bucket-wise (created here
         with the other side's bounds when absent).  Addition makes the fold
-        commutative and associative, so barrier-time folds are independent of
-        shard completion order — the executor-invariance contract.
+        commutative and associative, so snapshot-time folds are independent
+        of shard order — the shard-count-invariance contract.
         """
         counters = self.counters
         for name, value in other.counters.items():
@@ -245,42 +245,6 @@ class MetricsRegistry:
             gauges[name] = gauges.get(name, 0.0) + value
         for name, histogram in other.histograms.items():
             self.histogram(name, histogram.bounds).merge(histogram)
-
-    # -- transport ----------------------------------------------------------
-
-    def to_delta(self) -> Dict[str, object]:
-        """A plain-builtin payload of the current contents (for crossing a
-        process boundary on the executor's own return channel), leaving this
-        registry reset for the next accumulation window."""
-        payload = {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: (list(histogram.bounds), list(histogram.counts), histogram.count, histogram.sum)
-                for name, histogram in self.histograms.items()
-            },
-        }
-        self.counters = {}
-        self.gauges = {}
-        for histogram in self.histograms.values():
-            histogram.counts = [0] * (len(histogram.bounds) + 1)
-            histogram.count = 0
-            histogram.sum = 0.0
-        return payload
-
-    def fold_delta(self, payload: Dict[str, object]) -> None:
-        counters = self.counters
-        for name, value in payload["counters"].items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = self.gauges
-        for name, value in payload["gauges"].items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        for name, (bounds, counts, count, total) in payload["histograms"].items():
-            histogram = self.histogram(name, bounds)
-            for index, value in enumerate(counts):
-                histogram.counts[index] += value
-            histogram.count += count
-            histogram.sum += total
 
     # -- export -------------------------------------------------------------
 

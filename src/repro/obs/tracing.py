@@ -17,7 +17,7 @@ the datapath actually did to the packet: a parse-cache miss widens the parse
 span, the PRE-expand span grows with the replica count, the rewrite span
 grows when rate adaptation rewrote per-target copies.  All span arithmetic
 is integer nanoseconds anchored at the datagram's simulated arrival time —
-byte-identical across runs and across shard executors.
+byte-identical across runs and across shard counts.
 
 Per-stage durations also feed fixed-bucket histograms in the owning
 :class:`~repro.obs.registry.MetricsRegistry` (``repro.trace.stage_ns.*``),
@@ -56,9 +56,9 @@ def flow_trace_key(ip: str, port: int, ssrc: int) -> str:
 def sorted_trace_records(records: List[TraceRecord]) -> List[TraceRecord]:
     """Deterministic record order for snapshots: by arrival, flow, seq.
 
-    Shard-merged record lists arrive in executor-dependent order; sorting on
-    the (integer, string, integer) prefix restores a total order that is
-    identical across serial/thread/process runs over the same traffic.
+    Shard-merged record lists arrive in shard order; sorting on the
+    (integer, string, integer) prefix restores a total order that is
+    identical for every shard count over the same traffic.
     """
     return sorted(records)
 
@@ -182,12 +182,6 @@ class PacketTracer:
             self._registry.inc("repro.trace.records_dropped")
 
     # -- folding ------------------------------------------------------------
-
-    def take_record_delta(self) -> List[TraceRecord]:
-        """Drain the raw record buffer (the registry travels separately)."""
-        records = self.records
-        self.records = []
-        return records
 
     def fold_records(self, records: List[TraceRecord]) -> None:
         budget = self.max_records - len(self.records)

@@ -35,7 +35,7 @@ from .av1 import (
     template_needed_by,
     temporal_layer_for_template,
 )
-from .wire import PacketView, pack_rtp_header
+from .wire import PacketView
 from .rtcp import (
     Nack,
     PictureLossIndication,
@@ -61,7 +61,6 @@ __all__ = [
     "seq_add",
     "seq_delta",
     "PacketView",
-    "pack_rtp_header",
     "EXT_ID_AV1_DEPENDENCY_DESCRIPTOR",
     "ExtensionElement",
     "decode_extensions",

@@ -37,18 +37,12 @@ over from :meth:`RtpPacket.parse`: a view reports the raw on-wire ``size``
 including any padding bytes, while ``to_packet`` strips padding (the object
 codec's canonical form).  The simulated endpoints never emit padded packets,
 so the two representations agree everywhere they meet.
-
-A view may also be *truncated*: the zero-pickle shard transport
-(:mod:`repro.dataplane.shardcodec`) ships only the header region across
-process boundaries and reconstructs a view whose buffer ends at
-``header_length`` — every header accessor still works, ``payload`` is empty,
-and the datagram's true wire size travels out of band.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .packet import (
     RTP_HEADER_LEN,
@@ -121,16 +115,6 @@ class PacketView:
     def ssrc(self) -> int:
         return _U32.unpack_from(self.buf, 8)[0]
 
-    def fixed_fields(self) -> Tuple[int, int, int, int, int]:
-        """All five fixed-header fields in one struct pass:
-        ``(first_byte, second_byte, sequence_number, timestamp, ssrc)``.
-
-        One precompiled unpack replaces several chained property reads on
-        paths that need multiple fields per packet — the SRTP profile's
-        keystream derivation and the parse-key fast path both use it.
-        """
-        return _FIXED_HEADER.unpack_from(self.buf, 0)
-
     @property
     def csrcs(self) -> Tuple[int, ...]:
         return tuple(
@@ -181,10 +165,6 @@ class PacketView:
             return None
         return RtpHeaderExtension(profile=profile, data=self.extension_bytes())
 
-    def header_bytes(self) -> bytes:
-        """The full header region (what the shard transport ships)."""
-        return bytes(self.buf[: self.header_length])
-
     def parse_key(self) -> tuple:
         """The memoized-parse cache key, built in one pass over the buffer.
 
@@ -206,17 +186,13 @@ class PacketView:
 
     @property
     def payload(self) -> bytes:
-        """Raw payload bytes (padding not stripped; empty on truncated views)."""
+        """Raw payload bytes (padding not stripped)."""
         return bytes(self.buf[self.header_length :])
 
     @property
     def size(self) -> int:
         """On-wire size in bytes of the underlying buffer."""
         return len(self.buf)
-
-    def is_truncated(self) -> bool:
-        """True when the buffer holds only the header region (shard transport)."""
-        return len(self.buf) <= self.header_length
 
     # -- in-place rewriting ------------------------------------------------------
 
@@ -337,42 +313,9 @@ class PacketView:
     def __hash__(self) -> int:
         return hash(bytes(self.buf))
 
-    def __reduce__(self):
-        # rarely pickled (the shard transport ships raw header bytes instead),
-        # but keep views picklable for API parity with the object model
-        return (PacketView, (bytes(self.buf),))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PacketView(pt={self.payload_type}, seq={self.sequence_number}, "
             f"ssrc={self.ssrc:#x}, len={len(self.buf)})"
         )
 
-
-def pack_rtp_header(packet: RtpPacket) -> bytes:
-    """Serialize only the header region of an object packet.
-
-    Used by the shard transport to ship object-model ingress without paying
-    for (or leaking) the payload bytes: the header is everything the
-    datapath reads.
-    """
-    first = (RTP_VERSION << 6) | (int(packet.padding) << 5) | len(packet.csrcs)
-    if packet.extension is not None:
-        first |= 1 << 4
-    second = (int(packet.marker) << 7) | packet.payload_type
-    out = bytearray(
-        struct.pack(
-            "!BBHII",
-            first,
-            second,
-            packet.sequence_number,
-            packet.timestamp,
-            packet.ssrc,
-        )
-    )
-    for csrc in packet.csrcs:
-        out += _U32.pack(csrc)
-    if packet.extension is not None:
-        out += _EXT_HEADER.pack(packet.extension.profile, len(packet.extension.data) // 4)
-        out += packet.extension.data
-    return bytes(out)

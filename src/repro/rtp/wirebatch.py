@@ -1,10 +1,9 @@
 """Columnar bulk extraction over a burst of RTP records (`WireBatchView`).
 
-The sharded coordinator reads the same six fields off every packet of a
-burst — source, SSRC, sequence number, payload type, marker, wire size — to
-partition it, fold telemetry, and replay rewrite descriptions.  Doing that
-through per-packet accessors costs a Python method call (or three) per field
-per packet; at coordinator scale the burst is the natural unit, not the
+The sharded coordinator reads the same fields off every packet of a burst —
+source and SSRC — to partition it and fold telemetry.  Doing that through
+per-packet accessors costs a Python method call (or three) per field per
+packet; at coordinator scale the burst is the natural unit, not the
 packet.  :class:`WireBatchView` makes **one pass** over the burst and yields
 the fields as parallel columns (stdlib ``array`` typed arrays — the repo
 takes no numpy dependency), extracted with one precompiled
@@ -38,33 +37,20 @@ module).  Bulk extraction is property-tested field-identical to per-packet
 When the per-packet path remains
 --------------------------------
 
-Non-RTP records (RTCP compounds, STUN, raw junk) and pickled-fallback
-payloads only contribute ``src_index``/``wire_size`` rows; everything else
-about them — parsing, feedback fan-out, replay — stays on the per-packet
-path, which is fine because they are a vanishing fraction of a media burst.
-SRTP-protected buffers columnize normally (RFC 3711 leaves the header
-cleartext).  Truncated worker-side views also columnize: only fixed-header
-offsets are read.
-
-Bulk mutators
--------------
-
-:meth:`WireBatchView.set_sequence_numbers` patches sequence numbers in place
-across many records (column and wire buffer together), and
-:func:`replay_payloads` mints the per-replica payloads of one record's
-rewrite description in a single pass — the shard-transport replay
-(:mod:`repro.dataplane.shardcodec`) uses it instead of constructing a
-per-record tuple and a full ``PacketView.__init__`` per rewritten replica.
+Non-RTP records (RTCP compounds, STUN, raw junk) only contribute
+``src_index``/``wire_size`` rows; everything else about them — parsing and
+feedback fan-out — stays on the per-packet path, which is fine because they
+are a vanishing fraction of a media burst.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..netsim.datagram import Address, Datagram
-from .packet import SEQ_MOD, RtpPacket
-from .wire import _FIXED_HEADER, _U16, PacketView
+from .packet import RtpPacket
+from .wire import _FIXED_HEADER, PacketView
 
 #: Row kinds (the ``kinds`` column).
 RECORD_OTHER = 0   # RTCP / STUN / raw bytes: src + size only, per-packet path
@@ -178,59 +164,3 @@ class WireBatchView:
             array("B", marker_col),
             array("I", size_col),
         )
-
-    # -- bulk mutators ---------------------------------------------------------
-
-    def set_sequence_numbers(self, indices: Sequence[int], seqs: Sequence[int]) -> None:
-        """Patch sequence numbers in place across many wire records at once.
-
-        For each ``(index, seq)`` pair the record's wire buffer is patched at
-        the fixed seq offset *and* the ``seq`` column is updated, so column
-        reads stay field-identical to per-packet accessors afterwards.  The
-        records must be wire records over mutable buffers (the same contract
-        as :meth:`PacketView.set_sequence_number`); object/control rows raise.
-        """
-        pack = _U16.pack_into
-        datagrams = self.datagrams
-        kinds = self.kinds
-        seq_col = self.seq
-        for index, seq in zip(indices, seqs):
-            if kinds[index] != RECORD_WIRE:
-                raise TypeError(
-                    f"record {index} is not a wire record; bulk seq patching "
-                    "applies to PacketView rows only"
-                )
-            seq %= SEQ_MOD
-            pack(datagrams[index].payload.buf, 2, seq)
-            seq_col[index] = seq
-
-
-def replay_payloads(
-    view: PacketView, seqs: Sequence[int]
-) -> List[PacketView]:
-    """Mint one record's per-replica payloads from its rewrite description.
-
-    ``seqs`` carries one entry per replica: ``-1`` means the replica aliases
-    the ingress view unchanged (no buffer copy, same object — preserving the
-    payload sharing the in-process datapath produces); any other value mints
-    a rewritten copy.  One pass, one buffer copy + one ``pack_into`` per
-    rewritten replica, and the minted views inherit the ingress view's cached
-    header length instead of re-deriving it per replica.
-    """
-    buf0 = view.buf
-    header_len = view._header_len
-    pack = _U16.pack_into
-    new = PacketView.__new__
-    out: List[PacketView] = []
-    append = out.append
-    for seq in seqs:
-        if seq < 0:
-            append(view)
-            continue
-        buf = bytearray(buf0)
-        pack(buf, 2, seq % SEQ_MOD)
-        copy = new(PacketView)
-        copy.buf = buf
-        copy._header_len = header_len
-        append(copy)
-    return out

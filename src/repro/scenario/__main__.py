@@ -50,14 +50,9 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=None, help="override the horizon (s)")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument(
-        "--executor",
-        default=None,
-        help="override the backend shard executor (serial, thread, or process)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
-        help="print the coordinator Amdahl stage table (sharded backends only)",
+        help="print the coordinator stage table (sharded backends only)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -81,13 +76,6 @@ def main(argv=None) -> int:
         scenario = dataclasses.replace(scenario, duration_s=args.duration)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    if args.executor is not None:
-        # BackendSpec.__post_init__ revalidates the name, so a typo fails
-        # here with the engine's own error message rather than deep in setup
-        scenario = dataclasses.replace(
-            scenario,
-            backend=dataclasses.replace(scenario.backend, shard_executor=args.executor),
-        )
     if args.metrics_out is not None and scenario.backend.kind == "scallop":
         # arm the declarative telemetry knobs so the snapshot carries the
         # coordinator stage histograms and per-shard obs series (core schema)

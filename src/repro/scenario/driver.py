@@ -50,8 +50,7 @@ class Testbed:
     """A built topology: simulator, network, the SFU, and all clients.
 
     Context manager: ``with build_scenario(spec) as run: ...`` guarantees the
-    SFU backend's resources (process-executor worker pools of a sharded
-    Scallop pipeline) are released even when the body raises mid-run.
+    SFU backend is closed even when the body raises mid-run.
     """
 
     simulator: Simulator
@@ -68,8 +67,8 @@ class Testbed:
         self.simulator.run_for(duration_s)
 
     def close(self) -> None:
-        """Release SFU backend resources (worker pools of a process-sharded
-        Scallop pipeline); safe to call on any testbed, idempotent."""
+        """Release SFU backend resources; safe to call on any testbed,
+        idempotent."""
         self.closed = True
         close = getattr(self.sfu, "close", None)
         if close is not None:
@@ -266,7 +265,6 @@ class ScenarioRun(Testbed):
             seed=seed * 1000 + meeting_index * 37 + participant_index,
             send_frames_as_bursts=frame_bursts,
             wire_native=wire_native,
-            srtp=traffic.srtp if traffic is not None else None,
         )
         client = WebRtcClient(config, self.simulator, self.network)
         self.network.attach(client, uplink=spec.uplink, downlink=spec.downlink)
@@ -599,9 +597,7 @@ def _build_sfu(scenario: Scenario, simulator: Simulator, network: Network):
             uplink_profile=backend.sfu_link,
             downlink_profile=backend.sfu_link,
             n_shards=backend.n_shards,
-            shard_executor=backend.shard_executor,
             rebalance=backend.rebalance_config(),
-            srtp=scenario.traffic.srtp,
             profile=backend.profile,
             obs=backend.obs,
         )
@@ -615,16 +611,9 @@ def _build_sfu(scenario: Scenario, simulator: Simulator, network: Network):
             uplink_profile=backend.sfu_link,
             downlink_profile=backend.sfu_link,
             n_shards=backend.n_shards,
-            shard_executor=backend.shard_executor,
             rebalance=backend.rebalance_config(),
-            srtp=scenario.traffic.srtp,
             profile=backend.profile,
             obs=backend.obs,
-        )
-    if scenario.traffic.srtp is not None:
-        raise ValueError(
-            "TrafficSpec.srtp is only supported by the scallop backend "
-            "(the software baseline does not unprotect/re-protect media)"
         )
     return SoftwareSfu(
         SFU_ADDRESS,

@@ -8,8 +8,8 @@ hand-rolled loop), *what happens over time* (a :class:`Schedule` of timed
 joins, leaves, and :class:`~repro.netsim.link.LinkProfile` phase changes —
 SRMCA's point is that membership and load churn are the normal case, not an
 edge case), *which SFU serves it* (a :class:`BackendSpec` unifying the
-Scallop / software / cpu-punt choice with shards, executor, and the
-load-aware rebalancer in one place), and *how media is represented on the
+Scallop / software / cpu-punt choice with shards and the load-aware
+rebalancer in one place), and *how media is represented on the
 wire* (a :class:`TrafficSpec`: frame bursts, wire-native encoding, RX
 moderation).
 
@@ -26,7 +26,6 @@ from typing import Callable, Optional, Tuple, Union
 
 from ..core.capacity import RewriteVariant
 from ..dataplane.rebalance import RebalancerConfig
-from ..dataplane.sharding import validate_executor
 from ..netsim.link import LinkProfile
 from ..obs.hooks import ObsConfig
 
@@ -76,26 +75,12 @@ class TrafficSpec:
     network burst (the SFU ingests batches); ``wire_native`` makes senders
     serialize each packet exactly once into a packed
     :class:`~repro.rtp.wire.PacketView` buffer; ``rx_coalesce_window_s`` is
-    the NIC-style RX interrupt-moderation window used when bursts are on;
-    ``srtp`` (a :class:`~repro.rtp.srtp.SrtpProfile`) makes every client
-    authenticate-and-encrypt emitted media and the SFU datapath
-    unprotect/re-protect each packet — SRTP-shaped per-packet CPU work,
-    which requires ``wire_native`` (protection operates on wire buffers;
-    the object model has no payload bytes to protect).
+    the NIC-style RX interrupt-moderation window used when bursts are on.
     """
 
     frame_bursts: bool = False
     wire_native: bool = False
     rx_coalesce_window_s: float = 250e-6
-    #: Optional :class:`~repro.rtp.srtp.SrtpProfile`; requires wire_native.
-    srtp: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.srtp is not None and not self.wire_native:
-            raise ValueError(
-                "TrafficSpec.srtp requires wire_native=True: SRTP protection "
-                "operates on packed wire buffers, not object-model packets"
-            )
 
 
 @dataclass(frozen=True)
@@ -105,8 +90,8 @@ class BackendSpec:
     One place for every backend knob that used to be scattered across
     ``build_scallop_testbed`` / ``build_software_testbed`` kwargs and
     post-hoc pipeline surgery: ``kind`` selects the SFU, the Scallop block
-    configures the dataplane (shards, executor, and — finally reachable from
-    a workload spec — the load-aware rebalancer), and the software block
+    configures the dataplane (shards and — finally reachable from a
+    workload spec — the load-aware rebalancer), and the software block
     configures the split-proxy baseline's CPU model.
     """
 
@@ -126,12 +111,11 @@ class BackendSpec:
     rewrite_variant: RewriteVariant = RewriteVariant.S_LR
     adaptation_thresholds_bps: Optional[Tuple[float, float]] = None
     n_shards: int = 1
-    shard_executor: str = "serial"
     #: Arm the telemetry -> policy -> migration placement loop: ``True`` for
     #: defaults, a :class:`~repro.dataplane.rebalance.RebalancerConfig` for
     #: explicit knobs, ``None``/``False`` for static CRC32 placement.
     rebalance: Union[bool, RebalancerConfig, None] = None
-    #: Attach the coordinator's Amdahl stage profile
+    #: Attach the coordinator's stage profile
     #: (:class:`~repro.experiments.coordstats.CoordinatorStats`)
     #: declaratively — no post-hoc pipeline surgery; implies the sharded
     #: engine even at ``n_shards=1``.
@@ -159,9 +143,6 @@ class BackendSpec:
             raise ValueError(f"BackendSpec.n_sfus must be >= 1, got {self.n_sfus}")
         if self.n_sfus > 1 and self.kind != "scallop":
             raise ValueError("multi-SFU federation requires the scallop backend")
-        # single source of truth for executor names: the sharding module's
-        # validator, shared with the engine constructor
-        validate_executor(self.shard_executor)
 
     @classmethod
     def cluster(cls, n_sfus: int = 2, **kwargs) -> "BackendSpec":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..netsim.datagram import Address, Datagram, PayloadKind
 from ..netsim.link import Network
@@ -76,12 +76,6 @@ class ClientConfig:
     #: Observable behaviour (timings, sizes, decoded media) is identical to
     #: the object representation; only the per-hop re-modelling cost is gone.
     wire_native: bool = False
-    #: Optional :class:`~repro.rtp.srtp.SrtpProfile`: emitted wire-native
-    #: media is protected with the ingress session keys, and received media
-    #: (which the SFU re-protected with the egress keys) is verified and
-    #: decrypted before decoding.  Requires ``wire_native`` to take effect on
-    #: the send side — object-model packets carry no payload bytes to protect.
-    srtp: Optional[object] = None
 
 
 class WebRtcClient:
@@ -123,9 +117,6 @@ class WebRtcClient:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.rtt_samples_ms: List[float] = []
-        #: Received media packets whose SRTP egress tag failed to verify
-        #: (dropped before decoding, mirroring a real client's behaviour).
-        self.srtp_rx_auth_failures = 0
         #: One-way sender-to-receiver latency of every received media packet,
         #: in milliseconds (includes the SFU's forwarding delay).
         self.rtp_latency_samples_ms: List[float] = []
@@ -240,8 +231,6 @@ class WebRtcClient:
             # wire-native mode: serialize once here; every later hop (links,
             # SFU ingress/egress, receiver) works on the packed buffer
             payload = PacketView.from_packet(packet)
-            if config.srtp is not None:
-                payload = PacketView(config.srtp.protect_ingress(payload))
         else:
             payload = packet
         datagram = Datagram(
@@ -357,15 +346,7 @@ class WebRtcClient:
         elif datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, PacketView):
             # wire-native delivery: the browser decodes the packet exactly
             # once, here, at the edge of the receive pipeline
-            view = datagram.payload
-            srtp = self.config.srtp
-            if srtp is not None:
-                plain = srtp.unprotect_egress(view.buf)
-                if plain is None:
-                    self.srtp_rx_auth_failures += 1
-                    return
-                view = PacketView(plain)
-            self._handle_rtp(view.to_packet(), datagram)
+            self._handle_rtp(datagram.payload.to_packet(), datagram)
         elif datagram.kind == PayloadKind.RTCP:
             for packet in datagram.payload:  # type: ignore[union-attr]
                 self._handle_rtcp(packet)

@@ -78,7 +78,6 @@ def _apply_adaptation(
     rewriter = datapath.trackers.read(entry.stream_index)
     if rewriter is None:
         return packet if forward else None
-    datapath.touched_tracker_indices.add(entry.stream_index)
     frame_number = parse.frame_number if parse.frame_number is not None else 0
     new_seq = rewriter.on_packet(packet.sequence_number, frame_number, forward)
     if new_seq is None:

@@ -21,7 +21,6 @@ if str(REPO_ROOT) not in sys.path:
 from tools.archlint import ALL_RULES, check_source, load_baseline, run_paths
 from tools.archlint.engine import format_baseline_entry
 from tools.archlint.rules import (
-    PICKLE_WHITELIST,
     DeterminismRule,
     GenerationDisciplineRule,
     ShareNothingRule,
@@ -91,22 +90,6 @@ class TestShareNothingRule:
         )
         assert not findings
 
-    def test_worker_functions_in_sharding_are_in_scope(self):
-        findings = lint(
-            """
-            def _worker_process_batch(blob):
-                state.control.stream_indices["k"] = 1
-
-            def coordinator_side(control):
-                control.stream_indices["k"] = 1  # not a worker, out of scope
-            """,
-            module="repro.dataplane.sharding",
-            rules=self.RULES,
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "share-nothing"
-        assert "_worker_process_batch" in findings[0].fingerprint
-
     def test_inline_suppression(self):
         findings = lint(
             """
@@ -155,18 +138,17 @@ class TestZeroPickleRule:
         assert len([finding for finding in findings if finding.is_new]) >= 3
         assert new_rules(findings) == ["zero-pickle"]
 
-    def test_whitelisted_codec_sites_are_clean(self):
+    def test_pickle_in_sharding_module_is_a_finding(self):
+        # no module is whitelisted any more: the sharded engine's own module
+        # gets flagged for a module-scope import like any other
         findings = lint(
             """
             import pickle
-
-            def encode_ingress_batch(datagrams, stats=None):
-                return pickle.dumps(datagrams)
             """,
-            module="repro.dataplane.shardcodec",
+            module="repro.dataplane.sharding",
             rules=self.RULES,
         )
-        assert not [finding for finding in findings if finding.is_new]
+        assert new_rules(findings) == ["zero-pickle"]
 
     def test_non_dataplane_modules_out_of_scope_unless_repro(self):
         findings = lint(
@@ -529,9 +511,9 @@ class TestEndToEnd:
         determinism = DeterminismRule()
         assert determinism._in_scope("repro.cluster.trunk")
         assert determinism._in_scope("repro.cluster.snapshot")
-        # no repro.cluster module may appear in the pickle whitelist: the
-        # migration snapshot path must stay zero-pickle end to end
-        assert not any(module.startswith("repro.cluster") for module in PICKLE_WHITELIST)
+        # the migration snapshot path must stay zero-pickle end to end
+        findings = lint("import pickle\n", module="repro.cluster.snapshot", rules=(ZeroPickleRule(),))
+        assert new_rules(findings) == ["zero-pickle"]
 
     def test_wirebatch_fixture_trips_wire_hygiene(self):
         # proves the extended jurisdiction bites: the fixture impersonates

@@ -225,25 +225,25 @@ class TestSoftwareSfuBatch:
 
     @staticmethod
     def run_baseline(frame_bursts):
-        from repro.experiments import MeetingSetupConfig, build_software_testbed
         from repro.rtp.av1 import DecodeTarget
+        from repro.scenario import BackendSpec, MeetingSpec, Scenario, TrafficSpec, build_scenario
 
-        config = MeetingSetupConfig(
-            num_meetings=2,
-            participants_per_meeting=3,
-            frame_bursts=frame_bursts,
-            send_audio=False,
-            frame_rate=10.0,
-            video_bitrate_bps=500_000.0,
-            seed=6,
-        )
         # pin the decode target (as the Figure 3/4 experiment does): REMB
         # estimates sit near a layer-drop threshold in this scenario, and the
         # resulting flicker is stochastic noise orthogonal to what is under
         # test here (burst ingest fidelity of the CPU model)
-        testbed = build_software_testbed(
-            config, select_fn=lambda current, history, estimate: DecodeTarget.DT2
+        scenario = Scenario.uniform(
+            num_meetings=2,
+            meeting=MeetingSpec(
+                participants=3, send_audio=False, frame_rate=10.0, video_bitrate_bps=500_000.0
+            ),
+            backend=BackendSpec(
+                kind="software", select_fn=lambda current, history, estimate: DecodeTarget.DT2
+            ),
+            traffic=TrafficSpec(frame_bursts=frame_bursts),
+            seed=6,
         )
+        testbed = build_scenario(scenario)
         testbed.run_for(3.0)
         return testbed
 

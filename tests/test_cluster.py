@@ -432,7 +432,9 @@ class TestFederatedPairScenario:
         series = snapshot["series"]
         assert series["repro.trunk.packets_in"]["value"] > 0
         assert series["repro.trunk.migrations_in"]["value"] == 1
-        assert series["repro.transport.pickle_fallback_records"]["value"] == 0
+        # no shard transport exists to report on (archlint's zero-pickle rule
+        # covers what its pickle-fallback counter used to check at runtime)
+        assert not any(name.startswith("repro.transport.") for name in series)
 
 
 # --------------------------------------------------------------------------- federation telemetry

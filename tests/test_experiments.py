@@ -103,25 +103,6 @@ class TestFigures15to17:
         design = run_design_space_sweep([2, 10, 50])
         assert len(format_design_space(design).splitlines()) == 4
 
-    def test_shard_scaling_sweep_reports_efficiency(self):
-        from repro.experiments import format_shard_scaling, run_shard_scaling_sweep
-
-        points = run_shard_scaling_sweep(shard_counts=(1, 2), num_meetings=2, repeats=1)
-        assert [p.n_shards for p in points] == [1, 2]
-        assert points[0].speedup == pytest.approx(1.0)
-        assert points[0].efficiency == pytest.approx(1.0)
-        # only what does not depend on host time is asserted: the ratio of
-        # two ~0.05 s single passes is runner jitter (a cold k=1 reference
-        # pass has read efficiency 1.74 inside a full-suite run), and the
-        # GIL bound on it is the sweep's result, not this test's business
-        assert all(p.pps > 0.0 for p in points)
-        assert points[1].efficiency > 0.0
-        assert points[1].speedup == pytest.approx(points[1].efficiency * 2)
-        table = format_shard_scaling(points).splitlines()
-        assert len(table) == 3
-        assert table[0].split() == ["shards", "pps", "speedup", "efficiency"]
-        assert [row.split()[0] for row in table[1:]] == ["1", "2"]
-
 
 class TestFigure14RateAdaptation:
     def test_constrained_participant_is_adapted_without_freezing(self):

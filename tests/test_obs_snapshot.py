@@ -1,4 +1,4 @@
-"""Snapshot-level contracts of the telemetry plane: executor-invariant
+"""Snapshot-level contracts of the telemetry plane: shard-count-invariant
 metric folds, deterministic trace timelines across identically-seeded runs,
 and the schema gate CI applies to ``--metrics-out`` snapshots."""
 
@@ -24,15 +24,14 @@ from repro.scenario.driver import build_scenario
 from repro.scenario.spec import BackendSpec, Scenario, TrafficSpec
 
 
-def canned_engine_snapshot(n_shards: int, executor: str) -> str:
-    """Run identical canned traffic through one engine configuration and
-    return the canonical snapshot JSON, minus the ``repro.transport.*``
-    series (byte movement is real process-executor work, so those counters
-    are legitimately executor-specific)."""
+def canned_engine_snapshot(n_shards: int) -> str:
+    """Run identical canned traffic through a ``n_shards`` engine and return
+    the canonical snapshot JSON, minus the per-shard
+    ``repro.dataplane.shardN.*`` rows (how the load splits legitimately
+    depends on the shard count)."""
     engine = ShardedScallopPipeline(
         SFU_ADDRESS,
         n_shards=n_shards,
-        executor=executor,
         obs=ObsConfig(trace_sample_rate=1, max_trace_records=4096),
     )
     try:
@@ -47,30 +46,21 @@ def canned_engine_snapshot(n_shards: int, executor: str) -> str:
     snapshot["series"] = {
         name: body
         for name, body in snapshot["series"].items()
-        if not name.startswith("repro.transport.")
+        if not name.startswith("repro.dataplane.shard")
     }
     return to_json(snapshot)
 
 
-class TestExecutorInvariance:
-    """The ISSUE's headline acceptance bar: the same canned traffic must
-    produce byte-identical metric snapshots no matter which shard executor
-    ran it (modulo the transport byte counters, see above)."""
+class TestShardCountInvariance:
+    """The same canned traffic must produce byte-identical merged metric
+    snapshots and trace timelines no matter how many shards ran it."""
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_thread_executor_matches_serial(self, n_shards):
-        assert canned_engine_snapshot(n_shards, "thread") == canned_engine_snapshot(
-            n_shards, "serial"
-        )
-
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_process_executor_matches_serial(self, n_shards):
-        assert canned_engine_snapshot(n_shards, "process") == canned_engine_snapshot(
-            n_shards, "serial"
-        )
+    @pytest.mark.parametrize("n_shards", [2, 3, 4, 8])
+    def test_merged_snapshot_matches_single_shard(self, n_shards):
+        assert canned_engine_snapshot(n_shards) == canned_engine_snapshot(1)
 
     def test_snapshot_actually_traced_something(self):
-        snapshot = json.loads(canned_engine_snapshot(2, "serial"))
+        snapshot = json.loads(canned_engine_snapshot(2))
         assert snapshot["traces"], "sample_rate=1 must trace every media flow"
         assert snapshot["series"]["repro.trace.sampled_packets"]["value"] > 0
 
@@ -107,7 +97,7 @@ class TestSnapshotSchema:
     @pytest.fixture(scope="class")
     def snapshot(self):
         engine = ShardedScallopPipeline(
-            SFU_ADDRESS, n_shards=2, executor="serial", profile=True, obs=True
+            SFU_ADDRESS, n_shards=2, profile=True, obs=True
         )
         try:
             engine, senders = build_meeting_pipeline(3, participants=4, pipeline=engine)
@@ -126,6 +116,18 @@ class TestSnapshotSchema:
 
     def test_json_round_trip_is_lossless(self, snapshot):
         assert json.loads(to_json(snapshot)) == snapshot
+
+    def test_coordinator_series_cover_exactly_the_serial_stages(self, snapshot):
+        series = snapshot["series"]
+        assert not [name for name in series if name.startswith("repro.transport.")]
+        stage_hists = {
+            name[len("repro.coord.stage_ns."):]
+            for name in series
+            if name.startswith("repro.coord.stage_ns.")
+        }
+        assert stage_hists == {"partition", "dispatch", "reassemble"}
+        assert series["repro.coord.batches"]["value"] == 1
+        assert series["repro.coord.stage_ns.partition"]["count"] == 1
 
     def test_missing_core_series_fails_validation(self, snapshot):
         broken = json.loads(to_json(snapshot))

@@ -1,6 +1,6 @@
 """Packet-lifecycle tracing: deterministic flow sampling, integer span
-timelines that always sum to the forwarding delay, and the drain/fold
-transport that keeps worker and coordinator state disjoint."""
+timelines that always sum to the forwarding delay, and read-only
+snapshot-time merges of per-shard state."""
 
 from zlib import crc32
 
@@ -135,27 +135,14 @@ class TestDrainAndFold:
             parse_hit=True, flow_hit=True, replicas=2, dropped=0, adapted=False,
         )
 
-    def test_to_delta_drains_and_fold_restores(self):
-        worker = self.sampled_obs()
-        self.record(worker, seq=1)
-        self.record(worker, seq=2)
-        delta = worker.to_delta()
-        assert worker.tracer.records == []  # drained: nothing double-counts
-        assert worker.registry.counters == {}
-        coordinator = self.sampled_obs()
-        coordinator.fold_delta(delta)
-        assert len(coordinator.tracer.records) == 2
-        assert coordinator.registry.counters["repro.trace.sampled_packets"] == 2
-
     def test_fold_respects_the_record_cap(self):
-        worker = self.sampled_obs(max_trace_records=8)
+        shard = self.sampled_obs(max_trace_records=8)
         for seq in range(8):
-            self.record(worker, seq=seq)
-        delta = worker.to_delta()
-        coordinator = self.sampled_obs(max_trace_records=3)
-        coordinator.fold_delta(delta)
-        assert len(coordinator.tracer.records) == 3
-        assert coordinator.registry.counters["repro.trace.records_dropped"] == 5
+            self.record(shard, seq=seq)
+        merged = self.sampled_obs(max_trace_records=3)
+        merged.merge_from(shard)
+        assert len(merged.tracer.records) == 3
+        assert merged.registry.counters["repro.trace.records_dropped"] == 5
 
     def test_merge_from_is_read_only(self):
         a, b = self.sampled_obs(), self.sampled_obs()

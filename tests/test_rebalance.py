@@ -5,11 +5,10 @@ Three layers:
 * unit tests for the telemetry tracker (:mod:`repro.dataplane.loadstats`) and
   the greedy hysteresis-damped policy (:mod:`repro.dataplane.rebalance`);
 * live-migration mechanics: the two-level flow -> shard lookup, placement
-  generation stamping, per-shard attribution following the flow, and the
-  process executor's zero-pickle packed-state migration shipping;
+  generation stamping, and per-shard attribution following the flow;
 * the sharding invariant under placement churn: with the rebalancer armed (and
   extra forced migrations layered on top), outputs must stay byte-identical to
-  the unsharded reference pipeline for k in {2, 4, 8} on both executors, and a
+  the unsharded reference pipeline for k in {2, 4, 8}, and a
   migration landing mid-adaptation-churn — S-LM/S-LR rewriters with in-flight
   sequence-wraparound state — must preserve ``ideal_rewrite_sequence`` oracle
   equality on the migrated flow.
@@ -24,10 +23,7 @@ from repro.core.seqrewrite import (
     SequenceRewriterLowMemory,
     SequenceRewriterLowRetransmission,
     SkipCadence,
-    clone_rewriter,
-    extract_flow_state,
     ideal_rewrite_sequence,
-    unpack_rewriter_state,
 )
 from repro.dataplane.loadstats import FlowLoadTracker
 from repro.dataplane.pipeline import (
@@ -37,7 +33,12 @@ from repro.dataplane.pipeline import (
     StreamForwardingEntry,
 )
 from repro.dataplane.pre import L2Port
-from repro.dataplane.rebalance import RebalancerConfig, ShardRebalancer
+from repro.dataplane.rebalance import (
+    FlowMigration,
+    MigrationPlan,
+    RebalancerConfig,
+    ShardRebalancer,
+)
 from repro.dataplane.sharding import ShardedScallopPipeline, flow_shard
 from repro.netsim.datagram import Address, Datagram
 from repro.webrtc.encoder import RtpPacketizer, SvcEncoder
@@ -122,6 +123,79 @@ class TestFlowLoadTracker:
             tracker.observe_batch({key: 1, hot: 1000}, {key: 1, hot: 0})
         assert len(tracker.flows) <= 8
         assert hot in tracker.flows  # the hot flow is never the eviction victim
+
+    def test_forget_flows_drops_only_that_source(self):
+        tracker = FlowLoadTracker(n_shards=2, alpha=1.0)
+        leaver, stayer = Address("10.0.0.2", 6000), Address("10.0.0.3", 6000)
+        counts = {(leaver, 1): 5, (leaver, -1): 1, (stayer, 2): 7}
+        tracker.observe_batch(counts, {key: 0 for key in counts})
+        assert tracker.forget_flows(leaver) == 2
+        assert list(tracker.flows) == [(stayer, 2)]
+        assert tracker.forget_flows(leaver) == 0
+
+    def test_observe_shard_load_folds_occupancy(self):
+        tracker = FlowLoadTracker(n_shards=2)
+        tracker.observe_shard_load(
+            [
+                {"shard": 0, "stream_tracker_occupancy": 0.25},
+                {"shard": 1, "stream_tracker_occupancy": 0.5},
+                {"shard": 7, "stream_tracker_occupancy": 0.9},  # out of range: ignored
+            ]
+        )
+        assert tracker.shard_occupancy == [0.25, 0.5]
+
+    def test_snapshot_reports_rates_and_skew(self):
+        tracker = FlowLoadTracker(n_shards=2, alpha=1.0)
+        flow_a, flow_b = (Address("10.0.0.2", 6000), 1), (Address("10.0.0.3", 6000), 2)
+        tracker.observe_batch({flow_a: 30, flow_b: 10}, {flow_a: 0, flow_b: 1})
+        assert tracker.snapshot() == {
+            "batches_observed": 1,
+            "flows_tracked": 2,
+            "shard_rates": [30.0, 10.0],
+            "shard_occupancy": [0.0, 0.0],
+            "skew_ratio": 1.5,
+        }
+
+    def test_note_migration_moves_row_and_anchors_cooldown(self):
+        tracker = FlowLoadTracker(n_shards=4, alpha=1.0)
+        flow = (Address("10.0.0.2", 6000), 1)
+        for _ in range(3):
+            tracker.observe_batch({flow: 4}, {flow: 0})
+        tracker.note_migration(flow, 3)
+        row = tracker.flows[flow]
+        assert (row.shard, row.last_migrated_batch) == (3, 3)
+        # an untracked flow is a no-op, not a new row
+        tracker.note_migration((Address("10.0.0.9", 6000), 9), 1)
+        assert len(tracker.flows) == 1
+
+    def test_shard_weights_without_egress_equal_shard_rates(self):
+        tracker = FlowLoadTracker(n_shards=3, alpha=0.5)
+        flows = {(Address("10.0.0.2", 6000 + i), i): 3 * (i + 1) for i in range(6)}
+        shards = {key: index % 3 for index, key in enumerate(flows)}
+        replicas = {key: 4 * count for key, count in flows.items()}
+        for _ in range(5):
+            tracker.observe_batch(flows, shards, replicas)
+        assert tracker.shard_weights(0.0) == pytest.approx(tracker.shard_rates)
+        assert sum(tracker.shard_weights(1.0)) == pytest.approx(5 * sum(tracker.shard_rates))
+
+    def test_skew_ratio_is_one_when_idle_or_single_shard(self):
+        assert FlowLoadTracker(n_shards=4).skew_ratio() == 1.0
+        single = FlowLoadTracker(n_shards=1, alpha=1.0)
+        single.observe_batch({(Address("10.0.0.2", 6000), 1): 50}, {(Address("10.0.0.2", 6000), 1): 0})
+        assert single.skew_ratio() == 1.0
+
+    def test_hottest_flows_respects_min_rate(self):
+        tracker = FlowLoadTracker(n_shards=1, alpha=1.0)
+        flows = {(Address("10.0.0.2", 6000 + i), i): rate for i, rate in enumerate((1, 5, 9))}
+        tracker.observe_batch(flows, {key: 0 for key in flows})
+        assert [row.rate for _key, row in tracker.hottest_flows(0, min_rate=4.0)] == [9.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "n_shards, alpha", [(2, 0.0), (2, -0.5), (2, 1.5), (0, 0.3)]
+    )
+    def test_invalid_construction_rejected(self, n_shards, alpha):
+        with pytest.raises(ValueError):
+            FlowLoadTracker(n_shards=n_shards, alpha=alpha)
 
 
 class TestRebalancerPolicy:
@@ -222,6 +296,57 @@ class TestRebalancerPolicy:
         with pytest.raises(ValueError):
             FlowLoadTracker(n_shards=2, alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"epoch_batches": 0},
+            {"trigger_ratio": 1.25, "target_ratio": 0.9},
+            {"trigger_ratio": 1.1, "target_ratio": 1.1},
+            {"migration_budget": -1},
+            {"egress_weight": -0.01},
+        ],
+        ids=["epoch", "target-below-one", "empty-band", "budget", "egress"],
+    )
+    def test_each_config_knob_is_validated(self, knobs):
+        with pytest.raises(ValueError):
+            RebalancerConfig(**knobs)
+
+    def test_single_shard_never_plans(self):
+        tracker = FlowLoadTracker(n_shards=1, alpha=1.0)
+        flow = (Address("10.0.0.2", 6000), 1)
+        tracker.observe_batch({flow: 100}, {flow: 0})
+        plan = ShardRebalancer(1).plan(tracker)
+        assert not plan
+        assert plan.observed_skew == plan.projected_skew == 1.0
+
+    def test_idle_tracker_never_plans(self):
+        planner = ShardRebalancer(4)
+        assert not planner.plan(FlowLoadTracker(n_shards=4))
+        assert planner.epochs_planned == 1 and planner.flows_migrated == 0
+
+    def test_min_flow_rate_keeps_noise_flows_in_place(self):
+        # shard 0 is hot only through flows below the noise floor
+        tracker = self.tracker_with([(0, 2), (0, 2), (0, 2), (1, 1)])
+        planner = ShardRebalancer(
+            2, RebalancerConfig(trigger_ratio=1.1, target_ratio=1.01, min_flow_rate=3.0)
+        )
+        assert not planner.plan(tracker).migrations
+        relaxed = ShardRebalancer(
+            2, RebalancerConfig(trigger_ratio=1.1, target_ratio=1.01, min_flow_rate=0.0)
+        )
+        assert relaxed.plan(tracker).migrations
+
+    def test_one_plan_spreads_moves_over_cold_shards(self):
+        # the planner moves against its own projection, so a second move
+        # goes to the next-coldest shard rather than piling onto the first
+        tracker = self.tracker_with([(0, 10)] * 4 + [(1, 1), (2, 1)])
+        planner = ShardRebalancer(3, RebalancerConfig(trigger_ratio=1.25, target_ratio=1.1))
+        plan = planner.plan(tracker)
+        assert {move.to_shard for move in plan.migrations} == {1, 2}
+        assert all(move.from_shard == 0 for move in plan.migrations)
+        assert plan.projected_skew < plan.observed_skew
+        assert planner.flows_migrated == len(plan.migrations)
+
 
 # --------------------------------------------------------------------------- migration mechanics
 
@@ -283,74 +408,77 @@ class TestLiveMigrationMechanics:
         total = sum(a.stream_tracker_cells_used for a in engine.shard_accountants)
         assert total == engine.accountant.stream_tracker_cells_used
 
-    def test_process_migration_ships_packed_state_not_snapshots(self):
-        scenario_a, scenario_b = MeetingScenario(21, num_meetings=2), MeetingScenario(21, num_meetings=2)
-        reference = scenario_a.configure(ScallopPipeline(SFU))
-        sharded = scenario_b.configure(
-            ShardedScallopPipeline(SFU, n_shards=2, executor="process")
-        )
-        try:
-            for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
-                meeting = scenario.meetings[0]
-                engine.install_adaptation(
-                    meeting["video_ssrc"],
-                    meeting["addresses"][1],
-                    frozenset({0, 1}),
-                    SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
-                )
-            assert_results_identical(
-                [reference.process(d) for d in scenario_a.traffic_chunk(1)],
-                sharded.process_batch(scenario_b.traffic_chunk(1)),
-            )
-            snapshots_before = sharded.transport_stats()["snapshots_shipped"]
-            # migrate the adapted flow with NO control-plane writes in between
-            meeting = scenario_b.meetings[0]
-            sender, ssrc = meeting["addresses"][0], meeting["video_ssrc"]
-            sharded.migrate_flow(sender, ssrc, 1 - sharded.shard_for_flow(sender, ssrc))
-            assert_results_identical(
-                [reference.process(d) for d in scenario_a.traffic_chunk(2)],
-                sharded.process_batch(scenario_b.traffic_chunk(2)),
-            )
-            transport = sharded.transport_stats()
-            assert transport["migrations_shipped"] >= 1
-            assert transport["migration_bytes_out"] > 0
-            # zero-pickle: the migration itself forced no snapshot reship
-            assert transport["snapshots_shipped"] == snapshots_before
-            assert_engines_agree(reference, sharded)
-        finally:
-            sharded.close()
+    @pytest.mark.parametrize("to_shard", [-1, 4])
+    def test_migration_target_must_be_a_shard(self, to_shard):
+        engine = ShardedScallopPipeline(SFU, n_shards=4)
+        with pytest.raises(ValueError, match="out of range"):
+            engine.migrate_flow(Address("10.3.0.2", 6000), 1, to_shard)
+        assert engine.migrations_applied == 0
 
-    def test_extract_flow_state_round_trips(self):
-        engine = ShardedScallopPipeline(SFU, n_shards=2)
-        receiver = Address("10.4.0.3", 6001)
-        rewriter = SequenceRewriterLowRetransmission(SkipCadence(1, 2))
-        for step in range(40):
-            rewriter.on_packet((65_520 + step) % 65_536, step // 2, step % 3 != 0)
-        engine.install_stream(
-            (Address("10.4.0.2", 6000), 777),
-            StreamForwardingEntry(
-                mode=ForwardingMode.UNICAST,
-                meeting_id="m",
-                sender=Address("10.4.0.2", 6000),
-                unicast_receiver=receiver,
-            ),
+    def test_apply_migrations_counts_only_real_moves(self):
+        engine = ShardedScallopPipeline(SFU, n_shards=4)
+        src_a, src_b = Address("10.3.0.2", 6000), Address("10.3.0.3", 6000)
+        home_a, home_b = flow_shard(src_a, 1, 4), flow_shard(src_b, 2, 4)
+        plan = MigrationPlan(
+            migrations=[
+                FlowMigration(flow=(src_a, 1), from_shard=home_a, to_shard=(home_a + 1) % 4, rate=5.0),
+                FlowMigration(flow=(src_b, 2), from_shard=home_b, to_shard=home_b, rate=5.0),
+            ]
         )
-        engine.install_adaptation(777, receiver, frozenset({0}), rewriter)
-        indices = engine.control.tracker_indices_for_ssrc(777)
-        assert len(indices) == 1
-        images = extract_flow_state(engine.control.stream_trackers, indices)
-        clone = unpack_rewriter_state(images[indices[0]])
-        twin = clone_rewriter(rewriter)
-        probe = [(65_560 + i) % 65_536 for i in range(8)]
-        assert [clone.on_packet(s, 30, True) for s in probe] == [
-            twin.on_packet(s, 30, True) for s in probe
-        ]
+        assert engine.apply_migrations(plan) == 1
+        assert engine.migrations_applied == 1
+        assert engine.shard_for_flow(src_a, 1) == (home_a + 1) % 4
+        assert engine.shard_for_flow(src_b, 2) == home_b
+
+    def test_forget_endpoint_drops_pins_and_tracker_rows(self):
+        scenario = MeetingScenario(3)
+        engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4, rebalance=True))
+        engine.process_batch(scenario.traffic_chunk(1))
+        meeting = scenario.meetings[0]
+        sender, ssrc = meeting["addresses"][0], meeting["video_ssrc"]
+        home = flow_shard(sender, ssrc, 4)
+        engine.migrate_flow(sender, ssrc, (home + 1) % 4)
+        engine.migrate_flow(sender, -1, (flow_shard(sender, -1, 4) + 1) % 4)
+        assert any(key[0] == sender for key in engine.load_tracker.flows)
+        assert engine.forget_endpoint(sender) == 2
+        assert engine.shard_for_flow(sender, ssrc) == home
+        assert not any(key[0] == sender for key in engine.load_tracker.flows)
+        assert engine.forget_endpoint(sender) == 0
+
+    def test_silent_pins_are_migrated_home(self):
+        # a pin whose flow never shows up again is released at the next
+        # epoch boundary by moving the flow back to its CRC32 default
+        scenario = MeetingScenario(3)
+        config = RebalancerConfig(epoch_batches=1, trigger_ratio=50.0, target_ratio=40.0)
+        engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4, rebalance_config=config))
+        departed, ssrc = Address("10.99.0.2", 6000), 4242
+        home = flow_shard(departed, ssrc, 4)
+        assert engine.migrate_flow(departed, ssrc, (home + 1) % 4)
+        assert engine.control.placement_table.peek((departed, ssrc)) is not None
+        engine.process_batch(scenario.traffic_chunk(1))
+        assert engine.control.placement_table.peek((departed, ssrc)) is None
+        assert engine.shard_for_flow(departed, ssrc) == home
+
+    def test_control_flow_migration_moves_no_stream_charges(self):
+        scenario = MeetingScenario(3)
+        engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4))
+        meeting = scenario.meetings[0]
+        sender, receiver = meeting["addresses"][0], meeting["addresses"][1]
+        engine.install_adaptation(
+            meeting["video_ssrc"], receiver, frozenset({0}), SequenceRewriterLowMemory(SkipCadence(1, 2))
+        )
+        before = [a.stream_tracker_cells_used for a in engine.shard_accountants]
+        target = (flow_shard(sender, -1, 4) + 1) % 4
+        assert engine.migrate_flow(sender, -1, target)
+        assert engine.shard_for_flow(sender, -1) == target
+        # the sender's RTCP/STUN flow holds no stream state: attribution stays
+        assert [a.stream_tracker_cells_used for a in engine.shard_accountants] == before
 
 
 # --------------------------------------------------------------------------- equivalence under churn
 
 
-def run_rebalancing_scenario(n_shards: int, seed: int, executor: str = "serial"):
+def run_rebalancing_scenario(n_shards: int, seed: int):
     """The PR 2 equivalence harness with the placement loop armed *and* extra
     forced migrations layered between phases: byte-identical results, merged
     counters, and ledger utilization must survive arbitrary placement churn."""
@@ -359,7 +487,7 @@ def run_rebalancing_scenario(n_shards: int, seed: int, executor: str = "serial")
     reference = scenario_a.configure(ScallopPipeline(SFU))
     sharded = scenario_b.configure(
         ShardedScallopPipeline(
-            SFU, n_shards=n_shards, executor=executor, rebalance_config=CHURN_CONFIG
+            SFU, n_shards=n_shards, rebalance_config=CHURN_CONFIG
         )
     )
     rng = random.Random(seed * 977)
@@ -388,14 +516,9 @@ def run_rebalancing_scenario(n_shards: int, seed: int, executor: str = "serial")
 
 class TestRebalancedEquivalenceProperty:
     @pytest.mark.parametrize("n_shards", [2, 4, 8])
-    @pytest.mark.parametrize("seed", [7, 19])
+    @pytest.mark.parametrize("seed", [7, 19, 31])
     def test_serial_byte_identical_across_migrations(self, n_shards, seed):
-        run_rebalancing_scenario(n_shards, seed, executor="serial")
-
-    @pytest.mark.parametrize("n_shards", [2, 4, 8])
-    def test_process_byte_identical_across_migrations(self, n_shards):
-        engine = run_rebalancing_scenario(n_shards, seed=11, executor="process")
-        assert engine.transport_stats()["batches"] > 0
+        run_rebalancing_scenario(n_shards, seed)
 
     def test_rebalancer_actually_balances_skewed_load(self):
         from repro.experiments.batch_throughput import (
@@ -412,7 +535,6 @@ class TestRebalancedEquivalenceProperty:
             pipeline=ShardedScallopPipeline(
                 SFU,
                 n_shards=4,
-                executor="serial",
                 rebalance_config=RebalancerConfig(
                     epoch_batches=2, trigger_ratio=1.15, target_ratio=1.05, migration_budget=6
                 ),
@@ -429,6 +551,18 @@ class TestRebalancedEquivalenceProperty:
         assert engine.migrations_applied > 0
         assert engine.load_tracker.skew_ratio() < initial
         assert engine.load_tracker.skew_ratio() < 1.2
+
+    def test_rebalancer_cuts_hot_sender_skew_at_least_2x(self):
+        # the placement loop's whole point: on the Zipf hot-sender workload
+        # the rebalancer must cut max/mean per-shard packet skew at least 2x
+        # vs the static CRC32 map (deterministic counts, no timing)
+        from repro.experiments.batch_throughput import measure_rebalance_point
+
+        point = measure_rebalance_point(n_shards=4, num_meetings=50)
+        assert point.skew_reduction >= 2.0, (
+            f"rebalancer cut skew only {point.skew_reduction:.2f}x "
+            f"({point.skew_static:.2f}x -> {point.skew_rebalanced:.2f}x)"
+        )
 
 
 # --------------------------------------------------------------------------- oracle equality on the migrated flow
@@ -477,10 +611,9 @@ class TestMigrationOracleEquality:
     @pytest.mark.parametrize(
         "rewriter_cls", [SequenceRewriterLowMemory, SequenceRewriterLowRetransmission]
     )
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_migrated_flow_matches_ideal_rewrite_sequence(self, rewriter_cls, executor):
+    def test_migrated_flow_matches_ideal_rewrite_sequence(self, rewriter_cls):
         allowed = frozenset({0, 1, 3, 4})  # suppresses the top temporal layer
-        engine = ShardedScallopPipeline(SFU, n_shards=4, executor=executor)
+        engine = ShardedScallopPipeline(SFU, n_shards=4)
         # start ~60 packets before the 65535 -> 0 wrap so the wrap lands in
         # the middle of the migration churn below
         sender, receivers, ssrc, packetizer, encoder = build_adapted_meeting(

@@ -134,7 +134,7 @@ class TestSanitizeResolution:
 
 
 class TestSanitizedEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     def test_sanitized_run_byte_identical_with_zero_findings(self, n_shards):
         seed = 31
         scenario_a, scenario_b = MeetingScenario(seed), MeetingScenario(seed)

@@ -1,11 +1,7 @@
 """Suite for the declarative Scenario API (PR 5).
 
-Four layers:
+Three layers:
 
-* **shim equivalence** — the deprecated flat builders
-  (``build_scallop_testbed`` / ``build_software_testbed``) are thin shims
-  constructing a ``Scenario`` internally; a shim-built testbed must be
-  stat-identical to the directly-built scenario twin (same spec, same seed).
 * **mid-run leave** — after a participant joins, triggers rate adaptation,
   and leaves, the control plane must return to the pre-join baseline:
   table entries, PRE trees/nodes, sequence-rewriter registers, stream
@@ -17,22 +13,19 @@ Four layers:
   completion with per-meeting stats and a clean reconciliation.
 """
 
-import dataclasses
-
 import pytest
 
+from repro.core.scallop import ScallopSfu
+from repro.dataplane.pipeline import PipelineControlPlane, ScallopPipeline
+from repro.dataplane.rebalance import RebalancerConfig
 from repro.dataplane.sharding import ShardedScallopPipeline
-from repro.experiments import (
-    MeetingSetupConfig,
-    build_scallop_testbed,
-    build_software_testbed,
-)
-from repro.netsim.link import LinkProfile
+from repro.netsim.datagram import Address
+from repro.netsim.link import LinkProfile, Network
+from repro.netsim.simulator import Simulator
 from repro.scenario import (
     BackendSpec,
     MeetingSpec,
     Scenario,
-    ScenarioRun,
     Schedule,
     TrafficSpec,
     build_scenario,
@@ -40,69 +33,91 @@ from repro.scenario import (
     degrading_uplink,
 )
 from repro.scenario.library import LOSSY_UPLINK
+from repro.webrtc.client import ClientConfig
 
 CONSTRAINED_DOWNLINK = LinkProfile(
     bandwidth_bps=1_000_000, propagation_delay_s=0.01, queue_limit_bytes=50_000
 )
 
 
-def _client_fingerprint(testbed):
-    """Everything observable a client did/saw, in deterministic order."""
-    rows = []
-    for client in testbed.clients:
-        streams = sorted(
-            (ssrc, stream.packets_received, stream.frames_decoded)
-            for ssrc, stream in client.video_receivers.items()
-        )
-        rows.append((client.config.participant_id, client.packets_sent, client.bytes_sent, streams))
-    return rows
-
-
-class TestShimEquivalence:
-    """Same spec -> stat-identical testbed, shim or direct scenario."""
-
-    def test_scallop_shim_equals_direct_scenario(self):
-        config = MeetingSetupConfig(num_meetings=2, participants_per_meeting=3, seed=3)
-        with pytest.deprecated_call():
-            legacy = build_scallop_testbed(config)
-        direct = build_scenario(config.to_scenario(BackendSpec(kind="scallop")))
-        try:
-            legacy.run_for(5.0)
-            direct.run_for(5.0)
-            assert dataclasses.asdict(legacy.sfu.stats) == dataclasses.asdict(direct.sfu.stats)
-            assert _client_fingerprint(legacy) == _client_fingerprint(direct)
-            assert legacy.sfu.pipeline.counters.data_plane_packets == (
-                direct.sfu.pipeline.counters.data_plane_packets
-            )
-        finally:
-            legacy.close()
-            direct.close()
-
-    def test_software_shim_equals_direct_scenario(self):
-        config = MeetingSetupConfig(
-            num_meetings=1, participants_per_meeting=3, seed=5, send_audio=False
-        )
-        with pytest.deprecated_call():
-            legacy = build_software_testbed(config, cores=2)
-        direct = build_scenario(config.to_scenario(BackendSpec(kind="software", cores=2)))
-        with legacy, direct:
-            legacy.run_for(4.0)
-            direct.run_for(4.0)
-            assert dataclasses.asdict(legacy.sfu.stats) == dataclasses.asdict(direct.sfu.stats)
-            assert _client_fingerprint(legacy) == _client_fingerprint(direct)
-
-    def test_shim_returns_scenario_run(self):
-        with pytest.deprecated_call():
-            testbed = build_scallop_testbed(MeetingSetupConfig(participants_per_meeting=2))
-        with testbed:
-            assert isinstance(testbed, ScenarioRun)
-            assert testbed.scenario is not None
-            assert testbed.scenario.meetings[0].participants == 2
-
+class TestBackendSpec:
     def test_cpu_punt_backend_alias(self):
         assert BackendSpec(kind="cpu-punt").kind == "software"
         with pytest.raises(ValueError):
             BackendSpec(kind="fpga")
+
+    def test_rebalance_config_resolution(self):
+        assert BackendSpec().rebalance_config() is None
+        assert BackendSpec(rebalance=False).rebalance_config() is None
+        assert BackendSpec(rebalance=True).rebalance_config() == RebalancerConfig()
+        custom = RebalancerConfig(epoch_batches=3)
+        assert BackendSpec(rebalance=custom).rebalance_config() is custom
+
+    @pytest.mark.parametrize(
+        "n_shards, rebalance, profile, sharded",
+        [
+            (1, None, False, False),
+            (2, None, False, True),
+            (1, True, False, True),
+            (1, None, True, True),
+        ],
+        ids=["reference", "shards", "rebalance", "profile"],
+    )
+    def test_sfu_picks_the_sharded_engine_only_when_asked(self, n_shards, rebalance, profile, sharded):
+        simulator = Simulator()
+        sfu = ScallopSfu(
+            Address("10.0.0.1", 5000),
+            simulator,
+            Network(simulator, seed=1),
+            n_shards=n_shards,
+            rebalance=rebalance,
+            profile=profile,
+        )
+        assert isinstance(sfu.pipeline, ShardedScallopPipeline) is sharded
+        assert isinstance(sfu.pipeline, ScallopPipeline) is not sharded
+        if sharded:
+            assert sfu.pipeline.n_shards == n_shards
+            assert (sfu.pipeline.rebalancer is not None) is bool(rebalance)
+            assert (sfu.pipeline.coordinator_stats is not None) is profile
+        sfu.close()
+
+
+def _removed_option_calls():
+    """Each settable option that selected a shard executor or SRTP, and is
+    now gone: passing it must fail loudly rather than be silently ignored."""
+    sfu = Address("10.0.0.1", 5000)
+    client = dict(
+        participant_id="p", meeting_id="m", address=Address("10.0.0.2", 6000), remote=sfu
+    )
+    return [
+        ("ShardedScallopPipeline.executor", lambda: ShardedScallopPipeline(sfu, executor="thread")),
+        ("ShardedScallopPipeline.srtp", lambda: ShardedScallopPipeline(sfu, srtp=object())),
+        ("ScallopPipeline.srtp", lambda: ScallopPipeline(sfu, srtp=object())),
+        ("PipelineControlPlane.srtp", lambda: PipelineControlPlane(sfu, srtp=object())),
+        ("ScallopSfu.shard_executor", lambda: ScallopSfu(sfu, None, None, shard_executor="thread")),
+        ("ScallopSfu.srtp", lambda: ScallopSfu(sfu, None, None, srtp=object())),
+        ("BackendSpec.shard_executor", lambda: BackendSpec(n_shards=2, shard_executor="process")),
+        ("TrafficSpec.srtp", lambda: TrafficSpec(wire_native=True, srtp=object())),
+        ("ClientConfig.srtp", lambda: ClientConfig(**client, srtp=object())),
+    ]
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "call", [call for _name, call in _removed_option_calls()],
+        ids=[name for name, _call in _removed_option_calls()],
+    )
+    def test_removed_option_is_rejected(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
+
+    def test_cli_has_no_executor_override(self, capsys):
+        from repro.scenario.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["churn_storm", "--smoke", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
 
 def _control_snapshot(sfu):

@@ -1,6 +1,12 @@
-"""Unit tests for the S-LM / S-LR sequence-rewriting heuristics."""
+"""Unit tests for the S-LM / S-LR sequence-rewriting heuristics and their
+packed register-image codec (what a cross-SFU meeting migration ships)."""
+
+import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.seqrewrite import (
     SequenceRewriterLowMemory,
@@ -8,6 +14,8 @@ from repro.core.seqrewrite import (
     SkipCadence,
     ideal_rewrite_map,
     ideal_rewrite_sequence,
+    pack_rewriter_state,
+    unpack_rewriter_state,
 )
 
 REWRITERS = [SequenceRewriterLowMemory, SequenceRewriterLowRetransmission]
@@ -252,3 +260,87 @@ class TestOracle:
         mapping = ideal_rewrite_map(events)
         values = [v for v in mapping.values() if v is not None]
         assert values == list(range(50))
+
+
+# --------------------------------------------------------------------------- packed state codec
+
+events = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=30),    # sequence advance
+        st.integers(min_value=0, max_value=2),     # frame advance
+        st.booleans(),                             # forward?
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+def _drive(rewriter, steps, seq0=65_500, frame0=65_530):
+    """Feed a synthetic event stream (wrap-crossing seeds) and collect outputs."""
+    outputs = []
+    seq, frame = seq0, frame0
+    for seq_step, frame_step, forward in steps:
+        seq = (seq + seq_step) % 65536
+        frame = (frame + frame_step) % 65536
+        outputs.append(rewriter.on_packet(seq, frame, forward))
+    return outputs
+
+
+class TestRewriterStateCodec:
+    @pytest.mark.parametrize("cls", [SequenceRewriterLowMemory, SequenceRewriterLowRetransmission])
+    @given(before=events, after=events)
+    @settings(max_examples=60, deadline=None)
+    def test_clone_continues_identically(self, cls, before, after):
+        original = cls(SkipCadence(1, 2))
+        _drive(original, before)
+        clone = unpack_rewriter_state(pack_rewriter_state(original))
+        assert type(clone) is type(original)
+        assert clone.cadence == original.cadence
+        assert _drive(clone, after) == _drive(original, after)
+        assert clone.packets_seen == original.packets_seen
+        assert clone.packets_forwarded == original.packets_forwarded
+        assert clone.packets_dropped_for_safety == original.packets_dropped_for_safety
+
+    def test_packed_form_is_compact(self):
+        rewriter = SequenceRewriterLowRetransmission(SkipCadence(1, 2))
+        rng = random.Random(5)
+        _drive(rewriter, [(rng.randint(0, 3), rng.randint(0, 1), rng.random() < 0.6) for _ in range(500)])
+        packed = pack_rewriter_state(rewriter)
+        pickled = pickle.dumps(rewriter, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(packed) < len(pickled)
+
+    def test_unknown_rewriter_class_rejected(self):
+        class Custom:
+            pass
+
+        with pytest.raises(TypeError):
+            pack_rewriter_state(Custom())
+
+    def test_subclass_is_not_packed_as_its_base(self):
+        # the tag names an exact class; a subclass could carry state the
+        # record has no slot for
+        class Tuned(SequenceRewriterLowMemory):
+            pass
+
+        with pytest.raises(TypeError, match="Tuned"):
+            pack_rewriter_state(Tuned(SkipCadence(1, 2)))
+
+    @pytest.mark.parametrize("cls", REWRITERS)
+    @given(steps=events)
+    @settings(max_examples=40, deadline=None)
+    def test_packed_form_is_a_fixed_point(self, cls, steps):
+        rewriter = cls(SkipCadence(1, 2))
+        _drive(rewriter, steps)
+        packed = pack_rewriter_state(rewriter)
+        assert pack_rewriter_state(unpack_rewriter_state(packed)) == packed
+
+    @pytest.mark.parametrize("cls", REWRITERS)
+    @pytest.mark.parametrize("cadence", [SkipCadence(1, 2), SkipCadence(1, 3), SkipCadence(2, 4)])
+    def test_cadence_and_fresh_state_survive(self, cls, cadence):
+        fresh = cls(cadence)
+        clone = unpack_rewriter_state(pack_rewriter_state(fresh))
+        assert type(clone) is cls
+        assert clone.cadence == cadence
+        assert clone.highest_seq is None and clone.highest_frame is None
+        steps = [(1, index % 2, index % 3 != 1) for index in range(40)]
+        assert _drive(clone, steps, seq0=0, frame0=0) == _drive(fresh, steps, seq0=0, frame0=0)

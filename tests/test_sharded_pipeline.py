@@ -4,8 +4,7 @@ The contract: for ANY traffic and ANY control-plane churn,
 ``ShardedScallopPipeline(n_shards=k)`` must produce byte-identical
 ``PipelineResult`` streams, identical merged ``PipelineCounters``, identical
 PRE/parser tallies, and identical ``ResourceAccountant.utilization()`` to the
-single-datapath ``ScallopPipeline`` — for every k and for both execution
-backends.  A property-style harness generates randomized meeting populations,
+single-datapath ``ScallopPipeline`` — for every k.  A property-style harness generates randomized meeting populations,
 mixed traffic, and adaptation install/reinstall/remove churn from a seed and
 replays the identical scenario against both engines.
 """
@@ -22,6 +21,7 @@ from repro.core.seqrewrite import (
 )
 from repro.dataplane.pipeline import (
     ForwardingMode,
+    PipelineCounters,
     ReplicaTarget,
     ScallopPipeline,
     StreamForwardingEntry,
@@ -29,7 +29,9 @@ from repro.dataplane.pipeline import (
 from repro.dataplane.pre import L2Port
 from repro.dataplane.sharding import ShardedScallopPipeline, flow_shard
 from repro.netsim.datagram import Address, Datagram
+from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import Nack, Remb, SenderReport
+from repro.scenario import BackendSpec, Scenario, TrafficSpec, build_scenario
 from repro.stun.message import make_binding_request
 from repro.webrtc.encoder import AudioSource, RtpPacketizer, SvcEncoder
 
@@ -202,14 +204,14 @@ def assert_engines_agree(reference, sharded):
     assert reference.parser.cpu_punts == sharded.parser.cpu_punts
 
 
-def run_scenario(n_shards: int, seed: int, executor: str = "serial"):
+def run_scenario(n_shards: int, seed: int):
     """Replay one randomized scenario through both engines, interleaving
     traffic chunks with adaptation churn, comparing after every chunk."""
     scenario_a = MeetingScenario(seed)
     scenario_b = MeetingScenario(seed)
     reference = scenario_a.configure(ScallopPipeline(SFU))
     sharded = scenario_b.configure(
-        ShardedScallopPipeline(SFU, n_shards=n_shards, executor=executor)
+        ShardedScallopPipeline(SFU, n_shards=n_shards)
     )
     try:
         for phase in range(3):
@@ -231,9 +233,92 @@ def run_scenario(n_shards: int, seed: int, executor: str = "serial"):
 
 class TestShardedEquivalenceProperty:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    @pytest.mark.parametrize("seed", [7, 19])
+    @pytest.mark.parametrize("seed", [7, 19, 31, 43])
     def test_random_traffic_with_churn(self, n_shards, seed):
         run_scenario(n_shards, seed)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_burst_size_is_invisible_to_results(self, chunk):
+        # any split of the ingress stream into bursts yields the reference
+        # per-packet results, with adaptation state live across bursts
+        scenario_a, scenario_b = MeetingScenario(23), MeetingScenario(23)
+        reference = scenario_a.configure(ScallopPipeline(SFU))
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=4))
+        for op in scenario_a.churn_ops(5):
+            apply_op(reference, op)
+            apply_op(sharded, op)
+        traffic_a = scenario_a.traffic_chunk(8)
+        traffic_b = scenario_b.traffic_chunk(8)
+        reference_results = [reference_process(reference, d) for d in traffic_a]
+        sharded_results = []
+        for start in range(0, len(traffic_b), chunk):
+            sharded_results.extend(sharded.process_batch(traffic_b[start : start + chunk]))
+        assert_results_identical(reference_results, sharded_results)
+        assert_engines_agree(reference, sharded)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_empty_batch_is_a_no_op(self, n_shards):
+        sharded = ShardedScallopPipeline(SFU, n_shards=n_shards)
+        assert sharded.process_batch([]) == []
+        assert dataclasses.asdict(sharded.counters) == dataclasses.asdict(PipelineCounters())
+
+    @pytest.mark.parametrize("n_shards", [0, -1])
+    def test_shard_count_must_be_positive(self, n_shards):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardedScallopPipeline(SFU, n_shards=n_shards)
+
+    def test_flow_partitioning_is_pinned_across_runs(self):
+        # CRC32 of "ip:port/ssrc", not Python's salted hash: these values
+        # must never change between interpreters or releases
+        expected = {
+            (Address("10.0.0.2", 6000), 1): (1, 3, 7),
+            (Address("10.0.0.2", 6000), -1): (1, 3, 3),
+            (Address("10.1.7.3", 6001), 10_000): (0, 0, 4),
+            (Address("192.168.1.9", 5004), 2**32 - 1): (0, 0, 4),
+        }
+        for (src, ssrc), shards in expected.items():
+            assert tuple(flow_shard(src, ssrc, k) for k in (2, 4, 8)) == shards
+
+    def test_flow_partitioning_spreads_flows_over_every_shard(self):
+        rng = random.Random(11)
+        flows = [
+            (
+                Address(f"10.{rng.randrange(8)}.{rng.randrange(200)}.{rng.randrange(1, 250)}", 6000 + rng.randrange(64)),
+                rng.randrange(2**32),
+            )
+            for _ in range(512)
+        ]
+        for n_shards in (2, 4, 8):
+            load = [0] * n_shards
+            for src, ssrc in flows:
+                load[flow_shard(src, ssrc, n_shards)] += 1
+            # no shard starves: each gets at least half its fair share
+            assert min(load) >= len(flows) / n_shards / 2
+
+    @pytest.mark.parametrize("n_shards", [2, 4, 8])
+    def test_each_flow_is_processed_by_its_owner_shard_only(self, n_shards):
+        scenario = MeetingScenario(29, num_meetings=1)
+        sharded = scenario.configure(ShardedScallopPipeline(SFU, n_shards=n_shards))
+        meeting = scenario.meetings[0]
+        sender, ssrc = meeting["addresses"][0], meeting["video_ssrc"]
+        traffic = scenario.traffic_chunk(4)
+        video = [
+            d for d in traffic if isinstance(d.payload, RtpPacket) and d.payload.ssrc == ssrc
+        ]
+        control = [
+            d for d in traffic if d.src == sender and not isinstance(d.payload, RtpPacket)
+        ]
+        assert video and control
+        sharded.process_batch(video)
+        busy = {s.shard_id for s in sharded.shards if s.parser.packets_parsed}
+        assert busy == {flow_shard(sender, ssrc, n_shards)}
+        # a sender's non-RTP traffic (RTCP, STUN) partitions by source alone
+        before = [s.parser.packets_parsed for s in sharded.shards]
+        sharded.process_batch(control)
+        grew = {
+            s.shard_id for s, count in zip(sharded.shards, before) if s.parser.packets_parsed > count
+        }
+        assert grew == {flow_shard(sender, -1, n_shards)}
 
     def test_chunked_vs_whole_batch(self):
         scenario_a, scenario_b = MeetingScenario(5), MeetingScenario(5)
@@ -303,12 +388,14 @@ class TestShardedSfuEndToEnd:
 
     @staticmethod
     def run_testbed(n_shards):
-        from repro.experiments import MeetingSetupConfig, build_scallop_testbed
-
-        config = MeetingSetupConfig(
-            num_meetings=3, participants_per_meeting=3, frame_bursts=True, n_shards=n_shards, seed=2
+        scenario = Scenario.uniform(
+            num_meetings=3,
+            participants_per_meeting=3,
+            backend=BackendSpec(n_shards=n_shards),
+            traffic=TrafficSpec(frame_bursts=True),
+            seed=2,
         )
-        testbed = build_scallop_testbed(config)
+        testbed = build_scenario(scenario)
         testbed.run_for(3.0)
         return testbed
 
@@ -339,73 +426,154 @@ class TestShardedSfuEndToEnd:
         testbed.close()  # releases pipeline backend resources via ScallopSfu.close
 
 
-class TestProcessBackend:
-    """The process-pool escape hatch must preserve the exact same contract
-    (state ships to workers on control writes, rewriter state ships back)."""
+class TestShardAggregates:
+    """The engine-level read surface is a fold over the shards."""
 
-    def test_random_traffic_with_churn_across_processes(self):
-        run_scenario(2, seed=11, executor="process")
+    @staticmethod
+    def churned_pair(n_shards=4, seed=37):
+        scenario_a, scenario_b = MeetingScenario(seed), MeetingScenario(seed)
+        reference = scenario_a.configure(ScallopPipeline(SFU))
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=n_shards))
+        for op in scenario_a.churn_ops(seed):
+            apply_op(reference, op)
+            apply_op(sharded, op)
+        for datagram in scenario_a.traffic_chunk(seed):
+            reference_process(reference, datagram)
+        sharded.process_batch(scenario_b.traffic_chunk(seed))
+        return reference, sharded
 
-    def test_single_packet_process_shares_worker_state(self):
-        # process() must route through the workers: rewriting a packet on
-        # the coordinator would fork the sequence-rewriter state silently
+    def test_parser_stats_sum_over_shards(self):
+        reference, sharded = self.churned_pair()
+        stats = sharded.parser_stats()
+        assert stats == sharded.parser
+        assert stats.packets_parsed == sum(s.parser.packets_parsed for s in sharded.shards)
+        assert stats.packets_parsed == reference.parser.packets_parsed
+        assert stats.cpu_punts == reference.parser.cpu_punts
+        assert stats.parse_cache_hits == sum(s.parser.parse_cache_hits for s in sharded.shards)
+
+    def test_shard_load_rows_partition_the_merged_counters(self):
+        _reference, sharded = self.churned_pair()
+        rows = sharded.shard_load()
+        assert [row["shard"] for row in rows] == list(range(sharded.n_shards))
+        merged = sharded.counters
+        for key in ("data_plane_packets", "cpu_packets", "replicas_out"):
+            assert sum(row[key] for row in rows) == getattr(merged, key)
+        assert (
+            sum(row["stream_tracker_cells"] for row in rows)
+            == sharded.accountant.stream_tracker_cells_used
+        )
+
+    def test_shard_utilization_has_one_row_per_shard(self):
+        _reference, sharded = self.churned_pair()
+        rows = sharded.shard_utilization()
+        assert len(rows) == sharded.n_shards
+        assert all("stream_tracker_cells" in row for row in rows)
+
+    def test_merged_obs_is_none_unless_armed(self):
+        assert ShardedScallopPipeline(SFU, n_shards=2).merged_obs() is None
+        armed = ShardedScallopPipeline(SFU, n_shards=2, obs=True)
+        assert armed.merged_obs() is not None
+
+
+class TestSerialShardState:
+    """Shards keep their state in-process between calls: single-packet
+    ``process`` and ``process_batch`` share it, and control-plane writes in
+    between never fork a flow's sequence-rewriter state."""
+
+    def test_single_packet_and_batch_share_shard_state(self):
         scenario_a, scenario_b = MeetingScenario(17, num_meetings=1), MeetingScenario(17, num_meetings=1)
         reference = scenario_a.configure(ScallopPipeline(SFU))
-        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2, executor="process"))
-        try:
-            for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
-                meeting = scenario.meetings[0]
-                engine.install_adaptation(
-                    meeting["video_ssrc"],
-                    meeting["addresses"][1],
-                    frozenset({0, 1}),
-                    SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
-                )
-            traffic_a = scenario_a.traffic_chunk(3, frames=4)
-            traffic_b = scenario_b.traffic_chunk(3, frames=4)
-            # interleave single-packet and batched processing
-            reference_results = [reference_process(reference, d) for d in traffic_a]
-            sharded_results = [sharded.process(d) for d in traffic_b[:5]]
-            sharded_results += sharded.process_batch(traffic_b[5:])
-            assert_results_identical(reference_results, sharded_results)
-        finally:
-            sharded.close()
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2))
+        for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
+            meeting = scenario.meetings[0]
+            engine.install_adaptation(
+                meeting["video_ssrc"],
+                meeting["addresses"][1],
+                frozenset({0, 1}),
+                SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
+            )
+        traffic_a = scenario_a.traffic_chunk(3, frames=4)
+        traffic_b = scenario_b.traffic_chunk(3, frames=4)
+        # interleave single-packet and batched processing
+        reference_results = [reference_process(reference, d) for d in traffic_a]
+        sharded_results = [sharded.process(d) for d in traffic_b[:5]]
+        sharded_results += sharded.process_batch(traffic_b[5:])
+        assert_results_identical(reference_results, sharded_results)
 
-    def test_rewriter_state_survives_control_resync(self):
-        # adaptation state mutated in a worker, then a control-plane write
-        # forces a resync: the re-shipped snapshot must carry the mutated
-        # rewriter, not a stale one (sequence spaces would fork otherwise)
+    def test_rewriter_state_survives_control_write(self):
         scenario_a, scenario_b = MeetingScenario(13, num_meetings=2), MeetingScenario(13, num_meetings=2)
         reference = scenario_a.configure(ScallopPipeline(SFU))
-        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2, executor="process"))
-        try:
-            meeting = scenario_a.meetings[0]
-            receiver = meeting["addresses"][1]
-            for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
-                engine.install_adaptation(
-                    scenario.meetings[0]["video_ssrc"],
-                    scenario.meetings[0]["addresses"][1],
-                    frozenset({0, 1}),
-                    SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
-                )
-            first = scenario_a.traffic_chunk(1)
-            assert_results_identical(
-                [reference_process(reference, d) for d in first],
-                sharded.process_batch(scenario_b.traffic_chunk(1)),
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2))
+        for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
+            engine.install_adaptation(
+                scenario.meetings[0]["video_ssrc"],
+                scenario.meetings[0]["addresses"][1],
+                frozenset({0, 1}),
+                SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
             )
-            # unrelated control write in meeting 1 -> full worker resync
-            for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
-                engine.install_adaptation(
-                    scenario.meetings[1]["video_ssrc"],
-                    scenario.meetings[1]["addresses"][1],
-                    frozenset({0}),
-                    SequenceRewriterLowMemory(SkipCadence(1, 2)),
-                )
-            second = scenario_a.traffic_chunk(2)
-            assert_results_identical(
-                [reference_process(reference, d) for d in second],
-                sharded.process_batch(scenario_b.traffic_chunk(2)),
+        assert_results_identical(
+            [reference_process(reference, d) for d in scenario_a.traffic_chunk(1)],
+            sharded.process_batch(scenario_b.traffic_chunk(1)),
+        )
+        # unrelated control write in meeting 1 invalidates every shard's caches
+        for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
+            engine.install_adaptation(
+                scenario.meetings[1]["video_ssrc"],
+                scenario.meetings[1]["addresses"][1],
+                frozenset({0}),
+                SequenceRewriterLowMemory(SkipCadence(1, 2)),
             )
-            assert_engines_agree(reference, sharded)
-        finally:
-            sharded.close()
+        assert_results_identical(
+            [reference_process(reference, d) for d in scenario_a.traffic_chunk(2)],
+            sharded.process_batch(scenario_b.traffic_chunk(2)),
+        )
+        assert_engines_agree(reference, sharded)
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 8])
+    def test_single_packet_path_matches_reference(self, n_shards):
+        scenario_a, scenario_b = MeetingScenario(41, num_meetings=3), MeetingScenario(41, num_meetings=3)
+        reference = scenario_a.configure(ScallopPipeline(SFU))
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=n_shards))
+        for op in scenario_a.churn_ops(41):
+            apply_op(reference, op)
+            apply_op(sharded, op)
+        assert_results_identical(
+            [reference_process(reference, d) for d in scenario_a.traffic_chunk(6)],
+            [sharded.process(d) for d in scenario_b.traffic_chunk(6)],
+        )
+        assert_engines_agree(reference, sharded)
+
+    def test_live_migration_mid_stream_matches_reference(self):
+        # moving a flow between shards moves no rewriter state: every shard's
+        # register view aliases the same rewriter objects
+        scenario_a, scenario_b = MeetingScenario(13, num_meetings=2), MeetingScenario(13, num_meetings=2)
+        reference = scenario_a.configure(ScallopPipeline(SFU))
+        sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2))
+        for engine, scenario in ((reference, scenario_a), (sharded, scenario_b)):
+            meeting = scenario.meetings[0]
+            engine.install_adaptation(
+                meeting["video_ssrc"],
+                meeting["addresses"][1],
+                frozenset({0, 1}),
+                SequenceRewriterLowRetransmission(SkipCadence(1, 2)),
+            )
+        assert_results_identical(
+            [reference_process(reference, d) for d in scenario_a.traffic_chunk(1)],
+            sharded.process_batch(scenario_b.traffic_chunk(1)),
+        )
+        meeting = scenario_b.meetings[0]
+        sender, ssrc = meeting["addresses"][0], meeting["video_ssrc"]
+        assert sharded.migrate_flow(sender, ssrc, 1 - sharded.shard_for_flow(sender, ssrc))
+        assert_results_identical(
+            [reference_process(reference, d) for d in scenario_a.traffic_chunk(2)],
+            sharded.process_batch(scenario_b.traffic_chunk(2)),
+        )
+        assert_engines_agree(reference, sharded)
+
+    def test_close_is_idempotent_and_engine_is_a_context_manager(self):
+        scenario = MeetingScenario(3, num_meetings=1)
+        with scenario.configure(ShardedScallopPipeline(SFU, n_shards=4)) as sharded:
+            assert isinstance(sharded, ShardedScallopPipeline)
+            assert sharded.process_batch(scenario.traffic_chunk(1))
+        sharded.close()
+        sharded.close()

@@ -1,6 +1,6 @@
 """Property tests for the columnar burst view (`repro.rtp.wirebatch`).
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 1. **Bulk extraction is field-identical to per-packet accessors**: for any
    mixed burst (wire ``PacketView`` rows across random headers, CSRC lists,
@@ -8,11 +8,7 @@ Three layers of guarantees:
    every :class:`~repro.rtp.wirebatch.WireBatchView` column equals the value
    the per-packet accessor would have returned — the contract the module
    docstring promises.
-2. **Bulk mutators match their per-packet counterparts**:
-   ``set_sequence_numbers`` patches buffer and column together (and refuses
-   non-wire rows); ``replay_payloads`` aliases unrewritten replicas and
-   mints byte-identical copies to ``PacketView.with_sequence_number``.
-3. **The memoized flow-key cache never changes a routing decision**: the
+2. **The memoized flow-key cache never changes a routing decision**: the
    partitioner's ``_crc_shard`` is asserted identical to the module-level
    :func:`~repro.dataplane.sharding.flow_shard`, and ``_shard_of_key``
    identical to ``shard_for_flow``, for pinned and unpinned flows, before
@@ -29,14 +25,15 @@ from repro.dataplane.sharding import ShardedScallopPipeline, flow_shard
 from repro.netsim.datagram import Address, Datagram
 from repro.rtp.extensions import ExtensionElement, encode_extensions
 from repro.rtp.packet import SEQ_MOD, RtpHeaderExtension, RtpPacket
+from repro.rtp.rtcp import SenderReport
 from repro.rtp.wire import PacketView
 from repro.rtp.wirebatch import (
     RECORD_OBJECT,
     RECORD_OTHER,
     RECORD_WIRE,
     WireBatchView,
-    replay_payloads,
 )
+from repro.stun.message import make_binding_request
 
 SFU = Address("10.0.0.1", 5000)
 
@@ -167,106 +164,30 @@ class TestColumnarExtraction:
         assert len(view) == 0
         assert view.sources == []
 
-
-# --------------------------------------------------------------------------- bulk mutators
-
-
-class TestSetSequenceNumbers:
-    @given(
-        rows=burst_rows,
-        seq_seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_patches_buffer_and_column_together(self, rows, seq_seed):
-        datagrams = build_burst(rows)
+    def test_rtcp_and_stun_rows_carry_no_media_key(self):
+        src = Address("10.1.0.2", 4000)
+        datagrams = [
+            Datagram(src=src, dst=SFU, payload=(SenderReport(sender_ssrc=77),)),
+            Datagram(src=src, dst=SFU, payload=make_binding_request(bytes(12), "u")),
+        ]
         view = WireBatchView.from_datagrams(datagrams)
-        rng = random.Random(seq_seed)
-        wire_rows = [i for i in range(len(view)) if view.kinds[i] == RECORD_WIRE]
-        indices = [i for i in wire_rows if rng.random() < 0.5]
-        seqs = [rng.randrange(0, 2 * SEQ_MOD) for _ in indices]
-        untouched = {
-            i: datagrams[i].payload.sequence_number
-            for i in wire_rows
-            if i not in set(indices)
-        }
-        view.set_sequence_numbers(indices, seqs)
-        for index, seq in zip(indices, seqs):
-            expected = seq % SEQ_MOD
-            # the per-packet accessor re-reads the wire buffer: both the
-            # buffer patch and the column update must have landed
-            assert datagrams[index].payload.sequence_number == expected
-            assert view.seq[index] == expected
-        for index, seq in untouched.items():
-            assert datagrams[index].payload.sequence_number == seq
-            assert view.seq[index] == seq
+        assert list(view.kinds) == [RECORD_OTHER, RECORD_OTHER]
+        assert list(view.ssrc) == [-1, -1]
+        assert list(view.src_index) == [0, 0]
+        assert view.sources == [src]
 
-    def test_rejects_object_and_other_rows(self):
-        datagrams = build_burst(
-            [
-                (
-                    "object",
-                    Address("10.1.0.1", 4000),
-                    RtpPacket(ssrc=7, payload_type=96, sequence_number=1, timestamp=0),
-                ),
-                ("other", Address("10.1.0.1", 4000), b"\x00\x01junk"),
-            ]
-        )
+    def test_wire_and_object_twins_share_a_flow_key(self):
+        packet = RtpPacket(ssrc=4242, sequence_number=9, timestamp=1, payload_type=96, payload=b"x")
+        src = Address("10.1.0.3", 4001)
+        datagrams = [
+            Datagram(src=src, dst=SFU, payload=packet),
+            Datagram(src=src, dst=SFU, payload=PacketView(bytearray(packet.serialize()))),
+        ]
         view = WireBatchView.from_datagrams(datagrams)
-        for index in range(2):
-            try:
-                view.set_sequence_numbers([index], [42])
-            except TypeError:
-                pass
-            else:
-                raise AssertionError(
-                    f"row {index} (kind {view.kinds[index]}) accepted a bulk "
-                    "seq patch; only wire rows may be patched"
-                )
-
-
-class TestReplayPayloads:
-    @given(
-        packet=rtp_packets(),
-        seqs=st.lists(
-            st.one_of(
-                st.just(-1), st.integers(min_value=0, max_value=2 * SEQ_MOD)
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_with_sequence_number(self, packet, seqs):
-        view = PacketView(bytearray(packet.serialize()))
-        before = bytes(view.buf)
-        out = replay_payloads(view, seqs)
-        assert len(out) == len(seqs)
-        for seq, replica in zip(seqs, out):
-            if seq < 0:
-                # unrewritten replicas alias the ingress view: same object,
-                # preserving the payload sharing the in-process path produces
-                assert replica is view
-            else:
-                assert replica is not view
-                assert replica.buf is not view.buf
-                reference = view.with_sequence_number(seq % SEQ_MOD)
-                assert bytes(replica.buf) == bytes(reference.buf)
-                assert replica.sequence_number == seq % SEQ_MOD
-                assert replica.header_length == view.header_length
-        # minting copies never mutates the ingress buffer
-        assert bytes(view.buf) == before
-
-    def test_copies_are_independent(self):
-        packet = RtpPacket(
-            ssrc=9, payload_type=96, sequence_number=100, timestamp=0, payload=b"frame"
-        )
-        view = PacketView(bytearray(packet.serialize()))
-        first, second = replay_payloads(view, [200, 300])
-        assert first.sequence_number == 200
-        assert second.sequence_number == 300
-        first.set_sequence_number(400)
-        assert second.sequence_number == 300
-        assert view.sequence_number == 100
+        assert list(view.kinds) == [RECORD_OBJECT, RECORD_WIRE]
+        assert (view.src_index[0], view.ssrc[0]) == (view.src_index[1], view.ssrc[1])
+        assert list(view.seq) == [9, 9]
+        assert view.wire_size[0] == view.wire_size[1]
 
 
 # --------------------------------------------------------------------------- flow-key cache
@@ -291,7 +212,7 @@ class TestShardAssignmentIdentity:
         ]
 
     def test_crc_shard_matches_flow_shard(self):
-        engine = ShardedScallopPipeline(SFU, n_shards=4, executor="serial")
+        engine = ShardedScallopPipeline(SFU, n_shards=4)
         try:
             flows = self._flows()
             for src, ssrc in flows:
@@ -304,7 +225,7 @@ class TestShardAssignmentIdentity:
             engine.close()
 
     def test_shard_of_key_matches_shard_for_flow_across_migrations(self):
-        engine = ShardedScallopPipeline(SFU, n_shards=4, executor="serial")
+        engine = ShardedScallopPipeline(SFU, n_shards=4)
         try:
             flows = self._flows(count=32, seed=81)
             engine._sync_placement_cache()
@@ -333,7 +254,7 @@ class TestShardAssignmentIdentity:
             engine.close()
 
     def test_cache_bound_is_enforced(self):
-        engine = ShardedScallopPipeline(SFU, n_shards=2, executor="serial")
+        engine = ShardedScallopPipeline(SFU, n_shards=2)
         try:
             limit = engine.FLOW_SHARD_CACHE_LIMIT
             engine.FLOW_SHARD_CACHE_LIMIT = 8

@@ -7,7 +7,7 @@ simulation randomness/time must flow through seeded RNGs and the simulator
 clock, and the wire path must never materialize ``RtpPacket`` objects.
 archlint checks those conventions mechanically at the AST level (stdlib
 ``ast`` only, no dependencies), so a violation fails CI instead of surfacing
-later as flaky nondeterminism or a free-threading data race.
+later as flaky nondeterminism or state leaking between shards.
 
 Usage::
 

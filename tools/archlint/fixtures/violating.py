@@ -7,7 +7,7 @@ override on line 1 puts this file in the scoped rules' jurisdiction without
 it living under ``src/``.  DO NOT "fix" these violations.
 """
 
-import pickle  # rule 2: zero-pickle — import outside the transport whitelist
+import pickle  # rule 2: zero-pickle — pickle is banned outright
 import random
 
 

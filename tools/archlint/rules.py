@@ -4,20 +4,18 @@ Each rule is grounded in a specific contract the dataplane split established
 (see ROADMAP "Enforced invariants"):
 
 ``share-nothing``
-    Datapath code (``PipelineDatapath`` methods, ``dataplane/parser.py``,
-    ``dataplane/shardcodec.py``, and the worker path in
-    ``dataplane/sharding.py``) must never *write* control-plane-owned state —
-    tables, PRE, register file, placement table, accountant.  Reads are the
-    interface (``lookup``/``peek``/``read``/``replicate``); every write must
-    go through a ``PipelineControlPlane`` method.  This is the invariant the
-    free-threaded-shards migration depends on: a write that is benign under
-    the GIL is a data race under 3.13t.
+    Datapath code (``PipelineDatapath`` methods and ``dataplane/parser.py``)
+    must never *write* control-plane-owned state — tables, PRE, register
+    file, placement table, accountant.  Reads are the interface
+    (``lookup``/``peek``/``read``/``replicate``); every write must go through
+    a ``PipelineControlPlane`` method.  Each shard models one switch pipe, so
+    a datapath write to shared state would leak one pipe's state into all
+    the others.
 
 ``zero-pickle``
-    ``pickle``/``marshal``/``copy.deepcopy`` stay off the hot path.  The only
-    sanctioned sites are the control-plane snapshot and the documented
-    per-record fallbacks in ``sharding.py``/``shardcodec.py`` (the runtime
-    twin of this whitelist is ``transport.pickle_fallback_records``).
+    No ``pickle``/``marshal``/``copy.deepcopy`` anywhere in ``src/``: state
+    that crosses a boundary (a cross-SFU meeting migration) ships as packed
+    register images and plain builtins, never as pickled object graphs.
 
 ``generation-discipline``
     Match-action tables, the PRE's trees, and the placement table may only be
@@ -45,7 +43,7 @@ Each rule is grounded in a specific contract the dataplane split established
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .engine import ModuleContext, ScopedVisitor, dotted_name
 
@@ -136,26 +134,18 @@ class ShareNothingRule:
     description = (
         "attribute stores or mutating-method calls on control-plane-owned "
         "objects from datapath code (PipelineDatapath methods, dataplane/"
-        "parser.py, dataplane/shardcodec.py, worker paths in dataplane/"
-        "sharding.py)"
+        "parser.py)"
     )
 
-    _WHOLE_MODULES = {"repro.dataplane.parser", "repro.dataplane.shardcodec"}
+    _WHOLE_MODULES = {"repro.dataplane.parser"}
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
         whole_module = ctx.module in self._WHOLE_MODULES
-        worker_module = ctx.module == "repro.dataplane.sharding"
         findings: List[RawFinding] = []
 
         class _Visitor(ScopedVisitor):
             def _in_scope(self) -> bool:
-                if whole_module:
-                    return True
-                if self.enclosing_class() == "PipelineDatapath":
-                    return True
-                if worker_module and any(name.startswith("_worker") for name in self.scope):
-                    return True
-                return False
+                return whole_module or self.enclosing_class() == "PipelineDatapath"
 
             def _flag_target(self, target: ast.AST) -> None:
                 # only dotted stores can reach shared state; a bare-name
@@ -227,65 +217,33 @@ class ShareNothingRule:
 
 # --------------------------------------------------------------------------- rule 2
 
-#: module -> enclosing qualnames where pickle use is sanctioned
-#: (``<module>`` covers the import statement itself).
-PICKLE_WHITELIST: Dict[str, FrozenSet[str]] = {
-    # control-plane snapshot ship/load (generation change only) and the
-    # worker-side replica rebuild
-    "repro.dataplane.sharding": frozenset(
-        {"<module>", "_worker_process_batch", "ProcessShardRunner.run_batches"}
-    ),
-    # documented per-record fallbacks for traffic the packed forms cannot
-    # express (exotic payload/rewriter types); runtime-counted in
-    # transport.pickle_fallback_records
-    "repro.dataplane.shardcodec": frozenset(
-        {
-            "<module>",
-            "encode_ingress_batch",
-            "decode_ingress_batch",
-            "encode_result_batch",
-            "decode_result_batch",
-            "encode_tracker_updates",
-            "decode_tracker_updates",
-        }
-    ),
-}
-
 _PICKLE_MODULES = frozenset({"pickle", "cPickle", "marshal", "dill"})
 
 
 class ZeroPickleRule:
-    """Rule 2: pickle/deepcopy/marshal only at whitelisted transport sites."""
+    """Rule 2: no pickle/deepcopy/marshal anywhere."""
 
     name = "zero-pickle"
-    description = (
-        "pickle/marshal imports or pickle/marshal/copy.deepcopy calls outside "
-        "the whitelisted control-plane-snapshot and documented-fallback sites "
-        "in sharding.py/shardcodec.py"
-    )
+    description = "pickle/marshal imports or pickle/marshal/copy.deepcopy calls anywhere"
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
-        whitelist = PICKLE_WHITELIST.get(ctx.module, frozenset())
         findings: List[RawFinding] = []
 
         class _Visitor(ScopedVisitor):
-            def _allowed(self) -> bool:
-                return self.qualname in whitelist
-
             def visit_Import(self, node: ast.Import) -> None:
                 for alias in node.names:
                     root = alias.name.split(".")[0]
-                    if root in _PICKLE_MODULES and not self._allowed():
+                    if root in _PICKLE_MODULES:
                         findings.append(
-                            (node.lineno, node.col_offset, f"import of {alias.name!r} outside the pickle whitelist")
+                            (node.lineno, node.col_offset, f"import of {alias.name!r}")
                         )
                 self.generic_visit(node)
 
             def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
                 root = (node.module or "").split(".")[0]
-                if root in _PICKLE_MODULES and not self._allowed():
+                if root in _PICKLE_MODULES:
                     findings.append(
-                        (node.lineno, node.col_offset, f"import from {node.module!r} outside the pickle whitelist")
+                        (node.lineno, node.col_offset, f"import from {node.module!r}")
                     )
                 if root == "copy" and any(alias.name == "deepcopy" for alias in node.names):
                     findings.append(
@@ -297,9 +255,9 @@ class ZeroPickleRule:
                 name = dotted_name(node.func)
                 if name:
                     parts = name.split(".")
-                    if parts[0] in _PICKLE_MODULES and not self._allowed():
+                    if parts[0] in _PICKLE_MODULES:
                         findings.append(
-                            (node.lineno, node.col_offset, f"call to {name}() outside the pickle whitelist")
+                            (node.lineno, node.col_offset, f"call to {name}()")
                         )
                     elif name == "copy.deepcopy" or name == "deepcopy":
                         findings.append(
