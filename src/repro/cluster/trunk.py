@@ -33,13 +33,11 @@ keys.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..core.replication import ParticipantEndpoint
-from ..dataplane.pipeline import FeedbackRule, ForwardingMode, ReplicaTarget, StreamForwardingEntry
-from ..dataplane.pre import L2Port
+from ..core.replication import ParticipantEndpoint, add_replica_node, remove_replica_node
+from ..dataplane.pipeline import FeedbackRule, ForwardingMode, StreamForwardingEntry
 from ..netsim.datagram import Address
 
 #: Datagram meta key carrying the original source address of a straggler
@@ -71,14 +69,10 @@ class SfuTrunk:
     meeting_id: str
     origin: Address
     mgid: int
-    #: remote sender participant ids registered with the local agent
-    sender_ids: Tuple[str, ...] = ()
-    #: remote media SSRCs routed through this trunk
-    ssrcs: Tuple[int, ...] = ()
-    #: local receiver addresses holding NACK/PLI rules toward the origin
-    receiver_addresses: Tuple[Address, ...] = ()
-    #: PRE bookkeeping: (node_id, rid) per local receiver
-    nodes: List[Tuple[int, int]] = field(default_factory=list)
+    #: remote senders registered with the local agent, by participant id
+    senders: Dict[str, ParticipantEndpoint] = field(default_factory=dict)
+    #: local receivers in PRE node order: participant id -> (endpoint, node id, rid)
+    receivers: Dict[str, Tuple[ParticipantEndpoint, int, int]] = field(default_factory=dict)
     #: set once the trunk's state has been released (idempotent teardown:
     #: a lingering drain-window event may fire after an explicit flush)
     released: bool = False
@@ -87,6 +81,15 @@ class SfuTrunk:
     def key(self) -> Tuple[str, Address]:
         return (self.meeting_id, self.origin)
 
+    @property
+    def sender_ids(self) -> Tuple[str, ...]:
+        return tuple(self.senders)
+
+    @property
+    def ssrcs(self) -> Tuple[int, ...]:
+        """Remote media SSRCs routed through this trunk."""
+        return tuple(ssrc for sender in self.senders.values() for _kind, ssrc in sender.media_ssrcs())
+
 
 class TrunkManager:
     """Subscriber-side trunk state of one :class:`~repro.cluster.ClusterSfu`."""
@@ -94,7 +97,6 @@ class TrunkManager:
     def __init__(self, sfu) -> None:
         self.sfu = sfu
         self.subscriptions: Dict[Tuple[str, Address], SfuTrunk] = {}
-        self._next_rid = itertools.count(1)
         #: stale trunks waiting out a migration drain window before teardown
         self._pending: List[SfuTrunk] = []
 
@@ -113,11 +115,15 @@ class TrunkManager:
         (true client addresses + SSRCs) whose media must arrive over that
         trunk; ``local_receivers`` are this box's own meeting participants
         (post-:meth:`~repro.core.switch_agent.SwitchAgent.configure_meeting`,
-        so their egress ports are assigned).  Stale subscriptions are torn
-        down after ``linger_s`` seconds — a migration keeps the old tree
-        alive for its drain window so trunk-era in-flight replicas still
-        reach the pre-cutover local population, while the guard checks keep
-        the delayed teardown from touching state the cutover re-installed.
+        so their egress ports are assigned).  A live subscription is patched
+        in place — receiver nodes, sender registrations, routes and rules
+        change only for who joined or left — unless its receiver order would
+        differ from a fresh install's, which then replaces it.  Stale
+        subscriptions are torn down after ``linger_s`` seconds — a migration
+        keeps the old tree alive for its drain window so trunk-era in-flight
+        replicas still reach the pre-cutover local population, while the
+        guard checks keep the delayed teardown from touching state the
+        cutover re-installed.
         """
         desired = {
             (meeting_id, origin): tuple(senders)
@@ -129,18 +135,24 @@ class TrunkManager:
             for key, trunk in self.subscriptions.items()
             if key[0] == meeting_id and key not in desired
         ]
-        rebuilt = [
-            self.subscriptions.pop(key)
-            for key in list(self.subscriptions)
-            if key[0] == meeting_id and key in desired
-        ]
+        replaced: List[SfuTrunk] = []
+        departed: List[Tuple[SfuTrunk, List[ParticipantEndpoint]]] = []
         with self.sfu.pipeline.batched_writes():
             for (mid, origin), senders in sorted(desired.items(), key=lambda kv: (kv[0][1].ip, kv[0][1].port)):
+                trunk = self.subscriptions.get((mid, origin))
+                if trunk is not None and self._patchable(trunk, local_receivers):
+                    departed.append((trunk, self._patch(trunk, senders, local_receivers)))
+                    continue
+                if trunk is not None:
+                    replaced.append(self.subscriptions.pop(trunk.key))
                 self._install(mid, origin, senders, local_receivers)
-            # the rebuilt trunks' trees/routes are superseded by the fresh
-            # installs above (same table keys, new mgid) — release immediately
-            for trunk in rebuilt:
+            # what the subscriptions no longer carry is released once every
+            # install is in: a replaced trunk's tree and routes are superseded
+            # by its fresh install (same table keys, new mgid)
+            for trunk in replaced:
                 self._teardown(trunk)
+            for trunk, senders in departed:
+                self._release_senders(trunk, senders)
         for trunk in stale:
             self.subscriptions.pop(trunk.key, None)
             if linger_s > 0.0:
@@ -171,52 +183,90 @@ class TrunkManager:
         senders: Sequence[ParticipantEndpoint],
         local_receivers: Sequence[ParticipantEndpoint],
     ) -> SfuTrunk:
-        pipeline = self.sfu.pipeline
-        agent = self.sfu.agent
-        capacities = pipeline.capacities
-        trunk = SfuTrunk(meeting_id=meeting_id, origin=origin, mgid=pipeline.pre.create_tree())
+        trunk = SfuTrunk(meeting_id=meeting_id, origin=origin, mgid=self.sfu.pipeline.pre.create_tree())
         for receiver in local_receivers:
-            rid = next(self._next_rid) % capacities.max_rids_per_tree
-            node_id = pipeline.pre.add_node(
-                trunk.mgid,
-                rid=rid,
-                ports=[L2Port(port=receiver.egress_port, l2_xid=receiver.egress_port)],
-                l1_xid=None,
-                prune_enabled=False,
-            )
-            trunk.nodes.append((node_id, rid))
-            pipeline.install_replica_target(
-                trunk.mgid,
-                rid,
-                ReplicaTarget(address=receiver.address, participant_id=receiver.participant_id),
-            )
-        ssrcs: List[int] = []
-        sender_ids: List[str] = []
+            self._add_receiver(trunk, receiver)
+        trunk.senders = {sender.participant_id: sender for sender in senders}
         for sender in senders:
-            agent.register_remote_sender(meeting_id, sender)
-            sender_ids.append(sender.participant_id)
+            self.sfu.agent.register_remote_sender(meeting_id, sender)
+        self._route(trunk, senders)
+        self._point_feedback(trunk, senders, local_receivers)
+        self.subscriptions[trunk.key] = trunk
+        return trunk
+
+    @staticmethod
+    def _patchable(trunk: SfuTrunk, local_receivers: Sequence[ParticipantEndpoint]) -> bool:
+        """Whether the receivers who stay already come first, in the order
+        a fresh install would give them (newcomers are appended)."""
+        wanted = {receiver.participant_id: receiver for receiver in local_receivers}
+        survivors = [pid for pid, (endpoint, _node, _rid) in trunk.receivers.items() if wanted.get(pid) == endpoint]
+        return [receiver.participant_id for receiver in local_receivers[: len(survivors)]] == survivors
+
+    def _patch(
+        self,
+        trunk: SfuTrunk,
+        senders: Sequence[ParticipantEndpoint],
+        local_receivers: Sequence[ParticipantEndpoint],
+    ) -> List[ParticipantEndpoint]:
+        """Bring a live subscription to the new population in place; returns
+        the senders it no longer carries, for :meth:`_release_senders`."""
+        wanted = {receiver.participant_id: receiver for receiver in local_receivers}
+        for pid in [pid for pid, (endpoint, _node, _rid) in trunk.receivers.items() if wanted.get(pid) != endpoint]:
+            self._remove_receiver(trunk, pid)
+        arriving = [receiver for receiver in local_receivers if receiver.participant_id not in trunk.receivers]
+        for receiver in arriving:
+            self._add_receiver(trunk, receiver)
+        carried = {sender.participant_id: sender for sender in senders}
+        departed = [sender for pid, sender in trunk.senders.items() if carried.get(pid) != sender]
+        joining: List[ParticipantEndpoint] = []
+        staying: List[ParticipantEndpoint] = []
+        for pid, sender in carried.items():
+            (staying if trunk.senders.get(pid) == sender else joining).append(sender)
+        trunk.senders = carried
+        for sender in joining:
+            self.sfu.agent.register_remote_sender(trunk.meeting_id, sender)
+        self._route(trunk, joining)
+        self._point_feedback(trunk, joining, local_receivers)
+        self._point_feedback(trunk, staying, arriving)
+        return departed
+
+    def _add_receiver(self, trunk: SfuTrunk, receiver: ParticipantEndpoint) -> None:
+        node_id, rid = add_replica_node(self.sfu.pipeline, trunk.mgid, receiver)
+        trunk.receivers[receiver.participant_id] = (receiver, node_id, rid)
+
+    def _remove_receiver(self, trunk: SfuTrunk, participant_id: str) -> None:
+        _endpoint, node_id, rid = trunk.receivers.pop(participant_id)
+        remove_replica_node(self.sfu.pipeline, trunk.mgid, node_id, rid)
+
+    def _route(self, trunk: SfuTrunk, senders: Sequence[ParticipantEndpoint]) -> None:
+        """Ingress routes ``(origin, ssrc) -> REPLICATE(trunk tree)``."""
+        for sender in senders:
             for _kind, ssrc in sender.media_ssrcs():
-                ssrcs.append(ssrc)
-                pipeline.install_stream_route(
-                    (origin, ssrc),
+                self.sfu.pipeline.install_stream_route(
+                    (trunk.origin, ssrc),
                     StreamForwardingEntry(
                         mode=ForwardingMode.REPLICATE,
-                        meeting_id=meeting_id,
-                        sender=origin,
+                        meeting_id=trunk.meeting_id,
+                        sender=trunk.origin,
                         mgid=trunk.mgid,
                     ),
                 )
-                for receiver in local_receivers:
-                    pipeline.install_feedback_rule(
+
+    def _point_feedback(
+        self,
+        trunk: SfuTrunk,
+        senders: Sequence[ParticipantEndpoint],
+        receivers: Sequence[ParticipantEndpoint],
+    ) -> None:
+        """NACK/PLI from ``receivers`` about ``senders``' media go to the origin."""
+        for sender in senders:
+            for _kind, ssrc in sender.media_ssrcs():
+                for receiver in receivers:
+                    self.sfu.pipeline.install_feedback_rule(
                         receiver.address,
                         ssrc,
-                        FeedbackRule(sender=origin, forward_remb=False, forward_nack_pli=True),
+                        FeedbackRule(sender=trunk.origin, forward_remb=False, forward_nack_pli=True),
                     )
-        trunk.ssrcs = tuple(ssrcs)
-        trunk.sender_ids = tuple(sender_ids)
-        trunk.receiver_addresses = tuple(r.address for r in local_receivers)
-        self.subscriptions[trunk.key] = trunk
-        return trunk
 
     def _teardown_batched(self, trunk: SfuTrunk) -> None:
         if trunk.released:
@@ -227,7 +277,18 @@ class TrunkManager:
             self._pending.remove(trunk)
 
     def _teardown(self, trunk: SfuTrunk) -> None:
-        """Release a trunk's state, skipping anything re-owned since.
+        """Release a trunk's state, skipping anything re-owned since."""
+        if trunk.released:
+            return
+        trunk.released = True
+        self._release_senders(trunk, list(trunk.senders.values()))
+        for pid in list(trunk.receivers):
+            self._remove_receiver(trunk, pid)
+        self.sfu.pipeline.pre.destroy_tree(trunk.mgid)
+        self.sfu.trunk_stats.subscriptions = len(self.subscriptions)
+
+    def _release_senders(self, trunk: SfuTrunk, senders: Sequence[ParticipantEndpoint]) -> None:
+        """Release the routes, feedback rules and registrations of ``senders``.
 
         The guards make a delayed (post-drain-window) teardown safe: a route
         is removed only while it still points at this trunk's tree, a
@@ -236,33 +297,24 @@ class TrunkManager:
         while it is still marked remote (a migrated-in participant re-registers
         the same id as local).
         """
-        if trunk.released:
-            return
-        trunk.released = True
         pipeline = self.sfu.pipeline
-        agent = self.sfu.agent
         active = self.subscriptions.get(trunk.key)
         active_ssrcs = set(active.ssrcs) if active is not None else set()
-        active_senders = set(active.sender_ids) if active is not None else set()
-        for ssrc in trunk.ssrcs:
-            if ssrc in active_ssrcs:
-                continue
-            entry = pipeline.stream_table.peek((trunk.origin, ssrc))
-            if entry is not None and entry.mgid == trunk.mgid:
-                pipeline.remove_stream_route((trunk.origin, ssrc))
-            stale_rules = [
-                key
-                for key, rule in pipeline.feedback_table.entries()
-                if key[1] == ssrc and rule.sender == trunk.origin
-            ]
-            for receiver, media_ssrc in stale_rules:
-                pipeline.remove_feedback_rule(receiver, media_ssrc)
-        for sender_id in trunk.sender_ids:
-            if sender_id not in active_senders:
-                agent.forget_remote_sender(sender_id)
-        for node_id, rid in trunk.nodes:
-            pipeline.pre.remove_node(trunk.mgid, node_id)
-            pipeline.remove_replica_target(trunk.mgid, rid)
-        trunk.nodes = []
-        pipeline.pre.destroy_tree(trunk.mgid)
-        self.sfu.trunk_stats.subscriptions = len(self.subscriptions)
+        active_senders = active.senders if active is not None else {}
+        for sender in senders:
+            for _kind, ssrc in sender.media_ssrcs():
+                if ssrc in active_ssrcs:
+                    continue
+                entry = pipeline.stream_table.peek((trunk.origin, ssrc))
+                if entry is not None and entry.mgid == trunk.mgid:
+                    pipeline.remove_stream_route((trunk.origin, ssrc))
+                stale_rules = [
+                    key
+                    for key, rule in pipeline.feedback_table.entries()
+                    if key[1] == ssrc and rule.sender == trunk.origin
+                ]
+                for receiver, media_ssrc in stale_rules:
+                    pipeline.remove_feedback_rule(receiver, media_ssrc)
+        for sender in senders:
+            if sender.participant_id not in active_senders:
+                self.sfu.agent.forget_remote_sender(sender.participant_id)

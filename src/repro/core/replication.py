@@ -18,13 +18,22 @@ The :class:`ReplicationManager` installs meetings into a
 state, and migrates meetings between designs without disrupting forwarding
 (make-before-break: build the new trees, repoint the ingress entries, then
 deallocate the old trees).
+
+Every membership change goes through :meth:`ReplicationManager.sync_meeting`.
+A join or leave that keeps the meeting's design and tree group patches the
+trees in place — the departed participants' L1 nodes, replica targets and
+stream entries go, the newcomers' are appended — and leaves exactly the
+control state a teardown and rebuild would: same tree group, same L1 XID,
+same L1 node order.  Where the rebuild would land elsewhere (a new design,
+another group, a re-stamped XID, or this meeting's nodes moving behind
+another meeting's), the meeting's trees are re-laid instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataplane.pipeline import (
     ForwardingMode,
@@ -34,7 +43,6 @@ from ..dataplane.pipeline import (
 )
 from ..dataplane.pre import L2Port
 from ..netsim.datagram import Address
-from ..rtp.av1 import DecodeTarget
 from .capacity import ReplicationDesign
 
 
@@ -63,6 +71,36 @@ class ParticipantEndpoint:
         return ssrcs
 
 
+def add_replica_node(
+    pipeline: ScallopPipeline,
+    mgid: int,
+    participant: ParticipantEndpoint,
+    l1_xid: Optional[int] = None,
+    prune_enabled: bool = False,
+) -> Tuple[int, int]:
+    """Append ``participant``'s L1 node to tree ``mgid`` under the tree's
+    lowest free RID, with the replica target the RID resolves to; returns
+    ``(node id, rid)``."""
+    rid = pipeline.pre.free_rid(mgid)
+    node_id = pipeline.pre.add_node(
+        mgid,
+        rid=rid,
+        ports=[L2Port(port=participant.egress_port, l2_xid=participant.egress_port)],
+        l1_xid=l1_xid,
+        prune_enabled=prune_enabled,
+    )
+    pipeline.install_replica_target(
+        mgid, rid, ReplicaTarget(address=participant.address, participant_id=participant.participant_id)
+    )
+    return node_id, rid
+
+
+def remove_replica_node(pipeline: ScallopPipeline, mgid: int, node_id: int, rid: int) -> None:
+    """Undo :func:`add_replica_node`."""
+    pipeline.pre.remove_node(mgid, node_id)
+    pipeline.remove_replica_target(mgid, rid)
+
+
 @dataclass
 class _TreeState:
     """One allocated multicast tree and its membership bookkeeping."""
@@ -72,6 +110,18 @@ class _TreeState:
     node_ids: Dict[str, int] = field(default_factory=dict)   # participant -> node id
     rids: Dict[str, int] = field(default_factory=dict)        # participant -> RID
     xids: Dict[str, int] = field(default_factory=dict)        # meeting -> L1 XID
+
+
+@dataclass
+class _TreeGroup:
+    """NRA / RA-R trees shared by up to ``meetings_per_tree`` meetings."""
+
+    trees: List[_TreeState]
+    layers: List[Optional[int]]
+    #: member meetings in the order their nodes sit in every tree of the
+    #: group (each meeting's nodes are one contiguous block, and a (re)build
+    #: appends its block at the tail)
+    meetings: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -96,11 +146,11 @@ class ReplicationManager:
         self.pipeline = pipeline
         self.meetings: Dict[str, MeetingReplicationState] = {}
         self._next_port = 1
-        self._next_rid = itertools.count(1)
         self._port_by_participant: Dict[str, int] = {}
-        # NRA / RA-R tree groups with a free meeting slot: group id -> (trees, used meetings)
+        # NRA / RA-R tree groups with a free meeting slot, in the order a new
+        # meeting tries them
         self._open_groups: Dict[ReplicationDesign, List[str]] = {ReplicationDesign.NRA: [], ReplicationDesign.RA_R: []}
-        self._groups: Dict[str, Dict[str, object]] = {}
+        self._groups: Dict[str, _TreeGroup] = {}
         self._group_counter = itertools.count(1)
         self.migrations_performed = 0
 
@@ -116,12 +166,39 @@ class ReplicationManager:
         """Install a meeting under the given (or automatically chosen) design."""
         if meeting_id in self.meetings:
             raise ValueError(f"meeting already installed: {meeting_id}")
+        return self.sync_meeting(meeting_id, participants, design, qualities)
+
+    def sync_meeting(
+        self,
+        meeting_id: str,
+        participants: Sequence[ParticipantEndpoint],
+        design: Optional[ReplicationDesign] = None,
+        qualities: int = 3,
+    ) -> MeetingReplicationState:
+        """Bring a meeting's trees and ingress entries to ``participants``.
+
+        ``design`` defaults to the automatic choice for the new population.
+        The result is the state a teardown and rebuild of the meeting would
+        leave; only the writes differ — a patch when the meeting keeps its
+        design, tree group and XID, a re-layout of its trees otherwise.
+        """
         chosen = design or self._auto_design(len(participants))
-        state = MeetingReplicationState(meeting_id=meeting_id, design=chosen)
+        wanted: Dict[str, ParticipantEndpoint] = {}
         for participant in participants:
-            state.participants[participant.participant_id] = participant
             self._assign_port(participant)
-        self.meetings[meeting_id] = state
+            wanted[participant.participant_id] = participant
+        state = self.meetings.get(meeting_id)
+        if state is None:
+            state = MeetingReplicationState(meeting_id=meeting_id, design=chosen)
+            self.meetings[meeting_id] = state
+        elif self._patchable(state, chosen, len(wanted), qualities):
+            self._patch(state, wanted)
+            return state
+        else:
+            self._remove_stream_entries(state)
+            self._teardown_trees(state)
+        state.design = chosen
+        state.participants = wanted
         self._build(state, qualities)
         self._install_stream_entries(state)
         return state
@@ -137,29 +214,24 @@ class ReplicationManager:
     def add_participant(self, meeting_id: str, participant: ParticipantEndpoint) -> None:
         """Add a participant to a running meeting (controller join event)."""
         state = self._require(meeting_id)
-        self._remove_stream_entries(state)
-        state.participants[participant.participant_id] = participant
-        self._assign_port(participant)
-        self._teardown_trees(state)
-        self._build(state, qualities=3)
-        self._install_stream_entries(state)
+        participants = dict(state.participants)
+        participants[participant.participant_id] = participant
+        self.sync_meeting(meeting_id, list(participants.values()), state.design)
 
     def remove_participant(self, meeting_id: str, participant_id: str) -> None:
         state = self._require(meeting_id)
         if participant_id not in state.participants:
             return
-        self._remove_stream_entries(state)
-        del state.participants[participant_id]
-        self._teardown_trees(state)
-        if len(state.participants) >= 2:
-            if state.design == ReplicationDesign.TWO_PARTY and len(state.participants) != 2:
-                state.design = ReplicationDesign.NRA
-            self._build(state, qualities=3)
-            self._install_stream_entries(state)
-        elif not state.participants:
-            del self.meetings[meeting_id]
-        # a single remaining participant has nobody to forward to: keep the
-        # meeting record but install no forwarding state
+        remaining = [p for pid, p in state.participants.items() if pid != participant_id]
+        if not remaining:
+            self.remove_meeting(meeting_id)
+            return
+        design = state.design
+        if design == ReplicationDesign.TWO_PARTY and len(remaining) > 2:
+            design = ReplicationDesign.NRA
+        # a single remaining participant has nobody to forward to: the
+        # meeting record stays, with no forwarding state installed
+        self.sync_meeting(meeting_id, remaining, design)
 
     # ------------------------------------------------------------------ migration
 
@@ -185,6 +257,66 @@ class ReplicationManager:
         # 3. deallocate the old trees
         self._release_trees(old_trees, old_group, state.meeting_id)
         self.migrations_performed += 1
+
+    # ------------------------------------------------------------------ incremental membership
+
+    def _patchable(
+        self, state: MeetingReplicationState, design: ReplicationDesign, size: int, qualities: int
+    ) -> bool:
+        """Whether a rebuild would leave this meeting where it is: same
+        shared-tree design, same group, same XID, its nodes still the tail
+        block of every tree of the group."""
+        if design != state.design or state.tree_group is None or size < 2:
+            return False
+        if design not in (ReplicationDesign.NRA, ReplicationDesign.RA_R):
+            return False
+        group = self._groups[state.tree_group]
+        if group.meetings[-1] != state.meeting_id or state.l1_xid != len(group.meetings):
+            return False
+        layers = [None] if design == ReplicationDesign.NRA else list(range(qualities))
+        return group.layers == layers and self._rebuild_keeps_group(state, layers)
+
+    def _rebuild_keeps_group(self, state: MeetingReplicationState, layers: List[Optional[int]]) -> bool:
+        """Replays the group choice of a teardown + rebuild: the release puts
+        the group at the end of the open list if it was full (or destroys it
+        if this meeting was alone, and the rebuild then opens an equivalent
+        fresh one), and the rebuild takes the first open group with room."""
+        group_id = state.tree_group
+        alone = len(self._groups[group_id].meetings) == 1
+        limit = self.pipeline.capacities.meetings_per_tree
+        for candidate in self._open_groups[state.design]:
+            if candidate == group_id:
+                if alone:
+                    continue
+                return True
+            other = self._groups[candidate]
+            if len(other.meetings) < limit and other.layers == layers:
+                return False
+        return True
+
+    def _patch(self, state: MeetingReplicationState, wanted: Dict[str, ParticipantEndpoint]) -> None:
+        """Rewrite only what changed: drop the departed participants' nodes
+        (and the nodes after the first one out of rebuild order, which the
+        rebuild would lay down again behind it), then append the newcomers'."""
+        survivors = [pid for pid, p in state.participants.items() if wanted.get(pid) == p]
+        keep = 0
+        for survivor, pid in zip(survivors, wanted):
+            if survivor != pid:
+                break
+            keep += 1
+        kept = set(survivors[:keep])
+        leaving = [p for pid, p in state.participants.items() if pid not in kept]
+        arriving = list(wanted.values())[keep:]
+        for participant in leaving:
+            self._remove_sender_entries(participant)
+        for tree in state.trees:
+            for participant in leaving:
+                self._remove_node(tree, f"{state.meeting_id}:{participant.participant_id}")
+            for participant in arriving:
+                self._add_node(tree, state.meeting_id, participant, state.l1_xid, prune_enabled=True)
+        state.participants = wanted
+        for participant in arriving:
+            self._install_sender_entries(state, participant)
 
     # ------------------------------------------------------------------ design construction
 
@@ -212,41 +344,27 @@ class ReplicationManager:
         group_id = None
         for candidate in self._open_groups[design]:
             group = self._groups[candidate]
-            if len(group["meetings"]) < meetings_per_tree and group["layers"] == layers:  # type: ignore[index]
+            if len(group.meetings) < meetings_per_tree and group.layers == layers:
                 group_id = candidate
                 break
         if group_id is None:
             group_id = f"{design.value}-group-{next(self._group_counter)}"
             trees = [_TreeState(mgid=self.pipeline.pre.create_tree(), layer=layer) for layer in layers]
-            self._groups[group_id] = {"trees": trees, "meetings": set(), "layers": layers}
+            self._groups[group_id] = _TreeGroup(trees=trees, layers=layers)
             self._open_groups[design].append(group_id)
         group = self._groups[group_id]
-        group["meetings"].add(state.meeting_id)  # type: ignore[union-attr]
-        if len(group["meetings"]) >= meetings_per_tree:  # type: ignore[arg-type]
+        group.meetings.append(state.meeting_id)
+        if len(group.meetings) >= meetings_per_tree:
             if group_id in self._open_groups[design]:
                 self._open_groups[design].remove(group_id)
 
         state.tree_group = group_id
-        state.l1_xid = len(group["meetings"])  # type: ignore[arg-type]
-        state.trees = list(group["trees"])  # type: ignore[arg-type]
+        state.l1_xid = len(group.meetings)
+        state.trees = list(group.trees)
 
         for tree in state.trees:
             for participant in state.participants.values():
-                rid = next(self._next_rid) % self.pipeline.capacities.max_rids_per_tree
-                node_id = self.pipeline.pre.add_node(
-                    tree.mgid,
-                    rid=rid,
-                    ports=[L2Port(port=participant.egress_port, l2_xid=participant.egress_port)],
-                    l1_xid=state.l1_xid,
-                    prune_enabled=True,
-                )
-                tree.node_ids[f"{state.meeting_id}:{participant.participant_id}"] = node_id
-                tree.rids[f"{state.meeting_id}:{participant.participant_id}"] = rid
-                self.pipeline.install_replica_target(
-                    tree.mgid,
-                    rid,
-                    ReplicaTarget(address=participant.address, participant_id=participant.participant_id),
-                )
+                self._add_node(tree, state.meeting_id, participant, state.l1_xid, prune_enabled=True)
 
     def _build_ra_sr(self, state: MeetingReplicationState, qualities: int) -> None:
         """RA-SR: one tree per (pair of senders, quality)."""
@@ -257,28 +375,28 @@ class ReplicationManager:
                 tree = _TreeState(mgid=self.pipeline.pre.create_tree(), layer=layer)
                 tree.xids = {p.participant_id: index + 1 for index, p in enumerate(pair)}
                 for participant in participants:
-                    rid = next(self._next_rid) % self.pipeline.capacities.max_rids_per_tree
-                    node_id = self.pipeline.pre.add_node(
-                        tree.mgid,
-                        rid=rid,
-                        ports=[L2Port(port=participant.egress_port, l2_xid=participant.egress_port)],
-                        l1_xid=None,
-                        prune_enabled=False,
-                    )
-                    key = f"{state.meeting_id}:{participant.participant_id}"
-                    tree.node_ids[key] = node_id
-                    tree.rids[key] = rid
-                    self.pipeline.install_replica_target(
-                        tree.mgid,
-                        rid,
-                        ReplicaTarget(address=participant.address, participant_id=participant.participant_id),
-                    )
-                tree.layer = layer
+                    self._add_node(tree, state.meeting_id, participant, None, prune_enabled=False)
                 # remember which senders this tree serves
                 tree_senders = tuple(p.participant_id for p in pair)
                 tree.xids["__senders__"] = hash(tree_senders) & 0xFFFF
                 setattr(tree, "senders", tree_senders)
                 state.trees.append(tree)
+
+    def _add_node(
+        self,
+        tree: _TreeState,
+        meeting_id: str,
+        participant: ParticipantEndpoint,
+        l1_xid: Optional[int],
+        prune_enabled: bool,
+    ) -> None:
+        key = f"{meeting_id}:{participant.participant_id}"
+        tree.node_ids[key], tree.rids[key] = add_replica_node(
+            self.pipeline, tree.mgid, participant, l1_xid, prune_enabled
+        )
+
+    def _remove_node(self, tree: _TreeState, key: str) -> None:
+        remove_replica_node(self.pipeline, tree.mgid, tree.node_ids.pop(key), tree.rids.pop(key))
 
     # ------------------------------------------------------------------ ingress entries
 
@@ -286,14 +404,20 @@ class ReplicationManager:
         if len(state.participants) < 2:
             return  # a lone participant has no receivers to forward to
         for participant in state.participants.values():
-            for _kind, ssrc in participant.media_ssrcs():
-                entry = self._entry_for_sender(state, participant)
-                self.pipeline.install_stream((participant.address, ssrc), entry)
+            self._install_sender_entries(state, participant)
+
+    def _install_sender_entries(self, state: MeetingReplicationState, participant: ParticipantEndpoint) -> None:
+        for _kind, ssrc in participant.media_ssrcs():
+            entry = self._entry_for_sender(state, participant)
+            self.pipeline.install_stream((participant.address, ssrc), entry)
 
     def _remove_stream_entries(self, state: MeetingReplicationState) -> None:
         for participant in state.participants.values():
-            for _kind, ssrc in participant.media_ssrcs():
-                self.pipeline.remove_stream((participant.address, ssrc))
+            self._remove_sender_entries(participant)
+
+    def _remove_sender_entries(self, participant: ParticipantEndpoint) -> None:
+        for _kind, ssrc in participant.media_ssrcs():
+            self.pipeline.remove_stream((participant.address, ssrc))
 
     def _entry_for_sender(
         self, state: MeetingReplicationState, sender: ParticipantEndpoint
@@ -362,8 +486,7 @@ class ReplicationManager:
         """
         if state.tree_group is None or state.l1_xid is None:
             return None
-        group = self._groups[state.tree_group]
-        if len(group["meetings"]) <= 1:  # type: ignore[arg-type]
+        if len(self._groups[state.tree_group].meetings) <= 1:
             return None
         return 2 if state.l1_xid == 1 else 1
 
@@ -382,32 +505,26 @@ class ReplicationManager:
             group = self._groups.get(group_id)
             if group is None:
                 return
-            group["meetings"].discard(meeting_id)  # type: ignore[union-attr]
+            if meeting_id in group.meetings:
+                group.meetings.remove(meeting_id)
             prefix = f"{meeting_id}:"
-            for tree in group["trees"]:  # type: ignore[union-attr]
+            for tree in group.trees:
                 for key in [k for k in tree.node_ids if k.startswith(prefix)]:
-                    self.pipeline.pre.remove_node(tree.mgid, tree.node_ids.pop(key))
-                    rid = tree.rids.pop(key, None)
-                    if rid is not None:
-                        self.pipeline.remove_replica_target(tree.mgid, rid)
-            if not group["meetings"]:  # type: ignore[arg-type]
-                for tree in group["trees"]:  # type: ignore[union-attr]
+                    self._remove_node(tree, key)
+            design = ReplicationDesign.NRA if group_id.startswith("nra") else ReplicationDesign.RA_R
+            if not group.meetings:
+                for tree in group.trees:
                     self.pipeline.pre.destroy_tree(tree.mgid)
-                design = ReplicationDesign.NRA if group_id.startswith("nra") else ReplicationDesign.RA_R
                 if group_id in self._open_groups.get(design, []):
                     self._open_groups[design].remove(group_id)
                 del self._groups[group_id]
-            else:
-                design = ReplicationDesign.NRA if group_id.startswith("nra") else ReplicationDesign.RA_R
-                if group_id not in self._open_groups.setdefault(design, []):
-                    self._open_groups[design].append(group_id)
+            elif group_id not in self._open_groups.setdefault(design, []):
+                self._open_groups[design].append(group_id)
             return
         # privately owned trees (RA-SR)
         for tree in trees:
-            for key, node_id in list(tree.node_ids.items()):
-                self.pipeline.pre.remove_node(tree.mgid, node_id)
-            for key, rid in list(tree.rids.items()):
-                self.pipeline.remove_replica_target(tree.mgid, rid)
+            for key in list(tree.node_ids):
+                self._remove_node(tree, key)
             self.pipeline.pre.destroy_tree(tree.mgid)
 
     # ------------------------------------------------------------------ misc helpers

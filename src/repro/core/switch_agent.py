@@ -17,7 +17,7 @@ analyzes them, and reconfigures the data plane when needed.  Its jobs are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dataplane.pipeline import FeedbackRule, ScallopPipeline
@@ -57,11 +57,16 @@ class AgentCounters:
     migrations: int = 0
 
 
+#: The structure a sender is assumed to use until its first key frame is
+#: analysed (``TemplateStructure`` is frozen, so every state shares it).
+_DEFAULT_STRUCTURE = TemplateStructure.l1t3()
+
+
 @dataclass
 class _ParticipantState:
     endpoint: ParticipantEndpoint
     meeting_id: str
-    structure: TemplateStructure = field(default_factory=TemplateStructure.l1t3)
+    structure: TemplateStructure = _DEFAULT_STRUCTURE
     #: Sender registered by the trunk manager: media arrives over an inter-SFU
     #: trunk, so this box must never install REMB-forwarding rules toward the
     #: sender's true client address (the origin SFU runs the filter function
@@ -90,6 +95,8 @@ class SwitchAgent:
         self._clock = clock or (lambda: 0.0)
 
         self._participants: Dict[str, _ParticipantState] = {}
+        #: meeting -> ids of its locally configured (non-remote) participants
+        self._members: Dict[str, Dict[str, None]] = {}
         self._participant_by_address: Dict[Address, str] = {}
         self._participant_by_ssrc: Dict[int, str] = {}
         self._adaptation_installed: Dict[Tuple[int, Address], bool] = {}
@@ -102,22 +109,32 @@ class SwitchAgent:
         participants: Sequence[ParticipantEndpoint],
         design: Optional[ReplicationDesign] = None,
     ) -> None:
-        """(Re)install a meeting's replication state and feedback rules.
+        """Bring a meeting's replication state and feedback rules to ``participants``.
 
-        All meeting-lifecycle writes run inside
+        Departed participants are forgotten and newcomers registered; the
+        ones who stay keep their registration, learned SVC structure
+        included.  The replication manager patches the meeting's trees
+        (:meth:`~repro.core.replication.ReplicationManager.sync_meeting`), so
+        a join or leave writes the PRE nodes, replica targets and stream
+        entries of the participants that changed, plus the meeting's
+        feedback rules.  Everything runs inside
         :meth:`~repro.dataplane.pipeline.PipelineControlPlane.batched_writes`,
-        so a join that installs dozens of table entries and PRE nodes bumps
-        each write generation once — datapath caches invalidate once per
-        join instead of once per write.
+        so each write generation bumps once per call.
         """
         with self.pipeline.batched_writes():
-            if meeting_id in self.replication.meetings:
-                self.replication.remove_meeting(meeting_id)
-                for pid in [p for p, s in self._participants.items() if s.meeting_id == meeting_id]:
-                    self._forget_participant(pid)
-            self.replication.install_meeting(meeting_id, participants, design=design)
+            wanted = {participant.participant_id for participant in participants}
+            for pid in [pid for pid in self._members.get(meeting_id, ()) if pid not in wanted]:
+                self._forget_participant(pid)
+            self.replication.sync_meeting(meeting_id, participants, design=design)
             for participant in participants:
-                self._register_participant(meeting_id, participant)
+                state = self._participants.get(participant.participant_id)
+                if (
+                    state is None
+                    or state.remote
+                    or state.meeting_id != meeting_id
+                    or state.endpoint != participant
+                ):
+                    self._register_participant(meeting_id, participant)
             self._install_feedback_rules(meeting_id)
         self.counters.rule_updates += 1
 
@@ -134,8 +151,8 @@ class SwitchAgent:
     def remove_participant(self, meeting_id: str, participant_id: str) -> None:
         """Tear down everything a departing participant consumed.
 
-        Beyond the replication state (ingress entries, PRE nodes — handled by
-        the replication manager's rebuild), a leave must release the
+        Beyond the replication state (the leaver's ingress entries and PRE
+        nodes — removed by the replication manager), a leave must release the
         participant's *egress-side* data-plane state: the rate-adaptation
         entries in which they appear as receiver or sender (freeing their
         sequence-rewriter registers and the accountant's stream-state
@@ -191,20 +208,34 @@ class SwitchAgent:
         return None if state is None else state.design
 
     def _register_participant(self, meeting_id: str, participant: ParticipantEndpoint) -> None:
-        self._participants[participant.participant_id] = _ParticipantState(
-            endpoint=participant, meeting_id=meeting_id
-        )
-        self._participant_by_address[participant.address] = participant.participant_id
+        pid = participant.participant_id
+        if pid in self._participants:
+            self._forget_participant(pid)
+        self._participants[pid] = _ParticipantState(endpoint=participant, meeting_id=meeting_id)
+        self._members.setdefault(meeting_id, {})[pid] = None
+        self._participant_by_address[participant.address] = pid
         for _kind, ssrc in participant.media_ssrcs():
-            self._participant_by_ssrc[ssrc] = participant.participant_id
+            self._participant_by_ssrc[ssrc] = pid
 
     def _forget_participant(self, participant_id: str) -> None:
+        self._unindex(participant_id)
         state = self._participants.pop(participant_id, None)
         if state is None:
             return
         self._participant_by_address.pop(state.endpoint.address, None)
         for _kind, ssrc in state.endpoint.media_ssrcs():
             self._participant_by_ssrc.pop(ssrc, None)
+
+    def _unindex(self, participant_id: str) -> None:
+        """Drop a participant from its meeting's member index."""
+        state = self._participants.get(participant_id)
+        if state is None or state.remote:
+            return
+        members = self._members.get(state.meeting_id)
+        if members is not None:
+            members.pop(participant_id, None)
+            if not members:
+                del self._members[state.meeting_id]
 
     def _install_feedback_rules(self, meeting_id: str) -> None:
         """Install NACK/PLI forwarding for every (receiver, sender-ssrc) pair."""
@@ -213,11 +244,14 @@ class SwitchAgent:
             return
         participants = list(meeting.participants.values())
         for sender in participants:
+            ssrcs = sender.media_ssrcs()
+            if not ssrcs:
+                continue
             selected = self.downlink_filter.selected_receiver(sender.participant_id)
             for receiver in participants:
                 if receiver.participant_id == sender.participant_id:
                     continue
-                for _kind, ssrc in sender.media_ssrcs():
+                for _kind, ssrc in ssrcs:
                     self.pipeline.install_feedback_rule(
                         receiver.address,
                         ssrc,
@@ -239,8 +273,13 @@ class SwitchAgent:
         address index: trunk media arrives from the peer SFU's address, and
         only SSRC resolution (REMB processing, extended-descriptor punts)
         needs to see remote senders.  No replication or feedback state is
-        touched — the trunk manager owns the ingress routes.
+        touched — the trunk manager owns the ingress routes.  Re-registering
+        an unchanged remote sender keeps its learned SVC structure.
         """
+        state = self._participants.get(endpoint.participant_id)
+        if state is not None and state.remote and state.meeting_id == meeting_id and state.endpoint == endpoint:
+            return
+        self._unindex(endpoint.participant_id)
         self._participants[endpoint.participant_id] = _ParticipantState(
             endpoint=endpoint, meeting_id=meeting_id, remote=True
         )

@@ -65,9 +65,11 @@ class MulticastTree:
 
     mgid: int
     nodes: Dict[int, L1Node] = field(default_factory=dict)
+    #: RIDs held by the tree's nodes (unique within a tree)
+    used_rids: Set[int] = field(default_factory=set)
 
     def rids(self) -> Set[int]:
-        return {node.rid for node in self.nodes.values()}
+        return set(self.used_rids)
 
 
 class PacketReplicationEngine:
@@ -139,7 +141,7 @@ class PacketReplicationEngine:
         port_tuple = tuple(ports)
         if not port_tuple:
             raise ValueError("an L1 node must reference at least one egress port")
-        if rid in tree.rids() and any(n.rid == rid for n in tree.nodes.values()):
+        if rid in tree.used_rids:
             # multiple nodes may share an RID only if they serve distinct ports;
             # Scallop never does this, so reject to catch configuration bugs.
             raise ValueError(f"RID {rid} already present in tree {mgid}")
@@ -156,13 +158,30 @@ class PacketReplicationEngine:
             l1_xid=l1_xid,
             prune_enabled=prune_enabled,
         )
+        tree.used_rids.add(rid)
         self.accountant.l1_nodes_allocated += 1
         self._bump_generation()
         return node_id
 
+    def free_rid(self, mgid: int) -> int:
+        """The lowest RID no node of tree ``mgid`` holds.
+
+        RIDs only need to be unique within their tree, so each tree reuses
+        the RIDs its departed nodes freed; :meth:`add_node` raises
+        :class:`ResourceExhausted` once a tree holds every RID below
+        ``max_rids_per_tree``.
+        """
+        used = self._require_tree(mgid).used_rids
+        rid = 0
+        while rid in used:
+            rid += 1
+        return rid
+
     def remove_node(self, mgid: int, node_id: int) -> None:
         tree = self._require_tree(mgid)
-        if tree.nodes.pop(node_id, None) is not None:
+        node = tree.nodes.pop(node_id, None)
+        if node is not None:
+            tree.used_rids.discard(node.rid)
             self._bump_generation()
             self.accountant.l1_nodes_allocated = max(0, self.accountant.l1_nodes_allocated - 1)
 
