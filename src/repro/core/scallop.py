@@ -64,7 +64,6 @@ class ScallopSfu:
         adaptation_thresholds_bps: Optional[Tuple[float, float]] = None,
         n_shards: int = 1,
         rebalance: Union[bool, RebalancerConfig, None] = None,
-        profile: bool = False,
         obs: Union[bool, ObsConfig, None] = None,
     ) -> None:
         self.address = address
@@ -75,17 +74,16 @@ class ScallopSfu:
         elif rebalance is False:
             rebalance = None
         #: ``n_shards=1`` keeps the single-datapath reference engine;
-        #: ``n_shards>=2`` (or any sharded-only feature such as the load-aware
-        #: rebalancer or the coordinator stage profile) partitions every
-        #: ingress burst by flow across share-nothing datapath shards behind
-        #: the same pipeline API (the outputs are byte-identical either way).
-        if n_shards > 1 or rebalance is not None or profile:
+        #: ``n_shards>=2`` (or the load-aware rebalancer, the one
+        #: sharded-only feature) partitions every ingress burst by flow
+        #: across share-nothing datapath shards behind the same pipeline API
+        #: (the outputs are byte-identical either way).
+        if n_shards > 1 or rebalance is not None:
             self.pipeline = ShardedScallopPipeline(
                 address,
                 n_shards=n_shards,
                 capacities=capacities,
                 rebalance_config=rebalance,
-                profile=profile,
                 obs=obs,
             )
         else:

@@ -8,11 +8,9 @@ from .resources import (
     TofinoCapacities,
     table3_rows,
 )
-from .resources import attribution_skew
 from .tables import ExactMatchTable, IndexAllocator, RegisterArray, TableFull
 from .pre import L1Node, L2Port, MulticastTree, PacketReplicationEngine, Replica
 from .parser import IngressParser, PacketClass, ParseResult
-from .resources import ShardResourceAccountant
 from .pipeline import (
     AdaptationEntry,
     FeedbackRule,
@@ -38,7 +36,6 @@ __all__ = [
     "ResourceExhausted",
     "ResourceUsage",
     "TofinoCapacities",
-    "attribution_skew",
     "table3_rows",
     "ExactMatchTable",
     "IndexAllocator",
@@ -71,7 +68,6 @@ __all__ = [
     "MigrationPlan",
     "RebalancerConfig",
     "ShardRebalancer",
-    "ShardResourceAccountant",
     "ShardedScallopPipeline",
     "StreamForwardingEntry",
     "SWITCH_FORWARDING_DELAY_S",

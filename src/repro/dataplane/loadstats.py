@@ -23,13 +23,10 @@ Design notes:
   already routes on — ``(source address, SSRC)`` for RTP media, ``(source
   address, -1)`` for a sender's control traffic — so the tracker's per-flow
   rows are directly actionable: every row *can* be migrated.
-* **Shard rows combine traffic with occupancy.**  ``shard_rates`` is derived
-  from the same flow observations (so policy math is self-consistent), while
-  :meth:`observe_shard_load` folds in the
-  ``shard_load()``/:class:`~repro.dataplane.resources.ShardResourceAccountant`
-  attribution views.  Occupancy is surfaced as diagnostics
-  (:meth:`FlowLoadTracker.snapshot`) today; the policy ranks by packet rate
-  only — weighing occupancy into the ranking is a ROADMAP open item.
+* **Shard rows are traffic only.**  ``shard_rates`` is derived from the same
+  flow observations the policy ranks (so policy math is self-consistent).
+  Resource occupancy is not per shard: every charge lands on the switch's
+  one global ledger.
 * **Bounded.**  Junk traffic mints unknown flow keys; the tracker keeps at
   most ``max_flows`` rows and evicts the coldest when full, which is safe
   because a flow cold enough to be evicted is by definition not a migration
@@ -39,7 +36,7 @@ Design notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..netsim.datagram import Address
 
@@ -91,8 +88,6 @@ class FlowLoadTracker:
         #: EWMA packets per batch per shard, derived from the same per-flow
         #: observations the policy ranks, so the two views cannot disagree.
         self.shard_rates: List[float] = [0.0] * n_shards
-        #: Latest occupancy attribution per shard (fed from ``shard_load()``).
-        self.shard_occupancy: List[float] = [0.0] * n_shards
 
     # ------------------------------------------------------------------ feeding
 
@@ -142,13 +137,6 @@ class FlowLoadTracker:
             shard_totals[row.shard] += row.rate
         for shard in range(self.n_shards):
             self.shard_rates[shard] = shard_totals[shard]
-
-    def observe_shard_load(self, rows: Sequence[Mapping[str, float]]) -> None:
-        """Fold the engine's ``shard_load()`` occupancy attribution in."""
-        for row in rows:
-            shard = int(row["shard"])
-            if 0 <= shard < self.n_shards:
-                self.shard_occupancy[shard] = float(row["stream_tracker_occupancy"])
 
     def forget_flows(self, src: Address) -> int:
         """Drop every tracked flow of ``src`` (participant leave); the rows
@@ -216,6 +204,5 @@ class FlowLoadTracker:
             "batches_observed": self.batches_observed,
             "flows_tracked": len(self.flows),
             "shard_rates": [round(rate, 3) for rate in self.shard_rates],
-            "shard_occupancy": list(self.shard_occupancy),
             "skew_ratio": round(self.skew_ratio(), 4),
         }

@@ -19,15 +19,16 @@ Architecturally the model is split the way the paper splits the system:
 
 * :class:`PipelineControlPlane` owns everything the switch agent writes —
   match-action tables, the PRE configuration, stream-index allocation, the
-  sequence-rewriter register file, and resource accounting.  All writes fan
-  out to every attached datapath (per-shard register copies), so a datapath
-  never blocks on another datapath's state.
+  sequence-rewriter register file, and the one global resource ledger.  All
+  writes fan out to every attached datapath (per-shard register copies), so
+  a datapath never blocks on another datapath's state.
 * :class:`PipelineDatapath` is the per-packet engine: it holds only
   read-mostly references into the control plane plus private state (parser,
   counters, memoized flow resolution, its rewriter register view).  Per-flow
   operations commute (the Scalable Commutativity Rule), so datapaths can be
   replicated into shards that share nothing but the control plane — see
-  :class:`~repro.dataplane.sharding.ShardedScallopPipeline`.
+  :class:`~repro.dataplane.sharding.ShardedScallopPipeline`, whose output
+  is byte-identical to one datapath at every shard count.
 * :class:`ScallopPipeline` is the single-datapath composition of the two,
   preserving the original one-object API used throughout the repo.
 
@@ -45,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..netsim.datagram import Address, Datagram, PayloadKind
 from ..obs.hooks import DatapathObs, ObsConfig
@@ -350,10 +351,9 @@ class PipelineControlPlane:
     register view, and every table/PRE write bumps the corresponding write
     generation so datapath caches invalidate on their next batch.
 
-    Resource charges land in one global :class:`ResourceAccountant` ledger.
-    When a charge-scope router is installed (sharded mode), per-flow stream
-    state is additionally attributed to the owning shard's
-    :class:`~repro.dataplane.resources.ShardResourceAccountant` view.
+    Resource charges land in one global :class:`ResourceAccountant` ledger,
+    whatever the number of attached datapaths: the Tofino budget belongs to
+    the switch.
     """
 
     def __init__(
@@ -405,17 +405,6 @@ class PipelineControlPlane:
         )
 
         self._datapaths: List["PipelineDatapath"] = []
-        #: Optional hook (set by the sharded engine) mapping a sender SSRC to
-        #: the per-shard accountant view its stream state is attributed to.
-        self._charge_scope_router: Optional[Callable[[int], Optional[object]]] = None
-        #: Which scope each adaptation key's cells were attributed to, so a
-        #: release always balances the original attribution even if routing
-        #: would resolve differently at release time.
-        self._tracker_charges: Dict[Tuple[int, Address], Tuple[Optional[object], int]] = {}
-        #: Reverse index for live migration: which receivers hold adaptation
-        #: state for a given sender SSRC, so a migrated flow's stream-state
-        #: charges can be re-attributed without scanning the adaptation table.
-        self._adaptation_receivers: Dict[int, Set[Address]] = {}
         #: Write-batching state (:meth:`batched_writes`): nesting depth and
         #: the register indices whose datapath fan-out is deferred.
         self._write_batch_depth = 0
@@ -431,9 +420,6 @@ class PipelineControlPlane:
         if datapath.trackers is not self.stream_trackers:
             for index, value in self.stream_trackers.used_entries():
                 datapath.trackers.write(index, value)
-
-    def set_charge_scope_router(self, router: Optional[Callable[[int], Optional[object]]]) -> None:
-        self._charge_scope_router = router
 
     def write_stamp(self) -> Tuple[int, int, int, int]:
         """Aggregate write generation over all cache-relevant control state."""
@@ -604,21 +590,8 @@ class PipelineControlPlane:
             raise
         if cells < old_cells:
             self.accountant.release_stream_state(old_cells - cells)
-        self._retag_tracker_charge(key, sender_ssrc, cells)
-        self._adaptation_receivers.setdefault(sender_ssrc, set()).add(receiver)
         self._write_tracker(index, rewriter)
         return index
-
-    def _retag_tracker_charge(self, key: Tuple[int, Address], sender_ssrc: int, cells: int) -> None:
-        """Move the per-shard attribution of this key's cells onto the scope
-        the charge-scope router currently resolves (ledger totals unchanged)."""
-        old_scope, old_attributed = self._tracker_charges.pop(key, (None, 0))
-        if old_scope is not None:
-            old_scope.note_stream_state(-old_attributed)
-        scope = self._charge_scope_router(sender_ssrc) if self._charge_scope_router else None
-        if scope is not None and cells:
-            scope.note_stream_state(cells)
-            self._tracker_charges[key] = (scope, cells)
 
     def update_adaptation_templates(
         self, sender_ssrc: int, receiver: Address, allowed_templates: FrozenSet[int]
@@ -638,15 +611,9 @@ class PipelineControlPlane:
             rewriter = self.stream_trackers.peek(entry.stream_index)
             if rewriter is not None:
                 self.accountant.release_stream_state(getattr(rewriter, "state_cells", 1))
-            self._retag_tracker_charge(key, sender_ssrc, 0)
             self._write_tracker(entry.stream_index, None)
             self.stream_indices.release(key)
             self.adaptation_table.remove(key)
-            receivers = self._adaptation_receivers.get(sender_ssrc)
-            if receivers is not None:
-                receivers.discard(receiver)
-                if not receivers:
-                    del self._adaptation_receivers[sender_ssrc]
 
     def install_feedback_rule(self, receiver: Address, media_ssrc: int, rule: FeedbackRule) -> None:
         self.feedback_table.install((receiver, media_ssrc), rule)
@@ -679,19 +646,6 @@ class PipelineControlPlane:
         for key in stale:
             self.placement_table.remove(key)
         return len(stale)
-
-    def reattribute_ssrc_charges(self, sender_ssrc: int) -> None:
-        """Re-route a sender SSRC's stream-state attribution through the
-        charge-scope router (called after its flow migrates shards; the
-        global ledger totals are unchanged — only the per-shard views move)."""
-        receivers = self._adaptation_receivers.get(sender_ssrc)
-        if not receivers:
-            return
-        for receiver in list(receivers):
-            key = (sender_ssrc, receiver)
-            _scope, cells = self._tracker_charges.get(key, (None, 0))
-            if cells:
-                self._retag_tracker_charge(key, sender_ssrc, cells)
 
     # ------------------------------------------------------------------ flow snapshot (cross-SFU migration)
 

@@ -84,7 +84,9 @@ class ResourceAccountant:
     Fixed resources (stages, PHV, crossbars, ...) are attributes of the
     compiled program and do not change with load; dynamic resources (trees,
     L1 nodes, stream-tracker cells, SRAM entries, egress throughput) grow with
-    the number of meetings/participants and are tracked here.
+    the number of meetings/participants and are tracked here.  The ledger is
+    exact: a release of more than is in use raises :class:`ValueError` and
+    changes nothing, so a double release cannot hide behind a clamp.
     """
 
     def __init__(self, capacities: TofinoCapacities = DEFAULT_CAPACITIES) -> None:
@@ -106,8 +108,10 @@ class ResourceAccountant:
         self.l1_nodes_allocated += l1_nodes
 
     def release_tree(self, l1_nodes: int) -> None:
-        self.trees_allocated = max(0, self.trees_allocated - 1)
-        self.l1_nodes_allocated = max(0, self.l1_nodes_allocated - l1_nodes)
+        _check_release("multicast trees", 1, self.trees_allocated)
+        _check_release("L1 nodes", l1_nodes, self.l1_nodes_allocated)
+        self.trees_allocated -= 1
+        self.l1_nodes_allocated -= l1_nodes
 
     def allocate_stream_state(self, cells: int = 1) -> None:
         if self.stream_tracker_cells_used + cells > self.capacities.stream_tracker_cells:
@@ -115,7 +119,8 @@ class ResourceAccountant:
         self.stream_tracker_cells_used += cells
 
     def release_stream_state(self, cells: int = 1) -> None:
-        self.stream_tracker_cells_used = max(0, self.stream_tracker_cells_used - cells)
+        _check_release("stream tracker cells", cells, self.stream_tracker_cells_used)
+        self.stream_tracker_cells_used -= cells
 
     def allocate_match_entries(self, entries: int) -> None:
         if self.exact_match_entries_used + entries > self.capacities.exact_match_entries:
@@ -123,7 +128,8 @@ class ResourceAccountant:
         self.exact_match_entries_used += entries
 
     def release_match_entries(self, entries: int) -> None:
-        self.exact_match_entries_used = max(0, self.exact_match_entries_used - entries)
+        _check_release("exact-match entries", entries, self.exact_match_entries_used)
+        self.exact_match_entries_used -= entries
 
     # -- reporting ---------------------------------------------------------------
 
@@ -143,78 +149,9 @@ class ResourceExhausted(RuntimeError):
     """Raised when a hardware resource budget would be exceeded."""
 
 
-class ShardResourceAccountant:
-    """Per-shard charge/release view routed through one global ledger.
-
-    The sharded pipeline partitions flows across datapath shards, but the
-    Tofino capacities are a property of the one physical switch: every
-    allocation must be admission-checked against the single global
-    :class:`ResourceAccountant`.  This view forwards all charge/release
-    traffic to that ledger while keeping a per-shard tally, so operators can
-    see how occupancy distributes across shards without the ledger ever
-    being split.  The attribution is *live*: when the placement control loop
-    migrates a flow, the control plane re-routes its cells to the destination
-    shard's view (:meth:`note_stream_state`), so occupancy skew read through
-    :func:`attribution_skew` always reflects the current placement.
-    """
-
-    def __init__(self, ledger: ResourceAccountant, shard_id: int) -> None:
-        self.ledger = ledger
-        self.shard_id = shard_id
-        self.stream_tracker_cells_used = 0
-        self.exact_match_entries_used = 0
-
-    # -- forwarding allocation hooks (ledger-checked) ---------------------------
-
-    def allocate_stream_state(self, cells: int = 1) -> None:
-        self.ledger.allocate_stream_state(cells)
-        self.stream_tracker_cells_used += cells
-
-    def release_stream_state(self, cells: int = 1) -> None:
-        self.ledger.release_stream_state(cells)
-        self.stream_tracker_cells_used = max(0, self.stream_tracker_cells_used - cells)
-
-    def allocate_match_entries(self, entries: int) -> None:
-        self.ledger.allocate_match_entries(entries)
-        self.exact_match_entries_used += entries
-
-    def release_match_entries(self, entries: int) -> None:
-        self.ledger.release_match_entries(entries)
-        self.exact_match_entries_used = max(0, self.exact_match_entries_used - entries)
-
-    # -- attribution-only adjustments -------------------------------------------
-
-    def note_stream_state(self, cells_delta: int) -> None:
-        """Re-attribute already-ledgered cells to this shard (used when the
-        control plane retags an existing charge — adaptation reinstalls and
-        live flow migrations; the global ledger total is unchanged)."""
-        self.stream_tracker_cells_used = max(0, self.stream_tracker_cells_used + cells_delta)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def utilization(self) -> Dict[str, float]:
-        """This shard's share of the *global* capacity (sums over shards plus
-        any unattributed control-plane charges equal the ledger's numbers)."""
-        caps = self.ledger.capacities
-        return {
-            "stream_tracker_cells": self.stream_tracker_cells_used / caps.stream_tracker_cells,
-            "exact_match_entries": self.exact_match_entries_used / caps.exact_match_entries,
-        }
-
-
-def attribution_skew(accountants: "List[ShardResourceAccountant]") -> float:
-    """Max/mean stream-tracker occupancy across shard attribution views.
-
-    1.0 means perfectly even state placement.  A diagnostic reduction for
-    operators and tests; the placement policy itself currently ranks flows by
-    packet rate only (folding occupancy into the ranking is a ROADMAP open
-    item).  Returns 1.0 when nothing is attributed (no skew to speak of).
-    """
-    cells = [accountant.stream_tracker_cells_used for accountant in accountants]
-    total = sum(cells)
-    if not cells or total <= 0:
-        return 1.0
-    return max(cells) / (total / len(cells))
+def _check_release(resource: str, amount: int, in_use: int) -> None:
+    if amount > in_use:
+        raise ValueError(f"release of {amount} {resource} exceeds the {in_use} in use")
 
 
 def table3_rows(

@@ -122,8 +122,6 @@ BLOCKED_METHODS = frozenset(
         "install_placement",
         "remove_placement",
         "remove_placements_for",
-        "reattribute_ssrc_charges",
-        "set_charge_scope_router",
         "attach_datapath",
         "_write_tracker",
         "allocate_stream_state",

@@ -11,9 +11,9 @@ view — while a single :class:`~repro.dataplane.pipeline.PipelineControlPlane`
 remains the only shared state (tables and PRE configuration are read-mostly;
 control-plane writes fan out and bump generations that each shard observes
 independently).  Results are reassembled in input order, byte-identical to
-the unsharded pipeline; resource charges land in one global
-:class:`~repro.dataplane.resources.ResourceAccountant` ledger with per-shard
-attribution views.
+the unsharded pipeline; resource charges land in the one global
+:class:`~repro.dataplane.resources.ResourceAccountant` ledger, because the
+Tofino budget belongs to the switch, not to a shard.
 
 Serial sharding
 ---------------
@@ -43,7 +43,8 @@ observed skew into migration plans, and :meth:`ShardedScallopPipeline.migrate_fl
 executes them at batch boundaries — the migrating sender's rewriter register
 state follows the flow (every shard's register view aliases the same rewriter
 objects), so outputs remain byte-identical to the unsharded pipeline across
-every migration epoch.
+every migration epoch.  The policy ranks flows by packet and egress rate;
+nothing here reads a clock.
 """
 
 from __future__ import annotations
@@ -66,11 +67,7 @@ from .pipeline import (
     PipelineDatapath,
     PipelineResult,
 )
-from .resources import (
-    DEFAULT_CAPACITIES,
-    ShardResourceAccountant,
-    TofinoCapacities,
-)
+from .resources import DEFAULT_CAPACITIES, TofinoCapacities
 from .sanitize import IsolationViolation, resolve_sanitize
 from .tables import RegisterArray
 
@@ -102,8 +99,8 @@ class ShardedScallopPipeline(ControlPlaneFacade):
     rules) and both data-path entry points (``process``/``process_batch``)
     behave identically, and the outputs are byte-for-byte the same as the
     single-datapath engine for any shard count.  ``counters`` aggregates the
-    per-shard tallies on read; ``utilization()`` reads the single global
-    resource ledger that all shards charge through.
+    per-shard tallies on read; ``accountant`` is the single global resource
+    ledger.
     """
 
     def __init__(
@@ -114,7 +111,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         rebalance: bool = False,
         rebalance_config: Optional[RebalancerConfig] = None,
         sanitize: Optional[bool] = None,
-        profile: bool = False,
         obs: Union[bool, ObsConfig, None] = None,
     ) -> None:
         if n_shards < 1:
@@ -134,10 +130,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         else:
             obs_config = None
         self.control = PipelineControlPlane(sfu_address, capacities, obs=obs_config)
-        self.shard_accountants = [
-            ShardResourceAccountant(self.control.accountant, shard_id)
-            for shard_id in range(n_shards)
-        ]
         self.shards: List[PipelineDatapath] = []
         for shard_id in range(n_shards):
             datapath = PipelineDatapath(
@@ -150,7 +142,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             )
             self.control.attach_datapath(datapath)
             self.shards.append(datapath)
-        self.control.set_charge_scope_router(self._charge_scope_for_ssrc)
         # control API and table/register/ledger delegation shared with
         # ScallopPipeline via ControlPlaneFacade, so the switch agent and
         # replication manager are oblivious to sharding
@@ -171,17 +162,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         #: at the next batch boundary (two-level lookups are cheap to rebuild).
         self._placement_version = self.control.placement_table.version
         self._rebuild_pinned_flows()
-        #: Optional coordinator stage profile (attach a
-        #: :class:`repro.experiments.coordstats.CoordinatorStats`); ``None``
-        #: keeps the data path free of timing instrumentation.  ``profile=
-        #: True`` attaches one declaratively; the import is deferred to here
-        #: because ``repro.experiments`` imports the dataplane at module load
-        #: (the reverse edge is only safe at call time).
-        self.coordinator_stats = None
-        if profile:
-            from ..experiments.coordstats import CoordinatorStats
-
-            self.coordinator_stats = CoordinatorStats()
 
         # telemetry -> policy -> migration loop (off by default: telemetry
         # costs one per-flow tally pass per batch on the partitioning path)
@@ -268,15 +248,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             self._rebuild_pinned_flows()
             self._placement_version = version
 
-    def _charge_scope_for_ssrc(self, sender_ssrc: int) -> Optional[ShardResourceAccountant]:
-        """Route a stream-state charge to the accountant view of the shard
-        that owns the sender's flow (unknown senders stay unattributed; the
-        global ledger is charged either way)."""
-        src = self.control.ssrc_owner(sender_ssrc)
-        if src is None:
-            return None
-        return self.shard_accountants[self.shard_for_flow(src, sender_ssrc)]
-
     # ------------------------------------------------------------------ data path
 
     def process(self, datagram: Datagram) -> PipelineResult:
@@ -295,21 +266,9 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         results are complete, so a flow is never split across shards within
         one batch and outputs stay byte-identical across placement changes.
         """
-        stats = self.coordinator_stats
         shards = self.shards
         if self.n_shards == 1:
-            if stats is None:
-                return shards[0].process_batch(datagrams)
-            # a single shard has no partition/reassemble work: the whole
-            # burst is one dispatch
-            clock = stats.clock
-            t0 = clock()
-            results = shards[0].process_batch(datagrams)
-            stats.note_stage("dispatch", clock() - t0)
-            stats.note_batch(len(datagrams))
-            return results
-        clock = stats.clock if stats is not None else None
-        t0 = clock() if clock is not None else 0
+            return shards[0].process_batch(datagrams)
         self._sync_placement_cache()
         # Columnar partition: one bulk pass lifts src/ssrc off every record,
         # then bucketing runs on per-burst interned ints.  The burst-local
@@ -362,20 +321,10 @@ class ShardedScallopPipeline(ControlPlaneFacade):
                 partitions[shard].append(datagram)
                 slots[shard].append(index)
                 keys_by_shard[shard].append(fkey)
-        if clock is not None:
-            t1 = clock()
-            stats.note_stage("partition", t1 - t0)
-        else:
-            t1 = 0
         shard_results = [
             shards[shard].process_batch(partition) if partition else []
             for shard, partition in enumerate(partitions)
         ]
-        if clock is not None:
-            t2 = clock()
-            stats.note_stage("dispatch", t2 - t1)
-        else:
-            t2 = 0
         results: List[Optional[PipelineResult]] = [None] * len(datagrams)
         for shard, indices in enumerate(slots):
             for slot, result in zip(indices, shard_results[shard]):
@@ -392,9 +341,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
                         flow_replicas[key] = flow_replicas.get(key, 0) + replicas
             tracker.observe_batch(flow_counts, flow_shards, flow_replicas)
             self._maybe_rebalance()
-        if clock is not None:
-            stats.note_stage("reassemble", clock() - t2)
-            stats.note_batch(len(datagrams))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ placement control loop
@@ -419,7 +365,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             return
         if tracker.batches_observed % rebalancer.config.epoch_batches:
             return
-        tracker.observe_shard_load(self.shard_load())
         plan = rebalancer.plan(tracker)
         if plan:
             self.apply_migrations(plan)
@@ -433,8 +378,7 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         pins by address, but a pin minted from the decaying tail would
         otherwise live forever.  Silent pins are released by *migrating the
         flow back to its hash-default shard* rather than deleting the table
-        entry, so its accountant attribution and load-tracker row follow it
-        home.
+        entry, so its load-tracker row follows it home.
         """
         tracker = self.load_tracker
         if tracker is None:
@@ -462,12 +406,12 @@ class ShardedScallopPipeline(ControlPlaneFacade):
 
         Installs (or, when the target is the flow's CRC32 default, removes)
         the placement exception — bumping the placement generation, which
-        drops the flow-routing cache — re-attributes the flow's stream-state
-        occupancy to the destination shard's accountant view.  Rewriter
-        state needs no move: every shard's register view aliases the same
-        rewriter objects.  Safe while traffic is in flight because routing is
-        only read at batch partitioning time: the current batch completed
-        with the old placement, the next one sees the new placement.
+        drops the flow-routing cache.  Rewriter state needs no move: every
+        shard's register view aliases the same rewriter objects, and resource
+        charges stay on the one global ledger.  Safe while traffic is in
+        flight because routing is only read at batch partitioning time: the
+        current batch completed with the old placement, the next one sees
+        the new placement.
         """
         if not 0 <= to_shard < self.n_shards:
             raise ValueError(f"shard {to_shard} out of range for {self.n_shards} shards")
@@ -479,8 +423,6 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             self.control.remove_placement(src, ssrc)
         else:
             self.control.install_placement(src, ssrc, to_shard)
-        if ssrc >= 0:
-            self.control.reattribute_ssrc_charges(ssrc)
         if self.load_tracker is not None:
             self.load_tracker.note_migration((src, ssrc), to_shard)
         self.migrations_applied += 1
@@ -532,31 +474,19 @@ class ShardedScallopPipeline(ControlPlaneFacade):
             parse_cache_hits=sum(shard.parser.parse_cache_hits for shard in self.shards),
         )
 
-    def shard_utilization(self) -> List[Dict[str, float]]:
-        """Per-shard attribution of the globally-ledgered resource usage."""
-        return [accountant.utilization() for accountant in self.shard_accountants]
-
-    def shard_load(self) -> List[Dict[str, float]]:
-        """Per-shard skew report: packet/replica counts next to occupancy.
-
-        One row per shard, combining the datapath's traffic tallies with the
-        shard accountant's occupancy attribution — the observable the
-        placement control loop (:meth:`enable_rebalancing`) acts on.
-        """
-        rows: List[Dict[str, float]] = []
-        for shard, accountant in zip(self.shards, self.shard_accountants):
-            counters = shard.counters
-            rows.append(
-                {
-                    "shard": shard.shard_id,
-                    "data_plane_packets": counters.data_plane_packets,
-                    "cpu_packets": counters.cpu_packets,
-                    "replicas_out": counters.replicas_out,
-                    "stream_tracker_cells": accountant.stream_tracker_cells_used,
-                    "stream_tracker_occupancy": accountant.utilization()["stream_tracker_cells"],
-                }
-            )
-        return rows
+    def shard_load(self) -> List[Dict[str, int]]:
+        """Per-shard traffic report: one row of packet/replica counts per
+        shard, the skew the placement control loop
+        (:meth:`enable_rebalancing`) acts on."""
+        return [
+            {
+                "shard": shard.shard_id,
+                "data_plane_packets": shard.counters.data_plane_packets,
+                "cpu_packets": shard.counters.cpu_packets,
+                "replicas_out": shard.counters.replicas_out,
+            }
+            for shard in self.shards
+        ]
 
     def merged_obs(self) -> Optional[DatapathObs]:
         """Snapshot-time merge of every shard's observability state.

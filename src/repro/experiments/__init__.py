@@ -15,22 +15,6 @@ Every experiment topology is built through the declarative Scenario API
 | Figure 19 (forwarding latency) | :mod:`repro.experiments.fig_latency` |
 """
 
-from .coordstats import CoordinatorStats
-from .batch_throughput import (
-    BatchThroughputPoint,
-    ObsOverheadPoint,
-    RebalancePoint,
-    build_meeting_pipeline,
-    build_skewed_meeting_pipeline,
-    format_batch_sweep,
-    format_rebalance_point,
-    measure_obs_overhead,
-    measure_rebalance_point,
-    media_ingress,
-    run_batch_throughput_sweep,
-    skewed_media_ingress,
-    zipf_frames,
-)
 from .table_packets import PacketAccountingResult, format_table, run_packet_accounting
 from .table_resources import ResourceReport, format_report, run_resource_report
 from .fig_latency import LatencyComparisonResult, format_comparison, run_latency_comparison
@@ -70,20 +54,6 @@ from .fig_trace import (
 )
 
 __all__ = [
-    "BatchThroughputPoint",
-    "CoordinatorStats",
-    "ObsOverheadPoint",
-    "RebalancePoint",
-    "build_meeting_pipeline",
-    "build_skewed_meeting_pipeline",
-    "format_batch_sweep",
-    "format_rebalance_point",
-    "measure_obs_overhead",
-    "measure_rebalance_point",
-    "media_ingress",
-    "run_batch_throughput_sweep",
-    "skewed_media_ingress",
-    "zipf_frames",
     "PacketAccountingResult",
     "format_table",
     "run_packet_accounting",

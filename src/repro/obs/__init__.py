@@ -10,14 +10,13 @@ versioned-schema validator CI gates on (:mod:`~repro.obs.export`).
 Sim-side discipline: nothing in this package reads a wall clock or an RNG —
 timestamps come from ``Simulator.now`` via the caller and sampling is CRC32
 over the flow key, so archlint's determinism rule holds for every module here
-(only ``repro.experiments`` measures real time).
+(as it does for all of ``src/``; host time is measured only by ``bench/``).
 """
 
 from .bus import CORE_SERIES, SCHEMA, TelemetryBus
 from .export import render_prometheus, render_table, to_json, validate_snapshot
 from .hooks import DatapathObs, ObsConfig
 from .registry import (
-    BATCH_NS_BUCKETS,
     LATENCY_MS_BUCKETS,
     SIZE_BYTES_BUCKETS,
     STAGE_NS_BUCKETS,
@@ -27,7 +26,6 @@ from .registry import (
 from .tracing import STAGES, PacketTracer, flow_trace_key, sorted_trace_records
 
 __all__ = [
-    "BATCH_NS_BUCKETS",
     "CORE_SERIES",
     "DatapathObs",
     "Histogram",

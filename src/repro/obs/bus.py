@@ -3,19 +3,16 @@
 The repo grew its observability organically — :class:`~repro.dataplane.
 pipeline.PipelineCounters`, ``ShardedScallopPipeline.shard_load()``,
 :class:`~repro.dataplane.loadstats.FlowLoadTracker` EWMA rows,
-:class:`~repro.experiments.coordstats.CoordinatorStats`,
-:class:`~repro.dataplane.resources.ResourceAccountant` occupancy, rebalancer
-decisions — each with its own ad-hoc dict shape.  :class:`TelemetryBus`
-adapts all of them into one :class:`~repro.obs.registry.MetricsRegistry`
-under a stable metric namespace:
+:class:`~repro.dataplane.resources.ResourceAccountant` utilization,
+rebalancer decisions — each with its own ad-hoc dict shape.
+:class:`TelemetryBus` adapts all of them into one
+:class:`~repro.obs.registry.MetricsRegistry` under a stable metric namespace:
 
 ======================================  =======================================
 prefix                                  source
 ======================================  =======================================
 ``repro.dataplane.*``                   merged :class:`PipelineCounters`
 ``repro.dataplane.shardN.*``            per-shard ``shard_load()`` rows + pps
-``repro.coord.*``                       coordinator stage profile (histograms;
-                                        present only when ``profile=True``)
 ``repro.load.*``                        :class:`FlowLoadTracker` EWMA rows
 ``repro.rebalance.*``                   planner tallies + migration decisions
 ``repro.resources.*``                   global resource-ledger utilization
@@ -28,15 +25,17 @@ prefix                                  source
 ``repro.client.e2e_latency_ms``         client-side RTP latency samples
 ======================================  =======================================
 
-The ``repro.transport.*`` series (the removed process shard executor's
-coordinator/worker byte counters) are gone from ``repro.obs/v1`` snapshots.
+The ``repro.transport.*`` series (the removed process shard executor's byte
+counters) and the ``repro.coord.*`` series (the removed wall-clock
+coordinator stage profile) are gone from ``repro.obs/v1`` snapshots.
 
 The bus only *reads*: it introspects engines duck-typed through ``getattr``
 (both :class:`ScallopPipeline` and :class:`ShardedScallopPipeline` work, and
 so would any future engine exposing the same surfaces), merges the per-shard
 obs registries commutatively, and restores the shard-count-invariant total
 order over trace records.  Nothing here reads a clock — ``sim_time_s`` is
-handed in by the caller from ``Simulator.now``.
+handed in by the caller from ``Simulator.now`` — so two runs of one seeded
+scenario write byte-identical snapshots.
 """
 
 from __future__ import annotations
@@ -81,14 +80,10 @@ _COUNTER_FIELDS = (
 
 #: Series every complete SFU snapshot must carry (validated by
 #: :func:`repro.obs.export.validate_snapshot`; the CI gate exits non-zero when
-#: one is missing or non-finite).  Coordinator stage histograms require the
-#: declarative ``profile=True`` knob, which ``--metrics-out`` arms.
+#: one is missing or non-finite).
 CORE_SERIES = (
     "repro.dataplane.data_plane_packets",
     "repro.dataplane.shard0.pps",
-    "repro.coord.stage_ns.partition",
-    "repro.coord.stage_ns.dispatch",
-    "repro.coord.stage_ns.reassemble",
     "repro.trunk.packets_in",
     "repro.trunk.subscriptions",
     "repro.client.e2e_latency_ms",
@@ -100,9 +95,6 @@ class TelemetryBus:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        #: Series contributed pre-rendered by adapters whose source already
-        #: owns histograms (the coordinator stage profile).
-        self.extra_series: Dict[str, Dict[str, object]] = {}
         self.traces: List[TraceRecord] = []
         #: Fleet-total trunk subscriptions: ``set_gauge`` overwrites per
         #: engine, so the running total accumulates here across
@@ -136,10 +128,6 @@ class TelemetryBus:
             for name, value in accountant.utilization().items():
                 registry.set_gauge("repro.resources." + name, float(value))
 
-        stats = getattr(engine, "coordinator_stats", None)
-        if stats is not None and hasattr(stats, "snapshot_series"):
-            self.extra_series.update(stats.snapshot_series())
-
         self._add_obs(engine)
 
     def _add_shard_rows(
@@ -152,19 +140,12 @@ class TelemetryBus:
         elif counters is not None:
             # single-datapath engine: synthesize the one-shard row so the
             # per-shard series exist for every engine kind
-            accountant = getattr(engine, "accountant", None)
-            cells = getattr(accountant, "stream_tracker_cells_used", 0)
-            occupancy = 0.0
-            if accountant is not None and hasattr(accountant, "utilization"):
-                occupancy = accountant.utilization().get("stream_tracker_cells", 0.0)
             rows = [
                 {
                     "shard": 0,
                     "data_plane_packets": counters.data_plane_packets,
                     "cpu_packets": counters.cpu_packets,
                     "replicas_out": counters.replicas_out,
-                    "stream_tracker_cells": cells,
-                    "stream_tracker_occupancy": occupancy,
                 }
             ]
         else:
@@ -178,10 +159,7 @@ class TelemetryBus:
                     continue
                 if name == "data_plane_packets":
                     packets = int(value)
-                if name.endswith("occupancy") or name.endswith("cells"):
-                    registry.set_gauge(prefix + name, float(value))
-                else:
-                    registry.inc(prefix + name, int(value))
+                registry.inc(prefix + name, int(value))
             pps = packets / sim_time_s if sim_time_s > 0.0 else 0.0
             registry.set_gauge(prefix + "pps", pps)
 
@@ -213,8 +191,6 @@ class TelemetryBus:
             registry.set_gauge("repro.load.skew_ratio", float(snap["skew_ratio"]))
             for shard, rate in enumerate(snap["shard_rates"]):
                 registry.set_gauge(f"repro.load.shard{shard}.rate", float(rate))
-            for shard, occupancy in enumerate(snap["shard_occupancy"]):
-                registry.set_gauge(f"repro.load.shard{shard}.occupancy", float(occupancy))
         rebalancer = getattr(engine, "rebalancer", None)
         if rebalancer is not None:
             registry.inc(
@@ -281,12 +257,10 @@ class TelemetryBus:
         trace timeline rendered as nested lists in the total order
         :func:`sorted_trace_records` defines.
         """
-        series = self.registry.snapshot_series()
-        series.update(self.extra_series)
         return {
             "schema": SCHEMA,
             "sim_time_s": float(sim_time_s),
-            "series": series,
+            "series": self.registry.snapshot_series(),
             "traces": [
                 [arrival_ns, flow, seq, [[stage, offset, duration] for stage, offset, duration in spans]]
                 for arrival_ns, flow, seq, spans in self.traces

@@ -43,7 +43,6 @@ __all__ = [
     "LATENCY_MS_BUCKETS",
     "SIZE_BYTES_BUCKETS",
     "STAGE_NS_BUCKETS",
-    "BATCH_NS_BUCKETS",
 ]
 
 #: End-to-end / one-way latency in milliseconds.
@@ -60,12 +59,6 @@ SIZE_BYTES_BUCKETS: Tuple[float, ...] = (
 #: 12 us switch forwarding delay).
 STAGE_NS_BUCKETS: Tuple[float, ...] = (
     250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0, 8000.0, 12000.0, 16000.0, 24000.0,
-)
-
-#: Coordinator per-batch stage durations in nanoseconds (wall clock, so only
-#: ever populated by ``repro.experiments`` profiling hooks).
-BATCH_NS_BUCKETS: Tuple[float, ...] = (
-    1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9,
 )
 
 

@@ -50,17 +50,11 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=None, help="override the horizon (s)")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the coordinator stage table (sharded backends only)",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
         help="write the run's repro.obs telemetry snapshot (JSON) to PATH; "
-        "arms the backend's profile and obs knobs so the coordinator stage "
-        "histograms and per-shard tracing series are present",
+        "arms the backend's obs knob so the tracing series are present",
     )
     parser.add_argument("--list", action="store_true", help="list the scenario library")
     args = parser.parse_args(argv)
@@ -77,31 +71,16 @@ def main(argv=None) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.metrics_out is not None and scenario.backend.kind == "scallop":
-        # arm the declarative telemetry knobs so the snapshot carries the
-        # coordinator stage histograms and per-shard obs series (core schema)
+        # arm the declarative telemetry knob so the snapshot carries the
+        # per-shard tracing series; it changes no simulated value and no
+        # engine choice, so stdout stays the golden one
         scenario = dataclasses.replace(
-            scenario,
-            backend=dataclasses.replace(scenario.backend, profile=True, obs=True),
+            scenario, backend=dataclasses.replace(scenario.backend, obs=True)
         )
 
     with build_scenario(scenario) as run:
-        stats = None
-        if args.profile:
-            pipeline = getattr(run.sfu, "pipeline", None)
-            if pipeline is not None and hasattr(pipeline, "coordinator_stats"):
-                from ..experiments.coordstats import CoordinatorStats
-
-                stats = pipeline.coordinator_stats = CoordinatorStats()
-            else:
-                print(
-                    "--profile: backend is not a sharded engine, no coordinator to profile",
-                    file=sys.stderr,
-                )
         run.run()
         _print_run(run)
-        if stats is not None:
-            print()
-            print(stats.format_table())
         if args.metrics_out is not None:
             from ..obs.export import to_json
 

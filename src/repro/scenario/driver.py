@@ -455,9 +455,10 @@ class ScenarioRun(Testbed):
         Folds the SFU pipeline's entire stat surface through the
         :class:`~repro.obs.bus.TelemetryBus` and adds the client-side
         end-to-end RTP latency samples (surviving and departed clients),
-        stamped with the simulator clock.  Works on any backend; series that
-        need the declarative ``profile=True`` / ``obs=True`` backend knobs
-        are present only when those were armed (``--metrics-out`` arms both).
+        stamped with the simulator clock.  Works on any backend; the tracing
+        series need the declarative ``obs=True`` backend knob and are present
+        only when it was armed (``--metrics-out`` arms it).  Every value is
+        a function of the seed: two runs write byte-identical snapshots.
         """
         from ..obs.bus import TelemetryBus
 
@@ -598,7 +599,6 @@ def _build_sfu(scenario: Scenario, simulator: Simulator, network: Network):
             downlink_profile=backend.sfu_link,
             n_shards=backend.n_shards,
             rebalance=backend.rebalance_config(),
-            profile=backend.profile,
             obs=backend.obs,
         )
     if backend.kind == "scallop":
@@ -612,7 +612,6 @@ def _build_sfu(scenario: Scenario, simulator: Simulator, network: Network):
             downlink_profile=backend.sfu_link,
             n_shards=backend.n_shards,
             rebalance=backend.rebalance_config(),
-            profile=backend.profile,
             obs=backend.obs,
         )
     return SoftwareSfu(

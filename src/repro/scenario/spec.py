@@ -115,11 +115,6 @@ class BackendSpec:
     #: defaults, a :class:`~repro.dataplane.rebalance.RebalancerConfig` for
     #: explicit knobs, ``None``/``False`` for static CRC32 placement.
     rebalance: Union[bool, RebalancerConfig, None] = None
-    #: Attach the coordinator's stage profile
-    #: (:class:`~repro.experiments.coordstats.CoordinatorStats`)
-    #: declaratively — no post-hoc pipeline surgery; implies the sharded
-    #: engine even at ``n_shards=1``.
-    profile: bool = False
     #: Arm the telemetry plane on every datapath shard: ``True`` for the
     #: default :class:`~repro.obs.hooks.ObsConfig`, an explicit config for
     #: custom sampling, ``None``/``False`` to keep the hot path bare.

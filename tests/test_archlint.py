@@ -172,7 +172,7 @@ class TestZeroPickleRule:
             def bench(graph):
                 return pickle.dumps(graph)  # archlint: ignore[zero-pickle]
             """,
-            module="repro.experiments.batch_throughput",
+            module="repro.experiments.fig_latency",
             rules=self.RULES,
         )
         assert findings and all(finding.suppressed for finding in findings)
@@ -281,7 +281,9 @@ class TestDeterminismRule:
         )
         assert new_rules(findings) == ["determinism"]
 
-    def test_experiments_namespace_is_exempt(self):
+    def test_experiments_namespace_is_in_scope(self):
+        # host time is measured only outside src/ (the bench/ ledger): a
+        # wall-clock read in the paper-figure modules is a finding too
         findings = lint(
             """
             import time
@@ -289,10 +291,10 @@ class TestDeterminismRule:
             def wall_clock_benchmark():
                 return time.perf_counter()
             """,
-            module="repro.experiments.batch_throughput",
+            module="repro.experiments.fig_latency",
             rules=self.RULES,
         )
-        assert not findings
+        assert new_rules(findings) == ["determinism"]
 
     def test_datetime_now_flags(self):
         findings = lint(
@@ -493,7 +495,8 @@ class TestEndToEnd:
         rule = DeterminismRule()
         assert rule._in_scope("repro.obs.tracing")
         assert rule._in_scope("repro.obs.registry")
-        assert not rule._in_scope("repro.experiments.coordstats")
+        assert rule._in_scope("repro.experiments.fig_latency")
+        assert not rule._in_scope("bench.harness")
 
     def test_cluster_fixture_trips_determinism_and_pickle(self):
         # the federation layer is ordinary repro.* simulation code: a pickled

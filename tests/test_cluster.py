@@ -396,11 +396,11 @@ class TestFederatedPairScenario:
     @pytest.fixture(scope="class")
     def finished_run(self):
         scenario = federated_pair(smoke=True)
-        # arm the declarative telemetry knobs exactly as the CLI's
-        # --metrics-out path does, so metrics_snapshot() carries the full
-        # core schema (coordinator stage histograms included)
+        # arm the declarative telemetry knob exactly as the CLI's
+        # --metrics-out path does, so metrics_snapshot() carries the tracing
+        # series next to the core schema
         scenario = dataclasses.replace(
-            scenario, backend=dataclasses.replace(scenario.backend, profile=True, obs=True)
+            scenario, backend=dataclasses.replace(scenario.backend, obs=True)
         )
         with build_scenario(scenario) as run:
             run.run()

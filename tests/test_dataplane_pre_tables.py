@@ -145,6 +145,17 @@ class TestPacketReplicationEngine:
         pre.destroy_tree(mgid)
         assert pre.num_trees == 0
 
+    def test_destroying_a_tree_twice_releases_once(self):
+        # the ledger raises on a release below zero, so the PRE's teardown
+        # must stay idempotent: the second destroy finds no tree and charges
+        # nothing back
+        pre = PacketReplicationEngine()
+        mgid, _ = self.build_meeting_tree(pre, ["a", "b", "c"])
+        assert (pre.accountant.trees_allocated, pre.accountant.l1_nodes_allocated) == (1, 3)
+        pre.destroy_tree(mgid)
+        pre.destroy_tree(mgid)
+        assert (pre.accountant.trees_allocated, pre.accountant.l1_nodes_allocated) == (0, 0)
+
     def test_tree_capacity_enforced(self):
         tiny = TofinoCapacities(max_multicast_trees=2)
         pre = PacketReplicationEngine(ResourceAccountant(tiny))
@@ -183,6 +194,31 @@ class TestResourceAccounting:
         accountant.allocate_match_entries(10)
         with pytest.raises(ResourceExhausted):
             accountant.allocate_match_entries(1)
+
+    @pytest.mark.parametrize(
+        "allocate, release",
+        [
+            (lambda a: a.allocate_tree(l1_nodes=3), lambda a: a.release_tree(l1_nodes=3)),
+            (lambda a: a.allocate_stream_state(6), lambda a: a.release_stream_state(6)),
+            (lambda a: a.allocate_match_entries(4), lambda a: a.release_match_entries(4)),
+        ],
+        ids=["tree", "stream_state", "match_entries"],
+    )
+    def test_double_release_raises_and_changes_nothing(self, allocate, release):
+        accountant = ResourceAccountant()
+        allocate(accountant)
+        release(accountant)
+        before = dict(vars(accountant))
+        with pytest.raises(ValueError, match="exceeds the 0 in use"):
+            release(accountant)
+        assert vars(accountant) == before
+
+    def test_tree_release_checks_l1_nodes_before_touching_counters(self):
+        accountant = ResourceAccountant()
+        accountant.allocate_tree(l1_nodes=2)
+        with pytest.raises(ValueError, match="L1 nodes"):
+            accountant.release_tree(l1_nodes=5)
+        assert (accountant.trees_allocated, accountant.l1_nodes_allocated) == (1, 2)
 
     def test_utilization_report(self):
         accountant = ResourceAccountant()

@@ -7,11 +7,6 @@ import json
 import pytest
 
 from repro.dataplane.sharding import ShardedScallopPipeline
-from repro.experiments.batch_throughput import (
-    SFU_ADDRESS,
-    build_meeting_pipeline,
-    media_ingress,
-)
 from repro.obs.bus import CORE_SERIES, SCHEMA, TelemetryBus
 from repro.obs.export import (
     render_prometheus,
@@ -22,6 +17,8 @@ from repro.obs.export import (
 from repro.obs.hooks import ObsConfig
 from repro.scenario.driver import build_scenario
 from repro.scenario.spec import BackendSpec, Scenario, TrafficSpec
+
+from meeting_pipeline import SFU_ADDRESS, build_meeting_pipeline, media_ingress
 
 
 def canned_engine_snapshot(n_shards: int) -> str:
@@ -96,9 +93,7 @@ class TestScenarioTraceDeterminism:
 class TestSnapshotSchema:
     @pytest.fixture(scope="class")
     def snapshot(self):
-        engine = ShardedScallopPipeline(
-            SFU_ADDRESS, n_shards=2, profile=True, obs=True
-        )
+        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=2, obs=True)
         try:
             engine, senders = build_meeting_pipeline(3, participants=4, pipeline=engine)
             engine.process_batch(media_ingress(senders, frames=4))
@@ -113,27 +108,41 @@ class TestSnapshotSchema:
         assert validate_snapshot(snapshot) == []
         for name in CORE_SERIES:
             assert name in snapshot["series"]
+        # no host-time series: the removed coordinator profile and process
+        # transport were the only sources of wall-clock values
+        assert not [
+            name for name in snapshot["series"] if name.startswith(("repro.coord.", "repro.transport."))
+        ]
+
+    def test_resources_are_reported_only_from_the_global_ledger(self):
+        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=2, obs=True, rebalance=True)
+        try:
+            engine, senders = build_meeting_pipeline(3, participants=4, pipeline=engine)
+            for _ in range(3):
+                engine.process_batch(media_ingress(senders, frames=4))
+            bus = TelemetryBus()
+            bus.add_engine(engine, sim_time_s=1.0)
+            series = bus.snapshot(sim_time_s=1.0)["series"]
+        finally:
+            engine.close()
+        per_shard = {
+            name.split(".", 3)[3]
+            for name in series
+            if name.startswith(("repro.dataplane.shard", "repro.load.shard"))
+        }
+        assert per_shard == {"cpu_packets", "data_plane_packets", "pps", "replicas_out", "rate"}
+        assert {name for name in series if name.startswith("repro.resources.")} == {
+            "repro.resources." + key for key in engine.accountant.utilization()
+        }
 
     def test_json_round_trip_is_lossless(self, snapshot):
         assert json.loads(to_json(snapshot)) == snapshot
 
-    def test_coordinator_series_cover_exactly_the_serial_stages(self, snapshot):
-        series = snapshot["series"]
-        assert not [name for name in series if name.startswith("repro.transport.")]
-        stage_hists = {
-            name[len("repro.coord.stage_ns."):]
-            for name in series
-            if name.startswith("repro.coord.stage_ns.")
-        }
-        assert stage_hists == {"partition", "dispatch", "reassemble"}
-        assert series["repro.coord.batches"]["value"] == 1
-        assert series["repro.coord.stage_ns.partition"]["count"] == 1
-
     def test_missing_core_series_fails_validation(self, snapshot):
         broken = json.loads(to_json(snapshot))
-        del broken["series"]["repro.coord.stage_ns.partition"]
+        del broken["series"]["repro.dataplane.shard0.pps"]
         problems = validate_snapshot(broken)
-        assert any("repro.coord.stage_ns.partition" in problem for problem in problems)
+        assert any("repro.dataplane.shard0.pps" in problem for problem in problems)
 
     def test_wrong_schema_and_nonfinite_values_fail_validation(self, snapshot):
         broken = json.loads(to_json(snapshot))
@@ -165,7 +174,7 @@ class TestObsCli:
 
     @pytest.fixture()
     def good_snapshot(self):
-        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=1, profile=True, obs=True)
+        engine = ShardedScallopPipeline(SFU_ADDRESS, n_shards=1, obs=True)
         try:
             engine, senders = build_meeting_pipeline(1, participants=3, pipeline=engine)
             engine.process_batch(media_ingress(senders, frames=2))

@@ -1,11 +1,17 @@
 """Packet-lifecycle tracing: deterministic flow sampling, integer span
-timelines that always sum to the forwarding delay, and read-only
-snapshot-time merges of per-shard state."""
+timelines that always sum to the forwarding delay, read-only snapshot-time
+merges of per-shard state, and the hot-path bargain on a live pipeline
+(disarmed obs is never entered, armed obs traces exactly the sampled flows)."""
 
+import cProfile
+import os
+import pstats
 from zlib import crc32
 
 import pytest
 
+from repro.dataplane.pipeline import ScallopPipeline
+from repro.netsim.datagram import PayloadKind
 from repro.obs.hooks import DatapathObs, ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
@@ -14,6 +20,8 @@ from repro.obs.tracing import (
     flow_trace_key,
     sorted_trace_records,
 )
+
+from meeting_pipeline import SFU_ADDRESS, build_meeting_pipeline, media_ingress
 
 
 def make_tracer(**kwargs):
@@ -164,3 +172,46 @@ class TestDrainAndFold:
         ordered = sorted_trace_records(shuffled)
         assert [record[0] for record in ordered] == sorted(r[0] for r in shuffled)
         assert ordered == sorted_trace_records(obs.tracer.records)
+
+
+class TestHotPathBargain:
+    """Exact counts, not timings, so host noise can neither fail nor pass them."""
+
+    @staticmethod
+    def obs_engine(obs, num_meetings=50, frames=4):
+        """A warm 50-meeting pipeline (obs armed or not) and its media burst."""
+        engine, senders = build_meeting_pipeline(
+            num_meetings, pipeline=ScallopPipeline(SFU_ADDRESS, obs=obs)
+        )
+        traffic = media_ingress(senders, frames)
+        engine.process_batch(traffic)  # fills the flow caches
+        return engine, traffic
+
+    def test_disarmed_obs_makes_no_calls_into_repro_obs(self):
+        # with obs disarmed, process_batch never enters repro/obs/ -- counted
+        # by cProfile's call tallies
+        engine, traffic = self.obs_engine(obs=None)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        engine.process_batch(traffic)
+        profiler.disable()
+        obs_dir = os.path.join("repro", "obs") + os.sep
+        stats = pstats.Stats(profiler).stats
+        obs_calls = {func: row[1] for func, row in stats.items() if obs_dir in func[0]}
+        assert len(stats) > 0
+        assert obs_calls == {}, f"disarmed obs still called into repro/obs/: {obs_calls}"
+
+    def test_armed_obs_samples_exactly_the_crc32_selected_flows(self):
+        rate = 64
+        engine, traffic = self.obs_engine(
+            obs=ObsConfig(trace_sample_rate=rate, max_trace_records=1 << 20)
+        )
+        flows = {
+            flow_trace_key(d.src.ip, d.src.port, d.payload.ssrc)
+            for d in traffic
+            if d.kind == PayloadKind.RTP
+        }
+        selected = {flow for flow in flows if crc32(flow.encode("ascii")) % rate == 0}
+        traced = {record[1] for record in engine.datapath.obs.tracer.records}
+        assert selected, "the burst must contain at least one sampled flow"
+        assert traced == selected

@@ -4,8 +4,8 @@ Three layers:
 
 * unit tests for the telemetry tracker (:mod:`repro.dataplane.loadstats`) and
   the greedy hysteresis-damped policy (:mod:`repro.dataplane.rebalance`);
-* live-migration mechanics: the two-level flow -> shard lookup, placement
-  generation stamping, and per-shard attribution following the flow;
+* live-migration mechanics: the two-level flow -> shard lookup and placement
+  generation stamping;
 * the sharding invariant under placement churn: with the rebalancer armed (and
   extra forced migrations layered on top), outputs must stay byte-identical to
   the unsharded reference pipeline for k in {2, 4, 8}, and a
@@ -16,6 +16,7 @@ Three layers:
 
 import dataclasses
 import random
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.core.seqrewrite import (
 from repro.dataplane.loadstats import FlowLoadTracker
 from repro.dataplane.pipeline import (
     ForwardingMode,
+    PipelineCounters,
     ReplicaTarget,
     ScallopPipeline,
     StreamForwardingEntry,
@@ -133,17 +135,6 @@ class TestFlowLoadTracker:
         assert list(tracker.flows) == [(stayer, 2)]
         assert tracker.forget_flows(leaver) == 0
 
-    def test_observe_shard_load_folds_occupancy(self):
-        tracker = FlowLoadTracker(n_shards=2)
-        tracker.observe_shard_load(
-            [
-                {"shard": 0, "stream_tracker_occupancy": 0.25},
-                {"shard": 1, "stream_tracker_occupancy": 0.5},
-                {"shard": 7, "stream_tracker_occupancy": 0.9},  # out of range: ignored
-            ]
-        )
-        assert tracker.shard_occupancy == [0.25, 0.5]
-
     def test_snapshot_reports_rates_and_skew(self):
         tracker = FlowLoadTracker(n_shards=2, alpha=1.0)
         flow_a, flow_b = (Address("10.0.0.2", 6000), 1), (Address("10.0.0.3", 6000), 2)
@@ -152,7 +143,6 @@ class TestFlowLoadTracker:
             "batches_observed": 1,
             "flows_tracked": 2,
             "shard_rates": [30.0, 10.0],
-            "shard_occupancy": [0.0, 0.0],
             "skew_ratio": 1.5,
         }
 
@@ -385,9 +375,7 @@ class TestLiveMigrationMechanics:
         packets_on_new = engine.shards[new].counters.data_plane_packets
         assert packets_on_new > 0
 
-    def test_attribution_follows_migrated_flow(self):
-        from repro.dataplane.resources import attribution_skew
-
+    def test_migration_leaves_the_global_ledger_alone(self):
         scenario = MeetingScenario(3)
         engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4))
         meeting = scenario.meetings[0]
@@ -396,17 +384,28 @@ class TestLiveMigrationMechanics:
         engine.install_adaptation(
             ssrc, receiver, frozenset({0, 1}), SequenceRewriterLowMemory(SkipCadence(1, 2))
         )
-        owner = engine.shard_for_flow(sender, ssrc)
-        assert engine.shard_accountants[owner].stream_tracker_cells_used == 3
-        # one flow's state on one shard of four: maximal occupancy skew
-        assert attribution_skew(engine.shard_accountants) == pytest.approx(4.0)
-        target = (owner + 1) % 4
-        engine.migrate_flow(sender, ssrc, target)
-        assert engine.shard_accountants[owner].stream_tracker_cells_used == 0
-        assert engine.shard_accountants[target].stream_tracker_cells_used == 3
-        # attribution stays a view over the single global ledger
-        total = sum(a.stream_tracker_cells_used for a in engine.shard_accountants)
-        assert total == engine.accountant.stream_tracker_cells_used
+        before = engine.accountant.utilization()
+        assert engine.accountant.stream_tracker_cells_used == 3
+        assert engine.migrate_flow(sender, ssrc, (engine.shard_for_flow(sender, ssrc) + 1) % 4)
+        assert engine.accountant.utilization() == before
+        # the migrated flow's state is released from the same ledger
+        engine.remove_adaptation(ssrc, receiver)
+        assert engine.accountant.stream_tracker_cells_used == 0
+
+    def test_control_flow_migration_moves_no_stream_charges(self):
+        scenario = MeetingScenario(3)
+        engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4))
+        meeting = scenario.meetings[0]
+        sender, receiver = meeting["addresses"][0], meeting["addresses"][1]
+        engine.install_adaptation(
+            meeting["video_ssrc"], receiver, frozenset({0}), SequenceRewriterLowMemory(SkipCadence(1, 2))
+        )
+        before = engine.accountant.utilization()
+        target = (flow_shard(sender, -1, 4) + 1) % 4
+        assert engine.migrate_flow(sender, -1, target)
+        assert engine.shard_for_flow(sender, -1) == target
+        # the sender's RTCP/STUN flow holds no stream state
+        assert engine.accountant.utilization() == before
 
     @pytest.mark.parametrize("to_shard", [-1, 4])
     def test_migration_target_must_be_a_shard(self, to_shard):
@@ -459,21 +458,6 @@ class TestLiveMigrationMechanics:
         assert engine.control.placement_table.peek((departed, ssrc)) is None
         assert engine.shard_for_flow(departed, ssrc) == home
 
-    def test_control_flow_migration_moves_no_stream_charges(self):
-        scenario = MeetingScenario(3)
-        engine = scenario.configure(ShardedScallopPipeline(SFU, n_shards=4))
-        meeting = scenario.meetings[0]
-        sender, receiver = meeting["addresses"][0], meeting["addresses"][1]
-        engine.install_adaptation(
-            meeting["video_ssrc"], receiver, frozenset({0}), SequenceRewriterLowMemory(SkipCadence(1, 2))
-        )
-        before = [a.stream_tracker_cells_used for a in engine.shard_accountants]
-        target = (flow_shard(sender, -1, 4) + 1) % 4
-        assert engine.migrate_flow(sender, -1, target)
-        assert engine.shard_for_flow(sender, -1) == target
-        # the sender's RTCP/STUN flow holds no stream state: attribution stays
-        assert [a.stream_tracker_cells_used for a in engine.shard_accountants] == before
-
 
 # --------------------------------------------------------------------------- equivalence under churn
 
@@ -514,6 +498,218 @@ def run_rebalancing_scenario(n_shards: int, seed: int):
     return sharded
 
 
+# --------------------------------------------------------------------------- skewed workloads
+
+
+def zipf_weights(count: int, exponent: float = 0.9) -> List[float]:
+    """Zipf-style popularity weights: meeting ``i`` gets ``1 / (i+1)^s``."""
+    return [1.0 / (rank + 1) ** exponent for rank in range(count)]
+
+
+def zipf_frames(
+    count: int, base_frames: int = 18, exponent: float = 1.2, floor: int = 1
+) -> List[int]:
+    """Frames per batch for each meeting under a Zipf activity distribution
+    (hottest meeting sends ``base_frames`` frames per batch, the tail decays
+    as ``1/rank^s`` down to ``floor``)."""
+    weights = zipf_weights(count, exponent)
+    return [max(floor, round(base_frames * weight / weights[0])) for weight in weights]
+
+
+def build_skewed_meeting_pipeline(
+    num_meetings: int,
+    n_shards: int,
+    participants: int = 8,
+    colocate_hot: int = 4,
+    pipeline=None,
+    participants_by_meeting: Optional[Sequence[int]] = None,
+) -> Tuple[object, List[Tuple[Address, int]]]:
+    """A meeting population whose hottest senders collide onto one shard.
+
+    Same shape as ``meeting_pipeline.build_meeting_pipeline``, but the ``colocate_hot``
+    hottest meetings get sender SSRCs chosen (deterministically, by scanning
+    candidates) so the default CRC32 placement puts them all on shard 0 —
+    the adversarial-but-realistic hash collision ROADMAP motivates ("a few
+    hot senders pin one shard").  Combined with Zipf activity this yields a
+    static max/mean packet skew well above 2x at k=4, which is the workload
+    the rebalancer is tested against.
+    """
+    if pipeline is None:
+        pipeline = ScallopPipeline(SFU)
+    senders: List[Tuple[Address, int]] = []
+    for meeting in range(num_meetings):
+        mgid = pipeline.pre.create_tree()
+        size = (
+            participants_by_meeting[meeting]
+            if participants_by_meeting is not None
+            else participants
+        )
+        addresses = [
+            Address(f"10.{1 + meeting // 200}.{meeting % 200}.{index + 2}", 6000 + index)
+            for index in range(size)
+        ]
+        for rid, address in enumerate(addresses, start=1):
+            pipeline.pre.add_node(
+                mgid, rid=rid, ports=[L2Port(port=rid, l2_xid=rid)], l1_xid=1, prune_enabled=True
+            )
+            pipeline.install_replica_target(
+                mgid, rid, ReplicaTarget(address=address, participant_id=f"m{meeting}-p{rid}")
+            )
+        ssrc = 10_000 + meeting * 50
+        if meeting < colocate_hot:
+            while flow_shard(addresses[0], ssrc, n_shards) != 0:
+                ssrc += 1
+        pipeline.install_stream(
+            (addresses[0], ssrc),
+            StreamForwardingEntry(
+                mode=ForwardingMode.REPLICATE,
+                meeting_id=f"meeting-{meeting}",
+                sender=addresses[0],
+                mgid=mgid,
+                rid=1,
+                l2_xid=1,
+            ),
+        )
+        senders.append((addresses[0], ssrc))
+    return pipeline, senders
+
+
+def skewed_media_ingress(
+    senders: Sequence[Tuple[Address, int]],
+    frames_by_sender: Sequence[int],
+) -> List[Datagram]:
+    """One batch of Zipf-skewed AV1 ingress: sender ``i`` contributes
+    ``frames_by_sender[i]`` frames.  Deterministic per sender, so replaying
+    it models a steady-state load epoch (safe because the skewed workloads
+    install no sequence rewriters — nothing is stateful across the replay)."""
+    traffic: List[Datagram] = []
+    for (address, ssrc), frames in zip(senders, frames_by_sender):
+        encoder = SvcEncoder(target_bitrate_bps=2_200_000, seed=ssrc)
+        packetizer = RtpPacketizer(ssrc=ssrc, seed=ssrc)
+        for index in range(frames):
+            for packet in packetizer.packetize(encoder.next_frame(index / 30)):
+                traffic.append(Datagram(src=address, dst=SFU, payload=packet))
+    return traffic
+
+
+@dataclasses.dataclass(frozen=True)
+class RebalancePoint:
+    """One skewed-sweep point: static CRC32 placement vs. the closed
+    telemetry -> policy -> migration loop on the identical workload."""
+
+    n_shards: int
+    num_meetings: int
+    num_packets: int
+    batches: int
+    #: Final-batch max/mean per-shard packet skew under static CRC32.
+    skew_static: float
+    #: Same workload and batch with the rebalancer armed.
+    skew_rebalanced: float
+    migrations: int
+    shard_packets_static: Tuple[int, ...]
+    shard_packets_rebalanced: Tuple[int, ...]
+
+    @property
+    def skew_reduction(self) -> float:
+        """How many times the rebalancer cut the max/mean packet skew."""
+        return self.skew_static / self.skew_rebalanced if self.skew_rebalanced else 0.0
+
+
+def _final_batch_shard_packets(
+    engine: ShardedScallopPipeline,
+    senders: Sequence[Tuple[Address, int]],
+    frames_by_sender: Sequence[int],
+    batches: int,
+) -> Tuple[Tuple[int, ...], int]:
+    """Replay ``batches`` identical skewed batches (a steady-state load
+    epoch each); return the per-shard packet counts of the final batch alone
+    (counters zeroed before it) plus the total packets per batch."""
+    num_packets = 0
+    traffic = skewed_media_ingress(senders, frames_by_sender)
+    num_packets = len(traffic)
+    for batch_index in range(batches):
+        if batch_index == batches - 1:
+            for shard in engine.shards:
+                shard.counters = PipelineCounters()
+        engine.process_batch(traffic)
+    return (
+        tuple(int(row["data_plane_packets"]) for row in engine.shard_load()),
+        num_packets,
+    )
+
+
+def measure_rebalance_point(
+    n_shards: int = 4,
+    num_meetings: int = 50,
+    participants: int = 8,
+    batches: int = 24,
+    base_frames: int = 18,
+    zipf_exponent: float = 1.2,
+    colocate_hot: int = 14,
+    config: Optional[RebalancerConfig] = None,
+) -> RebalancePoint:
+    """Measure the rebalancer's skew cut on a Zipf-skewed hot-sender workload.
+
+    Two runs over byte-identical traffic: a static-CRC32 engine and one with
+    :meth:`~repro.dataplane.sharding.ShardedScallopPipeline.enable_rebalancing`
+    armed (short epochs so the loop converges within ``batches``).  Both
+    figures are the max/mean per-shard packet ratio of the *final* batch —
+    i.e. after the control loop has converged — so the point is deterministic
+    (packet counts, not timings).
+    """
+    if config is None:
+        # short epochs + a tight target so the loop converges (and bottoms
+        # out) well within the measured window; budget 6 keeps per-epoch
+        # churn bounded while still draining a 14-hot-flow pileup
+        config = RebalancerConfig(
+            epoch_batches=2, trigger_ratio=1.15, target_ratio=1.05, migration_budget=6
+        )
+    frames_by_sender = zipf_frames(num_meetings, base_frames, zipf_exponent)
+
+    static_engine, senders = build_skewed_meeting_pipeline(
+        num_meetings,
+        n_shards,
+        participants,
+        colocate_hot=colocate_hot,
+        pipeline=ShardedScallopPipeline(SFU, n_shards=n_shards),
+    )
+    static_packets, num_packets = _final_batch_shard_packets(
+        static_engine, senders, frames_by_sender, batches
+    )
+    static_engine.close()
+
+    rebalanced_engine, senders = build_skewed_meeting_pipeline(
+        num_meetings,
+        n_shards,
+        participants,
+        colocate_hot=colocate_hot,
+        pipeline=ShardedScallopPipeline(
+            SFU, n_shards=n_shards, rebalance_config=config
+        ),
+    )
+    rebalanced_packets, _ = _final_batch_shard_packets(
+        rebalanced_engine, senders, frames_by_sender, batches
+    )
+    migrations = rebalanced_engine.migrations_applied
+    rebalanced_engine.close()
+
+    def skew(shard_packets: Tuple[int, ...]) -> float:
+        mean = sum(shard_packets) / len(shard_packets)
+        return max(shard_packets) / mean if mean else 0.0
+
+    return RebalancePoint(
+        n_shards=n_shards,
+        num_meetings=num_meetings,
+        num_packets=num_packets,
+        batches=batches,
+        skew_static=skew(static_packets),
+        skew_rebalanced=skew(rebalanced_packets),
+        migrations=migrations,
+        shard_packets_static=static_packets,
+        shard_packets_rebalanced=rebalanced_packets,
+    )
+
+
 class TestRebalancedEquivalenceProperty:
     @pytest.mark.parametrize("n_shards", [2, 4, 8])
     @pytest.mark.parametrize("seed", [7, 19, 31])
@@ -521,12 +717,6 @@ class TestRebalancedEquivalenceProperty:
         run_rebalancing_scenario(n_shards, seed)
 
     def test_rebalancer_actually_balances_skewed_load(self):
-        from repro.experiments.batch_throughput import (
-            build_skewed_meeting_pipeline,
-            skewed_media_ingress,
-            zipf_frames,
-        )
-
         engine, senders = build_skewed_meeting_pipeline(
             20,
             4,
@@ -556,8 +746,6 @@ class TestRebalancedEquivalenceProperty:
         # the placement loop's whole point: on the Zipf hot-sender workload
         # the rebalancer must cut max/mean per-shard packet skew at least 2x
         # vs the static CRC32 map (deterministic counts, no timing)
-        from repro.experiments.batch_throughput import measure_rebalance_point
-
         point = measure_rebalance_point(n_shards=4, num_meetings=50)
         assert point.skew_reduction >= 2.0, (
             f"rebalancer cut skew only {point.skew_reduction:.2f}x "

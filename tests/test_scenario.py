@@ -54,16 +54,17 @@ class TestBackendSpec:
         assert BackendSpec(rebalance=custom).rebalance_config() is custom
 
     @pytest.mark.parametrize(
-        "n_shards, rebalance, profile, sharded",
+        "n_shards, rebalance, obs, sharded",
         [
-            (1, None, False, False),
-            (2, None, False, True),
-            (1, True, False, True),
-            (1, None, True, True),
+            (1, None, None, False),
+            (2, None, None, True),
+            (1, True, None, True),
+            (1, None, True, False),
         ],
-        ids=["reference", "shards", "rebalance", "profile"],
+        ids=["reference", "shards", "rebalance", "obs"],
     )
-    def test_sfu_picks_the_sharded_engine_only_when_asked(self, n_shards, rebalance, profile, sharded):
+    def test_sfu_picks_the_sharded_engine_only_when_asked(self, n_shards, rebalance, obs, sharded):
+        # arming telemetry (what --metrics-out does) keeps the engine choice
         simulator = Simulator()
         sfu = ScallopSfu(
             Address("10.0.0.1", 5000),
@@ -71,20 +72,20 @@ class TestBackendSpec:
             Network(simulator, seed=1),
             n_shards=n_shards,
             rebalance=rebalance,
-            profile=profile,
+            obs=obs,
         )
         assert isinstance(sfu.pipeline, ShardedScallopPipeline) is sharded
         assert isinstance(sfu.pipeline, ScallopPipeline) is not sharded
         if sharded:
             assert sfu.pipeline.n_shards == n_shards
             assert (sfu.pipeline.rebalancer is not None) is bool(rebalance)
-            assert (sfu.pipeline.coordinator_stats is not None) is profile
         sfu.close()
 
 
 def _removed_option_calls():
-    """Each settable option that selected a shard executor or SRTP, and is
-    now gone: passing it must fail loudly rather than be silently ignored."""
+    """Each settable option that selected a shard executor, SRTP or the
+    wall-clock coordinator profile, and is now gone: passing it must fail
+    loudly rather than be silently ignored."""
     sfu = Address("10.0.0.1", 5000)
     client = dict(
         participant_id="p", meeting_id="m", address=Address("10.0.0.2", 6000), remote=sfu
@@ -92,11 +93,14 @@ def _removed_option_calls():
     return [
         ("ShardedScallopPipeline.executor", lambda: ShardedScallopPipeline(sfu, executor="thread")),
         ("ShardedScallopPipeline.srtp", lambda: ShardedScallopPipeline(sfu, srtp=object())),
+        ("ShardedScallopPipeline.profile", lambda: ShardedScallopPipeline(sfu, profile=True)),
         ("ScallopPipeline.srtp", lambda: ScallopPipeline(sfu, srtp=object())),
         ("PipelineControlPlane.srtp", lambda: PipelineControlPlane(sfu, srtp=object())),
         ("ScallopSfu.shard_executor", lambda: ScallopSfu(sfu, None, None, shard_executor="thread")),
         ("ScallopSfu.srtp", lambda: ScallopSfu(sfu, None, None, srtp=object())),
+        ("ScallopSfu.profile", lambda: ScallopSfu(sfu, None, None, profile=True)),
         ("BackendSpec.shard_executor", lambda: BackendSpec(n_shards=2, shard_executor="process")),
+        ("BackendSpec.profile", lambda: BackendSpec(profile=True)),
         ("TrafficSpec.srtp", lambda: TrafficSpec(wire_native=True, srtp=object())),
         ("ClientConfig.srtp", lambda: ClientConfig(**client, srtp=object())),
     ]
@@ -118,6 +122,14 @@ class TestRemovedOptions:
             main(["churn_storm", "--smoke", "--executor", "thread"])
         assert excinfo.value.code == 2
         assert "--executor" in capsys.readouterr().err
+
+    def test_cli_has_no_profile_flag(self, capsys):
+        from repro.scenario.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["churn_storm", "--smoke", "--profile"])
+        assert excinfo.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
 
 def _control_snapshot(sfu):

@@ -30,8 +30,8 @@ Each rule is grounded in a specific contract the dataplane split established
     ``Simulator.now``; bare module-level ``random.*`` calls, unseeded
     ``random.Random()``, and wall-clock reads (``time.time``,
     ``datetime.now``, ...) make runs unreproducible.  Everything under
-    ``repro.*`` is in scope except ``repro.experiments`` (benchmarks
-    legitimately measure wall time).
+    ``repro.*`` is in scope, ``repro.experiments`` included: host time is
+    measured only by the ``bench/`` ledger, outside ``src/``.
 
 ``wire-hygiene``
     The wire-native fast path (``_process_media_wire``, ``PacketView``
@@ -104,8 +104,6 @@ MUTATING_METHODS: FrozenSet[str] = frozenset(
         "install_placement",
         "remove_placement",
         "remove_placements_for",
-        "reattribute_ssrc_charges",
-        "set_charge_scope_router",
         "attach_datapath",
         "_write_tracker",
         "allocate_stream_state",
@@ -401,7 +399,7 @@ class DeterminismRule:
     )
 
     def _in_scope(self, module: str) -> bool:
-        return module.startswith("repro.") and not module.startswith("repro.experiments")
+        return module.startswith("repro.")
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
         if not self._in_scope(ctx.module):
