@@ -20,7 +20,7 @@ meeting already home is a no-op.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.replication import ParticipantEndpoint
 from ..core.scallop import ScallopSfu
@@ -128,10 +128,9 @@ class SfuCluster:
 
     The coordinator is control-plane-only: it never sees a packet.  It signs
     clients into their home box, keeps every co-hosted meeting's trunks in
-    sync after each membership change (the controller re-derives meetings
-    from its own records on every join/leave, so trunk endpoints and remote
-    sender registrations are re-asserted here afterwards), and drives
-    cross-SFU migration.
+    sync after each membership change (each box's controller configures the
+    meeting with its trunk endpoints, which the coordinator keeps current),
+    and drives cross-SFU migration.
     """
 
     def __init__(
@@ -187,10 +186,12 @@ class SfuCluster:
         index = member if member is not None else self._default_member(meeting_id)
         if not 0 <= index < len(self.members):
             raise ValueError(f"member {index} is not in this {len(self.members)}-SFU cluster")
+        hosting = set(self._hosting_members(meeting_id)) | {index}
+        self.members[index].controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(index, hosting)
         self.members[index].join(client)
         self._home[client.config.participant_id] = index
         self._clients[client.config.participant_id] = client
-        self._sync_meeting(meeting_id)
+        self._sync_meeting(meeting_id, configured=index)
 
     def leave(self, client) -> None:
         participant_id = client.config.participant_id
@@ -199,7 +200,7 @@ class SfuCluster:
         if index is None:
             return
         self.members[index].leave(client)
-        self._sync_meeting(client.config.meeting_id)
+        self._sync_meeting(client.config.meeting_id, configured=index)
 
     def home_of(self, participant_id: str) -> Optional[int]:
         return self._home.get(participant_id)
@@ -239,6 +240,9 @@ class SfuCluster:
         if set(hosting) == {to_member}:
             return False  # already home
         destination = self.members[to_member]
+        for member in self.members:
+            # the meeting ends up on one box: no trunks while the clients move
+            member.controller.trunk_endpoints.pop(meeting_id, None)
         for index in sorted(set(hosting) - {to_member}):
             source = self.members[index]
             snapshot = snapshot_meeting(source, meeting_id)
@@ -271,30 +275,35 @@ class SfuCluster:
                 hosting[index] = list(meeting.participants.values())
         return hosting
 
-    def _sync_meeting(self, meeting_id: str, linger_s: float = 0.0) -> None:
+    def _trunk_endpoints(self, index: int, hosting: Iterable[int]) -> List[ParticipantEndpoint]:
+        """Box ``index``'s trunk endpoints toward the other hosting boxes."""
+        return [
+            ParticipantEndpoint(
+                participant_id=trunk_participant_id(self.members[peer].address),
+                address=self.members[peer].address,
+                egress_port=0,
+                trunk=True,
+            )
+            for peer in sorted(hosting)
+            if peer != index
+        ]
+
+    def _sync_meeting(self, meeting_id: str, configured: Optional[int] = None, linger_s: float = 0.0) -> None:
         """Re-assert the federated view of one meeting on every box.
 
-        Hosting boxes get their meeting re-configured with the peer trunk
-        endpoints appended (the controller's own reconfiguration knows only
-        local participants) and their trunk subscriptions rebuilt; boxes no
+        Each hosting box's controller gets the meeting's current trunk
+        endpoints and configures the meeting once — except box
+        ``configured``, whose controller already did while handling the
+        join or leave — then its trunk subscriptions are patched; boxes no
         longer hosting shed leftover trunk-only replication state, remote
         sender registrations, and subscriptions.
         """
         hosting = self._hosting_members(meeting_id)
         for index, member in enumerate(self.members):
             if index in hosting:
-                trunk_endpoints = [
-                    ParticipantEndpoint(
-                        participant_id=trunk_participant_id(self.members[peer].address),
-                        address=self.members[peer].address,
-                        egress_port=0,
-                        trunk=True,
-                    )
-                    for peer in sorted(hosting)
-                    if peer != index
-                ]
-                local_endpoints = [record.endpoint() for record in hosting[index]]
-                member.agent.configure_meeting(meeting_id, local_endpoints + trunk_endpoints)
+                member.controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(index, hosting)
+                if index != configured:
+                    member.controller.reconfigure_meeting(meeting_id)
                 installed = member.agent.replication.meetings[meeting_id]
                 local_receivers = [
                     endpoint for endpoint in installed.participants.values() if not endpoint.trunk
@@ -308,6 +317,7 @@ class SfuCluster:
                     meeting_id, remote_senders, local_receivers, linger_s=linger_s
                 )
             else:
+                member.controller.trunk_endpoints.pop(meeting_id, None)
                 leftover = member.agent.replication.meetings.get(meeting_id)
                 if leftover is not None:
                     for pid, endpoint in list(leftover.participants.items()):

@@ -117,13 +117,11 @@ class TrunkManager:
         (post-:meth:`~repro.core.switch_agent.SwitchAgent.configure_meeting`,
         so their egress ports are assigned).  A live subscription is patched
         in place — receiver nodes, sender registrations, routes and rules
-        change only for who joined or left — unless its receiver order would
-        differ from a fresh install's, which then replaces it.  Stale
-        subscriptions are torn down after ``linger_s`` seconds — a migration
-        keeps the old tree alive for its drain window so trunk-era in-flight
-        replicas still reach the pre-cutover local population, while the
-        guard checks keep the delayed teardown from touching state the
-        cutover re-installed.
+        change only for who joined or left.  Stale subscriptions are torn
+        down after ``linger_s`` seconds — a migration keeps the old tree
+        alive for its drain window so trunk-era in-flight replicas still
+        reach the pre-cutover local population, while the guard checks keep
+        the delayed teardown from touching state the cutover re-installed.
         """
         desired = {
             (meeting_id, origin): tuple(senders)
@@ -135,22 +133,16 @@ class TrunkManager:
             for key, trunk in self.subscriptions.items()
             if key[0] == meeting_id and key not in desired
         ]
-        replaced: List[SfuTrunk] = []
         departed: List[Tuple[SfuTrunk, List[ParticipantEndpoint]]] = []
         with self.sfu.pipeline.batched_writes():
             for (mid, origin), senders in sorted(desired.items(), key=lambda kv: (kv[0][1].ip, kv[0][1].port)):
                 trunk = self.subscriptions.get((mid, origin))
-                if trunk is not None and self._patchable(trunk, local_receivers):
+                if trunk is None:
+                    self._install(mid, origin, senders, local_receivers)
+                else:
                     departed.append((trunk, self._patch(trunk, senders, local_receivers)))
-                    continue
-                if trunk is not None:
-                    replaced.append(self.subscriptions.pop(trunk.key))
-                self._install(mid, origin, senders, local_receivers)
             # what the subscriptions no longer carry is released once every
-            # install is in: a replaced trunk's tree and routes are superseded
-            # by its fresh install (same table keys, new mgid)
-            for trunk in replaced:
-                self._teardown(trunk)
+            # patch is in
             for trunk, senders in departed:
                 self._release_senders(trunk, senders)
         for trunk in stale:
@@ -193,14 +185,6 @@ class TrunkManager:
         self._point_feedback(trunk, senders, local_receivers)
         self.subscriptions[trunk.key] = trunk
         return trunk
-
-    @staticmethod
-    def _patchable(trunk: SfuTrunk, local_receivers: Sequence[ParticipantEndpoint]) -> bool:
-        """Whether the receivers who stay already come first, in the order
-        a fresh install would give them (newcomers are appended)."""
-        wanted = {receiver.participant_id: receiver for receiver in local_receivers}
-        survivors = [pid for pid, (endpoint, _node, _rid) in trunk.receivers.items() if wanted.get(pid) == endpoint]
-        return [receiver.participant_id for receiver in local_receivers[: len(survivors)]] == survivors
 
     def _patch(
         self,

@@ -85,6 +85,9 @@ class ScallopController:
         self.agent = agent
         self.meetings: Dict[str, MeetingRecord] = {}
         self.counters = ControllerCounters()
+        #: meeting -> the peer-SFU trunk endpoints this box configures beside
+        #: its local participants (kept by ``repro.cluster``)
+        self.trunk_endpoints: Dict[str, List[ParticipantEndpoint]] = {}
 
     # ------------------------------------------------------------------ signaling entry point
 
@@ -128,7 +131,7 @@ class ScallopController:
         meeting.participants[message.participant_id] = record
         self.counters.joins += 1
 
-        self._reconfigure_meeting(meeting)
+        self.reconfigure_meeting(message.meeting_id)
 
         # Rewrite candidates: the participant's sole peer becomes the SFU.
         answer = make_answer(offer, self.sfu_address.ip, self.sfu_address.port)
@@ -147,7 +150,7 @@ class ScallopController:
             del self.meetings[message.meeting_id]
             self.counters.meetings_closed += 1
         else:
-            self._reconfigure_meeting(meeting)
+            self.reconfigure_meeting(message.meeting_id)
 
     def _handle_media_event(self, message: SignalMessage) -> None:
         meeting = self.meetings.get(message.meeting_id)
@@ -156,22 +159,19 @@ class ScallopController:
         self.counters.media_events += 1
         # Media composition changes alter the set of sender streams, which is a
         # controller-triggered reconfiguration in Scallop's architecture.
-        self._reconfigure_meeting(meeting)
+        self.reconfigure_meeting(message.meeting_id)
 
     # ------------------------------------------------------------------ agent RPCs
 
-    def _reconfigure_meeting(self, meeting: MeetingRecord) -> None:
+    def reconfigure_meeting(self, meeting_id: str) -> None:
+        """One ``configure_meeting`` with the local participants and the
+        meeting's trunk endpoints; the initial design counts both (the agent
+        may migrate later)."""
+        meeting = self.meetings[meeting_id]
         endpoints = [record.endpoint() for record in meeting.participants.values()]
-        if not endpoints:
-            return
-        design = self._design_for(meeting)
-        self.agent.configure_meeting(meeting.meeting_id, endpoints, design=design)
-
-    def _design_for(self, meeting: MeetingRecord) -> ReplicationDesign:
-        """Initial replication design for a meeting (the agent may migrate later)."""
-        if meeting.size == 2:
-            return ReplicationDesign.TWO_PARTY
-        return ReplicationDesign.NRA
+        endpoints += self.trunk_endpoints.get(meeting_id, [])
+        design = ReplicationDesign.TWO_PARTY if len(endpoints) == 2 else ReplicationDesign.NRA
+        self.agent.configure_meeting(meeting_id, endpoints, design=design)
 
     # ------------------------------------------------------------------ helpers / inspection
 

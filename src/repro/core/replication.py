@@ -20,13 +20,12 @@ state, and migrates meetings between designs without disrupting forwarding
 deallocate the old trees).
 
 Every membership change goes through :meth:`ReplicationManager.sync_meeting`.
-A join or leave that keeps the meeting's design and tree group patches the
-trees in place — the departed participants' L1 nodes, replica targets and
-stream entries go, the newcomers' are appended — and leaves exactly the
-control state a teardown and rebuild would: same tree group, same L1 XID,
-same L1 node order.  Where the rebuild would land elsewhere (a new design,
-another group, a re-stamped XID, or this meeting's nodes moving behind
-another meeting's), the meeting's trees are re-laid instead.
+A join or leave that keeps the meeting's design patches its trees in place:
+the meeting keeps its tree group and L1 XID slot, the departed
+participants' L1 nodes, replica targets and stream entries go, and the
+newcomers' are added.  The meeting's own state then equals a fresh install
+of it at that group and slot.  Only a design change or a first install lays
+trees out anew; a meeting entering a group takes the lowest free XID slot.
 """
 
 from __future__ import annotations
@@ -118,10 +117,8 @@ class _TreeGroup:
 
     trees: List[_TreeState]
     layers: List[Optional[int]]
-    #: member meetings in the order their nodes sit in every tree of the
-    #: group (each meeting's nodes are one contiguous block, and a (re)build
-    #: appends its block at the tail)
-    meetings: List[str] = field(default_factory=list)
+    #: member meeting -> its L1 XID slot in every tree of the group
+    meetings: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -134,6 +131,8 @@ class MeetingReplicationState:
     trees: List[_TreeState] = field(default_factory=list)
     l1_xid: Optional[int] = None       # this meeting's XID inside shared trees
     tree_group: Optional[str] = None   # id of the NRA/RA-R group this meeting shares
+    #: the exclusion XID its stream entries carry (:meth:`ReplicationManager._other_meeting_xid`)
+    stamped_xid: Optional[int] = None
 
     def addresses(self) -> List[Address]:
         return [p.address for p in self.participants.values()]
@@ -143,6 +142,9 @@ class ReplicationManager:
     """Builds and maintains replication trees for meetings on one pipeline."""
 
     def __init__(self, pipeline: ScallopPipeline) -> None:
+        if pipeline.capacities.meetings_per_tree > 2:
+            # a packet carries one L1 exclusion XID, which prunes one other meeting
+            raise ValueError("shared trees hold at most two meetings (meetings_per_tree <= 2)")
         self.pipeline = pipeline
         self.meetings: Dict[str, MeetingReplicationState] = {}
         self._next_port = 1
@@ -178,9 +180,11 @@ class ReplicationManager:
         """Bring a meeting's trees and ingress entries to ``participants``.
 
         ``design`` defaults to the automatic choice for the new population.
-        The result is the state a teardown and rebuild of the meeting would
-        leave; only the writes differ — a patch when the meeting keeps its
-        design, tree group and XID, a re-layout of its trees otherwise.
+        A shared-tree meeting that keeps its design is patched in place: it
+        keeps its tree group, its surviving nodes and its XID slot, and ends
+        up as a fresh install of the new population at that group and slot
+        would leave it.  A design change (or a first install) re-lays its
+        trees instead.
         """
         chosen = design or self._auto_design(len(participants))
         wanted: Dict[str, ParticipantEndpoint] = {}
@@ -263,50 +267,18 @@ class ReplicationManager:
     def _patchable(
         self, state: MeetingReplicationState, design: ReplicationDesign, size: int, qualities: int
     ) -> bool:
-        """Whether a rebuild would leave this meeting where it is: same
-        shared-tree design, same group, same XID, its nodes still the tail
-        block of every tree of the group."""
+        """Whether the meeting keeps its shared-tree design (and layers)."""
         if design != state.design or state.tree_group is None or size < 2:
             return False
-        if design not in (ReplicationDesign.NRA, ReplicationDesign.RA_R):
-            return False
-        group = self._groups[state.tree_group]
-        if group.meetings[-1] != state.meeting_id or state.l1_xid != len(group.meetings):
-            return False
         layers = [None] if design == ReplicationDesign.NRA else list(range(qualities))
-        return group.layers == layers and self._rebuild_keeps_group(state, layers)
-
-    def _rebuild_keeps_group(self, state: MeetingReplicationState, layers: List[Optional[int]]) -> bool:
-        """Replays the group choice of a teardown + rebuild: the release puts
-        the group at the end of the open list if it was full (or destroys it
-        if this meeting was alone, and the rebuild then opens an equivalent
-        fresh one), and the rebuild takes the first open group with room."""
-        group_id = state.tree_group
-        alone = len(self._groups[group_id].meetings) == 1
-        limit = self.pipeline.capacities.meetings_per_tree
-        for candidate in self._open_groups[state.design]:
-            if candidate == group_id:
-                if alone:
-                    continue
-                return True
-            other = self._groups[candidate]
-            if len(other.meetings) < limit and other.layers == layers:
-                return False
-        return True
+        return self._groups[state.tree_group].layers == layers
 
     def _patch(self, state: MeetingReplicationState, wanted: Dict[str, ParticipantEndpoint]) -> None:
-        """Rewrite only what changed: drop the departed participants' nodes
-        (and the nodes after the first one out of rebuild order, which the
-        rebuild would lay down again behind it), then append the newcomers'."""
-        survivors = [pid for pid, p in state.participants.items() if wanted.get(pid) == p]
-        keep = 0
-        for survivor, pid in zip(survivors, wanted):
-            if survivor != pid:
-                break
-            keep += 1
-        kept = set(survivors[:keep])
-        leaving = [p for pid, p in state.participants.items() if pid not in kept]
-        arriving = list(wanted.values())[keep:]
+        """Rewrite only what changed: drop the departed participants' nodes,
+        targets and entries, add the newcomers', and re-stamp the survivors'
+        entries only if the exclusion XID moved since they were written."""
+        leaving = [p for pid, p in state.participants.items() if wanted.get(pid) != p]
+        arriving = [p for pid, p in wanted.items() if state.participants.get(pid) != p]
         for participant in leaving:
             self._remove_sender_entries(participant)
         for tree in state.trees:
@@ -315,6 +287,10 @@ class ReplicationManager:
             for participant in arriving:
                 self._add_node(tree, state.meeting_id, participant, state.l1_xid, prune_enabled=True)
         state.participants = wanted
+        xid = self._other_meeting_xid(state)
+        if xid != state.stamped_xid:
+            state.stamped_xid = xid
+            arriving = list(wanted.values())
         for participant in arriving:
             self._install_sender_entries(state, participant)
 
@@ -353,13 +329,14 @@ class ReplicationManager:
             self._groups[group_id] = _TreeGroup(trees=trees, layers=layers)
             self._open_groups[design].append(group_id)
         group = self._groups[group_id]
-        group.meetings.append(state.meeting_id)
+        taken = set(group.meetings.values())
+        group.meetings[state.meeting_id] = next(xid for xid in itertools.count(1) if xid not in taken)
         if len(group.meetings) >= meetings_per_tree:
             if group_id in self._open_groups[design]:
                 self._open_groups[design].remove(group_id)
 
         state.tree_group = group_id
-        state.l1_xid = len(group.meetings)
+        state.l1_xid = group.meetings[state.meeting_id]
         state.trees = list(group.trees)
 
         for tree in state.trees:
@@ -401,6 +378,7 @@ class ReplicationManager:
     # ------------------------------------------------------------------ ingress entries
 
     def _install_stream_entries(self, state: MeetingReplicationState) -> None:
+        state.stamped_xid = self._other_meeting_xid(state)
         if len(state.participants) < 2:
             return  # a lone participant has no receivers to forward to
         for participant in state.participants.values():
@@ -479,16 +457,15 @@ class ReplicationManager:
         )
 
     def _other_meeting_xid(self, state: MeetingReplicationState) -> Optional[int]:
-        """The L1 XID to stamp on packets so *other* meetings' nodes are pruned.
-
-        With two meetings per tree, meeting 1 stamps XID 2 and vice-versa; when
-        a tree currently holds a single meeting no pruning is necessary.
-        """
-        if state.tree_group is None or state.l1_xid is None:
+        """The L1 XID to stamp on packets so the *other* meeting's nodes are
+        pruned: the partner meeting's slot, or none while the group holds
+        this meeting alone."""
+        if state.tree_group is None:
             return None
-        if len(self._groups[state.tree_group].meetings) <= 1:
-            return None
-        return 2 if state.l1_xid == 1 else 1
+        for meeting_id, xid in self._groups[state.tree_group].meetings.items():
+            if meeting_id != state.meeting_id:
+                return xid
+        return None
 
     # ------------------------------------------------------------------ teardown helpers
 
@@ -505,8 +482,7 @@ class ReplicationManager:
             group = self._groups.get(group_id)
             if group is None:
                 return
-            if meeting_id in group.meetings:
-                group.meetings.remove(meeting_id)
+            group.meetings.pop(meeting_id, None)
             prefix = f"{meeting_id}:"
             for tree in group.trees:
                 for key in [k for k in tree.node_ids if k.startswith(prefix)]:

@@ -3,19 +3,29 @@
 Membership changes reach the replication manager, the switch agent and the
 trunk manager through one incremental path each
 (``ReplicationManager.sync_meeting``, ``SwitchAgent.configure_meeting``,
-``TrunkManager.sync_meeting``).  Four groups of tests pin it:
+``TrunkManager.sync_meeting``).  Five groups of tests pin it:
 
-* **write counts** — a join into a running meeting appends one L1 node per
-  tree and removes none, a leave removes one and appends none, and a join on
-  the far side of a cascaded meeting keeps both trunk trees (same MGID, one
-  node added where the receiver joined);
+* **write counts** — a join into a running meeting adds one L1 node per tree
+  and removes none, a leave removes one and adds none, wherever the meeting
+  sits (behind another meeting's nodes, in a later open group, in a freed
+  XID slot); a join on the far side of a cascaded meeting keeps both trunk
+  trees; on a cluster each join or leave configures every hosting box once,
+  with no design flip;
+* **XID slots** — a meeting takes the lowest free L1 XID slot of its tree
+  group and keeps it across joins and leaves, and its stream entries stamp
+  the partner meeting's slot; a hypothesis property checks after every sync,
+  on one box and on a two-box cluster, that the XIDs of a group are pairwise
+  distinct and every stream entry of the synced meeting is the one
+  ``_entry_for_sender`` derives;
 * **RID allocation** — RIDs are allocated per tree (lowest free), so churn
   next to a long-lived meeting never wraps into a RID the tree still holds;
-* **the rebuild oracle** — random join / leave / migrate sequences on a
-  two-box cluster leave exactly the control state a teardown-and-rebuild of
-  every touched meeting and trunk leaves (the incremental predicates are
-  patched to ``False`` for the oracle run), normalised by tree membership
-  rather than MGID / RID / node-id values;
+* **the fresh-install oracle** — random join / leave / migrate sequences on
+  a two-box cluster: every meeting a sync touched equals a fresh install of
+  its population at its tree group and XID slot (nodes per tree, replica
+  targets, stream entries, agent registry, trunk subscriptions), and the PRE
+  sends every installed sender's packet to the same in-meeting receivers as
+  a run that re-lays every touched meeting and trunk (the incremental
+  predicates patched to ``False``);
 * **agent registry** — a sender's learned SVC structure survives another
   participant's join.
 """
@@ -34,7 +44,7 @@ from repro.core.capacity import ReplicationDesign
 from repro.core.controller import ScallopController
 from repro.core.replication import ParticipantEndpoint, ReplicationManager
 from repro.core.switch_agent import SwitchAgent
-from repro.dataplane.pipeline import ScallopPipeline
+from repro.dataplane.pipeline import ForwardingMode, ReplicaTarget, ScallopPipeline
 from repro.dataplane.pre import L2Port
 from repro.dataplane.resources import DEFAULT_CAPACITIES
 from repro.netsim.datagram import Address, Datagram
@@ -86,6 +96,23 @@ def _join(controller, index, meeting_id="m"):
     controller.handle_signal(join_message(meeting_id, f"p{index}", offer))
 
 
+def _receivers(pipeline, entry):
+    """``(participant id, address, egress port)`` of every replica the PRE
+    makes of a packet matching ``entry``, per replication tree."""
+    if entry.mode == ForwardingMode.UNICAST:
+        return {None: frozenset({(None, entry.unicast_receiver, None)})}
+    trees = entry.mgid_by_layer or {None: entry.mgid}
+    sent = {}
+    for layer, mgid in trees.items():
+        replicas = pipeline.pre.replicate(mgid, entry.l1_xid, entry.rid, entry.l2_xid)
+        targets = [pipeline.replica_table.peek((mgid, replica.rid)) for replica in replicas]
+        sent[layer] = frozenset(
+            (target.participant_id, target.address, replica.egress_port)
+            for target, replica in zip(targets, replicas)
+        )
+    return sent
+
+
 # --------------------------------------------------------------------------- write counts
 
 
@@ -130,20 +157,20 @@ class TestWriteCounts:
         assert sorted(left["remove_node"]) == mgids and left["add_node"] == []
         assert joined["create_tree"] == left["create_tree"] == []
 
-    def test_newcomer_ahead_of_a_trunk_endpoint_keeps_rebuild_order(self):
-        """Trunk endpoints come last: a local newcomer goes in front of them,
-        so the trunk node is laid down again behind it, as a rebuild would."""
+    def test_newcomer_beside_a_trunk_endpoint_adds_one_node(self):
+        """A local newcomer listed before the trunk endpoint is one node
+        write: the trunk node stays where it is."""
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
         trunk = ParticipantEndpoint("trunk:peer", Address("10.0.0.2", 5000), egress_port=0, trunk=True)
         local = [endpoint(index) for index in range(1, 4)]
         agent.configure_meeting("m", local + [trunk], design=ReplicationDesign.NRA)
         (tree,) = agent.replication.meetings["m"].trees
+        trunk_node = tree.node_ids["m:trunk:peer"]
         with pre_writes(pipeline.pre) as writes:
             agent.configure_meeting("m", local + [endpoint(4), trunk], design=ReplicationDesign.NRA)
-        assert writes["add_node"] == [tree.mgid, tree.mgid] and writes["remove_node"] == [tree.mgid]
-        order = [tree.node_ids[f"m:{pid}"] for pid in agent.replication.meetings["m"].participants]
-        assert order == list(pipeline.pre.tree(tree.mgid).nodes)
+        assert writes["add_node"] == [tree.mgid] and writes["remove_node"] == []
+        assert tree.node_ids["m:trunk:peer"] == trunk_node
         assert list(agent.replication.meetings["m"].participants) == ["p1", "p2", "p3", "p4", "trunk:peer"]
 
     def test_unchanged_population_writes_no_pre_state(self):
@@ -154,6 +181,54 @@ class TestWriteCounts:
         generation = pipeline.pre.generation
         agent.configure_meeting("m", [endpoint(index) for index in range(1, 6)], design=ReplicationDesign.NRA)
         assert pipeline.pre.generation == generation
+
+    def test_join_into_a_meeting_ahead_of_its_partner_adds_one_node(self):
+        """The meeting's nodes are not the tail of the shared tree: the
+        partner's nodes sit behind them."""
+        pipeline = ScallopPipeline(SFU)
+        agent = SwitchAgent(pipeline)
+        first = [endpoint(index) for index in range(1, 5)]
+        agent.configure_meeting("A", first, design=ReplicationDesign.NRA)
+        agent.configure_meeting("B", [endpoint(index) for index in range(5, 9)], design=ReplicationDesign.NRA)
+        (tree,) = agent.replication.meetings["A"].trees
+        assert agent.replication.meetings["B"].trees == [tree]
+        with pre_writes(pipeline.pre) as writes:
+            agent.configure_meeting("A", first + [endpoint(9)], design=ReplicationDesign.NRA)
+        assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
+        assert agent.replication.meetings["A"].l1_xid == 1
+
+    def test_join_into_a_later_open_group_stays_there(self):
+        """An earlier group has a free slot: the meeting keeps its own."""
+        pipeline = ScallopPipeline(SFU)
+        manager = ReplicationManager(pipeline)
+        for meeting_id, base in (("A", 1), ("B", 11), ("C", 21), ("D", 31)):
+            manager.sync_meeting(meeting_id, [endpoint(base + offset) for offset in range(3)])
+        group_a, group_c = manager.meetings["A"].tree_group, manager.meetings["C"].tree_group
+        assert group_a != group_c and manager.meetings["D"].tree_group == group_c
+        manager.remove_meeting("A")
+        manager.remove_meeting("D")
+        assert manager._open_groups[ReplicationDesign.NRA] == [group_a, group_c]
+        (tree,) = manager.meetings["C"].trees
+        with pre_writes(pipeline.pre) as writes:
+            manager.sync_meeting("C", [endpoint(21 + offset) for offset in range(4)])
+        assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
+        assert manager.meetings["C"].tree_group == group_c
+
+    def test_join_into_a_meeting_in_slot_two_of_a_half_empty_group_keeps_the_slot(self):
+        pipeline = ScallopPipeline(SFU)
+        manager = ReplicationManager(pipeline)
+        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)])
+        second = [endpoint(index) for index in range(4, 7)]
+        manager.sync_meeting("B", second)
+        manager.remove_meeting("A")
+        state = manager.meetings["B"]
+        (tree,) = state.trees
+        assert state.l1_xid == 2
+        with pre_writes(pipeline.pre) as writes:
+            manager.sync_meeting("B", second + [endpoint(7)])
+        assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
+        assert state.l1_xid == 2
+        assert {node.l1_xid for node in pipeline.pre.tree(tree.mgid).nodes.values()} == {2}
 
     def test_far_side_join_of_a_cascaded_meeting_keeps_the_trunk_trees(self):
         run = build_scenario(
@@ -187,6 +262,167 @@ class TestWriteCounts:
         assert rids == list(range(len(rids)))
         assert run.reconcile() == []
         run.close()
+
+    def test_cluster_join_or_leave_configures_each_hosting_box_once(self):
+        """Box 0 holds two or three local participants plus the trunk to
+        box 1: it stays NRA through every op, and each op configures each
+        hosting box exactly once."""
+        run = build_scenario(
+            Scenario(
+                name="cascade",
+                meetings=(MeetingSpec(participants=3, cascade=(0, 0, 1)),),
+                backend=BackendSpec.cluster(n_sfus=2),
+                duration_s=10.0,
+            )
+        )
+        box0, box1 = run.sfu.members
+        assert box0.agent.meeting_design("meeting-0") == ReplicationDesign.NRA
+        configured = Counter()
+        designs = []
+        original = SwitchAgent.configure_meeting
+
+        def counting(agent, meeting_id, participants, design=None):
+            configured[agent] += 1
+            if agent is box0.agent:
+                designs.append(design)
+            return original(agent, meeting_id, participants, design)
+
+        ops = [
+            lambda: run.add_participant(0, start=False),  # lands on box 0 (cascade index 3)
+            lambda: run.leave(0, "m0-p0"),
+            lambda: run.add_participant(0, start=False),  # box 0 again (index 4)
+            lambda: run.add_participant(0, start=False),  # box 1 (index 5)
+            lambda: run.leave(0, "m0-p5"),
+            lambda: run.leave(0, "m0-p4"),
+        ]
+        with mock.patch.object(SwitchAgent, "configure_meeting", counting):
+            for op in ops:
+                configured.clear()
+                with pre_writes(box0.pipeline.pre) as writes:
+                    op()
+                assert configured == {box0.agent: 1, box1.agent: 1}
+                assert writes["create_tree"] == writes["destroy_tree"] == []
+        assert set(designs) == {ReplicationDesign.NRA}
+        assert run.reconcile() == []
+        run.close()
+
+
+# --------------------------------------------------------------------------- XID slots
+
+
+def _assert_sync_invariants(manager, meeting_id):
+    """The XIDs of every tree group are pairwise distinct, and every stream
+    entry of ``meeting_id`` is the one ``_entry_for_sender`` derives."""
+    for group in manager._groups.values():
+        assert len(set(group.meetings.values())) == len(group.meetings), group.meetings
+    state = manager.meetings.get(meeting_id)
+    if state is None or len(state.participants) < 2:
+        return
+    for participant in state.participants.values():
+        for _kind, ssrc in participant.media_ssrcs():
+            entry = manager.pipeline.stream_table.peek((participant.address, ssrc))
+            assert entry == manager._entry_for_sender(state, participant), (meeting_id, participant.participant_id)
+
+
+@contextmanager
+def checking_every_sync():
+    """Run :func:`_assert_sync_invariants` after every sync and migration."""
+    originals = {"sync_meeting": ReplicationManager.sync_meeting, "migrate": ReplicationManager.migrate}
+
+    def checked(name):
+        def spy(self, meeting_id, *args, **kwargs):
+            result = originals[name](self, meeting_id, *args, **kwargs)
+            _assert_sync_invariants(self, meeting_id)
+            return result
+
+        return spy
+
+    with mock.patch.object(ReplicationManager, "sync_meeting", checked("sync_meeting")), mock.patch.object(
+        ReplicationManager, "migrate", checked("migrate")
+    ):
+        yield
+
+
+class TestXidSlots:
+    def test_xid_one_meeting_losing_a_member_keeps_its_slot(self):
+        """The meeting in slot 1 of a full group loses a member: it stays in
+        slot 1, so neither meeting's media reaches the other's receivers."""
+        pipeline, agent, controller = _controller()
+        for index in range(1, 5):
+            _join(controller, index, "A")
+        for index in range(5, 9):
+            _join(controller, index, "B")
+        controller.handle_signal(leave_message("A", "p2"))
+        replication = agent.replication
+        assert (replication.meetings["A"].l1_xid, replication.meetings["B"].l1_xid) == (1, 2)
+        for meeting_id in ("A", "B"):
+            members = set(replication.meetings[meeting_id].participants)
+            for sender in replication.meetings[meeting_id].participants.values():
+                entry = pipeline.stream_table.peek((sender.address, sender.video_ssrc))
+                (receivers,) = _receivers(pipeline, entry).values()
+                assert {pid for pid, _address, _port in receivers} == members - {sender.participant_id}
+
+    def test_entries_stamp_the_partner_meetings_slot(self):
+        """Slot 1 is freed and taken by a newcomer: the meeting in slot 2 and
+        the newcomer each stamp the other's slot."""
+        pipeline = ScallopPipeline(SFU)
+        manager = ReplicationManager(pipeline)
+        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)])
+        second = [endpoint(index) for index in range(4, 7)]
+        manager.sync_meeting("B", second)
+        manager.remove_meeting("A")
+        manager.sync_meeting("C", [endpoint(index) for index in range(7, 10)])
+        manager.sync_meeting("B", second + [endpoint(10)])
+        b, c = manager.meetings["B"], manager.meetings["C"]
+        assert b.tree_group == c.tree_group and (b.l1_xid, c.l1_xid) == (2, 1)
+        assert manager._other_meeting_xid(b) == c.l1_xid
+        assert manager._other_meeting_xid(c) == b.l1_xid
+        for state, partner in ((b, c), (c, b)):
+            for sender in state.participants.values():
+                entry = pipeline.stream_table.peek((sender.address, sender.audio_ssrc))
+                assert entry.l1_xid == partner.l1_xid
+
+    def test_groups_of_more_than_two_meetings_are_refused(self):
+        capacities = dataclasses.replace(DEFAULT_CAPACITIES, meetings_per_tree=3)
+        with pytest.raises(ValueError, match="meetings_per_tree"):
+            ReplicationManager(ScallopPipeline(SFU, capacities))
+
+
+def operations(meetings, max_size):
+    """Lists of (kind, meeting index, pick): join a new participant, leave
+    the ``pick``-th survivor, or migrate the meeting (to another design on
+    one box, to box ``pick % 2`` on a cluster)."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("join", "join", "join", "leave", "leave", "migrate")),
+            st.integers(min_value=0, max_value=meetings - 1),
+            st.integers(min_value=0, max_value=64),
+        ),
+        min_size=1,
+        max_size=max_size,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence=operations(4, 60))
+def test_xids_stay_distinct_and_entries_current_on_one_box(sequence):
+    _pipeline, agent, controller = _controller()
+    members = {meeting: [] for meeting in range(4)}
+    with checking_every_sync():
+        for index, (kind, meeting, pick) in enumerate(sequence, start=1):
+            meeting_id = f"m{meeting}"
+            if kind == "join":
+                _join(controller, index, meeting_id)
+                members[meeting].append(f"p{index}")
+            elif kind == "leave" and members[meeting]:
+                pid = members[meeting].pop(pick % len(members[meeting]))
+                controller.handle_signal(leave_message(meeting_id, pid))
+            elif kind == "migrate" and agent.meeting_design(meeting_id) in (
+                ReplicationDesign.NRA,
+                ReplicationDesign.RA_R,
+            ):
+                design = (ReplicationDesign.NRA, ReplicationDesign.RA_R)[pick % 2]
+                agent.migrate_meeting(meeting_id, design)
 
 
 # --------------------------------------------------------------------------- RID allocation
@@ -276,7 +512,7 @@ def test_departures_are_forgotten_and_indexes_follow():
     assert agent.participants_in("m") == ["p2", "p3", "p4"]
 
 
-# --------------------------------------------------------------------------- the rebuild oracle
+# --------------------------------------------------------------------------- the fresh-install oracle
 
 ORACLE_MEETINGS = (
     MeetingSpec(participants=0, cascade=(0, 1)),
@@ -285,17 +521,7 @@ ORACLE_MEETINGS = (
     MeetingSpec(participants=0, cascade=(1, 1, 0)),
 )
 
-#: (kind, meeting index, pick): join a new participant, leave the
-#: ``pick``-th survivor, or migrate the meeting to box ``pick % 2``
-operations = st.lists(
-    st.tuples(
-        st.sampled_from(("join", "join", "join", "leave", "leave", "migrate")),
-        st.integers(min_value=0, max_value=len(ORACLE_MEETINGS) - 1),
-        st.integers(min_value=0, max_value=64),
-    ),
-    min_size=1,
-    max_size=40,
-)
+cluster_operations = operations(len(ORACLE_MEETINGS), 40)
 
 
 def _oracle_run():
@@ -313,10 +539,33 @@ def _oracle_run():
 def _rebuild_everything():
     """The oracle: every membership change re-lays the meeting's trees and
     re-installs its trunk subscriptions (a test-only patch, not an option)."""
+
+    def reinstall(self, trunk, senders, local_receivers):
+        # the fresh subscription goes in before the old one is released, so
+        # the release keeps what the new one still carries
+        del self.subscriptions[trunk.key]
+        self._install(trunk.meeting_id, trunk.origin, senders, local_receivers)
+        self._teardown(trunk)
+        return []
+
     stack = ExitStack()
     stack.enter_context(mock.patch.object(ReplicationManager, "_patchable", lambda self, *args: False))
-    stack.enter_context(mock.patch.object(TrunkManager, "_patchable", staticmethod(lambda *args: False)))
+    stack.enter_context(mock.patch.object(TrunkManager, "_patch", reinstall))
     return stack
+
+
+@contextmanager
+def recording_syncs():
+    """Collect ``(replication manager, meeting id)`` of every sync."""
+    synced = []
+    original = ReplicationManager.sync_meeting
+
+    def spy(self, meeting_id, *args, **kwargs):
+        synced.append((self, meeting_id))
+        return original(self, meeting_id, *args, **kwargs)
+
+    with mock.patch.object(ReplicationManager, "sync_meeting", spy):
+        yield synced
 
 
 def _apply(run, operation):
@@ -333,73 +582,99 @@ def _apply(run, operation):
     run.run_for(0.06)
 
 
-def _control_view(box):
-    """A box's control state, independent of MGID / RID / node-id values."""
-    pipeline = box.pipeline
-    pre = pipeline.pre
-    targets = dict(pipeline.replica_table.entries())
-    trees = {}
-    for mgid, tree in pre._trees.items():
-        trees[mgid] = tuple(
-            (targets.get((mgid, node.rid)), node.ports, node.l1_xid, node.prune_enabled)
-            for node in tree.nodes.values()
-        )
+def _assert_fresh_install(box, meeting_id):
+    """One meeting on one box holds exactly what a fresh install of its
+    population at its tree group and XID slot writes."""
+    replication, pipeline, agent = box.agent.replication, box.pipeline, box.agent
+    state = replication.meetings.get(meeting_id)
+    if state is None:
+        assert meeting_id not in agent._members
+        return
+    shared = state.tree_group is not None
+    if shared:
+        group = replication._groups[state.tree_group]
+        assert group.meetings[meeting_id] == state.l1_xid
+        assert state.trees == group.trees
+    keys = {f"{meeting_id}:{pid}" for pid in state.participants} if state.trees else set()
+    for tree in state.trees:
+        nodes = pipeline.pre.tree(tree.mgid).nodes
+        assert set(nodes) == set(tree.node_ids.values())
+        assert {key for key in tree.node_ids if key.startswith(f"{meeting_id}:")} == keys
+        for pid, participant in state.participants.items():
+            key = f"{meeting_id}:{pid}"
+            node = nodes[tree.node_ids[key]]
+            assert node.rid == tree.rids[key]
+            assert node.ports == (L2Port(port=participant.egress_port, l2_xid=participant.egress_port),)
+            assert (node.l1_xid, node.prune_enabled) == ((state.l1_xid, True) if shared else (None, False))
+            target = pipeline.replica_table.peek((tree.mgid, node.rid))
+            assert target == ReplicaTarget(address=participant.address, participant_id=pid)
+    _assert_sync_invariants(replication, meeting_id)
+    assert set(agent._members.get(meeting_id, ())) == set(state.participants)
+    for pid, participant in state.participants.items():
+        registered = agent._participants[pid]
+        assert (registered.meeting_id, registered.remote, registered.endpoint) == (meeting_id, False, participant)
+    local = {pid: p for pid, p in state.participants.items() if not p.trunk}
+    for (subscribed, origin), trunk in box.trunks.subscriptions.items():
+        if subscribed != meeting_id:
+            continue
+        assert {pid: receiver[0] for pid, receiver in trunk.receivers.items()} == local
+        nodes = pipeline.pre.tree(trunk.mgid).nodes
+        assert {
+            pipeline.replica_table.peek((trunk.mgid, nodes[node_id].rid)) for _p, node_id, _r in trunk.receivers.values()
+        } == {ReplicaTarget(address=p.address, participant_id=pid) for pid, p in local.items()}
+        assert len(nodes) == len(local)
+        for sender in trunk.senders.values():
+            assert agent._participants[sender.participant_id].remote
+            for _kind, ssrc in sender.media_ssrcs():
+                assert pipeline.stream_table.peek((origin, ssrc)).mgid == trunk.mgid
 
-    def receiver_of(mgid, rid):
-        return None if rid is None else targets.get((mgid, rid))
 
-    streams = {}
+def _in_meeting_delivery(box):
+    """For every installed sender stream: the in-meeting (receiver, port)
+    set the PRE sends its packet to, per replication tree layer."""
+    pipeline, replication = box.pipeline, box.agent.replication
+    delivery = {}
     for key, entry in pipeline.stream_table.entries():
-        streams[key] = (
-            entry.mode,
-            entry.meeting_id,
-            entry.sender,
-            entry.unicast_receiver,
-            trees.get(entry.mgid),
-            None
-            if entry.mgid_by_layer is None
-            else tuple(sorted((layer, trees.get(mgid)) for layer, mgid in entry.mgid_by_layer.items())),
-            entry.l1_xid,
-            receiver_of(entry.mgid, entry.rid),
-            entry.l2_xid,
-        )
-    replication = box.agent.replication
+        meeting = replication.meetings.get(entry.meeting_id)
+        members = set() if meeting is None else set(meeting.participants)
+        delivery[key] = {
+            layer: frozenset(receiver for receiver in receivers if receiver[0] in members or receiver[0] is None)
+            for layer, receivers in _receivers(pipeline, entry).items()
+        }
+    return delivery
+
+
+def _box_view(box):
+    """Box-wide state that does not depend on tree groups or node order."""
+    pipeline, agent = box.pipeline, box.agent
+    replication = agent.replication
     meetings = {}
     for meeting_id, state in replication.meetings.items():
-        group = replication._groups.get(state.tree_group) if state.tree_group else None
         meetings[meeting_id] = (
             state.design,
             tuple(state.participants.items()),
-            state.l1_xid,
-            None if group is None else tuple(group.meetings),
-            tuple(trees[tree.mgid] for tree in state.trees),
+            tuple(
+                (tree.layer, frozenset(key for key in tree.node_ids if key.startswith(f"{meeting_id}:")))
+                for tree in state.trees
+            ),
         )
-    open_groups = {
-        design: [tuple(replication._groups[group_id].meetings) for group_id in group_ids]
-        for design, group_ids in replication._open_groups.items()
-    }
-    agent = box.agent
-    registry = {
-        pid: (state.meeting_id, state.remote, state.endpoint, state.structure)
-        for pid, state in agent._participants.items()
-    }
-    trunks = {
-        key: (trunk.senders, tuple(entry[0] for entry in trunk.receivers.values()), trees[trunk.mgid])
-        for key, trunk in box.trunks.subscriptions.items()
-    }
     return {
-        "trees": Counter(trees.values()),
-        "streams": streams,
+        "meetings": meetings,
         "ssrc_owners": dict(pipeline.ssrc_table.entries()),
         "feedback": dict(pipeline.feedback_table.entries()),
         "adaptation": dict(pipeline.adaptation_table.entries()),
-        "meetings": meetings,
-        "open_groups": open_groups,
-        "registry": registry,
+        "registry": {
+            pid: (state.meeting_id, state.remote, state.endpoint, state.structure)
+            for pid, state in agent._participants.items()
+        },
         "by_address": dict(agent._participant_by_address),
         "by_ssrc": dict(agent._participant_by_ssrc),
-        "trunks": trunks,
-        "accountant": (pipeline.accountant.trees_allocated, pipeline.accountant.l1_nodes_allocated),
+        "trunks": {
+            key: (trunk.senders, {pid: receiver[0] for pid, receiver in trunk.receivers.items()})
+            for key, trunk in box.trunks.subscriptions.items()
+        },
+        "l1_nodes": pipeline.accountant.l1_nodes_allocated,
+        "delivery": _in_meeting_delivery(box),
     }
 
 
@@ -407,11 +682,15 @@ def _assert_oracle_agrees(sequence):
     incremental, rebuilt = _oracle_run(), _oracle_run()
     try:
         for step, operation in enumerate(sequence):
-            _apply(incremental, operation)
+            with recording_syncs() as synced:
+                _apply(incremental, operation)
             with _rebuild_everything():
                 _apply(rebuilt, operation)
+            boxes = {box.agent.replication: box for box in incremental.sfu.members}
+            for manager, meeting_id in synced:
+                _assert_fresh_install(boxes[manager], meeting_id)
             for index, (box, oracle) in enumerate(zip(incremental.sfu.members, rebuilt.sfu.members)):
-                view, expected = _control_view(box), _control_view(oracle)
+                view, expected = _box_view(box), _box_view(oracle)
                 for part in expected:
                     assert view[part] == expected[part], f"box {index} {part} differs after op {step} {operation}"
             assert incremental.reconcile() == rebuilt.reconcile()
@@ -421,30 +700,57 @@ def _assert_oracle_agrees(sequence):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(sequence=operations)
-def test_incremental_membership_matches_the_rebuild(sequence):
+@given(sequence=cluster_operations)
+def test_incremental_membership_matches_a_fresh_install(sequence):
     _assert_oracle_agrees(sequence)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sequence=cluster_operations)
+def test_xids_stay_distinct_and_entries_current_on_a_cluster(sequence):
+    run = _oracle_run()
+    try:
+        with checking_every_sync():
+            for operation in sequence:
+                _apply(run, operation)
+    finally:
+        run.close()
 
 
 def test_oracle_sequence_exercises_both_paths():
     """A fixed churn sequence: the oracle agrees, and the incremental run
-    really patched trees and trunks (the comparison is not vacuous)."""
+    really patched trees and trunks and re-laid trees on a design change
+    (the comparison is not vacuous)."""
     sequence = [("join", meeting, 0) for meeting in (0, 1, 2, 3) for _ in range(4)]
     sequence += [("leave", 0, 1), ("join", 1, 0), ("leave", 3, 2), ("migrate", 0, 1), ("join", 0, 0)]
     sequence += [("leave", 1, 0), ("join", 2, 0), ("migrate", 3, 0), ("leave", 2, 1), ("join", 3, 0)]
-    patched = Counter()
-    originals = {ReplicationManager: ReplicationManager._patch, TrunkManager: TrunkManager._patch}
+    paths = Counter()
+    originals = {
+        "patch": ReplicationManager._patch,
+        "trunk": TrunkManager._patch,
+        "sync": ReplicationManager.sync_meeting,
+    }
 
-    def counting(owner):
-        def spy(self, *args):
-            patched[owner.__name__] += 1
-            return originals[owner](self, *args)
+    def patch(self, *args):
+        paths["ReplicationManager._patch"] += 1
+        return originals["patch"](self, *args)
 
-        return spy
+    def trunk(self, *args):
+        paths["TrunkManager._patch"] += 1
+        return originals["trunk"](self, *args)
 
-    with mock.patch.object(ReplicationManager, "_patch", counting(ReplicationManager)), mock.patch.object(
-        TrunkManager, "_patch", counting(TrunkManager)
-    ):
+    def sync(self, meeting_id, participants, design=None, *args):
+        before = self.meetings.get(meeting_id)
+        old = None if before is None else before.design
+        result = originals["sync"](self, meeting_id, participants, design, *args)
+        if old is not None and result.design != old:
+            paths["design change"] += 1
+        return result
+
+    with mock.patch.object(ReplicationManager, "_patch", patch), mock.patch.object(
+        TrunkManager, "_patch", trunk
+    ), mock.patch.object(ReplicationManager, "sync_meeting", sync):
         _assert_oracle_agrees(sequence)
-    assert patched["ReplicationManager"] > 0
-    assert patched["TrunkManager"] > 0
+    assert paths["ReplicationManager._patch"] > 0
+    assert paths["TrunkManager._patch"] > 0
+    assert paths["design change"] > 0
