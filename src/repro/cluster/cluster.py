@@ -38,9 +38,10 @@ from .trunk import TRUNK_FORWARD_SRC_META, TrunkManager, TrunkStats
 DEFAULT_DRAIN_WINDOW_S = 0.05
 
 
-def trunk_participant_id(address: Address) -> str:
-    """Stable participant id of a peer box's trunk endpoint."""
-    return f"trunk:{address}"
+def trunk_participant_id(meeting_id: str, address: Address) -> str:
+    """Stable participant id of a peer box's trunk endpoint in one meeting
+    (SRMCA keys a subscription per session, not per peer)."""
+    return f"trunk:{meeting_id}:{address}"
 
 
 class ClusterSfu(ScallopSfu):
@@ -187,7 +188,7 @@ class SfuCluster:
         if not 0 <= index < len(self.members):
             raise ValueError(f"member {index} is not in this {len(self.members)}-SFU cluster")
         hosting = set(self._hosting_members(meeting_id)) | {index}
-        self.members[index].controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(index, hosting)
+        self.members[index].controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(meeting_id, index, hosting)
         self.members[index].join(client)
         self._home[client.config.participant_id] = index
         self._clients[client.config.participant_id] = client
@@ -275,11 +276,12 @@ class SfuCluster:
                 hosting[index] = list(meeting.participants.values())
         return hosting
 
-    def _trunk_endpoints(self, index: int, hosting: Iterable[int]) -> List[ParticipantEndpoint]:
-        """Box ``index``'s trunk endpoints toward the other hosting boxes."""
+    def _trunk_endpoints(self, meeting_id: str, index: int, hosting: Iterable[int]) -> List[ParticipantEndpoint]:
+        """Box ``index``'s trunk endpoints in one meeting toward the other
+        hosting boxes."""
         return [
             ParticipantEndpoint(
-                participant_id=trunk_participant_id(self.members[peer].address),
+                participant_id=trunk_participant_id(meeting_id, self.members[peer].address),
                 address=self.members[peer].address,
                 egress_port=0,
                 trunk=True,
@@ -294,14 +296,16 @@ class SfuCluster:
         Each hosting box's controller gets the meeting's current trunk
         endpoints and configures the meeting once — except box
         ``configured``, whose controller already did while handling the
-        join or leave — then its trunk subscriptions are patched; boxes no
-        longer hosting shed leftover trunk-only replication state, remote
-        sender registrations, and subscriptions.
+        join or leave — then its trunk subscriptions are patched.  A box no
+        longer hosting removed the meeting when its last local participant
+        left (the controller configures a closed meeting empty); it only
+        sheds its trunk endpoints, remote sender registrations and
+        subscriptions here.
         """
         hosting = self._hosting_members(meeting_id)
         for index, member in enumerate(self.members):
             if index in hosting:
-                member.controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(index, hosting)
+                member.controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(meeting_id, index, hosting)
                 if index != configured:
                     member.controller.reconfigure_meeting(meeting_id)
                 installed = member.agent.replication.meetings[meeting_id]
@@ -318,11 +322,6 @@ class SfuCluster:
                 )
             else:
                 member.controller.trunk_endpoints.pop(meeting_id, None)
-                leftover = member.agent.replication.meetings.get(meeting_id)
-                if leftover is not None:
-                    for pid, endpoint in list(leftover.participants.items()):
-                        if endpoint.trunk:
-                            member.agent.remove_participant(meeting_id, pid)
                 member.trunks.teardown_meeting(meeting_id, linger_s=linger_s)
 
     # ------------------------------------------------------------------ reconciliation
@@ -387,7 +386,7 @@ class SfuCluster:
                 for peer, pids in by_member.items():
                     if peer == index:
                         continue
-                    trunk_pids.add(trunk_participant_id(self.members[peer].address))
+                    trunk_pids.add(trunk_participant_id(meeting_id, self.members[peer].address))
                     origin_addresses.add(self.members[peer].address)
                     expected_subscriptions[(meeting_id, self.members[peer].address)] = len(pids)
                     for pid in pids:

@@ -102,7 +102,7 @@ def restore_meeting(snapshot: MeetingSnapshot, sfu) -> int:
     records = decode_flow_state(snapshot.flows)
     with sfu.pipeline.batched_writes():
         for sender_ssrc, receiver, allowed, rewriter in records:
-            sfu.agent.adopt_adaptation(sender_ssrc, receiver, allowed, rewriter)
+            sfu.agent.adopt_adaptation(snapshot.meeting_id, sender_ssrc, receiver, allowed, rewriter)
     sfu.agent.decode_targets.adopt(snapshot.decode_targets)
     for pid, structure in snapshot.structures.items():
         sfu.agent.adopt_sender_structure(pid, structure)

@@ -16,12 +16,11 @@ The controller is deliberately unaware of packets; it exchanges
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..netsim.datagram import Address
 from ..signaling.messages import SignalMessage, SignalType, answer_message
 from ..signaling.sdp import SessionDescription, make_answer
-from .capacity import ReplicationDesign
 from .replication import ParticipantEndpoint
 from .switch_agent import SwitchAgent
 
@@ -144,13 +143,11 @@ class ScallopController:
             return
         if message.participant_id in meeting.participants:
             del meeting.participants[message.participant_id]
-            self.agent.remove_participant(message.meeting_id, message.participant_id)
             self.counters.leaves += 1
         if not meeting.participants:
             del self.meetings[message.meeting_id]
             self.counters.meetings_closed += 1
-        else:
-            self.reconfigure_meeting(message.meeting_id)
+        self.reconfigure_meeting(message.meeting_id)
 
     def _handle_media_event(self, message: SignalMessage) -> None:
         meeting = self.meetings.get(message.meeting_id)
@@ -165,13 +162,14 @@ class ScallopController:
 
     def reconfigure_meeting(self, meeting_id: str) -> None:
         """One ``configure_meeting`` with the local participants and the
-        meeting's trunk endpoints; the initial design counts both (the agent
-        may migrate later)."""
-        meeting = self.meetings[meeting_id]
-        endpoints = [record.endpoint() for record in meeting.participants.values()]
-        endpoints += self.trunk_endpoints.get(meeting_id, [])
-        design = ReplicationDesign.TWO_PARTY if len(endpoints) == 2 else ReplicationDesign.NRA
-        self.agent.configure_meeting(meeting_id, endpoints, design=design)
+        meeting's trunk endpoints; the agent picks the design.  A closed
+        meeting is configured empty, which removes it from the data plane."""
+        meeting = self.meetings.get(meeting_id)
+        endpoints: List[ParticipantEndpoint] = []
+        if meeting is not None:
+            endpoints = [record.endpoint() for record in meeting.participants.values()]
+            endpoints += self.trunk_endpoints.get(meeting_id, [])
+        self.agent.configure_meeting(meeting_id, endpoints)
 
     # ------------------------------------------------------------------ helpers / inspection
 

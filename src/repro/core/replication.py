@@ -1,4 +1,4 @@
-"""Replication-tree construction, meeting installation, and live migration.
+"""Replication-tree construction and meeting installation.
 
 This module is the piece of the switch agent that maps VCA entities (meetings,
 senders, receivers) onto the PRE hierarchy (§6.1 of the paper):
@@ -13,19 +13,16 @@ senders, receivers) onto the PRE hierarchy (§6.1 of the paper):
   contains the receivers whose decode target includes that layer.
 * **RA_SR** — per (sender-pair, quality) trees, the least aggregated design.
 
-The :class:`ReplicationManager` installs meetings into a
-:class:`~repro.dataplane.pipeline.ScallopPipeline`, keeps the per-meeting tree
-state, and migrates meetings between designs without disrupting forwarding
-(make-before-break: build the new trees, repoint the ingress entries, then
-deallocate the old trees).
-
-Every membership change goes through :meth:`ReplicationManager.sync_meeting`.
-A join or leave that keeps the meeting's design patches its trees in place:
+:meth:`ReplicationManager.sync_meeting` is the one way a meeting's trees and
+ingress entries change; the caller (the switch agent) names the design.  A
+join or leave that keeps the meeting's design patches its trees in place:
 the meeting keeps its tree group and L1 XID slot, the departed
 participants' L1 nodes, replica targets and stream entries go, and the
 newcomers' are added.  The meeting's own state then equals a fresh install
-of it at that group and slot.  Only a design change or a first install lays
-trees out anew; a meeting entering a group takes the lowest free XID slot.
+of it at that group and slot.  A design change (or a first install) re-lays
+the trees make-before-break: build the new trees, repoint the ingress
+entries, then release the old trees.  A meeting entering a group takes the
+lowest free XID slot.
 """
 
 from __future__ import annotations
@@ -108,17 +105,21 @@ class _TreeState:
     layer: Optional[int] = None                       # RA designs: temporal layer
     node_ids: Dict[str, int] = field(default_factory=dict)   # participant -> node id
     rids: Dict[str, int] = field(default_factory=dict)        # participant -> RID
-    xids: Dict[str, int] = field(default_factory=dict)        # meeting -> L1 XID
+    senders: Tuple[str, ...] = ()                     # RA-SR: the sender pair it serves
 
 
 @dataclass
 class _TreeGroup:
     """NRA / RA-R trees shared by up to ``meetings_per_tree`` meetings."""
 
+    design: ReplicationDesign
     trees: List[_TreeState]
-    layers: List[Optional[int]]
     #: member meeting -> its L1 XID slot in every tree of the group
     meetings: Dict[str, int] = field(default_factory=dict)
+
+
+#: ``(tree, node id, rid)`` of PRE nodes taken out of a tree's bookkeeping
+_DetachedNodes = List[Tuple[_TreeState, int, int]]
 
 
 @dataclass
@@ -133,9 +134,6 @@ class MeetingReplicationState:
     tree_group: Optional[str] = None   # id of the NRA/RA-R group this meeting shares
     #: the exclusion XID its stream entries carry (:meth:`ReplicationManager._other_meeting_xid`)
     stamped_xid: Optional[int] = None
-
-    def addresses(self) -> List[Address]:
-        return [p.address for p in self.participants.values()]
 
 
 class ReplicationManager:
@@ -154,57 +152,43 @@ class ReplicationManager:
         self._open_groups: Dict[ReplicationDesign, List[str]] = {ReplicationDesign.NRA: [], ReplicationDesign.RA_R: []}
         self._groups: Dict[str, _TreeGroup] = {}
         self._group_counter = itertools.count(1)
-        self.migrations_performed = 0
 
-    # ------------------------------------------------------------------ installation
+    # ------------------------------------------------------------------ membership
 
     def install_meeting(
-        self,
-        meeting_id: str,
-        participants: Sequence[ParticipantEndpoint],
-        design: Optional[ReplicationDesign] = None,
-        qualities: int = 3,
+        self, meeting_id: str, participants: Sequence[ParticipantEndpoint], design: ReplicationDesign
     ) -> MeetingReplicationState:
-        """Install a meeting under the given (or automatically chosen) design."""
+        """Install a new meeting under ``design``."""
         if meeting_id in self.meetings:
             raise ValueError(f"meeting already installed: {meeting_id}")
-        return self.sync_meeting(meeting_id, participants, design, qualities)
+        return self.sync_meeting(meeting_id, participants, design)
 
     def sync_meeting(
-        self,
-        meeting_id: str,
-        participants: Sequence[ParticipantEndpoint],
-        design: Optional[ReplicationDesign] = None,
-        qualities: int = 3,
+        self, meeting_id: str, participants: Sequence[ParticipantEndpoint], design: ReplicationDesign
     ) -> MeetingReplicationState:
-        """Bring a meeting's trees and ingress entries to ``participants``.
+        """Bring a meeting's trees and ingress entries to ``participants``
+        under ``design``.
 
-        ``design`` defaults to the automatic choice for the new population.
         A shared-tree meeting that keeps its design is patched in place: it
         keeps its tree group, its surviving nodes and its XID slot, and ends
         up as a fresh install of the new population at that group and slot
         would leave it.  A design change (or a first install) re-lays its
-        trees instead.
+        trees instead (:meth:`_relay`).  A single remaining participant has
+        nobody to forward to: the meeting record stays, with no forwarding
+        state installed.
         """
-        chosen = design or self._auto_design(len(participants))
         wanted: Dict[str, ParticipantEndpoint] = {}
         for participant in participants:
             self._assign_port(participant)
             wanted[participant.participant_id] = participant
         state = self.meetings.get(meeting_id)
         if state is None:
-            state = MeetingReplicationState(meeting_id=meeting_id, design=chosen)
+            state = MeetingReplicationState(meeting_id=meeting_id, design=design)
             self.meetings[meeting_id] = state
-        elif self._patchable(state, chosen, len(wanted), qualities):
+        elif self._patchable(state, design, len(wanted)):
             self._patch(state, wanted)
             return state
-        else:
-            self._remove_stream_entries(state)
-            self._teardown_trees(state)
-        state.design = chosen
-        state.participants = wanted
-        self._build(state, qualities)
-        self._install_stream_entries(state)
+        self._relay(state, design, wanted)
         return state
 
     def remove_meeting(self, meeting_id: str) -> None:
@@ -212,66 +196,15 @@ class ReplicationManager:
         state = self.meetings.pop(meeting_id, None)
         if state is None:
             return
-        self._remove_stream_entries(state)
-        self._teardown_trees(state)
-
-    def add_participant(self, meeting_id: str, participant: ParticipantEndpoint) -> None:
-        """Add a participant to a running meeting (controller join event)."""
-        state = self._require(meeting_id)
-        participants = dict(state.participants)
-        participants[participant.participant_id] = participant
-        self.sync_meeting(meeting_id, list(participants.values()), state.design)
-
-    def remove_participant(self, meeting_id: str, participant_id: str) -> None:
-        state = self._require(meeting_id)
-        if participant_id not in state.participants:
-            return
-        remaining = [p for pid, p in state.participants.items() if pid != participant_id]
-        if not remaining:
-            self.remove_meeting(meeting_id)
-            return
-        design = state.design
-        if design == ReplicationDesign.TWO_PARTY and len(remaining) > 2:
-            design = ReplicationDesign.NRA
-        # a single remaining participant has nobody to forward to: the
-        # meeting record stays, with no forwarding state installed
-        self.sync_meeting(meeting_id, remaining, design)
-
-    # ------------------------------------------------------------------ migration
-
-    def migrate(self, meeting_id: str, new_design: ReplicationDesign, qualities: int = 3) -> None:
-        """Migrate a meeting to a different replication design without disruption.
-
-        Follows the paper's three steps: build the new trees, repoint the
-        ingress rules, then deallocate the old trees.
-        """
-        state = self._require(meeting_id)
-        if state.design == new_design:
-            return
-        old_trees = list(state.trees)
-        old_group = state.tree_group
-        state.trees = []
-        state.design = new_design
-        state.tree_group = None
-        state.l1_xid = None
-        # 1. create the new replication trees
-        self._build(state, qualities)
-        # 2. update data-plane rules to point at the new trees
-        self._install_stream_entries(state)
-        # 3. deallocate the old trees
-        self._release_trees(old_trees, old_group, state.meeting_id)
-        self.migrations_performed += 1
+        for participant in state.participants.values():
+            self._remove_sender_entries(participant)
+        self._release(*self._detach(state))
 
     # ------------------------------------------------------------------ incremental membership
 
-    def _patchable(
-        self, state: MeetingReplicationState, design: ReplicationDesign, size: int, qualities: int
-    ) -> bool:
-        """Whether the meeting keeps its shared-tree design (and layers)."""
-        if design != state.design or state.tree_group is None or size < 2:
-            return False
-        layers = [None] if design == ReplicationDesign.NRA else list(range(qualities))
-        return self._groups[state.tree_group].layers == layers
+    def _patchable(self, state: MeetingReplicationState, design: ReplicationDesign, size: int) -> bool:
+        """Whether the meeting keeps its shared-tree design."""
+        return design == state.design and state.tree_group is not None and size >= 2
 
     def _patch(self, state: MeetingReplicationState, wanted: Dict[str, ParticipantEndpoint]) -> None:
         """Rewrite only what changed: drop the departed participants' nodes,
@@ -294,12 +227,30 @@ class ReplicationManager:
         for participant in arriving:
             self._install_sender_entries(state, participant)
 
+    def _relay(
+        self, state: MeetingReplicationState, design: ReplicationDesign, wanted: Dict[str, ParticipantEndpoint]
+    ) -> None:
+        """Lay the meeting's trees out anew, make-before-break (paper §6.1):
+        build the new trees, repoint the ingress entries, then release the
+        old trees.  The meeting gives up its old group slot before the
+        build, so the new trees may be laid in its current group."""
+        forwarded = wanted if len(wanted) >= 2 else {}
+        for pid, participant in state.participants.items():
+            if forwarded.get(pid) != participant:
+                self._remove_sender_entries(participant)
+        old = self._detach(state)
+        state.design = design
+        state.participants = wanted
+        # 1. create the new replication trees
+        self._build(state)
+        # 2. point the ingress entries at them
+        self._install_stream_entries(state)
+        # 3. release the old trees
+        self._release(*old)
+
     # ------------------------------------------------------------------ design construction
 
-    def _auto_design(self, num_participants: int) -> ReplicationDesign:
-        return ReplicationDesign.TWO_PARTY if num_participants == 2 else ReplicationDesign.NRA
-
-    def _build(self, state: MeetingReplicationState, qualities: int) -> None:
+    def _build(self, state: MeetingReplicationState) -> None:
         if len(state.participants) < 2:
             return  # nothing to forward yet
         if state.design == ReplicationDesign.TWO_PARTY:
@@ -309,31 +260,27 @@ class ReplicationManager:
         if state.design == ReplicationDesign.NRA:
             self._build_shared_group(state, layers=[None])
         elif state.design == ReplicationDesign.RA_R:
-            self._build_shared_group(state, layers=list(range(qualities)))
+            self._build_shared_group(state, layers=list(range(self.pipeline.capacities.num_qualities)))
         else:  # RA_SR
-            self._build_ra_sr(state, qualities)
+            self._build_ra_sr(state)
 
     def _build_shared_group(self, state: MeetingReplicationState, layers: List[Optional[int]]) -> None:
         """NRA / RA-R: join (or open) a tree group shared by up to m meetings."""
         design = state.design
         meetings_per_tree = self.pipeline.capacities.meetings_per_tree
-        group_id = None
-        for candidate in self._open_groups[design]:
-            group = self._groups[candidate]
-            if len(group.meetings) < meetings_per_tree and group.layers == layers:
-                group_id = candidate
-                break
-        if group_id is None:
+        open_groups = self._open_groups[design]
+        if open_groups:
+            group_id = open_groups[0]
+        else:
             group_id = f"{design.value}-group-{next(self._group_counter)}"
             trees = [_TreeState(mgid=self.pipeline.pre.create_tree(), layer=layer) for layer in layers]
-            self._groups[group_id] = _TreeGroup(trees=trees, layers=layers)
-            self._open_groups[design].append(group_id)
+            self._groups[group_id] = _TreeGroup(design=design, trees=trees)
+            open_groups.append(group_id)
         group = self._groups[group_id]
         taken = set(group.meetings.values())
         group.meetings[state.meeting_id] = next(xid for xid in itertools.count(1) if xid not in taken)
         if len(group.meetings) >= meetings_per_tree:
-            if group_id in self._open_groups[design]:
-                self._open_groups[design].remove(group_id)
+            open_groups.remove(group_id)
 
         state.tree_group = group_id
         state.l1_xid = group.meetings[state.meeting_id]
@@ -343,20 +290,19 @@ class ReplicationManager:
             for participant in state.participants.values():
                 self._add_node(tree, state.meeting_id, participant, state.l1_xid, prune_enabled=True)
 
-    def _build_ra_sr(self, state: MeetingReplicationState, qualities: int) -> None:
+    def _build_ra_sr(self, state: MeetingReplicationState) -> None:
         """RA-SR: one tree per (pair of senders, quality)."""
         participants = list(state.participants.values())
         sender_pairs = [participants[i : i + 2] for i in range(0, len(participants), 2)]
         for pair in sender_pairs:
-            for layer in range(qualities):
-                tree = _TreeState(mgid=self.pipeline.pre.create_tree(), layer=layer)
-                tree.xids = {p.participant_id: index + 1 for index, p in enumerate(pair)}
+            for layer in range(self.pipeline.capacities.num_qualities):
+                tree = _TreeState(
+                    mgid=self.pipeline.pre.create_tree(),
+                    layer=layer,
+                    senders=tuple(p.participant_id for p in pair),
+                )
                 for participant in participants:
                     self._add_node(tree, state.meeting_id, participant, None, prune_enabled=False)
-                # remember which senders this tree serves
-                tree_senders = tuple(p.participant_id for p in pair)
-                tree.xids["__senders__"] = hash(tree_senders) & 0xFFFF
-                setattr(tree, "senders", tree_senders)
                 state.trees.append(tree)
 
     def _add_node(
@@ -388,10 +334,6 @@ class ReplicationManager:
         for _kind, ssrc in participant.media_ssrcs():
             entry = self._entry_for_sender(state, participant)
             self.pipeline.install_stream((participant.address, ssrc), entry)
-
-    def _remove_stream_entries(self, state: MeetingReplicationState) -> None:
-        for participant in state.participants.values():
-            self._remove_sender_entries(participant)
 
     def _remove_sender_entries(self, participant: ParticipantEndpoint) -> None:
         for _kind, ssrc in participant.media_ssrcs():
@@ -439,11 +381,7 @@ class ReplicationManager:
             )
 
         # RA_SR: use the trees whose sender pair contains this sender
-        own_trees = [
-            tree
-            for tree in state.trees
-            if sender.participant_id in getattr(tree, "senders", ())
-        ] or state.trees
+        own_trees = [tree for tree in state.trees if sender.participant_id in tree.senders] or state.trees
         mgid_by_layer = {tree.layer: tree.mgid for tree in own_trees if tree.layer is not None}
         base_tree = own_trees[0]
         return StreamForwardingEntry(
@@ -469,39 +407,43 @@ class ReplicationManager:
 
     # ------------------------------------------------------------------ teardown helpers
 
-    def _teardown_trees(self, state: MeetingReplicationState) -> None:
-        self._release_trees(state.trees, state.tree_group, state.meeting_id)
+    def _detach(self, state: MeetingReplicationState) -> Tuple[List[_TreeState], Optional[str], _DetachedNodes]:
+        """Take the meeting out of its trees: give up its group slot and drop
+        its nodes from the trees' bookkeeping.  The PRE nodes themselves stay
+        until :meth:`_release`, so entries pointing at them keep forwarding."""
+        prefix = f"{state.meeting_id}:"
+        nodes: _DetachedNodes = []
+        for tree in state.trees:
+            for key in [k for k in tree.node_ids if k.startswith(prefix)]:
+                nodes.append((tree, tree.node_ids.pop(key), tree.rids.pop(key)))
+        if state.tree_group is not None:
+            del self._groups[state.tree_group].meetings[state.meeting_id]
+        detached = (state.trees, state.tree_group, nodes)
         state.trees = []
         state.tree_group = None
         state.l1_xid = None
+        return detached
 
-    def _release_trees(
-        self, trees: List[_TreeState], group_id: Optional[str], meeting_id: str
-    ) -> None:
-        if group_id is not None:
-            group = self._groups.get(group_id)
-            if group is None:
-                return
-            group.meetings.pop(meeting_id, None)
-            prefix = f"{meeting_id}:"
-            for tree in group.trees:
-                for key in [k for k in tree.node_ids if k.startswith(prefix)]:
-                    self._remove_node(tree, key)
-            design = ReplicationDesign.NRA if group_id.startswith("nra") else ReplicationDesign.RA_R
-            if not group.meetings:
-                for tree in group.trees:
-                    self.pipeline.pre.destroy_tree(tree.mgid)
-                if group_id in self._open_groups.get(design, []):
-                    self._open_groups[design].remove(group_id)
-                del self._groups[group_id]
-            elif group_id not in self._open_groups.setdefault(design, []):
-                self._open_groups[design].append(group_id)
+    def _release(self, trees: List[_TreeState], group_id: Optional[str], nodes: _DetachedNodes) -> None:
+        """Remove detached nodes, then destroy the trees nobody holds: a
+        private (RA-SR) tree always, a shared group once its last meeting
+        left — otherwise the group is open to a meeting again."""
+        for tree, node_id, rid in nodes:
+            remove_replica_node(self.pipeline, tree.mgid, node_id, rid)
+        if group_id is None:
+            for tree in trees:
+                self.pipeline.pre.destroy_tree(tree.mgid)
             return
-        # privately owned trees (RA-SR)
-        for tree in trees:
-            for key in list(tree.node_ids):
-                self._remove_node(tree, key)
-            self.pipeline.pre.destroy_tree(tree.mgid)
+        group = self._groups[group_id]
+        open_groups = self._open_groups[group.design]
+        if not group.meetings:
+            for tree in group.trees:
+                self.pipeline.pre.destroy_tree(tree.mgid)
+            if group_id in open_groups:
+                open_groups.remove(group_id)
+            del self._groups[group_id]
+        elif len(group.meetings) < self.pipeline.capacities.meetings_per_tree and group_id not in open_groups:
+            open_groups.append(group_id)
 
     # ------------------------------------------------------------------ misc helpers
 
@@ -512,9 +454,3 @@ class ReplicationManager:
             self._next_port += 1
         else:
             participant.egress_port = self._port_by_participant[participant.participant_id]
-
-    def _require(self, meeting_id: str) -> MeetingReplicationState:
-        state = self.meetings.get(meeting_id)
-        if state is None:
-            raise KeyError(f"unknown meeting: {meeting_id}")
-        return state

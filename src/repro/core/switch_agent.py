@@ -11,14 +11,21 @@ analyzes them, and reconfigures the data plane when needed.  Its jobs are:
   installing the corresponding feedback-forwarding rules,
 * running ``selectDecodeTarget`` per (sender, receiver) and installing/updating
   rate-adaptation entries (allowed template ids + sequence-rewrite state), and
-* installing meetings into the replication engine and migrating them between
+* installing meetings into the replication engine and moving them between
   replication designs as their rate-adaptation needs change.
+
+Membership reaches the data plane only through
+:meth:`SwitchAgent.configure_meeting`: a join, a leave (an empty population
+removes the meeting) and a trunk change are each one configure, which picks
+the meeting's design (:meth:`SwitchAgent._design_for`) and hands it to
+:meth:`~repro.core.replication.ReplicationManager.sync_meeting`.  The design
+is picked again when a new rate-adaptation entry is installed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Sized, Tuple
 
 from ..dataplane.pipeline import FeedbackRule, ScallopPipeline
 from ..netsim.datagram import Address, Datagram, PayloadKind
@@ -99,33 +106,37 @@ class SwitchAgent:
         self._members: Dict[str, Dict[str, None]] = {}
         self._participant_by_address: Dict[Address, str] = {}
         self._participant_by_ssrc: Dict[int, str] = {}
-        self._adaptation_installed: Dict[Tuple[int, Address], bool] = {}
+        #: installed adaptation entry (sender ssrc, receiver) -> the sender's meeting
+        self._adaptation_installed: Dict[Tuple[int, Address], str] = {}
+        #: meeting -> how many of those entries adapt its senders (:meth:`_design_for`)
+        self._adapted_meetings: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ meeting management
 
-    def configure_meeting(
-        self,
-        meeting_id: str,
-        participants: Sequence[ParticipantEndpoint],
-        design: Optional[ReplicationDesign] = None,
-    ) -> None:
+    def configure_meeting(self, meeting_id: str, participants: Sequence[ParticipantEndpoint]) -> None:
         """Bring a meeting's replication state and feedback rules to ``participants``.
 
-        Departed participants are forgotten and newcomers registered; the
-        ones who stay keep their registration, learned SVC structure
-        included.  The replication manager patches the meeting's trees
+        Departed participants release their adaptation entries, feedback
+        rules, downlink-filter and decode-target state and registration;
+        newcomers are registered; the ones who stay keep their registration,
+        learned SVC structure included.  The replication manager patches the
+        meeting's trees under the design :meth:`_design_for` picks
         (:meth:`~repro.core.replication.ReplicationManager.sync_meeting`), so
         a join or leave writes the PRE nodes, replica targets and stream
         entries of the participants that changed, plus the meeting's
-        feedback rules.  Everything runs inside
+        feedback rules.  An empty ``participants`` removes the meeting.
+        Everything runs inside
         :meth:`~repro.dataplane.pipeline.PipelineControlPlane.batched_writes`,
         so each write generation bumps once per call.
         """
         with self.pipeline.batched_writes():
             wanted = {participant.participant_id for participant in participants}
             for pid in [pid for pid in self._members.get(meeting_id, ()) if pid not in wanted]:
-                self._forget_participant(pid)
-            self.replication.sync_meeting(meeting_id, participants, design=design)
+                self._release_participant(meeting_id, pid)
+            if participants:
+                self._sync(meeting_id, participants)
+            else:
+                self.replication.remove_meeting(meeting_id)
             for participant in participants:
                 state = self._participants.get(participant.participant_id)
                 if (
@@ -138,41 +149,47 @@ class SwitchAgent:
             self._install_feedback_rules(meeting_id)
         self.counters.rule_updates += 1
 
-    def add_participant(self, meeting_id: str, participant: ParticipantEndpoint) -> None:
-        with self.pipeline.batched_writes():
-            if meeting_id not in self.replication.meetings:
-                self.replication.install_meeting(meeting_id, [participant])
-            else:
-                self.replication.add_participant(meeting_id, participant)
-            self._register_participant(meeting_id, participant)
-            self._install_feedback_rules(meeting_id)
-        self.counters.rule_updates += 1
+    def _design_for(self, meeting_id: str, participants: Sized) -> ReplicationDesign:
+        """TWO_PARTY for two endpoints; for three or more, RA-R once an
+        adaptation entry for one of the meeting's senders is installed here,
+        NRA otherwise."""
+        if len(participants) == 2:
+            return ReplicationDesign.TWO_PARTY
+        if len(participants) > 2 and self._adapted_meetings.get(meeting_id):
+            return ReplicationDesign.RA_R
+        return ReplicationDesign.NRA
 
-    def remove_participant(self, meeting_id: str, participant_id: str) -> None:
+    def _sync(self, meeting_id: str, participants: Sequence[ParticipantEndpoint]) -> None:
+        design = self._design_for(meeting_id, participants)
+        installed = self.replication.meetings.get(meeting_id)
+        if installed is not None and installed.design != design:
+            self.counters.migrations += 1
+        self.replication.sync_meeting(meeting_id, participants, design)
+
+    def _release_participant(self, meeting_id: str, participant_id: str) -> None:
         """Tear down everything a departing participant consumed.
 
         Beyond the replication state (the leaver's ingress entries and PRE
-        nodes — removed by the replication manager), a leave must release the
+        nodes, which the sync removes), a leave must release the
         participant's *egress-side* data-plane state: the rate-adaptation
         entries in which they appear as receiver or sender (freeing their
         sequence-rewriter registers and the accountant's stream-state
-        charges) and every feedback rule addressed to or about them.  After a
-        leave the control plane holds state only for the surviving
-        population.
+        charges) and every feedback rule addressed to or about them.  A
+        peer SFU's trunk endpoint is keyed per meeting: it releases only the
+        rules of this meeting's senders toward the peer, which other
+        meetings cascaded to the same peer keep.
         """
-        with self.pipeline.batched_writes():
-            state = self._participants.get(participant_id)
-            if state is not None:
-                self._teardown_participant_state(state.endpoint)
-            if meeting_id in self.replication.meetings:
-                self.replication.remove_participant(meeting_id, participant_id)
-            self._forget_participant(participant_id)
-            self.downlink_filter.forget_receiver(participant_id)
-            self.downlink_filter.forget_sender(participant_id)
-            self.decode_targets.forget(participant_id)
-            if meeting_id in self.replication.meetings:
-                self._install_feedback_rules(meeting_id)
-        self.counters.rule_updates += 1
+        endpoint = self._participants[participant_id].endpoint
+        if endpoint.trunk:
+            for sender in self.replication.meetings[meeting_id].participants.values():
+                for _kind, ssrc in sender.media_ssrcs():
+                    self.pipeline.remove_feedback_rule(endpoint.address, ssrc)
+        else:
+            self._teardown_participant_state(endpoint)
+        self._forget_participant(participant_id)
+        self.downlink_filter.forget_receiver(participant_id)
+        self.downlink_filter.forget_sender(participant_id)
+        self.decode_targets.forget(participant_id)
 
     def _teardown_participant_state(self, endpoint: ParticipantEndpoint) -> None:
         """Release adaptation entries and feedback rules involving a leaver."""
@@ -182,7 +199,10 @@ class SwitchAgent:
             k for k in self._adaptation_installed if k[1] == address or k[0] in ssrcs
         ]:
             self.pipeline.remove_adaptation(key[0], key[1])
-            del self._adaptation_installed[key]
+            meeting_id = self._adaptation_installed.pop(key)
+            self._adapted_meetings[meeting_id] -= 1
+            if not self._adapted_meetings[meeting_id]:
+                del self._adapted_meetings[meeting_id]
         stale_rules = [
             k
             for k, _rule in self.pipeline.feedback_table.entries()
@@ -197,11 +217,6 @@ class SwitchAgent:
             forget_endpoint(address)
         else:
             self.pipeline.control.remove_placements_for(address)
-
-    def migrate_meeting(self, meeting_id: str, design: ReplicationDesign) -> None:
-        with self.pipeline.batched_writes():
-            self.replication.migrate(meeting_id, design)
-        self.counters.migrations += 1
 
     def meeting_design(self, meeting_id: str) -> Optional[ReplicationDesign]:
         state = self.replication.meetings.get(meeting_id)
@@ -222,7 +237,9 @@ class SwitchAgent:
         state = self._participants.pop(participant_id, None)
         if state is None:
             return
-        self._participant_by_address.pop(state.endpoint.address, None)
+        if self._participant_by_address.get(state.endpoint.address) == participant_id:
+            # trunk endpoints of several meetings share the peer's address
+            del self._participant_by_address[state.endpoint.address]
         for _kind, ssrc in state.endpoint.media_ssrcs():
             self._participant_by_ssrc.pop(ssrc, None)
 
@@ -302,7 +319,9 @@ class SwitchAgent:
             if self._participant_by_ssrc.get(ssrc) == participant_id:
                 del self._participant_by_ssrc[ssrc]
 
-    def adopt_adaptation(self, sender_ssrc: int, receiver: Address, allowed_templates, rewriter) -> None:
+    def adopt_adaptation(
+        self, meeting_id: str, sender_ssrc: int, receiver: Address, allowed_templates, rewriter
+    ) -> None:
         """Install a migrated-in adaptation entry with its shipped rewriter.
 
         Marks the (ssrc, receiver) pair installed so the next REMB-driven
@@ -312,7 +331,11 @@ class SwitchAgent:
         break the sequence-continuity guarantee of the migration.
         """
         self.pipeline.install_adaptation(sender_ssrc, receiver, allowed_templates, rewriter)
-        self._adaptation_installed[(sender_ssrc, receiver)] = True
+        self._note_adaptation((sender_ssrc, receiver), meeting_id)
+
+    def _note_adaptation(self, key: Tuple[int, Address], meeting_id: str) -> None:
+        self._adaptation_installed[key] = meeting_id
+        self._adapted_meetings[meeting_id] = self._adapted_meetings.get(meeting_id, 0) + 1
 
     def sender_structure(self, participant_id: str) -> Optional[TemplateStructure]:
         """The learned SVC template structure of a sender (``None`` if the
@@ -401,15 +424,19 @@ class SwitchAgent:
             return
         allowed = frozenset(sender_state.structure.templates_for_decode_target(int(target)))
         key = (video_ssrc, receiver_state.endpoint.address)
-        if self._adaptation_installed.get(key):
+        if key in self._adaptation_installed:
             self.pipeline.update_adaptation_templates(video_ssrc, receiver_state.endpoint.address, allowed)
         else:
             rewriter = self._make_rewriter(target)
             self.pipeline.install_adaptation(
                 video_ssrc, receiver_state.endpoint.address, allowed, rewriter
             )
-            self._adaptation_installed[key] = True
-            self._maybe_migrate_for_adaptation(sender_state.meeting_id)
+            meeting_id = sender_state.meeting_id
+            self._note_adaptation(key, meeting_id)
+            meeting = self.replication.meetings.get(meeting_id)
+            if meeting is not None and meeting.design != self._design_for(meeting_id, meeting.participants):
+                with self.pipeline.batched_writes():
+                    self._sync(meeting_id, list(meeting.participants.values()))
         self.counters.rule_updates += 1
 
     def _make_rewriter(self, target: DecodeTarget):
@@ -417,12 +444,6 @@ class SwitchAgent:
         if self.rewrite_variant == RewriteVariant.S_LM:
             return SequenceRewriterLowMemory(cadence)
         return SequenceRewriterLowRetransmission(cadence)
-
-    def _maybe_migrate_for_adaptation(self, meeting_id: str) -> None:
-        """Move a meeting from the NRA design to RA-R when adaptation starts."""
-        design = self.meeting_design(meeting_id)
-        if design == ReplicationDesign.NRA:
-            self.migrate_meeting(meeting_id, ReplicationDesign.RA_R)
 
     # ------------------------------------------------------------------ periodic work
 

@@ -41,7 +41,8 @@ class TofinoCapacities:
 
     #: Meetings aggregated into one replication tree in the NRA design ("m").
     meetings_per_tree: int = 2
-    #: Number of media qualities / decode targets ("q", L1T3 -> 3).
+    #: Number of media qualities / decode targets ("q", L1T3 -> 3): the
+    #: per-layer trees of an RA-R / RA-SR meeting.
     num_qualities: int = 3
 
 

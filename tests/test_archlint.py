@@ -23,6 +23,7 @@ from tools.archlint.engine import format_baseline_entry
 from tools.archlint.rules import (
     DeterminismRule,
     GenerationDisciplineRule,
+    OneMembershipPathRule,
     ShareNothingRule,
     WireHygieneRule,
     ZeroPickleRule,
@@ -402,6 +403,53 @@ class TestWireHygieneRule:
         assert not findings
 
 
+# --------------------------------------------------------------------------- rule 6: one-membership-path
+
+
+class TestOneMembershipPathRule:
+    RULES = (OneMembershipPathRule(),)
+
+    VIOLATING = """
+    def shed(member, meeting_id, endpoints, design):
+        member.agent.replication.sync_meeting(meeting_id, endpoints, design)
+        member.agent.replication.remove_meeting(meeting_id)
+        manager.install_meeting(meeting_id, endpoints, design)
+    """
+
+    def test_replication_calls_outside_the_agent_flag(self):
+        findings = lint(self.VIOLATING, module="repro.cluster.cluster", rules=self.RULES)
+        assert [finding.line for finding in findings if finding.is_new] == [3, 4, 5]
+        assert "configure_meeting" in findings[0].message
+
+    def test_the_agent_is_the_one_caller(self):
+        findings = lint(self.VIOLATING, module="repro.core.switch_agent", rules=self.RULES)
+        assert not findings
+
+    def test_trunk_syncs_and_configure_calls_are_clean(self):
+        findings = lint(
+            """
+            def sync(self, member, meeting_id, endpoints):
+                member.agent.configure_meeting(meeting_id, endpoints)
+                member.trunks.sync_meeting(meeting_id, {}, endpoints)
+                self.sync_meeting(meeting_id, {}, [])
+            """,
+            module="repro.cluster.cluster",
+            rules=self.RULES,
+        )
+        assert not findings
+
+    def test_inline_suppression(self):
+        findings = lint(
+            """
+            def drop(member, meeting_id):
+                member.agent.replication.remove_meeting(meeting_id)  # archlint: ignore[one-membership-path]
+            """,
+            module="repro.cluster.cluster",
+            rules=self.RULES,
+        )
+        assert len(findings) == 1 and findings[0].suppressed
+
+
 # --------------------------------------------------------------------------- suppression mechanics
 
 
@@ -517,6 +565,14 @@ class TestEndToEnd:
         # the migration snapshot path must stay zero-pickle end to end
         findings = lint("import pickle\n", module="repro.cluster.snapshot", rules=(ZeroPickleRule(),))
         assert new_rules(findings) == ["zero-pickle"]
+
+    def test_membership_fixture_trips_one_membership_path(self):
+        fixture = REPO_ROOT / "tools" / "archlint" / "fixtures" / "violating_membership.py"
+        report = run_paths([str(fixture)])
+        assert {finding.rule for finding in report.new} == {"one-membership-path"}
+        messages = [finding.message for finding in report.new]
+        assert any("replication.sync_meeting()" in message for message in messages)
+        assert any("replication.remove_meeting()" in message for message in messages)
 
     def test_wirebatch_fixture_trips_wire_hygiene(self):
         # proves the extended jurisdiction bites: the fixture impersonates

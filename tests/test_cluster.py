@@ -1,6 +1,6 @@
 """Suite for ``repro.cluster`` (PR 10): multi-SFU federation.
 
-Five layers:
+Six layers:
 
 * **cascade stat-identity** — the headline property: a meeting cascaded
   across two Scallop boxes over an inter-SFU trunk delivers *exactly* the
@@ -19,6 +19,9 @@ Five layers:
   boxes mid-run: no receiver ends with a sequence gap, no decoder-state
   corruption, and the migrated-away box drains back to its pre-meeting
   baseline fingerprint.
+* **meetings sharing a trunk** — trunk endpoints are keyed per meeting, so
+  emptying one cascaded meeting leaves the trunk endpoint and the feedback
+  rules of every other meeting on the same peer in place.
 * **federation telemetry** — every snapshot carries the ``repro.trunk.*``
   series (zero-valued on a classic single-box engine), live trunk counters
   surface through ``TelemetryBus.add_engine``, and ``validate_snapshot``
@@ -35,12 +38,14 @@ from repro.cluster import (
     snapshot_size_bytes,
     trunk_participant_id,
 )
+from repro.core.replication import ParticipantEndpoint
 from repro.core.seqrewrite import (
     SequenceRewriterLowMemory,
     SequenceRewriterLowRetransmission,
     SkipCadence,
     ideal_rewrite_sequence,
 )
+from repro.core.switch_agent import SwitchAgent
 from repro.dataplane.pipeline import (
     CONTROL_SNAPSHOT_VERSION,
     ForwardingMode,
@@ -481,6 +486,68 @@ class TestTrunkTelemetry:
         assert series["repro.trunk.subscriptions"]["value"] == 6.0
 
 
+# --------------------------------------------------------------------------- meetings sharing a trunk
+
+
+def _local(index):
+    return ParticipantEndpoint(
+        participant_id=f"p{index}",
+        address=Address(f"10.0.1.{index}", 6000 + index),
+        egress_port=0,
+        audio_ssrc=1000 + index * 10,
+        video_ssrc=1001 + index * 10,
+    )
+
+
+class TestMeetingsSharingATrunk:
+    """Trunk endpoints are keyed per meeting: emptying one cascaded meeting
+    leaves the trunk state of the others on the same peer alone."""
+
+    def test_emptying_one_cascaded_meeting_keeps_the_others(self):
+        spec = Scenario(
+            meetings=(MeetingSpec(participants=2, cascade=(0, 1)),) * 2,
+            backend=BackendSpec.cluster(n_sfus=2),
+            seed=1,
+        )
+        run = build_scenario(spec)
+        try:
+            run.run_for(1.0)
+            assert [len(box.pipeline.feedback_table) for box in run.sfu.members] == [8, 8]
+            run.leave(1, 0)
+            run.leave(1, 1)
+            run.run_for(2.0)
+            assert run.reconcile() == []
+            # meeting 0's two directions survive on each box: the local
+            # sender's rules toward the peer and the trunked-in sender's
+            # rules toward the local receiver
+            assert [len(box.pipeline.feedback_table) for box in run.sfu.members] == [4, 4]
+        finally:
+            run.close()
+
+    def test_a_departing_trunk_endpoint_releases_only_its_meetings_rules(self):
+        pipeline = ScallopPipeline(SFU)
+        agent = SwitchAgent(pipeline)
+        peer = Address("10.0.0.2", 5000)
+
+        def trunk(meeting_id):
+            return ParticipantEndpoint(trunk_participant_id(meeting_id, peer), peer, egress_port=0, trunk=True)
+
+        meeting_a, meeting_b = [_local(1), _local(2)], [_local(3), _local(4)]
+        agent.configure_meeting("A", meeting_a + [trunk("A")])
+        agent.configure_meeting("B", meeting_b + [trunk("B")])
+
+        def rules_toward_peer():
+            return {ssrc for (receiver, ssrc), _rule in pipeline.feedback_table.entries() if receiver == peer}
+
+        ssrcs_a = {ssrc for p in meeting_a for _kind, ssrc in p.media_ssrcs()}
+        ssrcs_b = {ssrc for p in meeting_b for _kind, ssrc in p.media_ssrcs()}
+        assert rules_toward_peer() == ssrcs_a | ssrcs_b
+        agent.configure_meeting("A", meeting_a)
+        assert rules_toward_peer() == ssrcs_b
+        assert trunk_participant_id("A", peer) not in agent._participants
+        assert agent._participants[trunk_participant_id("B", peer)].meeting_id == "B"
+
+
 # --------------------------------------------------------------------------- odds and ends
 
 
@@ -492,8 +559,9 @@ class TestClusterApiContract:
             BackendSpec(kind="software", n_sfus=2)
 
     def test_trunk_participant_ids_are_namespaced(self):
-        pid = trunk_participant_id(Address("10.0.0.2", 5000))
-        assert pid.startswith("trunk:")
+        pid = trunk_participant_id("meeting-3", Address("10.0.0.2", 5000))
+        assert pid == "trunk:meeting-3:10.0.0.2:5000"
+        assert pid != trunk_participant_id("meeting-4", Address("10.0.0.2", 5000))
 
     def test_snapshot_size_accounts_packed_registers(self):
         engine = ScallopPipeline(SFU)

@@ -183,7 +183,7 @@ class TestAgentBatchedJoins:
         assert pipeline.pre.generation == pre_g0 + 1
         assert len(pipeline.stream_table) >= 10  # audio+video per sender
 
-    def test_add_and_remove_participant_batched(self):
+    def test_join_and_leave_batched(self):
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
         base = [
@@ -205,7 +205,7 @@ class TestAgentBatchedJoins:
             audio_ssrc=390,
             video_ssrc=490,
         )
-        agent.add_participant("meeting-y", late)
+        agent.configure_meeting("meeting-y", base + [late])
         assert pipeline.stream_table.version == v_joined + 1
-        agent.remove_participant("meeting-y", "late")
+        agent.configure_meeting("meeting-y", base)
         assert pipeline.stream_table.version == v_joined + 2

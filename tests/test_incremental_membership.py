@@ -3,20 +3,23 @@
 Membership changes reach the replication manager, the switch agent and the
 trunk manager through one incremental path each
 (``ReplicationManager.sync_meeting``, ``SwitchAgent.configure_meeting``,
-``TrunkManager.sync_meeting``).  Five groups of tests pin it:
+``TrunkManager.sync_meeting``); a join and a leave are each one configure.
+Five groups of tests pin it:
 
 * **write counts** — a join into a running meeting adds one L1 node per tree
   and removes none, a leave removes one and adds none, wherever the meeting
   sits (behind another meeting's nodes, in a later open group, in a freed
-  XID slot); a join on the far side of a cascaded meeting keeps both trunk
-  trees; on a cluster each join or leave configures every hosting box once,
+  XID slot) and in an adapted (RA-R) meeting too; a join on the far side of
+  a cascaded meeting keeps both trunk trees; a controller leave, and on a
+  cluster each join or leave, configures and syncs every hosting box once,
   with no design flip;
 * **XID slots** — a meeting takes the lowest free L1 XID slot of its tree
   group and keeps it across joins and leaves, and its stream entries stamp
   the partner meeting's slot; a hypothesis property checks after every sync,
   on one box and on a two-box cluster, that the XIDs of a group are pairwise
   distinct and every stream entry of the synced meeting is the one
-  ``_entry_for_sender`` derives;
+  ``_entry_for_sender`` derives, and after every op that each meeting sits
+  in the design ``SwitchAgent._design_for`` names;
 * **RID allocation** — RIDs are allocated per tree (lowest free), so churn
   next to a long-lived meeting never wraps into a RID the tree still holds;
 * **the fresh-install oracle** — random join / leave / migrate sequences on
@@ -51,6 +54,7 @@ from repro.netsim.datagram import Address, Datagram
 from repro.rtp.av1 import DependencyDescriptor, TemplateStructure, dependency_descriptor_element
 from repro.rtp.extensions import encode_extensions
 from repro.rtp.packet import RtpPacket
+from repro.rtp.rtcp import Remb
 from repro.scenario import BackendSpec, MeetingSpec, Scenario, build_scenario
 from repro.signaling.messages import join_message, leave_message
 from repro.signaling.sdp import make_offer
@@ -94,6 +98,13 @@ def _controller():
 def _join(controller, index, meeting_id="m"):
     offer = make_offer(f"p{index}", f"10.0.1.{index}", 6000 + index, ssrc_base=index * 100)
     controller.handle_signal(join_message(meeting_id, f"p{index}", offer))
+
+
+def _adapt(agent, sender, receiver):
+    """A low REMB from ``receiver`` about ``sender``'s video installs an
+    adaptation entry for that sender on this box."""
+    remb = Remb(sender_ssrc=9999, bitrate_bps=700_000, media_ssrcs=(sender.video_ssrc,))
+    agent.handle_cpu_packet(Datagram(src=receiver.address, dst=SFU, payload=(remb,)))
 
 
 def _receivers(pipeline, entry):
@@ -147,12 +158,16 @@ class TestWriteCounts:
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
         participants = [endpoint(index) for index in range(1, 9)]
-        agent.configure_meeting("m", participants, design=design)
+        agent.configure_meeting("m", participants)
+        if design == ReplicationDesign.RA_R:
+            _adapt(agent, participants[0], participants[1])
+        assert agent.meeting_design("m") == design
         mgids = sorted(tree.mgid for tree in agent.replication.meetings["m"].trees)
         with pre_writes(pipeline.pre) as joined:
-            agent.configure_meeting("m", participants + [endpoint(9)], design=design)
+            agent.configure_meeting("m", participants + [endpoint(9)])
         with pre_writes(pipeline.pre) as left:
-            agent.configure_meeting("m", participants[:3] + participants[4:] + [endpoint(9)], design=design)
+            agent.configure_meeting("m", participants[:3] + participants[4:] + [endpoint(9)])
+        assert agent.meeting_design("m") == design
         assert sorted(joined["add_node"]) == mgids and joined["remove_node"] == []
         assert sorted(left["remove_node"]) == mgids and left["add_node"] == []
         assert joined["create_tree"] == left["create_tree"] == []
@@ -164,11 +179,11 @@ class TestWriteCounts:
         agent = SwitchAgent(pipeline)
         trunk = ParticipantEndpoint("trunk:peer", Address("10.0.0.2", 5000), egress_port=0, trunk=True)
         local = [endpoint(index) for index in range(1, 4)]
-        agent.configure_meeting("m", local + [trunk], design=ReplicationDesign.NRA)
+        agent.configure_meeting("m", local + [trunk])
         (tree,) = agent.replication.meetings["m"].trees
         trunk_node = tree.node_ids["m:trunk:peer"]
         with pre_writes(pipeline.pre) as writes:
-            agent.configure_meeting("m", local + [endpoint(4), trunk], design=ReplicationDesign.NRA)
+            agent.configure_meeting("m", local + [endpoint(4), trunk])
         assert writes["add_node"] == [tree.mgid] and writes["remove_node"] == []
         assert tree.node_ids["m:trunk:peer"] == trunk_node
         assert list(agent.replication.meetings["m"].participants) == ["p1", "p2", "p3", "p4", "trunk:peer"]
@@ -177,9 +192,9 @@ class TestWriteCounts:
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
         participants = [endpoint(index) for index in range(1, 6)]
-        agent.configure_meeting("m", participants, design=ReplicationDesign.NRA)
+        agent.configure_meeting("m", participants)
         generation = pipeline.pre.generation
-        agent.configure_meeting("m", [endpoint(index) for index in range(1, 6)], design=ReplicationDesign.NRA)
+        agent.configure_meeting("m", [endpoint(index) for index in range(1, 6)])
         assert pipeline.pre.generation == generation
 
     def test_join_into_a_meeting_ahead_of_its_partner_adds_one_node(self):
@@ -188,12 +203,12 @@ class TestWriteCounts:
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
         first = [endpoint(index) for index in range(1, 5)]
-        agent.configure_meeting("A", first, design=ReplicationDesign.NRA)
-        agent.configure_meeting("B", [endpoint(index) for index in range(5, 9)], design=ReplicationDesign.NRA)
+        agent.configure_meeting("A", first)
+        agent.configure_meeting("B", [endpoint(index) for index in range(5, 9)])
         (tree,) = agent.replication.meetings["A"].trees
         assert agent.replication.meetings["B"].trees == [tree]
         with pre_writes(pipeline.pre) as writes:
-            agent.configure_meeting("A", first + [endpoint(9)], design=ReplicationDesign.NRA)
+            agent.configure_meeting("A", first + [endpoint(9)])
         assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
         assert agent.replication.meetings["A"].l1_xid == 1
 
@@ -202,7 +217,7 @@ class TestWriteCounts:
         pipeline = ScallopPipeline(SFU)
         manager = ReplicationManager(pipeline)
         for meeting_id, base in (("A", 1), ("B", 11), ("C", 21), ("D", 31)):
-            manager.sync_meeting(meeting_id, [endpoint(base + offset) for offset in range(3)])
+            manager.sync_meeting(meeting_id, [endpoint(base + offset) for offset in range(3)], ReplicationDesign.NRA)
         group_a, group_c = manager.meetings["A"].tree_group, manager.meetings["C"].tree_group
         assert group_a != group_c and manager.meetings["D"].tree_group == group_c
         manager.remove_meeting("A")
@@ -210,22 +225,22 @@ class TestWriteCounts:
         assert manager._open_groups[ReplicationDesign.NRA] == [group_a, group_c]
         (tree,) = manager.meetings["C"].trees
         with pre_writes(pipeline.pre) as writes:
-            manager.sync_meeting("C", [endpoint(21 + offset) for offset in range(4)])
+            manager.sync_meeting("C", [endpoint(21 + offset) for offset in range(4)], ReplicationDesign.NRA)
         assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
         assert manager.meetings["C"].tree_group == group_c
 
     def test_join_into_a_meeting_in_slot_two_of_a_half_empty_group_keeps_the_slot(self):
         pipeline = ScallopPipeline(SFU)
         manager = ReplicationManager(pipeline)
-        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)])
+        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)], ReplicationDesign.NRA)
         second = [endpoint(index) for index in range(4, 7)]
-        manager.sync_meeting("B", second)
+        manager.sync_meeting("B", second, ReplicationDesign.NRA)
         manager.remove_meeting("A")
         state = manager.meetings["B"]
         (tree,) = state.trees
         assert state.l1_xid == 2
         with pre_writes(pipeline.pre) as writes:
-            manager.sync_meeting("B", second + [endpoint(7)])
+            manager.sync_meeting("B", second + [endpoint(7)], ReplicationDesign.NRA)
         assert writes == {"add_node": [tree.mgid], "remove_node": [], "create_tree": [], "destroy_tree": []}
         assert state.l1_xid == 2
         assert {node.l1_xid for node in pipeline.pre.tree(tree.mgid).nodes.values()} == {2}
@@ -265,8 +280,8 @@ class TestWriteCounts:
 
     def test_cluster_join_or_leave_configures_each_hosting_box_once(self):
         """Box 0 holds two or three local participants plus the trunk to
-        box 1: it stays NRA through every op, and each op configures each
-        hosting box exactly once."""
+        box 1: it stays NRA through every op, and each op configures and
+        syncs each hosting box exactly once."""
         run = build_scenario(
             Scenario(
                 name="cascade",
@@ -277,16 +292,7 @@ class TestWriteCounts:
         )
         box0, box1 = run.sfu.members
         assert box0.agent.meeting_design("meeting-0") == ReplicationDesign.NRA
-        configured = Counter()
         designs = []
-        original = SwitchAgent.configure_meeting
-
-        def counting(agent, meeting_id, participants, design=None):
-            configured[agent] += 1
-            if agent is box0.agent:
-                designs.append(design)
-            return original(agent, meeting_id, participants, design)
-
         ops = [
             lambda: run.add_participant(0, start=False),  # lands on box 0 (cascade index 3)
             lambda: run.leave(0, "m0-p0"),
@@ -295,16 +301,51 @@ class TestWriteCounts:
             lambda: run.leave(0, "m0-p5"),
             lambda: run.leave(0, "m0-p4"),
         ]
-        with mock.patch.object(SwitchAgent, "configure_meeting", counting):
+        with counting_membership_calls() as calls:
             for op in ops:
-                configured.clear()
+                calls.clear()
                 with pre_writes(box0.pipeline.pre) as writes:
                     op()
-                assert configured == {box0.agent: 1, box1.agent: 1}
+                assert calls == {
+                    ("configure_meeting", box0.agent): 1,
+                    ("configure_meeting", box1.agent): 1,
+                    ("sync_meeting", box0.agent.replication): 1,
+                    ("sync_meeting", box1.agent.replication): 1,
+                }
                 assert writes["create_tree"] == writes["destroy_tree"] == []
+                designs.append(box0.agent.meeting_design("meeting-0"))
         assert set(designs) == {ReplicationDesign.NRA}
         assert run.reconcile() == []
         run.close()
+
+    def test_controller_leave_configures_and_syncs_once(self):
+        pipeline, agent, controller = _controller()
+        for index in range(1, 5):
+            _join(controller, index)
+        with counting_membership_calls() as calls:
+            controller.handle_signal(leave_message("m", "p2"))
+        assert calls == {("configure_meeting", agent): 1, ("sync_meeting", agent.replication): 1}
+        assert agent.participants_in("m") == ["p1", "p3", "p4"]
+
+
+@contextmanager
+def counting_membership_calls():
+    """Count ``configure_meeting`` per agent and ``sync_meeting`` per
+    replication manager."""
+    calls = Counter()
+    originals = {"configure_meeting": SwitchAgent.configure_meeting, "sync_meeting": ReplicationManager.sync_meeting}
+
+    def counting(name):
+        def spy(self, *args):
+            calls[(name, self)] += 1
+            return originals[name](self, *args)
+
+        return spy
+
+    with mock.patch.object(SwitchAgent, "configure_meeting", counting("configure_meeting")), mock.patch.object(
+        ReplicationManager, "sync_meeting", counting("sync_meeting")
+    ):
+        yield calls
 
 
 # --------------------------------------------------------------------------- XID slots
@@ -326,20 +367,15 @@ def _assert_sync_invariants(manager, meeting_id):
 
 @contextmanager
 def checking_every_sync():
-    """Run :func:`_assert_sync_invariants` after every sync and migration."""
-    originals = {"sync_meeting": ReplicationManager.sync_meeting, "migrate": ReplicationManager.migrate}
+    """Run :func:`_assert_sync_invariants` after every sync."""
+    original = ReplicationManager.sync_meeting
 
-    def checked(name):
-        def spy(self, meeting_id, *args, **kwargs):
-            result = originals[name](self, meeting_id, *args, **kwargs)
-            _assert_sync_invariants(self, meeting_id)
-            return result
+    def checked(self, meeting_id, *args):
+        result = original(self, meeting_id, *args)
+        _assert_sync_invariants(self, meeting_id)
+        return result
 
-        return spy
-
-    with mock.patch.object(ReplicationManager, "sync_meeting", checked("sync_meeting")), mock.patch.object(
-        ReplicationManager, "migrate", checked("migrate")
-    ):
+    with mock.patch.object(ReplicationManager, "sync_meeting", checked):
         yield
 
 
@@ -367,12 +403,13 @@ class TestXidSlots:
         the newcomer each stamp the other's slot."""
         pipeline = ScallopPipeline(SFU)
         manager = ReplicationManager(pipeline)
-        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)])
+        nra = ReplicationDesign.NRA
+        manager.sync_meeting("A", [endpoint(index) for index in range(1, 4)], nra)
         second = [endpoint(index) for index in range(4, 7)]
-        manager.sync_meeting("B", second)
+        manager.sync_meeting("B", second, nra)
         manager.remove_meeting("A")
-        manager.sync_meeting("C", [endpoint(index) for index in range(7, 10)])
-        manager.sync_meeting("B", second + [endpoint(10)])
+        manager.sync_meeting("C", [endpoint(index) for index in range(7, 10)], nra)
+        manager.sync_meeting("B", second + [endpoint(10)], nra)
         b, c = manager.meetings["B"], manager.meetings["C"]
         assert b.tree_group == c.tree_group and (b.l1_xid, c.l1_xid) == (2, 1)
         assert manager._other_meeting_xid(b) == c.l1_xid
@@ -390,8 +427,9 @@ class TestXidSlots:
 
 def operations(meetings, max_size):
     """Lists of (kind, meeting index, pick): join a new participant, leave
-    the ``pick``-th survivor, or migrate the meeting (to another design on
-    one box, to box ``pick % 2`` on a cluster)."""
+    the ``pick``-th survivor, or migrate the meeting (on one box, adapt the
+    ``pick``-th survivor's video toward another survivor, which moves a
+    meeting of three or more to RA-R; on a cluster, to box ``pick % 2``)."""
     return st.lists(
         st.tuples(
             st.sampled_from(("join", "join", "join", "leave", "leave", "migrate")),
@@ -417,12 +455,14 @@ def test_xids_stay_distinct_and_entries_current_on_one_box(sequence):
             elif kind == "leave" and members[meeting]:
                 pid = members[meeting].pop(pick % len(members[meeting]))
                 controller.handle_signal(leave_message(meeting_id, pid))
-            elif kind == "migrate" and agent.meeting_design(meeting_id) in (
-                ReplicationDesign.NRA,
-                ReplicationDesign.RA_R,
-            ):
-                design = (ReplicationDesign.NRA, ReplicationDesign.RA_R)[pick % 2]
-                agent.migrate_meeting(meeting_id, design)
+            elif kind == "migrate" and len(members[meeting]) >= 2:
+                endpoints = agent.replication.meetings[meeting_id].participants
+                sender = members[meeting][pick % len(members[meeting])]
+                receiver = members[meeting][(pick + 1) % len(members[meeting])]
+                _adapt(agent, endpoints[sender], endpoints[receiver])
+            state = agent.replication.meetings.get(meeting_id)
+            if state is not None:
+                assert state.design == agent._design_for(meeting_id, state.participants)
 
 
 # --------------------------------------------------------------------------- RID allocation
@@ -445,14 +485,14 @@ class TestRidAllocation:
         agent = SwitchAgent(pipeline)
         fixed = [endpoint(index) for index in (1, 2, 3)]
         churned = [endpoint(index) for index in (11, 12, 13)]
-        agent.configure_meeting("A", fixed, design=ReplicationDesign.NRA)
-        agent.configure_meeting("B", churned, design=ReplicationDesign.NRA)
+        agent.configure_meeting("A", fixed)
+        agent.configure_meeting("B", churned)
         group = agent.replication.meetings["A"].tree_group
         assert agent.replication.meetings["B"].tree_group == group
         for cycle in range(40):
             newcomer = endpoint(100 + cycle)
-            agent.configure_meeting("B", churned + [newcomer], design=ReplicationDesign.NRA)
-            agent.remove_participant("B", newcomer.participant_id)
+            agent.configure_meeting("B", churned + [newcomer])
+            agent.configure_meeting("B", churned)
         (tree,) = agent.replication.meetings["A"].trees
         rids = sorted(pipeline.pre.tree(tree.mgid).rids())
         assert rids == list(range(6))
@@ -471,7 +511,7 @@ def test_learned_structure_survives_another_participants_join():
     pipeline = ScallopPipeline(SFU)
     agent = SwitchAgent(pipeline)
     participants = [endpoint(index) for index in range(1, 4)]
-    agent.configure_meeting("m", participants, design=ReplicationDesign.NRA)
+    agent.configure_meeting("m", participants)
     learned = TemplateStructure(
         template_to_layer={0: (0, 0), 1: (0, 1)}, decode_target_layers={0: 0, 1: 1, 2: 1}
     )
@@ -488,13 +528,13 @@ def test_learned_structure_survives_another_participants_join():
     )
     agent.handle_cpu_packet(Datagram(src=sender.address, dst=SFU, payload=key_frame))
     assert agent.sender_structure("p1") == learned
-    agent.configure_meeting("m", participants + [endpoint(4)], design=ReplicationDesign.NRA)
+    agent.configure_meeting("m", participants + [endpoint(4)])
     assert agent.sender_structure("p1") == learned
-    agent.remove_participant("m", "p2")
+    agent.configure_meeting("m", [participants[0], participants[2], endpoint(4)])
     assert agent.sender_structure("p1") == learned
     # a changed endpoint is a new registration, which starts from the default
     moved = dataclasses.replace(endpoint(1), address=Address("10.0.2.1", 7001))
-    agent.configure_meeting("m", [moved, participants[2], endpoint(4)], design=ReplicationDesign.NRA)
+    agent.configure_meeting("m", [moved, participants[2], endpoint(4)])
     assert agent.sender_structure("p1") == TemplateStructure.l1t3()
 
 
@@ -502,9 +542,9 @@ def test_departures_are_forgotten_and_indexes_follow():
     pipeline = ScallopPipeline(SFU)
     agent = SwitchAgent(pipeline)
     participants = [endpoint(index) for index in range(1, 5)]
-    agent.configure_meeting("m", participants, design=ReplicationDesign.NRA)
-    agent.configure_meeting("n", [endpoint(index) for index in range(5, 8)], design=ReplicationDesign.NRA)
-    agent.configure_meeting("m", participants[1:], design=ReplicationDesign.NRA)
+    agent.configure_meeting("m", participants)
+    agent.configure_meeting("n", [endpoint(index) for index in range(5, 8)])
+    agent.configure_meeting("m", participants[1:])
     assert "p1" not in agent._participants
     assert participants[0].address not in agent._participant_by_address
     assert participants[0].video_ssrc not in agent._participant_by_ssrc
@@ -678,6 +718,13 @@ def _box_view(box):
     }
 
 
+def _assert_designs(run):
+    """Every installed meeting sits in the design the agent's picker names."""
+    for box in run.sfu.members:
+        for meeting_id, state in box.agent.replication.meetings.items():
+            assert state.design == box.agent._design_for(meeting_id, state.participants), meeting_id
+
+
 def _assert_oracle_agrees(sequence):
     incremental, rebuilt = _oracle_run(), _oracle_run()
     try:
@@ -693,6 +740,7 @@ def _assert_oracle_agrees(sequence):
                 view, expected = _box_view(box), _box_view(oracle)
                 for part in expected:
                     assert view[part] == expected[part], f"box {index} {part} differs after op {step} {operation}"
+            _assert_designs(incremental)
             assert incremental.reconcile() == rebuilt.reconcile()
     finally:
         incremental.close()
@@ -713,6 +761,7 @@ def test_xids_stay_distinct_and_entries_current_on_a_cluster(sequence):
         with checking_every_sync():
             for operation in sequence:
                 _apply(run, operation)
+                _assert_designs(run)
     finally:
         run.close()
 
@@ -739,10 +788,10 @@ def test_oracle_sequence_exercises_both_paths():
         paths["TrunkManager._patch"] += 1
         return originals["trunk"](self, *args)
 
-    def sync(self, meeting_id, participants, design=None, *args):
+    def sync(self, meeting_id, participants, design):
         before = self.meetings.get(meeting_id)
         old = None if before is None else before.design
-        result = originals["sync"](self, meeting_id, participants, design, *args)
+        result = originals["sync"](self, meeting_id, participants, design)
         if old is not None and result.design != old:
             paths["design change"] += 1
         return result

@@ -74,43 +74,78 @@ class TestReplicationManager:
         # 4 participants -> 2 sender pairs x 3 qualities = 6 trees
         assert len(state.trees) == 6
 
-    def test_add_and_remove_participant(self):
+    def test_sync_adds_and_removes_participants(self):
         participants = [endpoint(i) for i in range(1, 4)]
         self.manager.install_meeting("m", participants, ReplicationDesign.NRA)
         newcomer = endpoint(9)
-        self.manager.add_participant("m", newcomer)
+        self.manager.sync_meeting("m", participants + [newcomer], ReplicationDesign.NRA)
         assert len(self.manager.meetings["m"].participants) == 4
         assert self.pipeline.stream_table.lookup((newcomer.address, newcomer.video_ssrc)) is not None
-        self.manager.remove_participant("m", "p1")
+        self.manager.sync_meeting("m", participants[1:] + [newcomer], ReplicationDesign.NRA)
         assert "p1" not in self.manager.meetings["m"].participants
         assert self.pipeline.stream_table.lookup((participants[0].address, participants[0].video_ssrc)) is None
 
-    def test_remove_last_participant_removes_meeting(self):
-        self.manager.install_meeting("m", [endpoint(1), endpoint(2)], ReplicationDesign.TWO_PARTY)
-        self.manager.remove_participant("m", "p1")
-        self.manager.remove_participant("m", "p2")
+    def test_lone_participant_keeps_the_record_and_remove_meeting_drops_it(self):
+        first, second = endpoint(1), endpoint(2)
+        self.manager.install_meeting("m", [first, second], ReplicationDesign.TWO_PARTY)
+        self.manager.sync_meeting("m", [first], ReplicationDesign.NRA)
+        assert list(self.manager.meetings["m"].participants) == ["p1"]
+        assert len(self.pipeline.stream_table) == 0 and self.pipeline.pre.num_trees == 0
+        self.manager.remove_meeting("m")
         assert "m" not in self.manager.meetings
 
-    def test_migration_nra_to_ra_r(self):
+    def test_design_change_relays_make_before_break(self):
         participants = [endpoint(i) for i in range(1, 4)]
         self.manager.install_meeting("m", participants, ReplicationDesign.NRA)
-        trees_before = self.pipeline.pre.num_trees
-        self.manager.migrate("m", ReplicationDesign.RA_R)
+        (old_tree,) = self.manager.meetings["m"].trees
+        created, destroyed = [], []
+        pre = self.pipeline.pre
+        original_create, original_destroy = pre.create_tree, pre.destroy_tree
+
+        def create():
+            created.append(self.pipeline.stream_table.peek((participants[0].address, participants[0].video_ssrc)).mgid)
+            return original_create()
+
+        def destroy(mgid):
+            entry = self.pipeline.stream_table.peek((participants[0].address, participants[0].video_ssrc))
+            destroyed.append((mgid, entry.mode))
+            original_destroy(mgid)
+
+        pre.create_tree, pre.destroy_tree = create, destroy
+        self.manager.sync_meeting("m", participants, ReplicationDesign.RA_R)
         state = self.manager.meetings["m"]
         assert state.design == ReplicationDesign.RA_R
         assert len(state.trees) == 3
-        assert self.manager.migrations_performed == 1
-        # ingress entries repointed to the new trees
+        # the new trees were built while the entries still pointed at the
+        # old tree, and the old tree went only once they were repointed
+        assert created == [old_tree.mgid] * 3
+        assert destroyed == [(old_tree.mgid, ForwardingMode.REPLICATE_BY_LAYER)]
+        assert self.pipeline.pre.num_trees == 3
         entry = self.pipeline.stream_table.lookup((participants[0].address, participants[0].video_ssrc))
         assert entry.mode == ForwardingMode.REPLICATE_BY_LAYER
-        # old NRA tree group released
-        assert self.pipeline.pre.num_trees >= trees_before  # new trees exist
-        assert self.manager.meetings["m"].tree_group is not None
+        assert state.tree_group is not None
 
-    def test_migration_to_same_design_is_noop(self):
-        self.manager.install_meeting("m", [endpoint(i) for i in range(1, 4)], ReplicationDesign.NRA)
-        self.manager.migrate("m", ReplicationDesign.NRA)
-        assert self.manager.migrations_performed == 0
+    def test_same_design_and_population_writes_nothing(self):
+        participants = [endpoint(i) for i in range(1, 4)]
+        self.manager.install_meeting("m", participants, ReplicationDesign.NRA)
+        stream_version, pre_generation = self.pipeline.stream_table.version, self.pipeline.pre.generation
+        self.manager.sync_meeting("m", participants, ReplicationDesign.NRA)
+        assert self.manager.meetings["m"].design == ReplicationDesign.NRA
+        assert (self.pipeline.stream_table.version, self.pipeline.pre.generation) == (stream_version, pre_generation)
+
+    def test_relay_into_the_meetings_own_group(self):
+        """A forced re-lay under the same design lands in the meeting's own
+        (otherwise empty) group and still leaves a working meeting."""
+        participants = [endpoint(i) for i in range(1, 4)]
+        state = self.manager.install_meeting("m", participants, ReplicationDesign.NRA)
+        group, (tree,) = state.tree_group, state.trees
+        self.manager._relay(state, ReplicationDesign.NRA, {p.participant_id: p for p in participants})
+        assert (state.tree_group, state.trees, state.l1_xid) == (group, [tree], 1)
+        assert self.pipeline.pre.num_trees == 1
+        assert len(self.pipeline.pre.tree(tree.mgid).nodes) == 3
+        entry = self.pipeline.stream_table.lookup((participants[0].address, participants[0].video_ssrc))
+        replicas = self.pipeline.pre.replicate(entry.mgid, entry.l1_xid, entry.rid, entry.l2_xid)
+        assert {self.pipeline.replica_table.peek((entry.mgid, r.rid)).participant_id for r in replicas} == {"p2", "p3"}
 
     def test_remove_meeting_releases_trees(self):
         self.manager.install_meeting("m", [endpoint(i) for i in range(1, 4)], ReplicationDesign.RA_R)
@@ -125,7 +160,7 @@ class TestSwitchAgent:
         self.sent = []
         self.agent = SwitchAgent(self.pipeline, send_fn=self.sent.append, rewrite_variant=RewriteVariant.S_LM)
         self.participants = [endpoint(i) for i in range(1, 4)]
-        self.agent.configure_meeting("m", self.participants, design=ReplicationDesign.NRA)
+        self.agent.configure_meeting("m", self.participants)
 
     def _remb_from(self, receiver, about_sender, bitrate):
         packet = Remb(sender_ssrc=9999, bitrate_bps=bitrate, media_ssrcs=(about_sender.video_ssrc,))
@@ -183,9 +218,65 @@ class TestSwitchAgent:
         self.agent.handle_cpu_packet(Datagram(src=sender.address, dst=SFU, payload=key_packet))
         assert self.agent.counters.extended_descriptors_handled == 1
 
-    def test_remove_participant_cleans_up(self):
-        self.agent.remove_participant("m", "p3")
+    def test_leave_cleans_up(self):
+        leaver = self.participants[2]
+        self._remb_from(leaver, self.participants[0], bitrate=700_000)
+        assert len(self.pipeline.adaptation_table) == 1
+        self.agent.configure_meeting("m", self.participants[:2])
         assert "p3" not in self.agent.participants_in("m")
+        assert len(self.pipeline.adaptation_table) == 0
+        assert all(
+            receiver != leaver.address and ssrc not in (leaver.audio_ssrc, leaver.video_ssrc)
+            for (receiver, ssrc), _rule in self.pipeline.feedback_table.entries()
+        )
+
+    def test_adapted_meeting_stays_ra_r_across_a_join_and_a_leave(self):
+        self._remb_from(self.participants[2], self.participants[0], bitrate=700_000)
+        assert self.agent.meeting_design("m") == ReplicationDesign.RA_R
+        trees = list(self.agent.replication.meetings["m"].trees)
+        self.agent.configure_meeting("m", self.participants + [endpoint(4)])
+        assert self.agent.meeting_design("m") == ReplicationDesign.RA_R
+        self.agent.configure_meeting("m", [self.participants[0], self.participants[2], endpoint(4)])
+        assert self.agent.meeting_design("m") == ReplicationDesign.RA_R
+        # patched in place both times: same trees, one design change in all
+        assert self.agent.replication.meetings["m"].trees == trees
+        assert self.agent.counters.migrations == 1
+
+    def test_meeting_returns_to_nra_once_its_last_adaptation_entry_goes(self):
+        self._remb_from(self.participants[2], self.participants[0], bitrate=700_000)
+        self.agent.configure_meeting("m", self.participants[:2] + [endpoint(4)])
+        assert self.agent.meeting_design("m") == ReplicationDesign.NRA
+
+    def test_configure_empty_returns_the_box_to_its_empty_fingerprint(self):
+        pipeline = ScallopPipeline(SFU)
+        agent = SwitchAgent(pipeline)
+
+        def fingerprint():
+            return (
+                len(pipeline.stream_table),
+                len(pipeline.replica_table),
+                len(pipeline.adaptation_table),
+                len(pipeline.feedback_table),
+                len(pipeline.ssrc_table),
+                pipeline.pre.num_trees,
+                pipeline.pre.total_l1_nodes(),
+                pipeline.accountant.stream_tracker_cells_used,
+                len(agent._participants),
+                len(agent._participant_by_address),
+                len(agent._participant_by_ssrc),
+                len(agent._adapted_meetings),
+            )
+
+        empty = fingerprint()
+        participants = [endpoint(i) for i in range(1, 5)]
+        agent.configure_meeting("m", participants)
+        receiver, sender = participants[1], participants[0]
+        remb = Remb(sender_ssrc=9999, bitrate_bps=700_000, media_ssrcs=(sender.video_ssrc,))
+        agent.handle_cpu_packet(Datagram(src=receiver.address, dst=SFU, payload=(remb,)))
+        assert agent.meeting_design("m") == ReplicationDesign.RA_R
+        agent.configure_meeting("m", [])
+        assert "m" not in agent.replication.meetings
+        assert fingerprint() == empty
 
 
 class TestController:

@@ -4,7 +4,8 @@ The dataplane's correctness rests on conventions the test suite can only
 sample — datapath shards must never write control-plane state, the hot path
 must stay zero-pickle, control-plane mutations must bump generations, all
 simulation randomness/time must flow through seeded RNGs and the simulator
-clock, and the wire path must never materialize ``RtpPacket`` objects.
+clock, the wire path must never materialize ``RtpPacket`` objects, and
+membership must reach the replication engine only through the switch agent.
 archlint checks those conventions mechanically at the AST level (stdlib
 ``ast`` only, no dependencies), so a violation fails CI instead of surfacing
 later as flaky nondeterminism or state leaking between shards.

@@ -23,6 +23,10 @@ class PipelineDatapath:
         return packet
 
 
+def forget_meeting(sfu, meeting_id):
+    sfu.agent.replication.remove_meeting(meeting_id)  # rule 6: one-membership-path
+
+
 class RtpPacket:
     def __init__(self, ssrc, sequence_number):
         self.ssrc = ssrc

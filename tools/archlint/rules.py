@@ -1,4 +1,4 @@
-"""The archlint rule set: five architecture invariants of the repro tree.
+"""The archlint rule set: six architecture invariants of the repro tree.
 
 Each rule is grounded in a specific contract the dataplane split established
 (see ROADMAP "Enforced invariants"):
@@ -38,6 +38,13 @@ Each rule is grounded in a specific contract the dataplane split established
     methods) must never construct ``RtpPacket`` dataclasses or round-trip
     through ``to_packet``/``from_packet`` — materializing the object model is
     exactly the cost the wire path exists to avoid.
+
+``one-membership-path``
+    Membership reaches the replication engine only through
+    ``SwitchAgent.configure_meeting``, which picks the meeting's design and
+    releases what departed members held: outside ``repro.core.switch_agent``
+    no module calls ``*.replication.sync_meeting``, ``install_meeting`` or
+    ``remove_meeting``.
 """
 
 from __future__ import annotations
@@ -515,10 +522,54 @@ class WireHygieneRule:
         return iter(findings)
 
 
+# --------------------------------------------------------------------------- rule 6
+
+
+class OneMembershipPathRule:
+    """Rule 6: only the switch agent drives the replication manager."""
+
+    name = "one-membership-path"
+    description = (
+        "calling *.replication.sync_meeting, install_meeting or remove_meeting "
+        "outside repro.core.switch_agent — membership reaches the data plane "
+        "only through SwitchAgent.configure_meeting, which picks the design"
+    )
+
+    _AGENT = "repro.core.switch_agent"
+    _ANY_RECEIVER = frozenset({"install_meeting", "remove_meeting"})
+
+    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
+        if not ctx.module.startswith("repro.") or ctx.module == self._AGENT:
+            return iter(())
+        findings: List[RawFinding] = []
+        any_receiver = self._ANY_RECEIVER
+
+        class _Visitor(ScopedVisitor):
+            def visit_Call(self, node: ast.Call) -> None:
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    receiver = _chain_parts(dotted_name(func.value))
+                    on_replication = isinstance(func.value, ast.Attribute) and func.value.attr == "replication"
+                    if func.attr in any_receiver or (func.attr == "sync_meeting" and on_replication):
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} calls {'.'.join(receiver + [func.attr])}() — "
+                                "membership goes through SwitchAgent.configure_meeting",
+                            )
+                        )
+                self.generic_visit(node)
+
+        _Visitor(ctx).visit(ctx.tree)
+        return iter(findings)
+
+
 ALL_RULES = (
     ShareNothingRule(),
     ZeroPickleRule(),
     GenerationDisciplineRule(),
     DeterminismRule(),
     WireHygieneRule(),
+    OneMembershipPathRule(),
 )
