@@ -187,8 +187,7 @@ class SfuCluster:
         index = member if member is not None else self._default_member(meeting_id)
         if not 0 <= index < len(self.members):
             raise ValueError(f"member {index} is not in this {len(self.members)}-SFU cluster")
-        hosting = set(self._hosting_members(meeting_id)) | {index}
-        self.members[index].controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(meeting_id, index, hosting)
+        self._update_trunk_endpoints(meeting_id, index, set(self._hosting_members(meeting_id)) | {index})
         self.members[index].join(client)
         self._home[client.config.participant_id] = index
         self._clients[client.config.participant_id] = client
@@ -276,36 +275,47 @@ class SfuCluster:
                 hosting[index] = list(meeting.participants.values())
         return hosting
 
-    def _trunk_endpoints(self, meeting_id: str, index: int, hosting: Iterable[int]) -> List[ParticipantEndpoint]:
-        """Box ``index``'s trunk endpoints in one meeting toward the other
-        hosting boxes."""
-        return [
+    def _update_trunk_endpoints(self, meeting_id: str, index: int, hosting: Iterable[int]) -> None:
+        """Give box ``index`` its trunk endpoints in one meeting toward the
+        other hosting boxes.  The endpoint objects are kept while the set of
+        peers is unchanged, so the box's configure sees an unchanged
+        population."""
+        trunk_endpoints = self.members[index].controller.trunk_endpoints
+        peers = [self.members[peer].address for peer in sorted(hosting) if peer != index]
+        current = trunk_endpoints.get(meeting_id)
+        if current is not None and [endpoint.address for endpoint in current] == peers:
+            return
+        trunk_endpoints[meeting_id] = [
             ParticipantEndpoint(
-                participant_id=trunk_participant_id(meeting_id, self.members[peer].address),
-                address=self.members[peer].address,
+                participant_id=trunk_participant_id(meeting_id, address),
+                address=address,
                 egress_port=0,
                 trunk=True,
             )
-            for peer in sorted(hosting)
-            if peer != index
+            for address in peers
         ]
 
     def _sync_meeting(self, meeting_id: str, configured: Optional[int] = None, linger_s: float = 0.0) -> None:
         """Re-assert the federated view of one meeting on every box.
 
-        Each hosting box's controller gets the meeting's current trunk
-        endpoints and configures the meeting once — except box
-        ``configured``, whose controller already did while handling the
-        join or leave — then its trunk subscriptions are patched.  A box no
-        longer hosting removed the meeting when its last local participant
-        left (the controller configures a closed meeting empty); it only
-        sheds its trunk endpoints, remote sender registrations and
+        An op writes only its change, and a box whose view did not change
+        writes nothing: each hosting box keeps its trunk endpoints while its
+        peers are unchanged and configures the meeting once — except box
+        ``configured``, whose controller already did while handling the join
+        or leave — which returns without a write when its population, design
+        and XID stamps are unchanged
+        (:meth:`~repro.core.switch_agent.SwitchAgent.configure_meeting`); its
+        trunk subscriptions are then patched for the senders and receivers
+        that changed (:meth:`~repro.cluster.trunk.TrunkManager.sync_meeting`).
+        A box no longer hosting removed the meeting when its last local
+        participant left (the controller configures a closed meeting empty);
+        it only sheds its trunk endpoints, remote sender registrations and
         subscriptions here.
         """
         hosting = self._hosting_members(meeting_id)
         for index, member in enumerate(self.members):
             if index in hosting:
-                member.controller.trunk_endpoints[meeting_id] = self._trunk_endpoints(meeting_id, index, hosting)
+                self._update_trunk_endpoints(meeting_id, index, hosting)
                 if index != configured:
                     member.controller.reconfigure_meeting(meeting_id)
                 installed = member.agent.replication.meetings[meeting_id]
@@ -313,7 +323,7 @@ class SfuCluster:
                     endpoint for endpoint in installed.participants.values() if not endpoint.trunk
                 ]
                 remote_senders = {
-                    self.members[peer].address: [record.endpoint() for record in hosting[peer]]
+                    self.members[peer].address: [record.endpoint for record in hosting[peer]]
                     for peer in sorted(hosting)
                     if peer != index
                 }

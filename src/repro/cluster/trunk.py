@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.replication import ParticipantEndpoint, add_replica_node, remove_replica_node
+from ..core.replication import ParticipantEndpoint, add_replica_node, population_delta, remove_replica_node
 from ..dataplane.pipeline import FeedbackRule, ForwardingMode, StreamForwardingEntry
 from ..netsim.datagram import Address
 
@@ -71,8 +71,10 @@ class SfuTrunk:
     mgid: int
     #: remote senders registered with the local agent, by participant id
     senders: Dict[str, ParticipantEndpoint] = field(default_factory=dict)
-    #: local receivers in PRE node order: participant id -> (endpoint, node id, rid)
-    receivers: Dict[str, Tuple[ParticipantEndpoint, int, int]] = field(default_factory=dict)
+    #: local receivers in PRE node order, by participant id
+    receivers: Dict[str, ParticipantEndpoint] = field(default_factory=dict)
+    #: each local receiver's (PRE node id, rid) in the trunk tree
+    nodes: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: set once the trunk's state has been released (idempotent teardown:
     #: a lingering drain-window event may fire after an explicit flush)
     released: bool = False
@@ -97,6 +99,8 @@ class TrunkManager:
     def __init__(self, sfu) -> None:
         self.sfu = sfu
         self.subscriptions: Dict[Tuple[str, Address], SfuTrunk] = {}
+        #: the same subscriptions indexed by meeting, then origin
+        self._by_meeting: Dict[str, Dict[Address, SfuTrunk]] = {}
         #: stale trunks waiting out a migration drain window before teardown
         self._pending: List[SfuTrunk] = []
 
@@ -115,38 +119,36 @@ class TrunkManager:
         (true client addresses + SSRCs) whose media must arrive over that
         trunk; ``local_receivers`` are this box's own meeting participants
         (post-:meth:`~repro.core.switch_agent.SwitchAgent.configure_meeting`,
-        so their egress ports are assigned).  A live subscription is patched
-        in place — receiver nodes, sender registrations, routes and rules
-        change only for who joined or left.  Stale subscriptions are torn
-        down after ``linger_s`` seconds — a migration keeps the old tree
-        alive for its drain window so trunk-era in-flight replicas still
-        reach the pre-cutover local population, while the guard checks keep
-        the delayed teardown from touching state the cutover re-installed.
+        so their egress ports are assigned).  An op writes only its change:
+        a live subscription, found through the per-meeting index, is patched
+        for the senders and receivers that joined, left or changed — receiver
+        nodes, sender registrations, routes and rules of those alone — and a
+        call that changes nothing writes nothing.
+        Stale subscriptions are torn down after ``linger_s`` seconds — a
+        migration keeps the old tree alive for its drain window so trunk-era
+        in-flight replicas still reach the pre-cutover local population,
+        while the guard checks keep the delayed teardown from touching state
+        the cutover re-installed.
         """
+        live = self._by_meeting.get(meeting_id, {})
         desired = {
-            (meeting_id, origin): tuple(senders)
-            for origin, senders in remote_senders.items()
-            if senders and local_receivers
+            origin: senders for origin, senders in remote_senders.items() if senders and local_receivers
         }
-        stale = [
-            trunk
-            for key, trunk in self.subscriptions.items()
-            if key[0] == meeting_id and key not in desired
-        ]
+        stale = [trunk for origin, trunk in live.items() if origin not in desired]
         departed: List[Tuple[SfuTrunk, List[ParticipantEndpoint]]] = []
         with self.sfu.pipeline.batched_writes():
-            for (mid, origin), senders in sorted(desired.items(), key=lambda kv: (kv[0][1].ip, kv[0][1].port)):
-                trunk = self.subscriptions.get((mid, origin))
+            for origin in sorted(desired, key=lambda address: (address.ip, address.port)):
+                trunk = live.get(origin)
                 if trunk is None:
-                    self._install(mid, origin, senders, local_receivers)
-                else:
-                    departed.append((trunk, self._patch(trunk, senders, local_receivers)))
+                    trunk = self._subscribe(meeting_id, origin)
+                departed.append((trunk, self._patch(trunk, desired[origin], local_receivers)))
             # what the subscriptions no longer carry is released once every
             # patch is in
             for trunk, senders in departed:
-                self._release_senders(trunk, senders)
+                if senders:
+                    self._release_senders(trunk, senders)
         for trunk in stale:
-            self.subscriptions.pop(trunk.key, None)
+            self._unsubscribe(trunk)
             if linger_s > 0.0:
                 self._pending.append(trunk)
                 self.sfu.simulator.schedule(linger_s, lambda t=trunk: self._teardown_batched(t))
@@ -168,23 +170,19 @@ class TrunkManager:
 
     # ------------------------------------------------------------------ internals
 
-    def _install(
-        self,
-        meeting_id: str,
-        origin: Address,
-        senders: Sequence[ParticipantEndpoint],
-        local_receivers: Sequence[ParticipantEndpoint],
-    ) -> SfuTrunk:
+    def _subscribe(self, meeting_id: str, origin: Address) -> SfuTrunk:
+        """A new, empty subscription with its own PRE tree."""
         trunk = SfuTrunk(meeting_id=meeting_id, origin=origin, mgid=self.sfu.pipeline.pre.create_tree())
-        for receiver in local_receivers:
-            self._add_receiver(trunk, receiver)
-        trunk.senders = {sender.participant_id: sender for sender in senders}
-        for sender in senders:
-            self.sfu.agent.register_remote_sender(meeting_id, sender)
-        self._route(trunk, senders)
-        self._point_feedback(trunk, senders, local_receivers)
         self.subscriptions[trunk.key] = trunk
+        self._by_meeting.setdefault(meeting_id, {})[origin] = trunk
         return trunk
+
+    def _unsubscribe(self, trunk: SfuTrunk) -> None:
+        del self.subscriptions[trunk.key]
+        live = self._by_meeting[trunk.meeting_id]
+        del live[trunk.origin]
+        if not live:
+            del self._by_meeting[trunk.meeting_id]
 
     def _patch(
         self,
@@ -192,34 +190,35 @@ class TrunkManager:
         senders: Sequence[ParticipantEndpoint],
         local_receivers: Sequence[ParticipantEndpoint],
     ) -> List[ParticipantEndpoint]:
-        """Bring a live subscription to the new population in place; returns
-        the senders it no longer carries, for :meth:`_release_senders`."""
-        wanted = {receiver.participant_id: receiver for receiver in local_receivers}
-        for pid in [pid for pid, (endpoint, _node, _rid) in trunk.receivers.items() if wanted.get(pid) != endpoint]:
-            self._remove_receiver(trunk, pid)
-        arriving = [receiver for receiver in local_receivers if receiver.participant_id not in trunk.receivers]
+        """Bring a subscription to the new population in place, writing only
+        for the receivers and senders that joined, left or changed
+        (:func:`~repro.core.replication.population_delta`); returns the
+        senders it no longer carries, for :meth:`_release_senders`."""
+        arriving, gone = population_delta(trunk.receivers, local_receivers)
+        for receiver in gone:
+            self._remove_receiver(trunk, receiver.participant_id)
         for receiver in arriving:
             self._add_receiver(trunk, receiver)
-        carried = {sender.participant_id: sender for sender in senders}
-        departed = [sender for pid, sender in trunk.senders.items() if carried.get(pid) != sender]
-        joining: List[ParticipantEndpoint] = []
-        staying: List[ParticipantEndpoint] = []
-        for pid, sender in carried.items():
-            (staying if trunk.senders.get(pid) == sender else joining).append(sender)
-        trunk.senders = carried
+        joining, departed = population_delta(trunk.senders, senders)
+        if joining or departed:
+            trunk.senders = {sender.participant_id: sender for sender in senders}
         for sender in joining:
             self.sfu.agent.register_remote_sender(trunk.meeting_id, sender)
         self._route(trunk, joining)
         self._point_feedback(trunk, joining, local_receivers)
-        self._point_feedback(trunk, staying, arriving)
+        if arriving:
+            joined = {sender.participant_id for sender in joining}
+            staying = [sender for sender in senders if sender.participant_id not in joined]
+            self._point_feedback(trunk, staying, arriving)
         return departed
 
     def _add_receiver(self, trunk: SfuTrunk, receiver: ParticipantEndpoint) -> None:
-        node_id, rid = add_replica_node(self.sfu.pipeline, trunk.mgid, receiver)
-        trunk.receivers[receiver.participant_id] = (receiver, node_id, rid)
+        trunk.nodes[receiver.participant_id] = add_replica_node(self.sfu.pipeline, trunk.mgid, receiver)
+        trunk.receivers[receiver.participant_id] = receiver
 
     def _remove_receiver(self, trunk: SfuTrunk, participant_id: str) -> None:
-        _endpoint, node_id, rid = trunk.receivers.pop(participant_id)
+        del trunk.receivers[participant_id]
+        node_id, rid = trunk.nodes.pop(participant_id)
         remove_replica_node(self.sfu.pipeline, trunk.mgid, node_id, rid)
 
     def _route(self, trunk: SfuTrunk, senders: Sequence[ParticipantEndpoint]) -> None:
@@ -243,6 +242,8 @@ class TrunkManager:
         receivers: Sequence[ParticipantEndpoint],
     ) -> None:
         """NACK/PLI from ``receivers`` about ``senders``' media go to the origin."""
+        if not receivers:
+            return
         for sender in senders:
             for _kind, ssrc in sender.media_ssrcs():
                 for receiver in receivers:
@@ -279,7 +280,8 @@ class TrunkManager:
         feedback rule only while its next hop is still the origin and no
         active subscription covers the SSRC, and a sender registration only
         while it is still marked remote (a migrated-in participant re-registers
-        the same id as local).
+        the same id as local).  The rules about an SSRC are found through the
+        control plane's per-SSRC index, not a scan of the feedback table.
         """
         pipeline = self.sfu.pipeline
         active = self.subscriptions.get(trunk.key)
@@ -292,13 +294,9 @@ class TrunkManager:
                 entry = pipeline.stream_table.peek((trunk.origin, ssrc))
                 if entry is not None and entry.mgid == trunk.mgid:
                     pipeline.remove_stream_route((trunk.origin, ssrc))
-                stale_rules = [
-                    key
-                    for key, rule in pipeline.feedback_table.entries()
-                    if key[1] == ssrc and rule.sender == trunk.origin
-                ]
-                for receiver, media_ssrc in stale_rules:
-                    pipeline.remove_feedback_rule(receiver, media_ssrc)
+                for receiver, media_ssrc in pipeline.feedback_rules_for(None, (ssrc,)):
+                    if pipeline.feedback_table.peek((receiver, media_ssrc)).sender == trunk.origin:
+                        pipeline.remove_feedback_rule(receiver, media_ssrc)
         for sender in senders:
             if sender.participant_id not in active_senders:
                 self.sfu.agent.forget_remote_sender(sender.participant_id)

@@ -31,7 +31,12 @@ class SignalingError(RuntimeError):
 
 @dataclass
 class ParticipantRecord:
-    """Controller-side state about one participant."""
+    """Controller-side state about one participant.
+
+    Its :class:`~repro.core.replication.ParticipantEndpoint` is built once,
+    at sign-in: every later configure hands the agent the same object, which
+    is how the agent sees that a participant did not change.
+    """
 
     participant_id: str
     meeting_id: str
@@ -40,9 +45,10 @@ class ParticipantRecord:
     video_ssrc: Optional[int] = None
     screen_ssrc: Optional[int] = None
     offer: Optional[SessionDescription] = None
+    endpoint: ParticipantEndpoint = field(init=False, repr=False, compare=False)
 
-    def endpoint(self) -> ParticipantEndpoint:
-        return ParticipantEndpoint(
+    def __post_init__(self) -> None:
+        self.endpoint = ParticipantEndpoint(
             participant_id=self.participant_id,
             address=self.address,
             egress_port=0,  # assigned by the replication manager
@@ -114,20 +120,16 @@ class ScallopController:
             self.meetings[message.meeting_id] = meeting
             self.counters.meetings_created += 1
 
-        record = ParticipantRecord(
+        ssrcs = {section.kind: section.ssrc for section in offer.media}
+        meeting.participants[message.participant_id] = ParticipantRecord(
             participant_id=message.participant_id,
             meeting_id=message.meeting_id,
             address=self._address_from_offer(offer),
+            audio_ssrc=ssrcs.get("audio"),
+            video_ssrc=ssrcs.get("video"),
+            screen_ssrc=ssrcs.get("screen"),
             offer=offer,
         )
-        for section in offer.media:
-            if section.kind == "audio":
-                record.audio_ssrc = section.ssrc
-            elif section.kind == "video":
-                record.video_ssrc = section.ssrc
-            elif section.kind == "screen":
-                record.screen_ssrc = section.ssrc
-        meeting.participants[message.participant_id] = record
         self.counters.joins += 1
 
         self.reconfigure_meeting(message.meeting_id)
@@ -167,7 +169,7 @@ class ScallopController:
         meeting = self.meetings.get(meeting_id)
         endpoints: List[ParticipantEndpoint] = []
         if meeting is not None:
-            endpoints = [record.endpoint() for record in meeting.participants.values()]
+            endpoints = [record.endpoint for record in meeting.participants.values()]
             endpoints += self.trunk_endpoints.get(meeting_id, [])
         self.agent.configure_meeting(meeting_id, endpoints)
 

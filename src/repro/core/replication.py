@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dataplane.pipeline import (
     ForwardingMode,
@@ -48,7 +48,9 @@ class ParticipantEndpoint:
 
     participant_id: str
     address: Address
-    egress_port: int
+    #: assigned by the replication manager, once per participant id, so it
+    #: is not part of what makes two endpoints the same participant
+    egress_port: int = field(compare=False)
     audio_ssrc: Optional[int] = None
     video_ssrc: Optional[int] = None
     #: Inter-SFU trunk endpoint (``repro.cluster``): the "participant" is a
@@ -65,6 +67,28 @@ class ParticipantEndpoint:
         if self.video_ssrc is not None:
             ssrcs.append(("video", self.video_ssrc))
         return ssrcs
+
+
+def same_endpoint(held: Optional[ParticipantEndpoint], participant: ParticipantEndpoint) -> bool:
+    """Endpoint equality with an identity fast path (a participant's
+    endpoint is built once, so an unchanged one is the same object)."""
+    return held is participant or held == participant
+
+
+def population_delta(
+    installed: Mapping[str, ParticipantEndpoint], wanted: Sequence[ParticipantEndpoint]
+) -> Tuple[List[ParticipantEndpoint], List[ParticipantEndpoint]]:
+    """``(arriving, leaving)`` from the ``installed`` population (by
+    participant id) to ``wanted``: the wanted endpoints not installed as
+    they are, in ``wanted`` order, and the installed ones not kept, in
+    installed order.  A participant whose endpoint changed is in both.  The
+    installed side is walked only when something it holds is not kept."""
+    arriving = [p for p in wanted if not same_endpoint(installed.get(p.participant_id), p)]
+    leaving: List[ParticipantEndpoint] = []
+    if len(wanted) - len(arriving) != len(installed):
+        kept = {p.participant_id: p for p in wanted}
+        leaving = [p for pid, p in installed.items() if not same_endpoint(kept.get(pid), p)]
+    return arriving, leaving
 
 
 def add_replica_node(
@@ -185,9 +209,11 @@ class ReplicationManager:
         if state is None:
             state = MeetingReplicationState(meeting_id=meeting_id, design=design)
             self.meetings[meeting_id] = state
-        elif self._patchable(state, design, len(wanted)):
-            self._patch(state, wanted)
-            return state
+        elif design == state.design:
+            arriving, leaving = population_delta(state.participants, participants)
+            if self._patchable(state, len(wanted), bool(arriving or leaving)):
+                self._patch(state, wanted, arriving, leaving)
+                return state
         self._relay(state, design, wanted)
         return state
 
@@ -202,16 +228,24 @@ class ReplicationManager:
 
     # ------------------------------------------------------------------ incremental membership
 
-    def _patchable(self, state: MeetingReplicationState, design: ReplicationDesign, size: int) -> bool:
-        """Whether the meeting keeps its shared-tree design."""
-        return design == state.design and state.tree_group is not None and size >= 2
+    def _patchable(self, state: MeetingReplicationState, size: int, changed: bool) -> bool:
+        """Whether a meeting that keeps its design can be patched in place: a
+        shared-tree meeting of two or more, or any meeting whose population
+        did not change (the patch then writes nothing)."""
+        if state.tree_group is not None:
+            return size >= 2
+        return not changed
 
-    def _patch(self, state: MeetingReplicationState, wanted: Dict[str, ParticipantEndpoint]) -> None:
+    def _patch(
+        self,
+        state: MeetingReplicationState,
+        wanted: Dict[str, ParticipantEndpoint],
+        arriving: List[ParticipantEndpoint],
+        leaving: List[ParticipantEndpoint],
+    ) -> None:
         """Rewrite only what changed: drop the departed participants' nodes,
         targets and entries, add the newcomers', and re-stamp the survivors'
         entries only if the exclusion XID moved since they were written."""
-        leaving = [p for pid, p in state.participants.items() if wanted.get(pid) != p]
-        arriving = [p for pid, p in wanted.items() if state.participants.get(pid) != p]
         for participant in leaving:
             self._remove_sender_entries(participant)
         for tree in state.trees:
@@ -236,7 +270,7 @@ class ReplicationManager:
         build, so the new trees may be laid in its current group."""
         forwarded = wanted if len(wanted) >= 2 else {}
         for pid, participant in state.participants.items():
-            if forwarded.get(pid) != participant:
+            if not same_endpoint(forwarded.get(pid), participant):
                 self._remove_sender_entries(participant)
         old = self._detach(state)
         state.design = design
@@ -393,6 +427,12 @@ class ReplicationManager:
             rid=base_tree.rids.get(f"{state.meeting_id}:{sender.participant_id}"),
             l2_xid=sender.egress_port,
         )
+
+    def xid_current(self, state: MeetingReplicationState) -> bool:
+        """Whether the meeting's stream entries stamp its partner's current
+        XID slot (a partner that entered or left the group since they were
+        written makes them stale until the meeting's next sync)."""
+        return state.stamped_xid == self._other_meeting_xid(state)
 
     def _other_meeting_xid(self, state: MeetingReplicationState) -> Optional[int]:
         """The L1 XID to stamp on packets so the *other* meeting's nodes are

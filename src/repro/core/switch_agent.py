@@ -36,7 +36,7 @@ from ..rtp.rtcp import Nack, PictureLossIndication, ReceiverReport, Remb, RtcpPa
 from ..stun.message import StunMessage, make_binding_response
 from .capacity import ReplicationDesign, RewriteVariant
 from .rate_control import DecodeTargetTracker, DownlinkFilter, SelectDecodeTargetFn, select_decode_target
-from .replication import ParticipantEndpoint, ReplicationManager
+from .replication import ParticipantEndpoint, ReplicationManager, population_delta, same_endpoint
 from .seqrewrite import (
     SequenceRewriterLowMemory,
     SequenceRewriterLowRetransmission,
@@ -102,8 +102,8 @@ class SwitchAgent:
         self._clock = clock or (lambda: 0.0)
 
         self._participants: Dict[str, _ParticipantState] = {}
-        #: meeting -> ids of its locally configured (non-remote) participants
-        self._members: Dict[str, Dict[str, None]] = {}
+        #: meeting -> its locally configured (non-remote) participants, by id
+        self._members: Dict[str, Dict[str, ParticipantEndpoint]] = {}
         self._participant_by_address: Dict[Address, str] = {}
         self._participant_by_ssrc: Dict[int, str] = {}
         #: installed adaptation entry (sender ssrc, receiver) -> the sender's meeting
@@ -116,38 +116,51 @@ class SwitchAgent:
     def configure_meeting(self, meeting_id: str, participants: Sequence[ParticipantEndpoint]) -> None:
         """Bring a meeting's replication state and feedback rules to ``participants``.
 
-        Departed participants release their adaptation entries, feedback
-        rules, downlink-filter and decode-target state and registration;
-        newcomers are registered; the ones who stay keep their registration,
+        An op writes only its change, and a call that changes nothing writes
+        nothing: it returns before opening a write batch when
+        :meth:`_unchanged` holds.  Otherwise departed participants (and
+        members whose endpoint changed,
+        :func:`~repro.core.replication.population_delta`) release their
+        adaptation entries, feedback rules, placements, downlink-filter and
+        decode-target state and registration; newcomers are registered, and only their feedback rows — as a
+        receiver of every other sender and as a sender toward every other
+        receiver — are written; the ones who stay keep their registration,
         learned SVC structure included.  The replication manager patches the
         meeting's trees under the design :meth:`_design_for` picks
-        (:meth:`~repro.core.replication.ReplicationManager.sync_meeting`), so
-        a join or leave writes the PRE nodes, replica targets and stream
-        entries of the participants that changed, plus the meeting's
-        feedback rules.  An empty ``participants`` removes the meeting.
-        Everything runs inside
+        (:meth:`~repro.core.replication.ReplicationManager.sync_meeting`).  An
+        empty ``participants`` removes the meeting.  The writes run inside
         :meth:`~repro.dataplane.pipeline.PipelineControlPlane.batched_writes`,
         so each write generation bumps once per call.
         """
+        if self._unchanged(meeting_id, participants):
+            return
         with self.pipeline.batched_writes():
-            wanted = {participant.participant_id for participant in participants}
-            for pid in [pid for pid in self._members.get(meeting_id, ()) if pid not in wanted]:
-                self._release_participant(meeting_id, pid)
+            arriving, leaving = population_delta(self._members.get(meeting_id, {}), participants)
+            for participant in leaving:
+                self._release_participant(meeting_id, participant.participant_id)
             if participants:
                 self._sync(meeting_id, participants)
             else:
                 self.replication.remove_meeting(meeting_id)
-            for participant in participants:
-                state = self._participants.get(participant.participant_id)
-                if (
-                    state is None
-                    or state.remote
-                    or state.meeting_id != meeting_id
-                    or state.endpoint != participant
-                ):
-                    self._register_participant(meeting_id, participant)
-            self._install_feedback_rules(meeting_id)
+            for participant in arriving:
+                self._register_participant(meeting_id, participant)
+            self._install_feedback_rules(meeting_id, arriving)
         self.counters.rule_updates += 1
+
+    def _unchanged(self, meeting_id: str, participants: Sequence[ParticipantEndpoint]) -> bool:
+        """Whether configuring ``participants`` would write nothing: the
+        installed population is the same objects in the same order, its
+        design is the one :meth:`_design_for` picks, and its stream entries
+        stamp the current partner XID."""
+        state = self.replication.meetings.get(meeting_id)
+        if state is None:
+            return not participants
+        installed = state.participants.values()
+        if len(installed) != len(participants) or any(
+            mine is not theirs for mine, theirs in zip(installed, participants)
+        ):
+            return False
+        return state.design == self._design_for(meeting_id, participants) and self.replication.xid_current(state)
 
     def _design_for(self, meeting_id: str, participants: Sized) -> ReplicationDesign:
         """TWO_PARTY for two endpoints; for three or more, RA-R once an
@@ -192,9 +205,12 @@ class SwitchAgent:
         self.decode_targets.forget(participant_id)
 
     def _teardown_participant_state(self, endpoint: ParticipantEndpoint) -> None:
-        """Release adaptation entries and feedback rules involving a leaver."""
+        """Release the adaptation entries, feedback rules and placements
+        involving a leaver.  The feedback rules and placements are found
+        through the control plane's per-address and per-SSRC indexes, not a
+        table scan."""
         address = endpoint.address
-        ssrcs = {ssrc for _kind, ssrc in endpoint.media_ssrcs()}
+        ssrcs = [ssrc for _kind, ssrc in endpoint.media_ssrcs()]
         for key in [
             k for k in self._adaptation_installed if k[1] == address or k[0] in ssrcs
         ]:
@@ -203,12 +219,7 @@ class SwitchAgent:
             self._adapted_meetings[meeting_id] -= 1
             if not self._adapted_meetings[meeting_id]:
                 del self._adapted_meetings[meeting_id]
-        stale_rules = [
-            k
-            for k, _rule in self.pipeline.feedback_table.entries()
-            if k[0] == address or k[1] in ssrcs
-        ]
-        for receiver, media_ssrc in stale_rules:
+        for receiver, media_ssrc in self.pipeline.feedback_rules_for(address, ssrcs):
             self.pipeline.remove_feedback_rule(receiver, media_ssrc)
         # shard-placement state of the departed flows: pins in the placement
         # exception table and (on a rebalancing engine) load-tracker rows
@@ -227,7 +238,7 @@ class SwitchAgent:
         if pid in self._participants:
             self._forget_participant(pid)
         self._participants[pid] = _ParticipantState(endpoint=participant, meeting_id=meeting_id)
-        self._members.setdefault(meeting_id, {})[pid] = None
+        self._members.setdefault(meeting_id, {})[pid] = participant
         self._participant_by_address[participant.address] = pid
         for _kind, ssrc in participant.media_ssrcs():
             self._participant_by_ssrc[ssrc] = pid
@@ -254,19 +265,25 @@ class SwitchAgent:
             if not members:
                 del self._members[state.meeting_id]
 
-    def _install_feedback_rules(self, meeting_id: str) -> None:
-        """Install NACK/PLI forwarding for every (receiver, sender-ssrc) pair."""
+    def _install_feedback_rules(self, meeting_id: str, arriving: Sequence[ParticipantEndpoint]) -> None:
+        """Install NACK/PLI forwarding for the (receiver, sender-ssrc) pairs
+        an arriving participant is part of: its rows as a receiver of every
+        other sender, and as a sender toward every other receiver."""
         meeting = self.replication.meetings.get(meeting_id)
-        if meeting is None:
+        if meeting is None or not arriving:
             return
-        participants = list(meeting.participants.values())
+        participants = meeting.participants.values()
+        newcomers = {participant.participant_id for participant in arriving}
         for sender in participants:
             ssrcs = sender.media_ssrcs()
             if not ssrcs:
                 continue
+            sender_arrives = sender.participant_id in newcomers
             selected = self.downlink_filter.selected_receiver(sender.participant_id)
             for receiver in participants:
                 if receiver.participant_id == sender.participant_id:
+                    continue
+                if not sender_arrives and receiver.participant_id not in newcomers:
                     continue
                 for _kind, ssrc in ssrcs:
                     self.pipeline.install_feedback_rule(
@@ -294,7 +311,7 @@ class SwitchAgent:
         an unchanged remote sender keeps its learned SVC structure.
         """
         state = self._participants.get(endpoint.participant_id)
-        if state is not None and state.remote and state.meeting_id == meeting_id and state.endpoint == endpoint:
+        if state is not None and state.remote and state.meeting_id == meeting_id and same_endpoint(state.endpoint, endpoint):
             return
         self._unindex(endpoint.participant_id)
         self._participants[endpoint.participant_id] = _ParticipantState(

@@ -341,6 +341,15 @@ class _FlowFastState:
         self.traced = False
 
 
+def _unindex(index: Dict, key, member) -> None:
+    """Drop ``member`` from ``index[key]``, and the key once it is empty."""
+    members = index.get(key)
+    if members is not None:
+        members.pop(member, None)
+        if not members:
+            del index[key]
+
+
 class PipelineControlPlane:
     """Everything the switch agent writes: tables, PRE, registers, resources.
 
@@ -396,6 +405,11 @@ class PipelineControlPlane:
         self.placement_table: ExactMatchTable[Tuple[Address, int], int] = ExactMatchTable(
             "flow_placement", max_entries=capacities.exact_match_entries
         )
+        #: Per-address and per-SSRC indexes of the feedback and placement
+        #: keys, in table order: a leave finds its own rows without a scan.
+        self._feedback_by_receiver: Dict[Address, Dict[int, None]] = {}
+        self._feedback_by_ssrc: Dict[int, Dict[Address, None]] = {}
+        self._placements_by_src: Dict[Address, Dict[int, None]] = {}
 
         self.stream_indices = IndexAllocator(capacities.stream_tracker_cells)
         #: Canonical rewriter register file; shard datapaths hold fanned-out
@@ -617,19 +631,35 @@ class PipelineControlPlane:
 
     def install_feedback_rule(self, receiver: Address, media_ssrc: int, rule: FeedbackRule) -> None:
         self.feedback_table.install((receiver, media_ssrc), rule)
+        self._feedback_by_receiver.setdefault(receiver, {})[media_ssrc] = None
+        self._feedback_by_ssrc.setdefault(media_ssrc, {})[receiver] = None
 
     def remove_feedback_rule(self, receiver: Address, media_ssrc: int) -> None:
         self.feedback_table.remove((receiver, media_ssrc))
+        _unindex(self._feedback_by_receiver, receiver, media_ssrc)
+        _unindex(self._feedback_by_ssrc, media_ssrc, receiver)
+
+    def feedback_rules_for(
+        self, address: Optional[Address], media_ssrcs: Sequence[int] = ()
+    ) -> List[Tuple[Address, int]]:
+        """Keys of the feedback rules addressed to ``address`` (if given) or
+        about one of ``media_ssrcs`` — an index read, not a table scan."""
+        keys = [(address, ssrc) for ssrc in self._feedback_by_receiver.get(address, ())]
+        for ssrc in media_ssrcs:
+            keys += [(receiver, ssrc) for receiver in self._feedback_by_ssrc.get(ssrc, ()) if receiver != address]
+        return keys
 
     # ------------------------------------------------------------------ placement (shard migration)
 
     def install_placement(self, src: Address, ssrc: int, shard_id: int) -> None:
         """Pin flow ``(src, ssrc)`` to ``shard_id`` (placement exception)."""
         self.placement_table.install((src, ssrc), shard_id)
+        self._placements_by_src.setdefault(src, {})[ssrc] = None
 
     def remove_placement(self, src: Address, ssrc: int) -> None:
         """Drop a placement exception; the flow reverts to the CRC32 default."""
         self.placement_table.remove((src, ssrc))
+        _unindex(self._placements_by_src, src, ssrc)
 
     def placement_of(self, src: Address, ssrc: int) -> Optional[int]:
         """Control-plane read of a flow's pinned shard (``None`` = hashed)."""
@@ -642,9 +672,9 @@ class PipelineControlPlane:
         leak its pin forever (nor hand it to a later joiner that reuses the
         deterministic address/SSRC pair).  Returns how many were removed.
         """
-        stale = [key for key, _shard in self.placement_table.entries() if key[0] == src]
-        for key in stale:
-            self.placement_table.remove(key)
+        stale = list(self._placements_by_src.pop(src, ()))
+        for ssrc in stale:
+            self.placement_table.remove((src, ssrc))
         return len(stale)
 
     # ------------------------------------------------------------------ flow snapshot (cross-SFU migration)
@@ -1505,6 +1535,7 @@ class ControlPlaneFacade:
         self.remove_adaptation = control.remove_adaptation
         self.install_feedback_rule = control.install_feedback_rule
         self.remove_feedback_rule = control.remove_feedback_rule
+        self.feedback_rules_for = control.feedback_rules_for
         self.batched_writes = control.batched_writes
         self.install_many = control.install_many
         self.export_flow_state = control.export_flow_state

@@ -23,6 +23,7 @@ from tools.archlint.engine import format_baseline_entry
 from tools.archlint.rules import (
     DeterminismRule,
     GenerationDisciplineRule,
+    NoTableScanOnMembershipPathRule,
     OneMembershipPathRule,
     ShareNothingRule,
     WireHygieneRule,
@@ -450,6 +451,57 @@ class TestOneMembershipPathRule:
         assert len(findings) == 1 and findings[0].suppressed
 
 
+# --------------------------------------------------------------------------- rule 7: no-table-scan-on-membership-path
+
+
+class TestNoTableScanOnMembershipPathRule:
+    RULES = (NoTableScanOnMembershipPathRule(),)
+
+    VIOLATING = """
+    def release(self, address):
+        for key, _rule in self.pipeline.feedback_table.entries():
+            pass
+        rows = list(pipeline.control.placement_table.entries())
+        return [k for k, _e in self.pipeline.adaptation_table.entries() if k[1] == address]
+    """
+
+    @pytest.mark.parametrize("module", ["repro.core.switch_agent", "repro.cluster.trunk"])
+    def test_table_scans_on_the_membership_path_flag(self, module):
+        findings = lint(self.VIOLATING, module=module, rules=self.RULES)
+        assert [finding.line for finding in findings if finding.is_new] == [3, 5, 6]
+        assert "feedback_table.entries()" in findings[0].message
+
+    def test_scans_elsewhere_are_out_of_scope(self):
+        # reconciliation audits and snapshots walk whole tables on purpose
+        for module in ("repro.cluster.cluster", "repro.dataplane.pipeline", "repro.scenario.driver"):
+            assert not lint(self.VIOLATING, module=module, rules=self.RULES)
+
+    def test_index_reads_and_other_entries_calls_are_clean(self):
+        findings = lint(
+            """
+            def release(self, address, ssrcs):
+                for key in self.pipeline.feedback_rules_for(address, ssrcs):
+                    self.pipeline.remove_feedback_rule(*key)
+                rule = self.pipeline.feedback_table.peek(key)
+                return list(self._registry.entries())
+            """,
+            module="repro.core.switch_agent",
+            rules=self.RULES,
+        )
+        assert not findings
+
+    def test_inline_suppression(self):
+        findings = lint(
+            """
+            def audit(self):
+                return list(self.pipeline.feedback_table.entries())  # archlint: ignore[no-table-scan-on-membership-path]
+            """,
+            module="repro.cluster.trunk",
+            rules=self.RULES,
+        )
+        assert len(findings) == 1 and findings[0].suppressed
+
+
 # --------------------------------------------------------------------------- suppression mechanics
 
 
@@ -523,10 +575,23 @@ class TestEndToEnd:
         assert not report.unused_baseline, "stale baseline entries should be pruned"
 
     def test_violating_fixture_trips_every_rule(self):
-        fixture = REPO_ROOT / "tools" / "archlint" / "fixtures" / "violating.py"
-        report = run_paths([str(fixture)])
+        """``violating.py`` poses as ``repro.dataplane.pipeline``, so it trips
+        every rule but the one scoped to the membership modules, which its
+        own fixture trips; the fixtures directory trips all seven."""
+        fixtures = REPO_ROOT / "tools" / "archlint" / "fixtures"
+        report = run_paths([str(fixtures / "violating.py")])
         tripped = {finding.rule for finding in report.new}
-        assert tripped == {rule.name for rule in ALL_RULES}
+        assert tripped == {rule.name for rule in ALL_RULES} - {NoTableScanOnMembershipPathRule.name}
+        everywhere = {finding.rule for finding in run_paths([str(fixtures)]).new}
+        assert everywhere == {rule.name for rule in ALL_RULES}
+
+    def test_table_scan_fixture_trips_no_table_scan_on_membership_path(self):
+        fixture = REPO_ROOT / "tools" / "archlint" / "fixtures" / "violating_table_scan.py"
+        report = run_paths([str(fixture)])
+        assert {finding.rule for finding in report.new} == {"no-table-scan-on-membership-path"}
+        messages = [finding.message for finding in report.new]
+        assert any("feedback_table.entries()" in message for message in messages)
+        assert any("control.adaptation_table.entries()" in message for message in messages)
 
     def test_obs_fixture_trips_determinism(self):
         # the telemetry plane is ordinary repro.* simulation code: the

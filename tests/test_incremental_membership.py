@@ -3,16 +3,17 @@
 Membership changes reach the replication manager, the switch agent and the
 trunk manager through one incremental path each
 (``ReplicationManager.sync_meeting``, ``SwitchAgent.configure_meeting``,
-``TrunkManager.sync_meeting``); a join and a leave are each one configure.
-Five groups of tests pin it:
+``TrunkManager.sync_meeting``); a join and a leave are each one configure,
+and a configure that changes nothing writes nothing.  Seven groups of tests
+pin it:
 
 * **write counts** — a join into a running meeting adds one L1 node per tree
   and removes none, a leave removes one and adds none, wherever the meeting
   sits (behind another meeting's nodes, in a later open group, in a freed
   XID slot) and in an adapted (RA-R) meeting too; a join on the far side of
-  a cascaded meeting keeps both trunk trees; a controller leave, and on a
-  cluster each join or leave, configures and syncs every hosting box once,
-  with no design flip;
+  a cascaded meeting keeps both trunk trees; a controller leave configures
+  and syncs once, and on a cluster each join or leave configures every
+  hosting box once but syncs only the acting one, with no design flip;
 * **XID slots** — a meeting takes the lowest free L1 XID slot of its tree
   group and keeps it across joins and leaves, and its stream entries stamp
   the partner meeting's slot; a hypothesis property checks after every sync,
@@ -30,7 +31,12 @@ Five groups of tests pin it:
   a run that re-lays every touched meeting and trunk (the incremental
   predicates patched to ``False``);
 * **agent registry** — a sender's learned SVC structure survives another
-  participant's join.
+  participant's join;
+* **idempotence** — after every join, leave, migration or adaptation on a
+  two-box cluster, re-configuring every meeting (and once more with the
+  no-op return patched out) writes nothing;
+* **delta costs** — a join writes exactly the joiner's feedback rows, and a
+  leave scans no table and costs the same beside 1 or 51 other meetings.
 """
 
 import dataclasses
@@ -49,6 +55,7 @@ from repro.core.replication import ParticipantEndpoint, ReplicationManager
 from repro.core.switch_agent import SwitchAgent
 from repro.dataplane.pipeline import ForwardingMode, ReplicaTarget, ScallopPipeline
 from repro.dataplane.pre import L2Port
+from repro.dataplane.tables import ExactMatchTable
 from repro.dataplane.resources import DEFAULT_CAPACITIES
 from repro.netsim.datagram import Address, Datagram
 from repro.rtp.av1 import DependencyDescriptor, TemplateStructure, dependency_descriptor_element
@@ -278,10 +285,12 @@ class TestWriteCounts:
         assert run.reconcile() == []
         run.close()
 
-    def test_cluster_join_or_leave_configures_each_hosting_box_once(self):
+    def test_cluster_join_or_leave_syncs_only_the_acting_box(self):
         """Box 0 holds two or three local participants plus the trunk to
-        box 1: it stays NRA through every op, and each op configures and
-        syncs each hosting box exactly once."""
+        box 1: it stays NRA through every op.  Each op configures and syncs
+        the box that handled the join or leave once; the other box's view
+        did not change, so its one configure returns without a sync or a
+        write."""
         run = build_scenario(
             Scenario(
                 name="cascade",
@@ -290,30 +299,31 @@ class TestWriteCounts:
                 duration_s=10.0,
             )
         )
-        box0, box1 = run.sfu.members
-        assert box0.agent.meeting_design("meeting-0") == ReplicationDesign.NRA
+        boxes = run.sfu.members
+        assert boxes[0].agent.meeting_design("meeting-0") == ReplicationDesign.NRA
         designs = []
         ops = [
-            lambda: run.add_participant(0, start=False),  # lands on box 0 (cascade index 3)
-            lambda: run.leave(0, "m0-p0"),
-            lambda: run.add_participant(0, start=False),  # box 0 again (index 4)
-            lambda: run.add_participant(0, start=False),  # box 1 (index 5)
-            lambda: run.leave(0, "m0-p5"),
-            lambda: run.leave(0, "m0-p4"),
+            (0, lambda: run.add_participant(0, start=False)),  # cascade index 3
+            (0, lambda: run.leave(0, "m0-p0")),
+            (0, lambda: run.add_participant(0, start=False)),  # index 4
+            (1, lambda: run.add_participant(0, start=False)),  # index 5
+            (1, lambda: run.leave(0, "m0-p5")),
+            (0, lambda: run.leave(0, "m0-p4")),
         ]
         with counting_membership_calls() as calls:
-            for op in ops:
+            for acting, op in ops:
+                idle = boxes[1 - acting]
                 calls.clear()
-                with pre_writes(box0.pipeline.pre) as writes:
+                with pre_writes(boxes[0].pipeline.pre) as writes:
                     op()
                 assert calls == {
-                    ("configure_meeting", box0.agent): 1,
-                    ("configure_meeting", box1.agent): 1,
-                    ("sync_meeting", box0.agent.replication): 1,
-                    ("sync_meeting", box1.agent.replication): 1,
+                    ("configure_meeting", boxes[acting].agent): 1,
+                    ("configure_meeting", idle.agent): 1,
+                    ("sync_meeting", boxes[acting].agent.replication): 1,
+                    ("configure wrote", boxes[acting].agent): 1,
                 }
                 assert writes["create_tree"] == writes["destroy_tree"] == []
-                designs.append(box0.agent.meeting_design("meeting-0"))
+                designs.append(boxes[0].agent.meeting_design("meeting-0"))
         assert set(designs) == {ReplicationDesign.NRA}
         assert run.reconcile() == []
         run.close()
@@ -324,26 +334,43 @@ class TestWriteCounts:
             _join(controller, index)
         with counting_membership_calls() as calls:
             controller.handle_signal(leave_message("m", "p2"))
-        assert calls == {("configure_meeting", agent): 1, ("sync_meeting", agent.replication): 1}
+        assert calls == {
+            ("configure_meeting", agent): 1,
+            ("sync_meeting", agent.replication): 1,
+            ("configure wrote", agent): 1,
+        }
         assert agent.participants_in("m") == ["p1", "p3", "p4"]
+
+
+def write_stamp(pipeline):
+    """Write generations of every control table and the PRE: a write bumps
+    one of them (inside a write batch, at its exit)."""
+    control = pipeline.control
+    return tuple(table.version for table in control._all_tables()) + (control.pre.generation,)
 
 
 @contextmanager
 def counting_membership_calls():
-    """Count ``configure_meeting`` per agent and ``sync_meeting`` per
-    replication manager."""
+    """Count ``configure_meeting`` per agent, ``sync_meeting`` per
+    replication manager, and ``configure wrote`` per agent for each
+    configure that moved a write generation."""
     calls = Counter()
-    originals = {"configure_meeting": SwitchAgent.configure_meeting, "sync_meeting": ReplicationManager.sync_meeting}
+    configure, sync = SwitchAgent.configure_meeting, ReplicationManager.sync_meeting
 
-    def counting(name):
-        def spy(self, *args):
-            calls[(name, self)] += 1
-            return originals[name](self, *args)
+    def configure_spy(self, *args):
+        calls[("configure_meeting", self)] += 1
+        before = write_stamp(self.pipeline)
+        result = configure(self, *args)
+        if write_stamp(self.pipeline) != before:
+            calls[("configure wrote", self)] += 1
+        return result
 
-        return spy
+    def sync_spy(self, *args):
+        calls[("sync_meeting", self)] += 1
+        return sync(self, *args)
 
-    with mock.patch.object(SwitchAgent, "configure_meeting", counting("configure_meeting")), mock.patch.object(
-        ReplicationManager, "sync_meeting", counting("sync_meeting")
+    with mock.patch.object(SwitchAgent, "configure_meeting", configure_spy), mock.patch.object(
+        ReplicationManager, "sync_meeting", sync_spy
     ):
         yield calls
 
@@ -580,11 +607,15 @@ def _rebuild_everything():
     """The oracle: every membership change re-lays the meeting's trees and
     re-installs its trunk subscriptions (a test-only patch, not an option)."""
 
+    patch = TrunkManager._patch
+
     def reinstall(self, trunk, senders, local_receivers):
+        if not (trunk.receivers or trunk.senders):
+            return patch(self, trunk, senders, local_receivers)  # a new subscription
         # the fresh subscription goes in before the old one is released, so
         # the release keeps what the new one still carries
-        del self.subscriptions[trunk.key]
-        self._install(trunk.meeting_id, trunk.origin, senders, local_receivers)
+        self._unsubscribe(trunk)
+        patch(self, self._subscribe(trunk.meeting_id, trunk.origin), senders, local_receivers)
         self._teardown(trunk)
         return []
 
@@ -618,6 +649,14 @@ def _apply(run, operation):
         run.leave(meeting, members[pick % len(members)].config.participant_id)
     elif kind == "migrate" and members:
         run.migrate(meeting, pick % 2)
+    elif kind == "adapt" and len(members) >= 2:
+        # a low REMB from one member about another's video installs an
+        # adaptation entry on the receiver's box (RA-R from three up)
+        receiver, sender = members[pick % len(members)], members[(pick + 1) % len(members)]
+        if sender.config.send_video:
+            box = run.sfu.members[run.sfu.home_of(receiver.config.participant_id)]
+            remb = Remb(sender_ssrc=9999, bitrate_bps=700_000, media_ssrcs=(sender.video_ssrc,))
+            box.agent.handle_cpu_packet(Datagram(src=receiver.address, dst=box.address, payload=(remb,)))
     # let migration drain windows expire, as the simulation would
     run.run_for(0.06)
 
@@ -657,10 +696,10 @@ def _assert_fresh_install(box, meeting_id):
     for (subscribed, origin), trunk in box.trunks.subscriptions.items():
         if subscribed != meeting_id:
             continue
-        assert {pid: receiver[0] for pid, receiver in trunk.receivers.items()} == local
+        assert trunk.receivers == local
         nodes = pipeline.pre.tree(trunk.mgid).nodes
         assert {
-            pipeline.replica_table.peek((trunk.mgid, nodes[node_id].rid)) for _p, node_id, _r in trunk.receivers.values()
+            pipeline.replica_table.peek((trunk.mgid, nodes[node_id].rid)) for node_id, _rid in trunk.nodes.values()
         } == {ReplicaTarget(address=p.address, participant_id=pid) for pid, p in local.items()}
         assert len(nodes) == len(local)
         for sender in trunk.senders.values():
@@ -710,7 +749,7 @@ def _box_view(box):
         "by_address": dict(agent._participant_by_address),
         "by_ssrc": dict(agent._participant_by_ssrc),
         "trunks": {
-            key: (trunk.senders, {pid: receiver[0] for pid, receiver in trunk.receivers.items()})
+            key: (trunk.senders, trunk.receivers)
             for key, trunk in box.trunks.subscriptions.items()
         },
         "l1_nodes": pipeline.accountant.l1_nodes_allocated,
@@ -803,3 +842,289 @@ def test_oracle_sequence_exercises_both_paths():
     assert paths["ReplicationManager._patch"] > 0
     assert paths["TrunkManager._patch"] > 0
     assert paths["design change"] > 0
+
+
+# --------------------------------------------------------------------------- idempotence
+
+
+def _installed_view(box):
+    """Everything a configure or a trunk sync may write on one box: the
+    tables, the PRE trees, the replication records, the agent registry and
+    the trunk subscriptions."""
+    pipeline, agent = box.pipeline, box.agent
+    control = pipeline.control
+    return {
+        "tables": {table.name: dict(table.entries()) for table in control._all_tables()},
+        "pre": {
+            mgid: {node_id: (node.rid, node.ports, node.l1_xid, node.prune_enabled) for node_id, node in tree.nodes.items()}
+            for mgid, tree in control.pre._trees.items()
+        },
+        "meetings": {
+            meeting_id: (
+                state.design,
+                tuple(state.participants.items()),
+                state.l1_xid,
+                state.tree_group,
+                state.stamped_xid,
+                tuple(tree.mgid for tree in state.trees),
+            )
+            for meeting_id, state in agent.replication.meetings.items()
+        },
+        "registry": {
+            pid: (state.meeting_id, state.remote, state.endpoint, state.structure)
+            for pid, state in agent._participants.items()
+        },
+        "members": {meeting_id: tuple(members) for meeting_id, members in agent._members.items()},
+        "by_address": dict(agent._participant_by_address),
+        "by_ssrc": dict(agent._participant_by_ssrc),
+        "adaptations": (dict(agent._adaptation_installed), dict(agent._adapted_meetings)),
+        "trunks": {
+            key: (trunk.mgid, dict(trunk.senders), dict(trunk.receivers), dict(trunk.nodes))
+            for key, trunk in box.trunks.subscriptions.items()
+        },
+    }
+
+
+def _reconfigure_everything(run):
+    """Configure every installed meeting on every hosting box and re-sync
+    its trunk subscriptions, as an op on that meeting would."""
+    cluster = run.sfu
+    meetings = sorted({meeting_id for box in cluster.members for meeting_id in box.agent.replication.meetings})
+    for meeting_id in meetings:
+        cluster._sync_meeting(meeting_id)
+
+
+@contextmanager
+def without_the_no_op_return():
+    """Test-only: every configure takes the full path (``_unchanged`` patched
+    to ``False``), as a box would that could not tell its view is unchanged."""
+    with mock.patch.object(SwitchAgent, "_unchanged", lambda self, *args: False):
+        yield
+
+
+def _assert_idempotent(run):
+    boxes = run.sfu.members
+    # entries left stale by a partner entering or leaving the group (defect
+    # 1 (i)) are the one thing an unchanged configure re-writes
+    stale = [
+        any(not box.agent.replication.xid_current(state) for state in box.agent.replication.meetings.values())
+        for box in boxes
+    ]
+    stamps = [write_stamp(box.pipeline) for box in boxes]
+    _reconfigure_everything(run)
+    for index, box in enumerate(boxes):
+        if not stale[index]:
+            assert write_stamp(box.pipeline) == stamps[index], f"box {index}: an unchanged configure wrote"
+    views = [_installed_view(box) for box in boxes]
+    stamps = [write_stamp(box.pipeline) for box in boxes]
+    with without_the_no_op_return():
+        _reconfigure_everything(run)
+    for index, box in enumerate(boxes):
+        view = _installed_view(box)
+        for part in views[index]:
+            assert view[part] == views[index][part], f"box {index}: a full re-configure changed {part}"
+        assert write_stamp(box.pipeline) == stamps[index], f"box {index}: a full re-configure wrote"
+
+
+idempotence_operations = st.lists(
+    st.tuples(
+        st.sampled_from(("join", "join", "join", "leave", "leave", "migrate", "adapt", "adapt")),
+        st.integers(min_value=0, max_value=len(ORACLE_MEETINGS) - 1),
+        st.integers(min_value=0, max_value=64),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sequence=idempotence_operations)
+def test_an_unchanged_configure_writes_nothing(sequence):
+    """After every join, leave, migration or adaptation on a two-box
+    cluster, re-configuring every installed meeting writes nothing (bar
+    defect 1 (i)'s re-stamps), and so does a forced full re-configure that
+    skips the no-op return: tables, PRE trees, replication records,
+    registry and trunk subscriptions all stay as they are."""
+    run = _oracle_run()
+    try:
+        for operation in sequence:
+            _apply(run, operation)
+            _assert_idempotent(run)
+    finally:
+        run.close()
+
+
+def test_idempotence_sequence_covers_every_op():
+    """A fixed sequence through joins, leaves, adaptations (a design change
+    to RA-R) and migrations in both directions."""
+    sequence = [("join", meeting, 0) for meeting in (0, 1, 2, 3) for _ in range(4)]
+    sequence += [("adapt", 0, 1), ("adapt", 3, 0), ("leave", 0, 1), ("join", 0, 0), ("migrate", 0, 1)]
+    sequence += [("adapt", 0, 2), ("migrate", 0, 0), ("leave", 3, 2), ("migrate", 3, 1), ("leave", 1, 0)]
+    run = _oracle_run()
+    try:
+        for operation in sequence:
+            _apply(run, operation)
+            _assert_idempotent(run)
+        designs = {state.design for box in run.sfu.members for state in box.agent.replication.meetings.values()}
+        assert ReplicationDesign.RA_R in designs
+    finally:
+        run.close()
+
+
+# --------------------------------------------------------------------------- delta costs
+
+
+@contextmanager
+def table_calls(names=("install", "remove", "peek", "lookup", "entries")):
+    """Count control-table operations by table name; ``entries`` counts the
+    rows a scan walks as well as the call."""
+    calls = Counter()
+    stack = ExitStack()
+    for name in names:
+        original = getattr(ExactMatchTable, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls[(self.name, _name)] += 1
+            result = _original(self, *args)
+            if _name == "entries":
+                rows = list(result)
+                calls[(self.name, "rows scanned")] += len(rows)
+                return iter(rows)
+            return result
+
+        stack.enter_context(mock.patch.object(ExactMatchTable, name, spy))
+    with stack:
+        yield calls
+
+
+@contextmanager
+def feedback_installs(pipeline):
+    """The keys of every feedback rule installed inside the block."""
+    keys = []
+    original = pipeline.control.feedback_table.install
+
+    def spy(key, rule):
+        keys.append(key)
+        return original(key, rule)
+
+    with mock.patch.object(pipeline.control.feedback_table, "install", spy):
+        yield keys
+
+
+def _ssrcs(participant):
+    return [ssrc for _kind, ssrc in participant.media_ssrcs()]
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 9])
+def test_a_join_writes_only_the_joiners_feedback_rows(size):
+    """Everyone sends audio and video: the joiner's rows as a receiver of
+    the (n-1) others and as a sender toward them, 4(n-1) in all — not the
+    n(n-1)·2 of a full rewrite."""
+    pipeline = ScallopPipeline(SFU)
+    agent = SwitchAgent(pipeline)
+    members = [endpoint(index) for index in range(1, size)]
+    agent.configure_meeting("m", members)
+    joiner = endpoint(size)
+    with feedback_installs(pipeline) as written:
+        agent.configure_meeting("m", members + [joiner])
+    expected = [(joiner.address, ssrc) for other in members for ssrc in _ssrcs(other)]
+    expected += [(other.address, ssrc) for other in members for ssrc in _ssrcs(joiner)]
+    assert sorted(written, key=str) == sorted(expected, key=str)
+    assert len(written) == (size - 1) * 2 + (size - 1) * 2
+    for sender in members + [joiner]:
+        for receiver in members + [joiner]:
+            for ssrc in _ssrcs(sender) if receiver is not sender else ():
+                assert pipeline.feedback_table.peek((receiver.address, ssrc)).sender == sender.address
+
+
+def test_a_join_beside_a_trunk_counts_the_trunk_among_the_receivers():
+    """The trunk endpoint sends nothing of its own, so the joiner receives
+    from the three local senders and sends toward them and the trunk."""
+    pipeline = ScallopPipeline(SFU)
+    agent = SwitchAgent(pipeline)
+    trunk = ParticipantEndpoint("trunk:m:peer", Address("10.0.0.2", 5000), egress_port=0, trunk=True)
+    local = [endpoint(index) for index in range(1, 4)]
+    agent.configure_meeting("m", local + [trunk])
+    joiner = endpoint(4)
+    with feedback_installs(pipeline) as written:
+        agent.configure_meeting("m", local + [joiner, trunk])
+    receiving = [(joiner.address, ssrc) for other in local for ssrc in _ssrcs(other)]
+    sending = [(other.address, ssrc) for other in local + [trunk] for ssrc in _ssrcs(joiner)]
+    assert sorted(written, key=str) == sorted(receiving + sending, key=str)
+    assert len(written) == 3 * 2 + 4 * 2
+
+
+def test_an_unchanged_configure_opens_no_write_batch():
+    pipeline = ScallopPipeline(SFU)
+    agent = SwitchAgent(pipeline)
+    participants = [endpoint(index) for index in range(1, 6)]
+    agent.configure_meeting("m", participants)
+    updates = agent.counters.rule_updates
+    with mock.patch.object(pipeline.control, "batched_writes") as batch, table_calls() as calls:
+        agent.configure_meeting("m", list(participants))
+    assert not batch.called and not calls
+    assert agent.counters.rule_updates == updates
+    # equal but rebuilt endpoints take the full path, which writes nothing
+    stamp = write_stamp(pipeline)
+    agent.configure_meeting("m", [endpoint(index) for index in range(1, 6)])
+    assert write_stamp(pipeline) == stamp
+
+
+def _box_with_meetings(others):
+    """A box holding ``others`` three-party meetings, each with an adapted
+    stream and its feedback rules, plus meeting "m" of four, whose p2 has
+    adaptation entries as a receiver and as a sender."""
+    pipeline, agent, controller = _controller()
+    index = 100
+    for meeting in range(others):
+        trio = []
+        for _ in range(3):
+            index += 1
+            _join(controller, index, f"o{meeting}")
+            trio.append(agent.replication.meetings[f"o{meeting}"].participants[f"p{index}"])
+        _adapt(agent, trio[0], trio[1])
+    for index in range(1, 5):
+        _join(controller, index, "m")
+    members = agent.replication.meetings["m"].participants
+    _adapt(agent, members["p1"], members["p2"])
+    _adapt(agent, members["p2"], members["p3"])
+    return pipeline, agent, controller
+
+
+def test_a_leave_costs_the_same_beside_one_or_fifty_meetings():
+    costs = []
+    for others in (1, 51):
+        pipeline, agent, controller = _box_with_meetings(others)
+        assert agent.meeting_design("m") == ReplicationDesign.RA_R
+        assert agent.replication.meetings["m"].l1_xid == 2  # a partner in the group, both times
+        with table_calls() as calls, pre_writes(pipeline.pre) as writes:
+            controller.handle_signal(leave_message("m", "p2"))
+        assert not any(name == "entries" for _table, name in calls)
+        costs.append((dict(calls), {name: len(mgids) for name, mgids in writes.items()}))
+        assert len(pipeline.adaptation_table) == others
+        assert all(
+            receiver != Address("10.0.1.2", 6002) and ssrc not in (200, 201)
+            for (receiver, ssrc), _rule in pipeline.feedback_table.entries()
+        )
+    assert costs[0] == costs[1]
+
+
+def test_a_cluster_leave_makes_no_table_scan():
+    """A leave that shrinks a cascaded meeting on its box and one that
+    empties the box (its trunk subscription and the peer's go) both find
+    their rows through indexes."""
+    run = build_scenario(
+        Scenario(
+            name="cascade",
+            meetings=(MeetingSpec(participants=4, cascade=(0, 1)),),
+            backend=BackendSpec.cluster(n_sfus=2),
+            duration_s=10.0,
+        )
+    )
+    run.run_for(1.0)  # media flows: trunk routes, feedback rules, adaptation
+    for participant in ("m0-p2", "m0-p0", "m0-p1"):
+        with table_calls() as calls:
+            run.leave(0, participant)
+        assert not any(name == "entries" for _table, name in calls), participant
+    assert run.reconcile() == []
+    run.close()

@@ -5,7 +5,8 @@ sample — datapath shards must never write control-plane state, the hot path
 must stay zero-pickle, control-plane mutations must bump generations, all
 simulation randomness/time must flow through seeded RNGs and the simulator
 clock, the wire path must never materialize ``RtpPacket`` objects, and
-membership must reach the replication engine only through the switch agent.
+membership must reach the replication engine only through the switch agent,
+which (like the trunk manager) never walks a whole pipeline table.
 archlint checks those conventions mechanically at the AST level (stdlib
 ``ast`` only, no dependencies), so a violation fails CI instead of surfacing
 later as flaky nondeterminism or state leaking between shards.

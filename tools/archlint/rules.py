@@ -1,4 +1,4 @@
-"""The archlint rule set: six architecture invariants of the repro tree.
+"""The archlint rule set: seven architecture invariants of the repro tree.
 
 Each rule is grounded in a specific contract the dataplane split established
 (see ROADMAP "Enforced invariants"):
@@ -45,6 +45,12 @@ Each rule is grounded in a specific contract the dataplane split established
     releases what departed members held: outside ``repro.core.switch_agent``
     no module calls ``*.replication.sync_meeting``, ``install_meeting`` or
     ``remove_meeting``.
+
+``no-table-scan-on-membership-path``
+    A membership op costs what it changes: inside ``repro.core.switch_agent``
+    and ``repro.cluster.trunk`` nothing calls ``.entries()`` on a pipeline
+    table.  A join or leave finds its own rows through per-participant
+    indexes, so its cost does not grow with the other meetings on the box.
 """
 
 from __future__ import annotations
@@ -565,6 +571,46 @@ class OneMembershipPathRule:
         return iter(findings)
 
 
+# --------------------------------------------------------------------------- rule 7
+
+
+class NoTableScanOnMembershipPathRule:
+    """Rule 7: the membership path never walks a whole pipeline table."""
+
+    name = "no-table-scan-on-membership-path"
+    description = (
+        "calling .entries() on a pipeline table inside repro.core.switch_agent "
+        "or repro.cluster.trunk — a join or leave finds its own rows through "
+        "per-participant indexes, not a scan of the box's tables"
+    )
+
+    _MEMBERSHIP_MODULES = frozenset({"repro.core.switch_agent", "repro.cluster.trunk"})
+
+    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
+        if ctx.module not in self._MEMBERSHIP_MODULES:
+            return iter(())
+        findings: List[RawFinding] = []
+
+        class _Visitor(ScopedVisitor):
+            def visit_Call(self, node: ast.Call) -> None:
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "entries":
+                    chain = _chain_parts(dotted_name(func.value))
+                    if chain and chain[-1] in TABLE_ATTRIBUTES:
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} scans {'.'.join(chain)}.entries() on the "
+                                "membership path — index the participant's own rows instead",
+                            )
+                        )
+                self.generic_visit(node)
+
+        _Visitor(ctx).visit(ctx.tree)
+        return iter(findings)
+
+
 ALL_RULES = (
     ShareNothingRule(),
     ZeroPickleRule(),
@@ -572,4 +618,5 @@ ALL_RULES = (
     DeterminismRule(),
     WireHygieneRule(),
     OneMembershipPathRule(),
+    NoTableScanOnMembershipPathRule(),
 )
