@@ -33,6 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..rtp.packet import SEQ_MOD, seq_add, seq_delta
 
+#: Half the 16-bit sequence space: ``0 < (a - b) % SEQ_MOD < HALF_SEQ`` is
+#: ``seq_delta(a, b) > 0``, the form the per-packet paths inline.
+HALF_SEQ = SEQ_MOD // 2
+
 
 @dataclass(frozen=True)
 class SkipCadence:
@@ -99,7 +103,9 @@ class _RewriterBase:
             self.packets_dropped_for_safety += 1
             return None
         self._emitted.add(rewritten)
-        if self._emit_horizon is None or seq_delta(rewritten, self._emit_horizon) > 0:
+        horizon = self._emit_horizon
+        # seq_delta(rewritten, horizon) > 0, inlined (once per forwarded packet)
+        if horizon is None or 0 < (rewritten - horizon) % SEQ_MOD < HALF_SEQ:
             self._emit_horizon = rewritten
         if len(self._emitted) > 4096:
             # Bounded like hardware state; forget the distant past.  "Distant"
@@ -218,9 +224,8 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
             # must be wrap-aware: a plain max() freezes at 65535 after the
             # frame counter wraps (~18 min at 60 fps) and then misclassifies
             # every late packet against the stale pre-wrap value
-            if self.highest_suppressed_frame is None or seq_delta(
-                frame_number, self.highest_suppressed_frame
-            ) > 0:
+            highest = self.highest_suppressed_frame
+            if highest is None or 0 < (frame_number - highest) % SEQ_MOD < HALF_SEQ:
                 self.highest_suppressed_frame = frame_number
 
         if self.highest_seq is None:
@@ -232,7 +237,8 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
                 return None
             return self._emit(sequence_number)
 
-        delta = seq_delta(sequence_number, self.highest_seq)
+        # seq_delta(sequence_number, highest_seq), inlined
+        delta = (sequence_number - self.highest_seq + HALF_SEQ) % SEQ_MOD - HALF_SEQ
 
         if delta >= 1:
             missing = delta - 1
@@ -259,7 +265,8 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
             if not forward:
                 self._current_frame_suppressed = True
             self.highest_seq = sequence_number
-            if self.highest_frame is None or seq_delta(frame_number, self.highest_frame) > 0:
+            highest = self.highest_frame
+            if highest is None or 0 < (frame_number - highest) % SEQ_MOD < HALF_SEQ:
                 self.highest_frame = frame_number
             if not forward:
                 self.offset += 1
@@ -273,9 +280,8 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
             # we still know the offset that applied when this frame started
             offset = self._frame_offsets.get(frame_number, self.offset)
             return self._register((sequence_number - offset) % SEQ_MOD)
-        if self.highest_suppressed_frame is not None and seq_delta(
-            frame_number, self.highest_suppressed_frame
-        ) <= 0:
+        highest = self.highest_suppressed_frame
+        if highest is not None and not 0 < (frame_number - highest) % SEQ_MOD < HALF_SEQ:
             # late packet of a frame that may have been suppressed: drop silently
             return None
         if delta >= -2:
@@ -321,14 +327,20 @@ class SequenceRewriterLowRetransmission(_RewriterBase):
         self.frame_highest_seq = sequence_number
         self.frame_number_current = frame_number
         self.frame_ended = False
-        self._frame_offsets[frame_number] = self.offset
-        if len(self._frame_offsets) > 8:
-            # keep the 8 most recent frames in wrap-aware order; a numeric
-            # sort would evict the fresh post-wrap (low-numbered) frames
-            for old in sorted(
-                self._frame_offsets, key=lambda f: (frame_number - f) % SEQ_MOD
-            )[8:]:
-                del self._frame_offsets[old]
+        offsets = self._frame_offsets
+        offsets[frame_number] = self.offset
+        if len(offsets) > 8:
+            # keep the 8 most recent frames: at most 9 are held, so one pass
+            # evicts the frame furthest behind the new one in wrap-aware order
+            # (a numeric minimum would evict the fresh post-wrap, low-numbered
+            # frames); on a tie the later-inserted frame goes
+            oldest = frame_number
+            oldest_behind = -1
+            for frame in offsets:
+                behind = (frame_number - frame) % SEQ_MOD
+                if behind >= oldest_behind:
+                    oldest, oldest_behind = frame, behind
+            del offsets[oldest]
 
     def mark_frame_ended(self) -> None:
         """Called when the end-of-frame packet has been observed."""

@@ -380,12 +380,17 @@ class SwitchAgent:
         elif datagram.kind == PayloadKind.RTCP:
             for packet in datagram.payload:  # type: ignore[union-attr]
                 self._handle_rtcp(datagram.src, packet)
-        elif datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, RtpPacket):
-            self._handle_extended_descriptor(datagram.src, datagram.payload)
-        elif datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, PacketView):
-            # wire-native CPU copy (extended descriptor punt): the agent is
-            # software — decoding once here is precisely the paper's split
-            self._handle_extended_descriptor(datagram.src, datagram.payload.to_packet())
+        elif datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, (RtpPacket, PacketView)):
+            payload = datagram.payload
+            try:
+                # a wire-native copy is decoded here, once: the agent is
+                # software, which is precisely the paper's split
+                packet = payload if isinstance(payload, RtpPacket) else payload.to_packet()
+                self._handle_extended_descriptor(datagram.src, packet)
+            except ValueError:
+                # a damaged packet the data plane punted (counted above): no
+                # descriptor to analyse
+                return
 
     def _handle_stun(self, datagram: Datagram) -> None:
         message: StunMessage = datagram.payload  # type: ignore[assignment]

@@ -9,7 +9,11 @@ descriptor and extract its template id.  Anything beyond those capabilities
 RTCP compound payloads) must be punted to the switch CPU.
 
 This module reproduces exactly that capability envelope, operating on the same
-byte layouts as the real protocols (via the codecs in :mod:`repro.rtp`).
+byte layouts as the real protocols.  Like the hardware, the RTP parse reads
+header bytes at offsets: it walks the extension elements in place and builds
+no extension, element or descriptor object (the object-model walk it
+replaced, :func:`repro.rtp.extensions.decode_extensions` plus
+:meth:`DependencyDescriptor.parse_prefix`, is the test suite's reference).
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.datagram import Datagram, PayloadKind
-from ..rtp.av1 import DependencyDescriptor
-from ..rtp.extensions import (
-    EXT_ID_AV1_DEPENDENCY_DESCRIPTOR,
-    decode_extensions,
+from ..rtp.extensions import EXT_ID_AV1_DEPENDENCY_DESCRIPTOR
+from ..rtp.packet import (
+    EXTENSION_PROFILE_ONE_BYTE,
+    EXTENSION_PROFILE_TWO_BYTE,
+    PT_AUDIO_OPUS,
+    RtpPacket,
 )
-from ..rtp.packet import PT_AUDIO_OPUS, RtpPacket
 from ..rtp.wire import PacketView
 from ..rtp.rtcp import (
     Nack,
@@ -88,6 +93,21 @@ class ParseResult:
         object.__setattr__(self, "cpu_copy", self.needs_cpu and self.has_extended_descriptor)
 
 
+def rtp_parse_key(packet: "RtpPacket | PacketView") -> tuple:
+    """The memoized-parse key: ``(ssrc, payload_type[, profile, extension
+    bytes])``, exactly the fields the parse outcome depends on.  A wire
+    packet whose extension runs past its buffer keys with ``None`` bytes
+    (see :meth:`PacketView.parse_key`)."""
+    if isinstance(packet, PacketView):
+        return packet.parse_key()
+    extension = packet.extension
+    if extension is None:
+        return (packet.ssrc, packet.payload_type)
+    # flatten to (profile, bytes): bytes cache their hash, the frozen
+    # dataclass recomputes it on every lookup
+    return (packet.ssrc, packet.payload_type, extension.profile, extension.data)
+
+
 class IngressParser:
     """The bounded-capability parser at the front of the ingress pipeline."""
 
@@ -122,9 +142,7 @@ class IngressParser:
         if datagram.kind == PayloadKind.RTP and isinstance(
             datagram.payload, (RtpPacket, PacketView)
         ):
-            # _parse_rtp reads only payload_type/ssrc/extension, which both
-            # the object model and the wire-native view expose identically
-            return self._parse_rtp(datagram.payload)
+            return self._parse_rtp(*rtp_parse_key(datagram.payload))
         return ParseResult(packet_class=PacketClass.UNKNOWN, needs_cpu=True)
 
     def parse_rtp_cached(self, packet: RtpPacket) -> ParseResult:
@@ -134,17 +152,10 @@ class IngressParser:
         and the raw header-extension bytes, so packets of the same stream
         whose extension block repeats (every non-boundary packet of a frame,
         and RTX copies) reuse the frozen :class:`ParseResult` instead of
-        walking the extension elements again.  Punt/parse counters advance
+        reading the block's bytes again.  Punt/parse counters advance
         exactly as on the uncached path so the accounting stays identical.
         """
-        extension = packet.extension
-        if extension is None:
-            key = (packet.ssrc, packet.payload_type)
-        else:
-            # flatten to (profile, bytes): bytes cache their hash, the frozen
-            # dataclass recomputes it on every lookup
-            key = (packet.ssrc, packet.payload_type, extension.profile, extension.data)
-        return self._memoized_parse(key, packet)
+        return self._memoized_parse(rtp_parse_key(packet))
 
     def parse_rtp_wire_cached(self, view: PacketView) -> ParseResult:
         """Memoized RTP parse for wire-native packets (the zero-decode path).
@@ -152,25 +163,31 @@ class IngressParser:
         Shares the memo dictionary (and key space) with
         :meth:`parse_rtp_cached`: the key is the tuple of exactly the bytes
         the parse outcome depends on, so mixed wire/object traffic of the
-        same stream hits one cache.  The header fields are read straight off
-        the buffer; only a cache miss walks the extension elements (through
-        the same :meth:`_parse_rtp` the object path uses, so the resulting
-        :class:`ParseResult` is identical field for field).
+        same stream hits one cache.
         """
-        return self._memoized_parse(view.parse_key(), view)
+        return self._memoized_parse(view.parse_key())
 
-    def _memoized_parse(self, key: tuple, packet: "RtpPacket | PacketView") -> ParseResult:
-        """Shared cache lookup + punt/parse accounting for both RTP fast
-        paths (object and wire build only the key differently)."""
+    def _memoized_parse(self, key: tuple) -> ParseResult:
+        """Memo probe plus punt/parse/hit accounting for both RTP fast paths
+        (the pipeline's media paths inline the probe and the hit accounting
+        and call :meth:`_parse_and_memoize` on a miss)."""
         cached = self._rtp_parse_cache.get(key)
-        if cached is not None:
-            self.packets_parsed += 1
-            if cached.needs_cpu:
-                self.cpu_punts += 1
-            self.parse_cache_hits += 1
-            return cached
-        result = self._parse_rtp(packet)
+        if cached is None:
+            return self._parse_and_memoize(key)
         self.packets_parsed += 1
+        if cached.needs_cpu:
+            self.cpu_punts += 1
+        self.parse_cache_hits += 1
+        return cached
+
+    def _parse_and_memoize(self, key: tuple) -> ParseResult:
+        """The memo's miss path: parses from the key's own fields, so the
+        packet is not read again.  A damaged packet's punt is never memoized,
+        so junk cannot fill the memo."""
+        result = self._parse_rtp(*key)
+        self.packets_parsed += 1
+        if result.packet_class is PacketClass.UNKNOWN:
+            return result
         cache = self._rtp_parse_cache
         if len(cache) >= self.PARSE_CACHE_LIMIT:
             cache.clear()
@@ -188,9 +205,28 @@ class IngressParser:
 
     # -- RTP -----------------------------------------------------------------------
 
-    def _parse_rtp(self, packet: "RtpPacket | PacketView") -> ParseResult:
-        if packet.payload_type == PT_AUDIO_OPUS:
-            return ParseResult(packet_class=PacketClass.RTP_AUDIO, ssrc=packet.ssrc, parse_depth=12)
+    def _parse_rtp(
+        self,
+        ssrc: int,
+        payload_type: int,
+        profile: Optional[int] = None,
+        block: Optional[bytes] = b"",
+    ) -> ParseResult:
+        """The byte-level RTP parse: ``(ssrc, payload type, extension
+        profile, extension block) -> ParseResult``.
+
+        Walks the RFC 8285 one-byte or two-byte elements in place, as the
+        Tofino parse graph does, and reads the AV1 dependency descriptor's
+        flags and frame number at fixed offsets of its element.  A block the
+        element walk cannot decode (an element running past the block, a
+        one-byte element with id 0) or an extension that runs past the packet
+        (``block is None``, see :meth:`PacketView.parse_key`) is a damaged
+        packet: counted as an ``UNKNOWN`` CPU punt, never forwarded.
+        """
+        if block is None:
+            return self._damaged(ssrc)
+        if payload_type == PT_AUDIO_OPUS:
+            return ParseResult(packet_class=PacketClass.RTP_AUDIO, ssrc=ssrc, parse_depth=12)
 
         template_id: Optional[int] = None
         frame_number: Optional[int] = None
@@ -199,47 +235,78 @@ class IngressParser:
         needs_cpu = False
         depth = 12
 
-        elements = decode_extensions(packet.extension)
-        for index, element in enumerate(elements):
-            depth += 2 + len(element.data)
-            if index >= self.max_extension_elements:
-                # the parse graph ran out of landing states; give up on the DD
-                needs_cpu = False
-                break
-            if element.ext_id != EXT_ID_AV1_DEPENDENCY_DESCRIPTOR:
+        one_byte = profile == EXTENSION_PROFILE_ONE_BYTE
+        if one_byte or (profile is not None and profile & 0xFFF0 == EXTENSION_PROFILE_TWO_BYTE):
+            size = len(block)
+        else:
+            size = 0  # no extension, or a profile the parse graph cannot enter
+        # every element is decoded (a damaged one anywhere punts the packet),
+        # but the descriptor is looked for only until the walk lands
+        landed = False
+        index = 0
+        offset = 0
+        while offset < size:
+            byte = block[offset]
+            if byte == 0:  # padding
+                offset += 1
                 continue
-            try:
-                descriptor = DependencyDescriptor.parse_prefix(element.data)
-            except ValueError:
-                needs_cpu = True
-                break
-            template_id = descriptor.template_id
-            frame_number = descriptor.frame_number
-            start = descriptor.start_of_frame
-            end = descriptor.end_of_frame
-            if len(element.data) > self.max_dd_bytes:
-                # extended descriptor (template structure) - data plane cannot
-                # parse it; the packet is still forwarded, but a copy goes to
-                # the switch agent for SVC analysis.
-                extended = True
-                needs_cpu = True
-            break
+            if one_byte:
+                ext_id = byte >> 4
+                if ext_id == 15:  # reserved id: terminates the block
+                    break
+                if ext_id == 0:
+                    return self._damaged(ssrc)
+                length = (byte & 0x0F) + 1
+                offset += 1
+            else:
+                if offset + 2 > size:
+                    return self._damaged(ssrc)
+                ext_id = byte
+                length = block[offset + 1]
+                offset += 2
+            stop = offset + length
+            if stop > size:
+                return self._damaged(ssrc)
+            if not landed:
+                depth += 2 + length
+                if index >= self.max_extension_elements:
+                    # the parse graph ran out of landing states; give up on the DD
+                    landed = True
+                elif ext_id == EXT_ID_AV1_DEPENDENCY_DESCRIPTOR:
+                    landed = True
+                    if length < 3:
+                        needs_cpu = True  # shorter than the mandatory prefix
+                    else:
+                        flags = block[offset]
+                        template_id = flags & 0x1F
+                        frame_number = (block[offset + 1] << 8) | block[offset + 2]
+                        start = bool(flags & 0x80)
+                        end = bool(flags & 0x40)
+                        if length > self.max_dd_bytes:
+                            # extended descriptor (template structure) - data
+                            # plane cannot parse it; the packet is still
+                            # forwarded, but a copy goes to the switch agent
+                            # for SVC analysis.
+                            extended = True
+                            needs_cpu = True
+                index += 1
+            offset = stop
 
         if needs_cpu:
             self.cpu_punts += 1
-        # Minted via __new__ + a prepared __dict__: the AV1 dependency
-        # descriptor makes video extension bytes distinct per frame, so this
-        # runs on every parse-cache miss and the frozen-dataclass __init__
-        # (one object.__setattr__ per field) is the dominant cost.  The dict
-        # carries every field, including the derived ones __post_init__
-        # computes, so the result is field-identical to the constructor's.
+        # Minted via __new__ + a prepared __dict__ (one dict build instead of
+        # the frozen-dataclass __init__'s object.__setattr__ per field): the
+        # descriptor's frame number makes video extension bytes distinct per
+        # frame, so this runs on most video packets.  The dict carries every
+        # field, including the derived ones __post_init__ computes, so the
+        # result is field-identical to the constructor's.
         result = ParseResult.__new__(ParseResult)
         object.__setattr__(
             result,
             "__dict__",
             {
                 "packet_class": PacketClass.RTP_VIDEO,
-                "ssrc": packet.ssrc,
+                "ssrc": ssrc,
                 "template_id": template_id,
                 "frame_number": frame_number,
                 "start_of_frame": start,
@@ -253,6 +320,13 @@ class IngressParser:
             },
         )
         return result
+
+    def _damaged(self, ssrc: int) -> ParseResult:
+        """A packet whose header extension cannot be decoded: punted."""
+        self.cpu_punts += 1
+        return ParseResult(
+            packet_class=PacketClass.UNKNOWN, ssrc=ssrc, needs_cpu=True, parse_depth=12
+        )
 
     # -- RTCP ----------------------------------------------------------------------
 

@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence
 from ..netsim.datagram import Address, Datagram, PayloadKind
 from ..obs.hooks import DatapathObs, ObsConfig
 from ..rtp.packet import RTP_HEADER_LEN, RtpPacket
-from ..rtp.wire import PacketView
+from ..rtp.wire import _EXT_HEADER, _FIXED_HEADER, PacketView
 from ..rtp.rtcp import (
     Nack,
     PictureLossIndication,
@@ -271,8 +271,9 @@ class PipelineResult:
 class _CachedResolution:
     """Memoized outcome of ingress match + PRE replication for one flow.
 
-    ``targets`` pairs every egress target with its rate-adaptation entry (or
-    ``None``), saving the per-replica adaptation-table lookup on the hot path.
+    ``addressed`` pairs every egress target's address with its rate-adaptation
+    entry (or ``None``), saving the per-replica adaptation-table lookup on the
+    hot path.
     ``raw_replicas`` is the PRE copy count before egress filtering (``None``
     for unicast flows, which never enter the PRE) and ``replica_misses`` the
     number of replica-table misses; both are replayed into the counters on
@@ -289,7 +290,7 @@ class _CachedResolution:
     """
 
     __slots__ = (
-        "targets",
+        "addressed",
         "raw_replicas",
         "replica_misses",
         "addresses",
@@ -299,15 +300,15 @@ class _CachedResolution:
 
     def __init__(
         self,
-        targets: Tuple[Tuple[ReplicaTarget, Optional[AdaptationEntry]], ...],
+        addressed: Tuple[Tuple[Address, Optional[AdaptationEntry]], ...],
         raw_replicas: Optional[int],
         replica_misses: int,
     ) -> None:
-        self.targets = targets
+        self.addressed = addressed
         self.raw_replicas = raw_replicas
         self.replica_misses = replica_misses
-        self.addresses = tuple(target.address for target, _adaptation in targets)
-        self.has_adaptation = any(adaptation is not None for _target, adaptation in targets)
+        self.addresses = tuple(address for address, _adaptation in addressed)
+        self.has_adaptation = any(adaptation is not None for _address, adaptation in addressed)
         self.meta_proxy: Optional[MappingProxyType] = None
 
 
@@ -931,8 +932,8 @@ class PipelineDatapath:
         """
         packet: RtpPacket = datagram.payload  # type: ignore[assignment]
         # parse_rtp_cached with the hit path inlined (key build + probe +
-        # the exact hit accounting of IngressParser._memoized_parse, which
-        # still owns the miss path)
+        # the exact hit accounting of IngressParser._memoized_parse; its
+        # miss path is IngressParser._parse_and_memoize)
         parser = self.parser
         ssrc = packet.ssrc
         extension = packet.extension
@@ -943,7 +944,9 @@ class PipelineDatapath:
         parse = parser._rtp_parse_cache.get(pkey)
         parse_hit = parse is not None
         if parse is None:
-            parse = parser._memoized_parse(pkey, packet)
+            parse = parser._parse_and_memoize(pkey)
+            if parse.packet_class is PacketClass.UNKNOWN:
+                return self._punt_damaged(datagram, parse, tally)
         else:
             acc[0] += 1
             if parse.needs_cpu:
@@ -1012,17 +1015,7 @@ class PipelineDatapath:
             layer = 0
             resolution = state.res0
         if resolution is None:
-            targets, raw_replicas, misses = self._resolve_targets_detail(entry, layer)
-            adaptation_lookup = self.adaptation_table.lookup
-            paired = tuple(
-                (target, adaptation_lookup((ssrc, target.address)))
-                for target in targets
-            )
-            resolution = _CachedResolution(paired, raw_replicas, misses)
-            if state.layered:
-                state.by_layer[layer] = resolution
-            else:
-                state.res0 = resolution
+            resolution = self._resolve_and_cache(state, entry, layer, ssrc)
         else:
             # replay the per-packet accounting the uncached path would do
             # (deferred through acc; folded at the batch boundary)
@@ -1035,49 +1028,42 @@ class PipelineDatapath:
 
         arrived_at = datagram.arrived_at
         schedule = None if arrived_at is None else arrived_at + SWITCH_FORWARDING_DELAY_S
+        if datagram.meta:
+            meta = MappingProxyType(dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc))
+        else:
+            meta = resolution.meta_proxy
+            if meta is None:
+                meta = resolution.meta_proxy = MappingProxyType(
+                    {"origin": datagram.src, "origin_ssrc": ssrc}
+                )
+        # RtpPacket.size inlined (extension is already in hand from the parse
+        # key); stamps the same derived value the property returns, which a
+        # sequence-number rewrite does not change
+        out_size = RTP_HEADER_LEN + 4 * len(packet.csrcs) + len(packet.payload)
+        if extension is not None:
+            out_size += 4 + len(extension.data)
+        # every replica is a C-level copy of this prepared field dict made
+        # the instance __dict__ of a bare Datagram (no __init__, no size or
+        # kind derivation)
+        base_copy = {
+            "src": self.sfu_address,
+            "dst": None,
+            "payload": packet,
+            "size": out_size,
+            "kind": PayloadKind.RTP,
+            "sent_at": 0.0,
+            "arrived_at": schedule,
+            "meta": meta,
+        }.copy
+        new_datagram = Datagram.__new__
+        set_state = object.__setattr__
+        append = outputs.append
 
         if not (resolution.has_adaptation and parse.is_video):
             # no replica of this flow is rate-adapted (or the packet is
             # audio, which adaptation never touches): every target receives
             # the ingress payload unchanged
             addresses = resolution.addresses
-            if not addresses:
-                if traced:
-                    self.obs.record_media(
-                        datagram.src.ip, datagram.src.port, ssrc, packet.sequence_number,
-                        arrived_at, size, parse_hit, flow_hit, 0, 0, False,
-                    )
-                return result
-            if datagram.meta:
-                meta = MappingProxyType(
-                    dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
-                )
-            else:
-                meta = resolution.meta_proxy
-                if meta is None:
-                    meta = resolution.meta_proxy = MappingProxyType(
-                        {"origin": datagram.src, "origin_ssrc": ssrc}
-                    )
-            # RtpPacket.size inlined (extension is already in hand from the
-            # parse key); stamps the same derived value the property returns
-            out_size = RTP_HEADER_LEN + 4 * len(packet.csrcs) + len(packet.payload)
-            if extension is not None:
-                out_size += 4 + len(extension.data)
-            # per-replica state dicts are C-level copies of one prepared base
-            # (measurably cheaper than building the literal per replica)
-            base_copy = {
-                "src": self.sfu_address,
-                "dst": None,
-                "payload": packet,
-                "size": out_size,
-                "kind": PayloadKind.RTP,
-                "sent_at": 0.0,
-                "arrived_at": schedule,
-                "meta": meta,
-            }.copy
-            new_datagram = Datagram.__new__
-            set_state = object.__setattr__
-            append = outputs.append
             for address in addresses:
                 out = new_datagram(Datagram)
                 instance = base_copy()
@@ -1092,30 +1078,13 @@ class PipelineDatapath:
                 )
             return result
 
-        # rate-adapted video: per-replica rewrite decisions (the stateful
-        # path, kept on the original per-target loop)
+        # rate-adapted video: per-replica rewrite decisions (the stateful path)
         template_id = parse.template_id
         frame_number = parse.frame_number if parse.frame_number is not None else 0
         sequence_number = packet.sequence_number
-        shared_meta = None
-        # template of the replica datagrams; instances are minted by copying
-        # the prepared field dict, skipping the frozen-dataclass __init__ and
-        # the size/kind derivation that dominate per-copy construction cost
-        fields = {
-            "src": self.sfu_address,
-            "dst": None,
-            "payload": packet,
-            "size": packet.size,
-            "kind": PayloadKind.RTP,
-            "sent_at": 0.0,
-            "arrived_at": schedule,
-            "meta": None,
-        }
         trackers_read = self.trackers.read
-        mint = Datagram.from_fields
-        copy_fields = dict
-        replicas_out = 0
-        for target, adaptation in resolution.targets:
+        dropped = 0
+        for address, adaptation in resolution.addressed:
             out_packet: Optional[RtpPacket] = packet
             if adaptation is not None:
                 # inline _apply_adaptation with the table lookup pre-resolved
@@ -1127,25 +1096,22 @@ class PipelineDatapath:
                     new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
                     out_packet = None if new_seq is None else packet.with_sequence_number(new_seq)
                 if out_packet is None:
-                    result.dropped_replicas += 1
-                    counters.adaptation_drops += 1
+                    dropped += 1
                     continue
-            if shared_meta is None:
-                shared_meta = MappingProxyType(
-                    dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
-                )
-                fields["meta"] = shared_meta
-            instance_fields = copy_fields(fields)
-            instance_fields["dst"] = target.address
-            instance_fields["payload"] = out_packet
-            outputs.append(mint(instance_fields))
-            replicas_out += 1
-        acc[4] += replicas_out
+            out = new_datagram(Datagram)
+            instance = base_copy()
+            instance["dst"] = address
+            instance["payload"] = out_packet
+            set_state(out, "__dict__", instance)
+            append(out)
+        if dropped:
+            result.dropped_replicas = dropped
+            counters.adaptation_drops += dropped
+        acc[4] += len(outputs)
         if traced:
             self.obs.record_media(
                 datagram.src.ip, datagram.src.port, ssrc, sequence_number,
-                arrived_at, size, parse_hit, flow_hit,
-                replicas_out, result.dropped_replicas, True,
+                arrived_at, size, parse_hit, flow_hit, len(outputs), dropped, True,
             )
         return result
 
@@ -1154,25 +1120,48 @@ class PipelineDatapath:
     ) -> PipelineResult:
         """Wire-native twin of :meth:`_process_media_fast`.
 
-        The payload is a :class:`~repro.rtp.wire.PacketView` — raw wire bytes
-        with struct-offset accessors — so no :class:`RtpPacket` is ever
-        constructed: header fields are read straight off the buffer, flow
-        resolution shares the same memoized caches as the object path, and
-        sequence rewriting patches a single ``bytearray`` copy in place per
-        rewritten replica (replicas that need no rewrite alias the ingress
-        buffer).  Outputs serialize byte-identically to the object path's,
-        and every counter advances identically (property-tested in
+        The payload is a :class:`~repro.rtp.wire.PacketView`, and the path
+        works on its bytes and ints: one unpack of the 12-byte fixed header
+        yields the SSRC and sequence number and, with a bounds-checked slice
+        of the extension block, the parse-memo key; a memo miss runs the
+        parser's byte-level parse on that key.  No ``RtpPacket`` or
+        extension object is built.  Flow resolution shares the memoized
+        caches of the object path; replicas that need no rewrite alias the
+        ingress view, a rewritten one patches a single ``bytearray`` copy,
+        and every replica is minted from a prepared field dict.  Outputs
+        serialize byte-identically to the object path's, and every counter
+        advances identically (property-tested in
         ``tests/test_wire_packet_view.py``).
         """
         view: PacketView = datagram.payload  # type: ignore[assignment]
-        # parse_rtp_wire_cached with the hit path inlined (same hit
-        # accounting as IngressParser._memoized_parse, which owns the miss)
+        buf = view.buf
+        first, second, sequence_number, _timestamp, ssrc = _FIXED_HEADER.unpack_from(buf, 0)
+        # PacketView.parse_key inlined on the fields just unpacked
+        if first & 0x10:
+            base = RTP_HEADER_LEN + 4 * (first & 0x0F)
+            if base + 4 > len(buf):
+                pkey: tuple = (ssrc, second & 0x7F, None, None)
+            else:
+                profile, ext_words = _EXT_HEADER.unpack_from(buf, base)
+                stop = base + 4 + 4 * ext_words
+                pkey = (
+                    ssrc,
+                    second & 0x7F,
+                    profile,
+                    bytes(buf[base + 4 : stop]) if stop <= len(buf) else None,
+                )
+        else:
+            pkey = (ssrc, second & 0x7F)
+        # the memo probe with the hit accounting of
+        # IngressParser._memoized_parse inlined (a miss goes to its
+        # _parse_and_memoize)
         parser = self.parser
-        pkey = view.parse_key()
         parse = parser._rtp_parse_cache.get(pkey)
         parse_hit = parse is not None
         if parse is None:
-            parse = parser._memoized_parse(pkey, view)
+            parse = parser._parse_and_memoize(pkey)
+            if parse.packet_class is PacketClass.UNKNOWN:
+                return self._punt_damaged(datagram, parse, tally)
         else:
             acc[0] += 1
             if parse.needs_cpu:
@@ -1190,7 +1179,6 @@ class PipelineDatapath:
         counters = self.counters
         size = datagram.size
 
-        ssrc = parse.ssrc if parse.ssrc is not None else view.ssrc
         flow = (datagram.src, ssrc)
         flow_cache = self._flow_cache
         state = flow_cache.get(flow)
@@ -1217,7 +1205,7 @@ class PipelineDatapath:
                 slot[1] += size
             if traced:
                 self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, view.sequence_number,
+                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
                     datagram.arrived_at, size, parse_hit, flow_hit, 0, 0, False,
                 )
             return result
@@ -1240,17 +1228,7 @@ class PipelineDatapath:
             layer = 0
             resolution = state.res0
         if resolution is None:
-            targets, raw_replicas, misses = self._resolve_targets_detail(entry, layer)
-            adaptation_lookup = self.adaptation_table.lookup
-            paired = tuple(
-                (target, adaptation_lookup((ssrc, target.address)))
-                for target in targets
-            )
-            resolution = _CachedResolution(paired, raw_replicas, misses)
-            if state.layered:
-                state.by_layer[layer] = resolution
-            else:
-                state.res0 = resolution
+            resolution = self._resolve_and_cache(state, entry, layer, ssrc)
         else:
             raw = resolution.raw_replicas
             if raw is not None:
@@ -1261,41 +1239,35 @@ class PipelineDatapath:
 
         arrived_at = datagram.arrived_at
         schedule = None if arrived_at is None else arrived_at + SWITCH_FORWARDING_DELAY_S
+        if datagram.meta:
+            meta = MappingProxyType(dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc))
+        else:
+            meta = resolution.meta_proxy
+            if meta is None:
+                meta = resolution.meta_proxy = MappingProxyType(
+                    {"origin": datagram.src, "origin_ssrc": ssrc}
+                )
+        # every replica is a C-level copy of this prepared field dict made
+        # the instance __dict__ of a bare Datagram (no __init__, no size or
+        # kind derivation)
+        base_copy = {
+            "src": self.sfu_address,
+            "dst": None,
+            "payload": view,
+            "size": size,
+            "kind": PayloadKind.RTP,
+            "sent_at": 0.0,
+            "arrived_at": schedule,
+            "meta": meta,
+        }.copy
+        new_datagram = Datagram.__new__
+        set_state = object.__setattr__
+        append = outputs.append
 
         if not (resolution.has_adaptation and parse.is_video):
             # no replica is rate-adapted: every target gets the ingress bytes
             # unchanged
             addresses = resolution.addresses
-            if not addresses:
-                if traced:
-                    self.obs.record_media(
-                        datagram.src.ip, datagram.src.port, ssrc, view.sequence_number,
-                        arrived_at, size, parse_hit, flow_hit, 0, 0, False,
-                    )
-                return result
-            if datagram.meta:
-                meta = MappingProxyType(
-                    dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
-                )
-            else:
-                meta = resolution.meta_proxy
-                if meta is None:
-                    meta = resolution.meta_proxy = MappingProxyType(
-                        {"origin": datagram.src, "origin_ssrc": ssrc}
-                    )
-            base_copy = {
-                "src": self.sfu_address,
-                "dst": None,
-                "payload": view,
-                "size": size,
-                "kind": PayloadKind.RTP,
-                "sent_at": 0.0,
-                "arrived_at": schedule,
-                "meta": meta,
-            }.copy
-            new_datagram = Datagram.__new__
-            set_state = object.__setattr__
-            append = outputs.append
             for address in addresses:
                 out = new_datagram(Datagram)
                 instance = base_copy()
@@ -1305,32 +1277,18 @@ class PipelineDatapath:
             acc[4] += len(addresses)
             if traced:
                 self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, view.sequence_number,
+                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
                     arrived_at, size, parse_hit, flow_hit, len(addresses), 0, False,
                 )
             return result
 
         # rate-adapted video: per-replica rewrite decisions over the wire
-        # buffer (the stateful path, kept on the original per-target loop)
+        # buffer (the stateful path)
         template_id = parse.template_id
         frame_number = parse.frame_number if parse.frame_number is not None else 0
-        sequence_number = -1  # decoded lazily: only rewritten flows need it
-        shared_meta = None
-        fields = {
-            "src": self.sfu_address,
-            "dst": None,
-            "payload": view,
-            "size": size,
-            "kind": PayloadKind.RTP,
-            "sent_at": 0.0,
-            "arrived_at": schedule,
-            "meta": None,
-        }
         trackers_read = self.trackers.read
-        mint = Datagram.from_fields
-        copy_fields = dict
-        replicas_out = 0
-        for target, adaptation in resolution.targets:
+        dropped = 0
+        for address, adaptation in resolution.addressed:
             out_payload: Optional[PacketView] = view
             if adaptation is not None:
                 forward = template_id is None or template_id in adaptation.allowed_templates
@@ -1338,38 +1296,57 @@ class PipelineDatapath:
                 if rewriter is None:
                     out_payload = view if forward else None
                 else:
-                    if sequence_number < 0:
-                        sequence_number = view.sequence_number
                     new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
                     if new_seq is None:
                         out_payload = None
-                    elif new_seq == sequence_number:
-                        # byte-identical rewrite: alias the ingress buffer
-                        out_payload = view
-                    else:
+                    elif new_seq != sequence_number:
                         out_payload = view.with_sequence_number(new_seq)
+                    # else: a byte-identical rewrite aliases the ingress view
                 if out_payload is None:
-                    result.dropped_replicas += 1
-                    counters.adaptation_drops += 1
+                    dropped += 1
                     continue
-            if shared_meta is None:
-                shared_meta = MappingProxyType(
-                    dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc)
-                )
-                fields["meta"] = shared_meta
-            instance_fields = copy_fields(fields)
-            instance_fields["dst"] = target.address
-            instance_fields["payload"] = out_payload
-            outputs.append(mint(instance_fields))
-            replicas_out += 1
-        acc[4] += replicas_out
+            out = new_datagram(Datagram)
+            instance = base_copy()
+            instance["dst"] = address
+            instance["payload"] = out_payload
+            set_state(out, "__dict__", instance)
+            append(out)
+        if dropped:
+            result.dropped_replicas = dropped
+            counters.adaptation_drops += dropped
+        acc[4] += len(outputs)
         if traced:
             self.obs.record_media(
-                datagram.src.ip, datagram.src.port, ssrc, view.sequence_number,
-                arrived_at, size, parse_hit, flow_hit,
-                replicas_out, result.dropped_replicas, True,
+                datagram.src.ip, datagram.src.port, ssrc, sequence_number,
+                arrived_at, size, parse_hit, flow_hit, len(outputs), dropped, True,
             )
         return result
+
+    def _resolve_and_cache(
+        self, state: _FlowFastState, entry: StreamForwardingEntry, layer: int, ssrc: int
+    ) -> _CachedResolution:
+        """Resolve a flow's egress targets (PRE walk, replica and adaptation
+        lookups) and memoize them in its fast-path slot."""
+        targets, raw_replicas, misses = self._resolve_targets_detail(entry, layer)
+        adaptation_lookup = self.adaptation_table.lookup
+        resolution = _CachedResolution(
+            tuple((target.address, adaptation_lookup((ssrc, target.address))) for target in targets),
+            raw_replicas,
+            misses,
+        )
+        if state.layered:
+            state.by_layer[layer] = resolution
+        else:
+            state.res0 = resolution
+        return resolution
+
+    def _punt_damaged(
+        self, datagram: Datagram, parse: ParseResult, tally: Dict[Tuple[str, bool], List[int]]
+    ) -> PipelineResult:
+        """A media packet whose header extension cannot be decoded: counted
+        as a CPU punt (as :meth:`_punt` does), no replica."""
+        PipelineCounters.accumulate(tally, parse.class_value, True, datagram.size)
+        return PipelineResult(parse=parse, cpu_copies=[datagram])
 
     @staticmethod
     def _egress_schedule(datagram: Datagram) -> Optional[float]:
@@ -1442,25 +1419,57 @@ class PipelineDatapath:
     # -- RTCP ----------------------------------------------------------------------
 
     def _handle_sender_rtcp(self, datagram: Datagram, parse: ParseResult, result: PipelineResult) -> None:
-        """SR/SDES: replicated to the sender's receivers through the data plane."""
-        self.counters.account(parse.packet_class, datagram.size, to_cpu=False)
+        """SR/SDES: replicated to the sender's receivers through the data plane.
+
+        Once the flow's media has filled its fast-path slot, the targets are
+        its layer-0 resolution there, the PRE and replica-table accounting
+        replayed as on a media hit; until then the tables are walked and
+        nothing is cached, so the slot's first fill (and the trace sampling
+        decision stamped on it) stays with the media.  Replicas carry the
+        ingress compound unchanged, so they reuse its ``size`` and ``kind``
+        instead of re-serializing it per copy.
+        """
+        counters = self.counters
+        counters.account(parse.packet_class, datagram.size, to_cpu=False)
         if parse.ssrc is None:
             return
-        entry = self.stream_table.lookup((datagram.src, parse.ssrc))
+        self._ensure_resolution_cache_fresh()
+        flow = (datagram.src, parse.ssrc)
+        state = self._flow_cache.get(flow)
+        entry = self.stream_table.lookup(flow) if state is None else state.entry
         if entry is None:
-            self.counters.table_misses += 1
+            counters.table_misses += 1
             return
-        egress_schedule = self._egress_schedule(datagram)
-        for target in self._resolve_targets(entry, parse):
-            result.outputs.append(
-                Datagram(
-                    src=self.sfu_address,
-                    dst=target.address,
-                    payload=datagram.payload,
-                    arrived_at=egress_schedule,
-                )
-            )
-            self.counters.replicas_out += 1
+        if state is None:
+            addresses = tuple(target.address for target in self._resolve_targets(entry, parse))
+        else:
+            # sender reports carry no template id: the layer-0 tree
+            resolution = state.by_layer.get(0) if state.layered else state.res0
+            if resolution is None:
+                resolution = self._resolve_and_cache(state, entry, 0, parse.ssrc)
+            else:
+                if resolution.raw_replicas is not None:
+                    self.pre.note_replication(resolution.raw_replicas)
+                counters.table_misses += resolution.replica_misses
+            addresses = resolution.addresses
+        base_copy = {
+            "src": self.sfu_address,
+            "dst": None,
+            "payload": datagram.payload,
+            "size": datagram.size,
+            "kind": datagram.kind,
+            "sent_at": 0.0,
+            "arrived_at": self._egress_schedule(datagram),
+            "meta": None,
+        }.copy
+        for address in addresses:
+            out = Datagram.__new__(Datagram)
+            instance = base_copy()
+            instance["dst"] = address
+            instance["meta"] = {}
+            object.__setattr__(out, "__dict__", instance)
+            result.outputs.append(out)
+        counters.replicas_out += len(addresses)
 
     def _handle_feedback(self, datagram: Datagram, parse: ParseResult, result: PipelineResult) -> None:
         """RR/REMB/NACK/PLI: forwarded per rules, always copied to the CPU."""

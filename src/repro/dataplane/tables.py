@@ -113,7 +113,9 @@ class RegisterArray(Generic[V]):
         self.accesses = 0
 
     def read(self, index: int) -> Optional[V]:
-        self._check_index(index)
+        # _check_index inlined: the rewriter reads one cell per adapted replica
+        if not 0 <= index < self.size:
+            raise IndexError(f"register index {index} out of range for {self.name}[{self.size}]")
         self.accesses += 1
         return self._cells[index]
 

@@ -2,9 +2,11 @@
 
 Scallop's data plane needs to walk the extension block to find the AV1
 dependency-descriptor element (see Appendix E of the paper).  This module
-implements the element-level encoding so that the data-plane parser model in
-:mod:`repro.dataplane.parser` can traverse the very same byte layout the
-hardware would, including padding bytes and variable element lengths.
+implements the element-level encoding, including padding bytes and variable
+element lengths, as objects for the endpoints and the switch agent.  The
+data-plane parser model in :mod:`repro.dataplane.parser` walks the very same
+byte layout in place, as the hardware would, and the test suite checks it
+against :func:`decode_extensions`.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def walk_extension_elements(
 
     This mirrors the depth-aware parse tree described in Appendix E: the
     hardware parser has a *landing state* per depth and uses lookahead to
-    decide what element type comes next.  The data-plane model uses the depth
-    values to enforce its maximum parsing depth.
+    decide what element type comes next (the data-plane model gives up on
+    the descriptor after ``MAX_EXTENSION_ELEMENTS`` of them).
     """
     result: List[Tuple[int, int, int]] = []
     for depth, element in enumerate(decode_extensions(extension)):

@@ -171,8 +171,10 @@ class PacketView:
         Exactly the tuple the object path's
         :meth:`~repro.dataplane.parser.IngressParser.parse_rtp_cached` uses —
         ``(ssrc, payload_type[, profile, extension bytes])`` — but assembled
-        with direct offset reads instead of chained properties, since this
-        runs once per packet on the wire fast path.
+        with direct offset reads instead of chained properties.  Bounds-checked
+        and never raises: when the extension header or its declared words run
+        past the buffer, the extension bytes are ``None`` (the profile too if
+        the header itself is cut short), which the parser punts as damaged.
         """
         buf = self.buf
         first, second, _seq, _ts, ssrc = _FIXED_HEADER.unpack_from(buf, 0)
@@ -180,9 +182,14 @@ class PacketView:
         if not first & 0x10:
             return (ssrc, payload_type)
         base = RTP_HEADER_LEN + 4 * (first & 0x0F)
+        if base + 4 > len(buf):
+            return (ssrc, payload_type, None, None)
         profile, ext_words = _EXT_HEADER.unpack_from(buf, base)
         start = base + 4
-        return (ssrc, payload_type, profile, bytes(buf[start : start + 4 * ext_words]))
+        stop = start + 4 * ext_words
+        if stop > len(buf):
+            return (ssrc, payload_type, profile, None)
+        return (ssrc, payload_type, profile, bytes(buf[start:stop]))
 
     @property
     def payload(self) -> bytes:

@@ -26,7 +26,11 @@ def reference_process(pipeline: ScallopPipeline, datagram: Datagram) -> Pipeline
         return datapath.process(datagram)
     parse = datapath.parser.parse(datagram)
     result = PipelineResult(parse=parse)
-    _handle_media(datapath, datagram, parse, result)
+    if parse.packet_class is PacketClass.UNKNOWN:
+        # a damaged extension block: punted, never forwarded
+        datapath._punt(datagram, parse, result)
+    else:
+        _handle_media(datapath, datagram, parse, result)
     return result
 
 

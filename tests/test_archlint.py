@@ -392,6 +392,56 @@ class TestWireHygieneRule:
         )
         assert not findings
 
+    def test_header_objects_in_the_byte_level_parse_flag(self):
+        # the parser module and _process_media_wire read header bytes: no
+        # extension / element / descriptor / template object, no object walk
+        findings = lint(
+            """
+            class IngressParser:
+                def _parse_rtp(self, packet):
+                    elements = decode_extensions(packet.extension)
+                    descriptor = DependencyDescriptor.parse_prefix(elements[0].data)
+                    return ExtensionElement(12, b""), TemplateStructure.l1t3(), descriptor
+            """,
+            module="repro.dataplane.parser",
+            rules=self.RULES,
+        )
+        messages = sorted(finding.message for finding in findings if finding.is_new)
+        assert len(messages) == 4
+        assert any("calls decode_extensions()" in message for message in messages)
+        assert any("builds DependencyDescriptor" in message for message in messages)
+        assert any("builds ExtensionElement" in message for message in messages)
+        assert any("builds TemplateStructure" in message for message in messages)
+
+    def test_header_objects_in_the_wire_media_path_flag(self):
+        findings = lint(
+            """
+            class PipelineDatapath:
+                def _process_media_wire(self, view):
+                    block = RtpHeaderExtension(view.extension_profile, view.extension_bytes())
+                    return DependencyDescriptor.parse_prefix(block.data)
+            """,
+            module="repro.dataplane.pipeline",
+            rules=self.RULES,
+        )
+        assert len([finding for finding in findings if finding.is_new]) == 2
+        assert new_rules(findings) == ["wire-hygiene"]
+
+    def test_header_objects_outside_the_byte_level_parse_are_out_of_scope(self):
+        # the codecs, the software SFU and the switch agent decode objects
+        # legitimately; so does the object media path of the pipeline
+        source = """
+            def _handle_extended_descriptor(packet):
+                structure = TemplateStructure.l1t3()
+                return DependencyDescriptor.parse(find_extension(packet.extension, 12)), structure
+
+            class PipelineDatapath:
+                def _process_media_fast(self, packet):
+                    return decode_extensions(packet.extension)
+            """
+        for module in ("repro.rtp.av1", "repro.core.switch_agent", "repro.dataplane.pipeline"):
+            assert not lint(source, module=module, rules=self.RULES)
+
     def test_same_functions_outside_wirebatch_are_out_of_scope(self):
         findings = lint(
             """
@@ -649,6 +699,18 @@ class TestEndToEnd:
         messages = [finding.message for finding in report.new]
         assert any("constructs RtpPacket" in message for message in messages)
         assert any("to_packet" in message for message in messages)
+
+    def test_parser_fixture_trips_wire_hygiene(self):
+        # the widened jurisdiction bites: the fixture impersonates
+        # repro.dataplane.parser and walks the block as protocol objects
+        fixture = REPO_ROOT / "tools" / "archlint" / "fixtures" / "violating_parser.py"
+        report = run_paths([str(fixture)])
+        assert {finding.rule for finding in report.new} == {"wire-hygiene"}
+        messages = [finding.message for finding in report.new]
+        assert any("decode_extensions()" in message for message in messages)
+        assert any("builds DependencyDescriptor" in message for message in messages)
+        assert any("builds TemplateStructure" in message for message in messages)
+        assert any("builds RtpHeaderExtension" in message for message in messages)
 
     def test_cli_exit_codes(self):
         clean = subprocess.run(

@@ -147,6 +147,35 @@ class TestPipelineMediaPath:
         assert len(result.outputs) == 2
         assert result.cpu_copies == []
 
+    def test_sender_report_on_a_cached_flow_matches_a_table_walk(self):
+        # once the flow's media has filled its fast-path slot, an SR reuses
+        # the cached resolution: same replicas, same PRE and miss accounting
+        sr = Datagram(src=ALICE, dst=SFU, payload=(SenderReport(sender_ssrc=ALICE_VIDEO_SSRC),))
+        unknown_sr = Datagram(src=BOB, dst=SFU, payload=(SenderReport(sender_ssrc=9999),))
+        walked, _ = build_pipeline_with_meeting()
+        walked_results = [walked.process(sr), walked.process(unknown_sr)]
+        cached, _ = build_pipeline_with_meeting()
+        cached.process_batch(
+            [
+                Datagram(src=ALICE, dst=SFU, payload=video_packets(3)[-1]),
+                Datagram(src=BOB, dst=SFU, payload=video_packets(1, ssrc=9999)[0]),
+            ]
+        )
+        before = (cached.pre.replications_performed, cached.pre.copies_produced, cached.counters.table_misses)
+        cached_results = cached.process_batch([sr, unknown_sr])
+        for walked_result, cached_result in zip(walked_results, cached_results):
+            assert [(d.src, d.dst, d.payload, d.size, d.kind, d.meta) for d in cached_result.outputs] == [
+                (d.src, d.dst, d.payload, d.size, d.kind, d.meta) for d in walked_result.outputs
+            ]
+        assert len(cached_results[0].outputs) == 2 and cached_results[1].outputs == []
+        assert all(d.size == len(d.to_bytes()) for d in cached_results[0].outputs)
+        after = (cached.pre.replications_performed, cached.pre.copies_produced, cached.counters.table_misses)
+        assert tuple(b - a for a, b in zip(before, after)) == (
+            walked.pre.replications_performed,
+            walked.pre.copies_produced,
+            walked.counters.table_misses,
+        )
+
     def test_counters_accumulate(self):
         pipeline, _ = build_pipeline_with_meeting()
         for packet in video_packets(5):

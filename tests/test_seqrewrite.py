@@ -246,6 +246,79 @@ class TestFrameNumberWraparound:
         assert rewriter.packets_dropped_for_safety == drops_before
 
 
+def _sorted_rule(offsets, frame_number):
+    """S-LR's frame-offset eviction before its single pass: after a frame
+    start, sort the held frames by wrap-aware distance behind it and keep
+    the 8 nearest."""
+    if len(offsets) > 8:
+        for old in sorted(offsets, key=lambda f: (frame_number - f) % 65_536)[8:]:
+            del offsets[old]
+
+
+class TestFrameOffsetEviction:
+    """``_start_frame`` evicts the one frame furthest behind in a single
+    pass; it must keep exactly the frames (and offsets, in the same order)
+    the sorted rule keeps, across the 65535 -> 0 wrap and for frames that
+    start out of order."""
+
+    @given(
+        first=st.integers(min_value=65_400, max_value=65_535),
+        starts=st.lists(
+            st.tuples(st.integers(min_value=-12, max_value=40), st.integers(min_value=0, max_value=3)),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_the_sorted_rules_frames(self, first, starts):
+        rewriter = SequenceRewriterLowRetransmission(SkipCadence(1, 2))
+        model = {}
+        frame, seq = first, 0
+        for frame_step, offset_step in starts:
+            frame = (frame + frame_step) % 65_536  # steps back: out-of-order starts
+            seq = (seq + 1) % 65_536
+            rewriter.offset += offset_step
+            model[frame] = rewriter.offset
+            _sorted_rule(model, frame)
+            rewriter._start_frame(seq, frame)
+            assert list(rewriter._frame_offsets.items()) == list(model.items())
+            assert len(rewriter._frame_offsets) <= 8
+
+    @given(
+        first_seq=st.integers(min_value=65_300, max_value=65_535),
+        first_frame=st.integers(min_value=65_500, max_value=65_535),
+        frames=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=5), st.booleans(), st.integers(min_value=1, max_value=3)),
+            min_size=1,
+            max_size=120,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_frame_starts_through_on_packet_match_and_rewrite_ideally(self, first_seq, first_frame, frames):
+        # an in-order stream across both wraps whose frame numbers advance by
+        # 1-5 per frame; every frame start goes through the spied _start_frame
+        rewriter = SequenceRewriterLowRetransmission(SkipCadence(1, 2))
+        model = {}
+        start_frame = rewriter._start_frame
+
+        def spied(sequence_number, frame_number):
+            model[frame_number] = rewriter.offset
+            _sorted_rule(model, frame_number)
+            start_frame(sequence_number, frame_number)
+            assert list(rewriter._frame_offsets.items()) == list(model.items())
+
+        rewriter._start_frame = spied
+        events, seq, frame = [], first_seq, first_frame
+        for frame_step, forward, packets in frames:
+            frame = (frame + frame_step) % 65_536
+            for _ in range(packets):
+                events.append((seq, frame, forward))
+                seq = (seq + 1) % 65_536
+        emitted = [rewriter.on_packet(seq, frame, forward) for seq, frame, forward in events]
+        assert emitted == ideal_rewrite_sequence([(seq, not forward, False) for seq, _frame, forward in events])
+        assert len(model) == min(8, len({frame for _seq, frame, _forward in events}))
+
+
 class TestOracle:
     def test_ideal_map_removes_only_suppressed(self):
         events = [(0, False, False), (1, True, False), (2, False, True), (3, False, False)]

@@ -252,6 +252,7 @@ class TestWireParserEquivalence:
         assert wire_parser.packets_parsed == object_parser.packets_parsed
         assert wire_parser.cpu_punts == object_parser.cpu_punts
         assert wire_parser.parse_cache_hits == object_parser.parse_cache_hits
+        assert wire_parser.parse_cache_hits > 0
 
 
 # parse_rtp_wire_cached takes a view; give the property test a tiny adapter so

@@ -37,7 +37,12 @@ Each rule is grounded in a specific contract the dataplane split established
     The wire-native fast path (``_process_media_wire``, ``PacketView``
     methods) must never construct ``RtpPacket`` dataclasses or round-trip
     through ``to_packet``/``from_packet`` — materializing the object model is
-    exactly the cost the wire path exists to avoid.
+    exactly the cost the wire path exists to avoid.  The byte-level parse
+    (all of ``repro.dataplane.parser``, and ``_process_media_wire``) reads
+    header bytes, not protocol objects: it never builds an
+    ``RtpHeaderExtension``, ``ExtensionElement``, ``DependencyDescriptor``
+    or ``TemplateStructure``, nor calls ``decode_extensions`` or
+    ``parse_prefix``.
 
 ``one-membership-path``
     Membership reaches the replication engine only through
@@ -466,19 +471,29 @@ class DeterminismRule:
 
 
 class WireHygieneRule:
-    """Rule 5: the wire fast path never materializes RtpPacket objects."""
+    """Rule 5: the wire fast path never materializes protocol objects."""
 
     name = "wire-hygiene"
     description = (
         "constructing RtpPacket (or calling to_packet/from_packet) inside "
         "_process_media_wire, PacketView fast-path methods, or the columnar "
-        "wirebatch module — materializing the object model is the cost the "
-        "wire path exists to avoid"
+        "wirebatch module; or building extension / descriptor objects "
+        "(or calling decode_extensions/parse_prefix) in the byte-level parse "
+        "— materializing the object model is the cost the wire path exists "
+        "to avoid"
     )
 
     #: PacketView methods allowed to touch RtpPacket: the two explicit
     #: conversion escape hatches.
     _CONVERSIONS = frozenset({"to_packet", "from_packet"})
+    #: Protocol objects the byte-level parse reads at offsets instead of
+    #: building; a call on the class itself (``TemplateStructure.l1t3()``,
+    #: ``DependencyDescriptor.parse(...)``) builds one too.
+    _HEADER_OBJECTS = frozenset(
+        {"RtpHeaderExtension", "ExtensionElement", "DependencyDescriptor", "TemplateStructure"}
+    )
+    #: The object-model walks the byte-level parse replaced.
+    _OBJECT_WALKS = frozenset({"decode_extensions", "parse_prefix"})
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
         wire_module = ctx.module == "repro.rtp.wire"
@@ -487,8 +502,11 @@ class WireHygieneRule:
         # is no non-fast-path scope to exempt (reading RtpPacket *attributes*
         # for object rows is fine — only construction/conversion is flagged)
         batch_module = ctx.module == "repro.rtp.wirebatch"
+        parser_module = ctx.module == "repro.dataplane.parser"
         findings: List[RawFinding] = []
         conversions = self._CONVERSIONS
+        header_objects = self._HEADER_OBJECTS
+        object_walks = self._OBJECT_WALKS
 
         class _Visitor(ScopedVisitor):
             def _in_fast_path(self) -> bool:
@@ -500,28 +518,50 @@ class WireHygieneRule:
                     return not any(name in conversions for name in self.scope)
                 return False
 
+            def _in_byte_parse(self) -> bool:
+                return parser_module or self.in_function("_process_media_wire")
+
             def visit_Call(self, node: ast.Call) -> None:
-                if self._in_fast_path():
-                    name = dotted_name(node.func)
-                    if name:
-                        parts = name.split(".")
-                        if parts[-1] == "RtpPacket":
-                            findings.append(
-                                (
-                                    node.lineno,
-                                    node.col_offset,
-                                    f"{self.qualname!r} constructs RtpPacket on the wire fast path",
-                                )
+                name = dotted_name(node.func)
+                parts = name.split(".") if name else []
+                if parts and self._in_fast_path():
+                    if parts[-1] == "RtpPacket":
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} constructs RtpPacket on the wire fast path",
                             )
-                        elif parts[-1] in conversions and len(parts) > 1:
-                            findings.append(
-                                (
-                                    node.lineno,
-                                    node.col_offset,
-                                    f"{self.qualname!r} calls {parts[-1]}() on the wire fast path "
-                                    "(object-model round trip)",
-                                )
+                        )
+                    elif parts[-1] in conversions and len(parts) > 1:
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} calls {parts[-1]}() on the wire fast path "
+                                "(object-model round trip)",
                             )
+                        )
+                if parts and self._in_byte_parse():
+                    built = [part for part in parts[-2:] if part in header_objects]
+                    if built:
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} builds {built[0]} in the byte-level parse "
+                                "(read the header bytes at their offsets)",
+                            )
+                        )
+                    elif parts[-1] in object_walks:
+                        findings.append(
+                            (
+                                node.lineno,
+                                node.col_offset,
+                                f"{self.qualname!r} calls {parts[-1]}() in the byte-level parse "
+                                "(object-model walk)",
+                            )
+                        )
                 self.generic_visit(node)
 
         _Visitor(ctx).visit(ctx.tree)
