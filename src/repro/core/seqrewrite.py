@@ -514,18 +514,6 @@ def unpack_rewriter_state(
     return rewriter
 
 
-def clone_rewriter(
-    rewriter: Union["SequenceRewriterLowMemory", "SequenceRewriterLowRetransmission"],
-) -> Union["SequenceRewriterLowMemory", "SequenceRewriterLowRetransmission"]:
-    """Exact clone through the packed register image.
-
-    The clone and the original produce identical ``on_packet`` outputs for any
-    subsequent event sequence — used by migration tests to snapshot in-flight
-    state (mid-wraparound included) at the moment a flow changes shards.
-    """
-    return unpack_rewriter_state(pack_rewriter_state(rewriter))
-
-
 def ideal_rewrite_sequence(
     events: Sequence[Tuple[int, bool, bool]],
 ) -> List[Optional[int]]:

@@ -111,7 +111,7 @@ def rtp_parse_key(packet: "RtpPacket | PacketView") -> tuple:
 class IngressParser:
     """The bounded-capability parser at the front of the ingress pipeline."""
 
-    #: Bound on the memoized-parse cache used by the batch fast path.
+    #: Bound on the memoized-parse cache used by the media path.
     PARSE_CACHE_LIMIT = 8192
 
     def __init__(
@@ -145,32 +145,21 @@ class IngressParser:
             return self._parse_rtp(*rtp_parse_key(datagram.payload))
         return ParseResult(packet_class=PacketClass.UNKNOWN, needs_cpu=True)
 
-    def parse_rtp_cached(self, packet: RtpPacket) -> ParseResult:
-        """Memoized RTP parse used by the batch fast path.
+    def parse_rtp_cached(self, packet: "RtpPacket | PacketView") -> ParseResult:
+        """Memoized RTP parse of an object packet or a wire view.
 
         The parse outcome is fully determined by the payload type, the SSRC,
         and the raw header-extension bytes, so packets of the same stream
         whose extension block repeats (every non-boundary packet of a frame,
         and RTX copies) reuse the frozen :class:`ParseResult` instead of
-        reading the block's bytes again.  Punt/parse counters advance
-        exactly as on the uncached path so the accounting stays identical.
+        reading the block's bytes again.  Both representations key the memo
+        with :func:`rtp_parse_key`, so mixed wire/object traffic of the same
+        stream hits one entry.  Punt/parse counters advance exactly as on
+        the uncached path so the accounting stays identical (the pipeline's
+        media path inlines the probe and the hit accounting and calls
+        :meth:`_parse_and_memoize` on a miss).
         """
-        return self._memoized_parse(rtp_parse_key(packet))
-
-    def parse_rtp_wire_cached(self, view: PacketView) -> ParseResult:
-        """Memoized RTP parse for wire-native packets (the zero-decode path).
-
-        Shares the memo dictionary (and key space) with
-        :meth:`parse_rtp_cached`: the key is the tuple of exactly the bytes
-        the parse outcome depends on, so mixed wire/object traffic of the
-        same stream hits one cache.
-        """
-        return self._memoized_parse(view.parse_key())
-
-    def _memoized_parse(self, key: tuple) -> ParseResult:
-        """Memo probe plus punt/parse/hit accounting for both RTP fast paths
-        (the pipeline's media paths inline the probe and the hit accounting
-        and call :meth:`_parse_and_memoize` on a miss)."""
+        key = rtp_parse_key(packet)
         cached = self._rtp_parse_cache.get(key)
         if cached is None:
             return self._parse_and_memoize(key)

@@ -80,6 +80,10 @@ SWITCH_FORWARDING_DELAY_S = 12e-6
 #: semantics across versions.
 CONTROL_SNAPSHOT_VERSION = 1
 
+#: The media payloads :meth:`PipelineDatapath._process_media` reads: object
+#: packets and wire views.
+_MEDIA_PAYLOADS = (RtpPacket, PacketView)
+
 
 class SnapshotVersionError(RuntimeError):
     """A control-plane flow snapshot was produced under a different layout
@@ -535,11 +539,6 @@ class PipelineControlPlane:
         self.stream_table.remove(key)
         self.ssrc_table.remove(key[1])
 
-    def ssrc_owner(self, ssrc: int) -> Optional[Address]:
-        """Control-plane read of a media SSRC's sender address (no data-plane
-        lookup counters are bumped)."""
-        return self.ssrc_table.peek(ssrc)
-
     def install_stream_route(self, key: Tuple[Address, int], entry: StreamForwardingEntry) -> None:
         """Install an ingress forwarding entry *without* claiming SSRC
         ownership.
@@ -818,16 +817,15 @@ class PipelineDatapath:
     def process(self, datagram: Datagram) -> PipelineResult:
         """Run one ingress packet through the pipeline."""
         payload = datagram.payload
-        if datagram.kind is PayloadKind.RTP and isinstance(payload, (RtpPacket, PacketView)):
+        if datagram.kind is PayloadKind.RTP and isinstance(payload, _MEDIA_PAYLOADS):
             # media runs the memoized implementation as a batch of one, its
             # accounting folded in immediately, so per-packet and batch
             # processing stay indistinguishable (the unmemoized walk lives on
             # as the test suites' oracle, tests/reference_datapath.py)
-            media = self._process_media_fast if isinstance(payload, RtpPacket) else self._process_media_wire
             self._ensure_resolution_cache_fresh()
             tally: Dict[Tuple[str, bool], List[int]] = {}
             acc = [0, 0, 0, 0, 0]
-            result = media(datagram, tally, acc)
+            result = self._process_media(datagram, tally, acc)
             self._fold_batch_accounting(acc)
             if tally:
                 self.counters.account_tally(tally)
@@ -864,8 +862,7 @@ class PipelineDatapath:
         self._ensure_resolution_cache_fresh()
         results: List[PipelineResult] = []
         append = results.append
-        fast_media = self._process_media_fast
-        wire_media = self._process_media_wire
+        media = self._process_media
         rtp_kind = PayloadKind.RTP
         # per-batch accounting tally and accumulator, folded into the
         # counters/parser/PRE once at the end; the counter state after the
@@ -873,15 +870,10 @@ class PipelineDatapath:
         tally: Dict[Tuple[str, bool], List[int]] = {}
         acc = [0, 0, 0, 0, 0]
         for datagram in datagrams:
-            if datagram.kind is rtp_kind:
-                payload = datagram.payload
-                if isinstance(payload, RtpPacket):
-                    append(fast_media(datagram, tally, acc))
-                    continue
-                if isinstance(payload, PacketView):
-                    append(wire_media(datagram, tally, acc))
-                    continue
-            append(self.process(datagram))
+            if datagram.kind is rtp_kind and isinstance(datagram.payload, _MEDIA_PAYLOADS):
+                append(media(datagram, tally, acc))
+            else:
+                append(self.process(datagram))
         self._fold_batch_accounting(acc)
         if tally:
             self.counters.account_tally(tally)
@@ -914,33 +906,61 @@ class PipelineDatapath:
             self._flow_cache.clear()
             self._cache_stamp = stamp
 
-    def _process_media_fast(
+    def _process_media(
         self, datagram: Datagram, tally: Dict[Tuple[str, bool], List[int]], acc: List[int]
     ) -> PipelineResult:
         """Media path of :meth:`process` and :meth:`process_batch` for one
-        object (``RtpPacket``) datagram.
+        ``RtpPacket`` or :class:`~repro.rtp.wire.PacketView` datagram.
 
-        Structured for per-packet cost: one flow-cache probe serves the
-        entry, the layer mode, and the memoized resolution together; the
-        result and the replica datagrams are minted through ``__new__`` plus
-        a prepared ``__dict__`` carrying every field (nothing is left for
-        the frozen-dataclass ``__init__`` to derive); and the common
-        no-adaptation fan-out — every replica forwards the ingress payload
-        unchanged — iterates the bare address tuple with the flow's shared
-        meta proxy.  Outputs and counters stay byte-for-byte those of the
-        unmemoized table walk (``tests/reference_datapath.py``).
+        The representation is read once, in the header step: a wire packet
+        gets one unpack of its 12-byte fixed header plus a bounds-checked
+        slice of its extension block, an object packet its fields; both
+        yield the SSRC, the sequence number and the parse-memo key, and
+        nothing after that step knows which representation it holds.  No
+        ``RtpPacket`` or extension object is built.  Structured for
+        per-packet cost: one flow-cache probe serves the entry, the layer
+        mode, and the memoized resolution together; the result and the
+        replica datagrams are minted through ``__new__`` plus a prepared
+        ``__dict__`` carrying every field; replicas that need no rewrite
+        alias the ingress payload, a rewritten one is one
+        ``with_sequence_number`` copy.  Outputs and counters stay
+        byte-for-byte those of the unmemoized table walk
+        (``tests/reference_datapath.py``), and wire egress serializes
+        byte-identically to object egress (``tests/test_wire_packet_view.py``).
         """
-        packet: RtpPacket = datagram.payload  # type: ignore[assignment]
-        # parse_rtp_cached with the hit path inlined (key build + probe +
-        # the exact hit accounting of IngressParser._memoized_parse; its
-        # miss path is IngressParser._parse_and_memoize)
-        parser = self.parser
-        ssrc = packet.ssrc
-        extension = packet.extension
-        if extension is None:
-            pkey = (ssrc, packet.payload_type)
+        payload = datagram.payload
+        if isinstance(payload, PacketView):
+            buf = payload.buf
+            first, second, sequence_number, _timestamp, ssrc = _FIXED_HEADER.unpack_from(buf, 0)
+            # PacketView.parse_key inlined on the fields just unpacked
+            if first & 0x10:
+                base = RTP_HEADER_LEN + 4 * (first & 0x0F)
+                if base + 4 > len(buf):
+                    pkey: tuple = (ssrc, second & 0x7F, None, None)
+                else:
+                    profile, ext_words = _EXT_HEADER.unpack_from(buf, base)
+                    stop = base + 4 + 4 * ext_words
+                    pkey = (
+                        ssrc,
+                        second & 0x7F,
+                        profile,
+                        bytes(buf[base + 4 : stop]) if stop <= len(buf) else None,
+                    )
+            else:
+                pkey = (ssrc, second & 0x7F)
         else:
-            pkey = (ssrc, packet.payload_type, extension.profile, extension.data)
+            # rtp_parse_key's object arm inlined
+            ssrc = payload.ssrc
+            sequence_number = payload.sequence_number
+            extension = payload.extension
+            if extension is None:
+                pkey = (ssrc, payload.payload_type)
+            else:
+                pkey = (ssrc, payload.payload_type, extension.profile, extension.data)
+        # the memo probe with the hit accounting of
+        # IngressParser.parse_rtp_cached inlined (a miss goes to its
+        # _parse_and_memoize)
+        parser = self.parser
         parse = parser._rtp_parse_cache.get(pkey)
         parse_hit = parse is not None
         if parse is None:
@@ -992,7 +1012,7 @@ class PipelineDatapath:
                 slot[1] += size
             if traced:
                 self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, packet.sequence_number,
+                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
                     datagram.arrived_at, size, parse_hit, flow_hit, 0, 0, False,
                 )
             return result
@@ -1036,20 +1056,14 @@ class PipelineDatapath:
                 meta = resolution.meta_proxy = MappingProxyType(
                     {"origin": datagram.src, "origin_ssrc": ssrc}
                 )
-        # RtpPacket.size inlined (extension is already in hand from the parse
-        # key); stamps the same derived value the property returns, which a
-        # sequence-number rewrite does not change
-        out_size = RTP_HEADER_LEN + 4 * len(packet.csrcs) + len(packet.payload)
-        if extension is not None:
-            out_size += 4 + len(extension.data)
         # every replica is a C-level copy of this prepared field dict made
         # the instance __dict__ of a bare Datagram (no __init__, no size or
-        # kind derivation)
+        # kind derivation; a sequence-number rewrite does not change size)
         base_copy = {
             "src": self.sfu_address,
             "dst": None,
-            "payload": packet,
-            "size": out_size,
+            "payload": payload,
+            "size": size,
             "kind": PayloadKind.RTP,
             "sent_at": 0.0,
             "arrived_at": schedule,
@@ -1073,7 +1087,7 @@ class PipelineDatapath:
             acc[4] += len(addresses)
             if traced:
                 self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, packet.sequence_number,
+                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
                     arrived_at, size, parse_hit, flow_hit, len(addresses), 0, False,
                 )
             return result
@@ -1081,227 +1095,23 @@ class PipelineDatapath:
         # rate-adapted video: per-replica rewrite decisions (the stateful path)
         template_id = parse.template_id
         frame_number = parse.frame_number if parse.frame_number is not None else 0
-        sequence_number = packet.sequence_number
         trackers_read = self.trackers.read
         dropped = 0
         for address, adaptation in resolution.addressed:
-            out_packet: Optional[RtpPacket] = packet
+            out_payload = payload
             if adaptation is not None:
-                # inline _apply_adaptation with the table lookup pre-resolved
+                # _apply_adaptation inlined with the table lookup pre-resolved
                 forward = template_id is None or template_id in adaptation.allowed_templates
                 rewriter = trackers_read(adaptation.stream_index)
                 if rewriter is None:
-                    out_packet = packet if forward else None
-                else:
-                    new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
-                    out_packet = None if new_seq is None else packet.with_sequence_number(new_seq)
-                if out_packet is None:
-                    dropped += 1
-                    continue
-            out = new_datagram(Datagram)
-            instance = base_copy()
-            instance["dst"] = address
-            instance["payload"] = out_packet
-            set_state(out, "__dict__", instance)
-            append(out)
-        if dropped:
-            result.dropped_replicas = dropped
-            counters.adaptation_drops += dropped
-        acc[4] += len(outputs)
-        if traced:
-            self.obs.record_media(
-                datagram.src.ip, datagram.src.port, ssrc, sequence_number,
-                arrived_at, size, parse_hit, flow_hit, len(outputs), dropped, True,
-            )
-        return result
-
-    def _process_media_wire(
-        self, datagram: Datagram, tally: Dict[Tuple[str, bool], List[int]], acc: List[int]
-    ) -> PipelineResult:
-        """Wire-native twin of :meth:`_process_media_fast`.
-
-        The payload is a :class:`~repro.rtp.wire.PacketView`, and the path
-        works on its bytes and ints: one unpack of the 12-byte fixed header
-        yields the SSRC and sequence number and, with a bounds-checked slice
-        of the extension block, the parse-memo key; a memo miss runs the
-        parser's byte-level parse on that key.  No ``RtpPacket`` or
-        extension object is built.  Flow resolution shares the memoized
-        caches of the object path; replicas that need no rewrite alias the
-        ingress view, a rewritten one patches a single ``bytearray`` copy,
-        and every replica is minted from a prepared field dict.  Outputs
-        serialize byte-identically to the object path's, and every counter
-        advances identically (property-tested in
-        ``tests/test_wire_packet_view.py``).
-        """
-        view: PacketView = datagram.payload  # type: ignore[assignment]
-        buf = view.buf
-        first, second, sequence_number, _timestamp, ssrc = _FIXED_HEADER.unpack_from(buf, 0)
-        # PacketView.parse_key inlined on the fields just unpacked
-        if first & 0x10:
-            base = RTP_HEADER_LEN + 4 * (first & 0x0F)
-            if base + 4 > len(buf):
-                pkey: tuple = (ssrc, second & 0x7F, None, None)
-            else:
-                profile, ext_words = _EXT_HEADER.unpack_from(buf, base)
-                stop = base + 4 + 4 * ext_words
-                pkey = (
-                    ssrc,
-                    second & 0x7F,
-                    profile,
-                    bytes(buf[base + 4 : stop]) if stop <= len(buf) else None,
-                )
-        else:
-            pkey = (ssrc, second & 0x7F)
-        # the memo probe with the hit accounting of
-        # IngressParser._memoized_parse inlined (a miss goes to its
-        # _parse_and_memoize)
-        parser = self.parser
-        parse = parser._rtp_parse_cache.get(pkey)
-        parse_hit = parse is not None
-        if parse is None:
-            parse = parser._parse_and_memoize(pkey)
-            if parse.packet_class is PacketClass.UNKNOWN:
-                return self._punt_damaged(datagram, parse, tally)
-        else:
-            acc[0] += 1
-            if parse.needs_cpu:
-                acc[1] += 1
-        result = PipelineResult.__new__(PipelineResult)
-        outputs: List[Datagram] = []
-        cpu_copies: List[Datagram] = []
-        result.__dict__ = {
-            "parse": parse,
-            "outputs": outputs,
-            "cpu_copies": cpu_copies,
-            "dropped_replicas": 0,
-            "forwarding_delay_s": SWITCH_FORWARDING_DELAY_S,
-        }
-        counters = self.counters
-        size = datagram.size
-
-        flow = (datagram.src, ssrc)
-        flow_cache = self._flow_cache
-        state = flow_cache.get(flow)
-        flow_hit = state is not None
-        if state is None:
-            if len(flow_cache) >= self.RESOLUTION_CACHE_LIMIT:
-                flow_cache.clear()
-            state = flow_cache[flow] = _FlowFastState(self.stream_table.lookup(flow))
-            # lifecycle tracing decision stamped at fill time (see
-            # _process_media_fast): steady state costs one slot load
-            obs = self.obs
-            if obs is not None:
-                state.traced = obs.classify(flow, datagram.src.ip, datagram.src.port, ssrc)
-        traced = state.traced
-        entry = state.entry
-        if entry is None:
-            counters.table_misses += 1
-            key = (parse.class_value, False)
-            slot = tally.get(key)
-            if slot is None:
-                tally[key] = [1, size]
-            else:
-                slot[0] += 1
-                slot[1] += size
-            if traced:
-                self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
-                    datagram.arrived_at, size, parse_hit, flow_hit, 0, 0, False,
-                )
-            return result
-
-        to_cpu = parse.cpu_copy
-        key = (parse.class_value, to_cpu)
-        slot = tally.get(key)
-        if slot is None:
-            tally[key] = [1, size]
-        else:
-            slot[0] += 1
-            slot[1] += size
-        if to_cpu:
-            cpu_copies.append(datagram)
-
-        if state.layered:
-            layer = self._media_layer(entry, parse)
-            resolution = state.by_layer.get(layer)
-        else:
-            layer = 0
-            resolution = state.res0
-        if resolution is None:
-            resolution = self._resolve_and_cache(state, entry, layer, ssrc)
-        else:
-            raw = resolution.raw_replicas
-            if raw is not None:
-                acc[2] += 1
-                acc[3] += raw
-            if resolution.replica_misses:
-                counters.table_misses += resolution.replica_misses
-
-        arrived_at = datagram.arrived_at
-        schedule = None if arrived_at is None else arrived_at + SWITCH_FORWARDING_DELAY_S
-        if datagram.meta:
-            meta = MappingProxyType(dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc))
-        else:
-            meta = resolution.meta_proxy
-            if meta is None:
-                meta = resolution.meta_proxy = MappingProxyType(
-                    {"origin": datagram.src, "origin_ssrc": ssrc}
-                )
-        # every replica is a C-level copy of this prepared field dict made
-        # the instance __dict__ of a bare Datagram (no __init__, no size or
-        # kind derivation)
-        base_copy = {
-            "src": self.sfu_address,
-            "dst": None,
-            "payload": view,
-            "size": size,
-            "kind": PayloadKind.RTP,
-            "sent_at": 0.0,
-            "arrived_at": schedule,
-            "meta": meta,
-        }.copy
-        new_datagram = Datagram.__new__
-        set_state = object.__setattr__
-        append = outputs.append
-
-        if not (resolution.has_adaptation and parse.is_video):
-            # no replica is rate-adapted: every target gets the ingress bytes
-            # unchanged
-            addresses = resolution.addresses
-            for address in addresses:
-                out = new_datagram(Datagram)
-                instance = base_copy()
-                instance["dst"] = address
-                set_state(out, "__dict__", instance)
-                append(out)
-            acc[4] += len(addresses)
-            if traced:
-                self.obs.record_media(
-                    datagram.src.ip, datagram.src.port, ssrc, sequence_number,
-                    arrived_at, size, parse_hit, flow_hit, len(addresses), 0, False,
-                )
-            return result
-
-        # rate-adapted video: per-replica rewrite decisions over the wire
-        # buffer (the stateful path)
-        template_id = parse.template_id
-        frame_number = parse.frame_number if parse.frame_number is not None else 0
-        trackers_read = self.trackers.read
-        dropped = 0
-        for address, adaptation in resolution.addressed:
-            out_payload: Optional[PacketView] = view
-            if adaptation is not None:
-                forward = template_id is None or template_id in adaptation.allowed_templates
-                rewriter = trackers_read(adaptation.stream_index)
-                if rewriter is None:
-                    out_payload = view if forward else None
+                    out_payload = payload if forward else None
                 else:
                     new_seq = rewriter.on_packet(sequence_number, frame_number, forward)
                     if new_seq is None:
                         out_payload = None
                     elif new_seq != sequence_number:
-                        out_payload = view.with_sequence_number(new_seq)
-                    # else: a byte-identical rewrite aliases the ingress view
+                        out_payload = payload.with_sequence_number(new_seq)
+                    # else: a byte-identical rewrite aliases the ingress payload
                 if out_payload is None:
                     dropped += 1
                     continue
@@ -1536,7 +1346,6 @@ class ControlPlaneFacade:
         self.remove_stream = control.remove_stream
         self.install_stream_route = control.install_stream_route
         self.remove_stream_route = control.remove_stream_route
-        self.ssrc_owner = control.ssrc_owner
         self.install_replica_target = control.install_replica_target
         self.remove_replica_target = control.remove_replica_target
         self.install_adaptation = control.install_adaptation

@@ -168,13 +168,14 @@ class PacketView:
     def parse_key(self) -> tuple:
         """The memoized-parse cache key, built in one pass over the buffer.
 
-        Exactly the tuple the object path's
-        :meth:`~repro.dataplane.parser.IngressParser.parse_rtp_cached` uses —
-        ``(ssrc, payload_type[, profile, extension bytes])`` — but assembled
-        with direct offset reads instead of chained properties.  Bounds-checked
-        and never raises: when the extension header or its declared words run
-        past the buffer, the extension bytes are ``None`` (the profile too if
-        the header itself is cut short), which the parser punts as damaged.
+        Exactly the tuple :func:`~repro.dataplane.parser.rtp_parse_key`
+        builds from an object packet's fields — ``(ssrc, payload_type[,
+        profile, extension bytes])`` — but assembled with direct offset reads
+        instead of chained properties (``PipelineDatapath._process_media``
+        inlines the same reads).  Bounds-checked and never raises: when the
+        extension header or its declared words run past the buffer, the
+        extension bytes are ``None`` (the profile too if the header itself is
+        cut short), which the parser punts as damaged.
         """
         buf = self.buf
         first, second, _seq, _ts, ssrc = _FIXED_HEADER.unpack_from(buf, 0)
@@ -286,11 +287,6 @@ class PacketView:
         copy = PacketView.__new__(PacketView)
         copy.buf = buf
         copy._header_len = self._header_len
-        return copy
-
-    def with_ssrc(self, ssrc: int) -> "PacketView":
-        copy = PacketView(bytearray(self.buf))
-        _U32.pack_into(copy.buf, 8, ssrc & 0xFFFFFFFF)
         return copy
 
     # -- interop with the object codec --------------------------------------------

@@ -260,25 +260,6 @@ class VideoReceiveStream:
             bucket_start = bucket_end
         return series
 
-    def received_bitrate_series(self, bucket_s: float = 1.0) -> List[Tuple[float, float]]:
-        """(bucket_end_time, received kbit/s) derived from decoded frames."""
-        series: List[Tuple[float, float]] = []
-        if not self.decoded_frames:
-            return series
-        start = self.decoded_frames[0].completed_at
-        end = self.decoded_frames[-1].completed_at
-        bucket_start = start
-        index = 0
-        while bucket_start <= end:
-            bucket_end = bucket_start + bucket_s
-            total = 0
-            while index < len(self.decoded_frames) and self.decoded_frames[index].completed_at < bucket_end:
-                total += self.decoded_frames[index].size_bytes
-                index += 1
-            series.append((bucket_end, total * 8.0 / 1000.0 / bucket_s))
-            bucket_start = bucket_end
-        return series
-
 
 class AudioReceiveStream:
     """Receiver state for an incoming audio stream (jitter + counters only)."""

@@ -54,7 +54,7 @@ class TestShareNothingRule:
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media_fast(self, view):
+                def _process_media(self, view):
                     self.pre.copies_produced += 1
                     self.stream_table.install(("a", 1), object())
                     self.control.stream_indices["x"] = 3
@@ -69,7 +69,7 @@ class TestShareNothingRule:
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media_fast(self, view):
+                def _process_media(self, view):
                     entry = self.stream_table.lookup(("a", 1))
                     self.pre.note_replication(3)
                     self.local_counter += 1
@@ -96,7 +96,7 @@ class TestShareNothingRule:
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media_fast(self, view):
+                def _process_media(self, view):
                     self.pre.copies_produced += 1  # archlint: ignore[share-nothing]
             """,
             module="repro.dataplane.pipeline",
@@ -108,7 +108,7 @@ class TestShareNothingRule:
     def test_baseline_grandfathers_exact_fingerprint(self):
         source = """
         class PipelineDatapath:
-            def _process_media_fast(self, view):
+            def _process_media(self, view):
                 self.pre.copies_produced += 1
         """
         first = lint(source, module="repro.dataplane.pipeline", rules=self.RULES)
@@ -322,7 +322,7 @@ class TestWireHygieneRule:
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media_wire(self, view):
+                def _process_media(self, view):
                     packet = RtpPacket(ssrc=view.ssrc, seq=view.seq)
                     return view.to_packet(), packet
             """,
@@ -351,20 +351,50 @@ class TestWireHygieneRule:
         assert "rewrite_seq" in new[0].fingerprint
 
     def test_object_model_slow_path_is_out_of_scope(self):
+        # the unmemoized reference walk and the RTCP handlers may build
+        # objects: only the one media function is the fast path
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media(self, packet):
+                def _handle_media(self, packet):
                     return RtpPacket(ssrc=1, seq=2)
+
+                def _handle_sender_rtcp(self, packet):
+                    return packet.to_packet()
             """,
             module="repro.dataplane.pipeline",
             rules=self.RULES,
         )
         assert not findings
 
+    def test_media_path_reads_object_fields_but_never_builds_a_packet(self):
+        # _process_media serves object and wire ingress: reading an
+        # RtpPacket's fields in its header step is clean, constructing one
+        # (or converting a view) anywhere in it is a finding
+        findings = lint(
+            """
+            class PipelineDatapath:
+                def _process_media(self, datagram, tally, acc):
+                    payload = datagram.payload
+                    if isinstance(payload, RtpPacket):
+                        ssrc, seq = payload.ssrc, payload.sequence_number
+                    else:
+                        payload = PacketView.from_packet(payload.to_packet())
+                    return RtpPacket(ssrc=ssrc, sequence_number=seq)
+            """,
+            module="repro.dataplane.pipeline",
+            rules=self.RULES,
+        )
+        messages = sorted(finding.message for finding in findings if finding.is_new)
+        assert len(messages) == 3
+        assert new_rules(findings) == ["wire-hygiene"]
+        assert sum("constructs RtpPacket" in message for message in messages) == 1
+        assert any("calls from_packet()" in message for message in messages)
+        assert any("calls to_packet()" in message for message in messages)
+
     def test_wirebatch_module_is_fast_path_everywhere(self):
         # the columnar module has no non-fast-path scope: construction and
-        # conversion flag in any function, not just _process_media_wire names
+        # conversion flag in any function, not just _process_media
         findings = lint(
             """
             def from_datagrams(datagrams):
@@ -393,7 +423,7 @@ class TestWireHygieneRule:
         assert not findings
 
     def test_header_objects_in_the_byte_level_parse_flag(self):
-        # the parser module and _process_media_wire read header bytes: no
+        # the parser module and _process_media read header bytes: no
         # extension / element / descriptor / template object, no object walk
         findings = lint(
             """
@@ -417,7 +447,7 @@ class TestWireHygieneRule:
         findings = lint(
             """
             class PipelineDatapath:
-                def _process_media_wire(self, view):
+                def _process_media(self, view):
                     block = RtpHeaderExtension(view.extension_profile, view.extension_bytes())
                     return DependencyDescriptor.parse_prefix(block.data)
             """,
@@ -429,14 +459,14 @@ class TestWireHygieneRule:
 
     def test_header_objects_outside_the_byte_level_parse_are_out_of_scope(self):
         # the codecs, the software SFU and the switch agent decode objects
-        # legitimately; so does the object media path of the pipeline
+        # legitimately; so may the pipeline outside its media function
         source = """
             def _handle_extended_descriptor(packet):
                 structure = TemplateStructure.l1t3()
                 return DependencyDescriptor.parse(find_extension(packet.extension, 12)), structure
 
             class PipelineDatapath:
-                def _process_media_fast(self, packet):
+                def _handle_sender_rtcp(self, packet):
                     return decode_extensions(packet.extension)
             """
         for module in ("repro.rtp.av1", "repro.core.switch_agent", "repro.dataplane.pipeline"):

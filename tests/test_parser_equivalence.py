@@ -158,7 +158,7 @@ class TestByteParseEqualsObjectWalk:
         object_parser, wire_parser = IngressParser(), IngressParser()
         for parser, memoized, payload in (
             (object_parser, object_parser.parse_rtp_cached, packet),
-            (wire_parser, wire_parser.parse_rtp_wire_cached, view),
+            (wire_parser, wire_parser.parse_rtp_cached, view),
         ):
             assert memoized(payload) == expected
             assert memoized(payload) == expected

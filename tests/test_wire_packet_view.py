@@ -7,11 +7,13 @@ Three layers of guarantees:
    CSRC lists, one-/two-byte extension profiles, and padding.
 2. In-place rewriting (sequence number / SSRC / timestamp / DD frame number)
    patches exactly the targeted bytes.
-3. The pipeline's wire fast path is indistinguishable from the object path:
-   identical serialized outputs, destinations, metas, drops, and counters for
-   identical ingress — per packet and per batch, with and without sequence
-   rewriting — and a wire-native end-to-end testbed unfolds identically to an
-   object-model one.
+3. The pipeline's one media path is indistinguishable across the two
+   representations: wire ingress yields the serialized outputs,
+   destinations, metas, drops, counters and (with observability armed)
+   trace records and registry series of the same object ingress — per
+   packet and per batch, with and without sequence rewriting — and a
+   wire-native end-to-end testbed unfolds identically to an object-model
+   one.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.core.seqrewrite import (
 from repro.dataplane.parser import IngressParser
 from repro.dataplane.pipeline import ScallopPipeline
 from repro.netsim.datagram import Address, Datagram, PayloadKind
+from repro.obs.hooks import ObsConfig
 from repro.rtp.av1 import DependencyDescriptor, dependency_descriptor_element
 from repro.rtp.extensions import (
     EXT_ID_AV1_DEPENDENCY_DESCRIPTOR,
@@ -235,7 +238,7 @@ class TestWireParserEquivalence:
         object_parser = IngressParser()
         wire_parser = IngressParser()
         expected = object_parser.parse_rtp_cached(packet)
-        actual = wire_parser.parse_rtp_cached_wire_twin(packet)
+        actual = wire_parser.parse_rtp_cached(PacketView.from_packet(packet))
         assert actual == expected
 
     def test_real_av1_stream_parses_identically_and_hits_cache(self):
@@ -247,21 +250,12 @@ class TestWireParserEquivalence:
         object_parser, wire_parser = IngressParser(), IngressParser()
         for packet in packets:
             expected = object_parser.parse_rtp_cached(packet)
-            actual = wire_parser.parse_rtp_wire_cached(PacketView.from_packet(packet))
+            actual = wire_parser.parse_rtp_cached(PacketView.from_packet(packet))
             assert actual == expected
         assert wire_parser.packets_parsed == object_parser.packets_parsed
         assert wire_parser.cpu_punts == object_parser.cpu_punts
         assert wire_parser.parse_cache_hits == object_parser.parse_cache_hits
         assert wire_parser.parse_cache_hits > 0
-
-
-# parse_rtp_wire_cached takes a view; give the property test a tiny adapter so
-# both parsers see logically identical input
-def _wire_twin(self, packet):
-    return self.parse_rtp_wire_cached(PacketView.from_packet(packet))
-
-
-IngressParser.parse_rtp_cached_wire_twin = _wire_twin
 
 
 # --------------------------------------------------------------------------- pipeline equivalence
@@ -349,6 +343,64 @@ class TestWirePipelineEquivalence:
         wire_results = [wire_single.process(d) for d in traffic_wire]
         assert_wire_results_match(object_results, wire_results)
         assert dataclasses.asdict(reference.counters) == dataclasses.asdict(wire_single.counters)
+
+    def test_armed_obs_records_identically_for_both_representations(self):
+        # every flow sampled; meeting 0 adapted, meeting 1 plain, plus a flow
+        # no table knows: all three traced return sites of _process_media,
+        # on the memo's misses and hits, per batch and per packet
+        stray = RtpPacketizer(ssrc=99_999, seed=1).packetize(SvcEncoder(seed=1).next_frame(0.0))
+        snapshots = []
+        for wire in (False, True):
+            pipeline, senders = _build_adapted_pipeline(
+                ScallopPipeline(SFU, obs=ObsConfig(trace_sample_rate=1, max_trace_records=1 << 20))
+            )
+            for receiver in (Address("10.9.1.3", 6001), Address("10.9.1.4", 6002)):
+                pipeline.remove_adaptation(senders[1][1], receiver)
+            traffic = _media(senders, wire=wire) + [
+                Datagram(src=Address("10.66.0.1", 6000), dst=SFU, payload=PacketView.from_packet(p) if wire else p)
+                for p in stray
+            ]
+            half = len(traffic) // 2
+            pipeline.process_batch(traffic[:half])
+            for datagram in traffic[half:]:
+                pipeline.process(datagram)
+            obs = pipeline.datapath.obs
+            snapshots.append((list(obs.tracer.records), obs.registry.snapshot_series()))
+        (object_records, object_series), (wire_records, wire_series) = snapshots
+        assert wire_records == object_records
+        assert wire_series == object_series
+        assert {record[1] for record in object_records} == {
+            "10.9.0.2:6000/5000", "10.9.1.2:6000/5001", "10.66.0.1:6000/99999"
+        }
+
+    def test_object_replicas_carry_the_ingress_size(self):
+        pipeline, senders = _build_adapted_pipeline()
+        traffic = _media(senders, wire=False)
+        results = pipeline.process_batch(traffic[: len(traffic) // 2])
+        results += [pipeline.process(datagram) for datagram in traffic[len(traffic) // 2 :]]
+        rewritten = 0
+        for datagram, result in zip(traffic, results):
+            for out in result.outputs:
+                assert out.size == datagram.size == out.payload.size
+                rewritten += out.payload.sequence_number != datagram.payload.sequence_number
+        assert rewritten > 0
+
+    def test_same_number_rewrite_aliases_the_ingress_payload(self):
+        class SameNumber:
+            state_cells = 1
+
+            def on_packet(self, sequence_number, frame_number, forward):
+                return sequence_number
+
+        for wire in (False, True):
+            pipeline, senders = _build_adapted_pipeline()
+            receiver = Address("10.9.0.3", 6001)
+            pipeline.install_adaptation(senders[0][1], receiver, frozenset(range(32)), SameNumber())
+            traffic = _media(senders[:1], frames=3, wire=wire)
+            for results in (pipeline.process_batch(traffic), [pipeline.process(d) for d in traffic]):
+                for datagram, result in zip(traffic, results):
+                    (out,) = [out for out in result.outputs if out.dst == receiver]
+                    assert out.payload is datagram.payload
 
     def test_junk_wire_flow_counts_table_miss(self):
         pipeline, _ = _build_adapted_pipeline()

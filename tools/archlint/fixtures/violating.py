@@ -12,12 +12,12 @@ import random
 
 
 class PipelineDatapath:
-    def _process_media_fast(self, datagram):
+    def _resolve_and_cache(self, datagram):
         self.pre.copies_produced += 1  # rule 1: share-nothing — datapath writes PRE state
         self.stream_table.install(("flow", 1), datagram)  # rule 3 (and 1): bypasses control plane
         return pickle.dumps(datagram)
 
-    def _process_media_wire(self, datagram):
+    def _process_media(self, datagram):
         jitter = random.random()  # rule 4: determinism — bare module-level RNG
         packet = RtpPacket(ssrc=1, sequence_number=int(jitter * 100))  # rule 5: wire-hygiene
         return packet

@@ -4,7 +4,7 @@
 The columnar bulk-extraction module is fast path in its entirety, so
 constructing ``RtpPacket`` (or round-tripping through ``to_packet``)
 anywhere in it must be flagged — including module scope and helper
-functions, not just ``_process_media_wire``-named scopes.  CI runs the
+functions, not just ``_process_media``-named scopes.  CI runs the
 fixtures directory with ``--no-baseline`` and requires a non-zero exit,
 proving the extended rule bites.  DO NOT "fix" these violations.
 """

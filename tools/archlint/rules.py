@@ -34,11 +34,13 @@ Each rule is grounded in a specific contract the dataplane split established
     measured only by the ``bench/`` ledger, outside ``src/``.
 
 ``wire-hygiene``
-    The wire-native fast path (``_process_media_wire``, ``PacketView``
-    methods) must never construct ``RtpPacket`` dataclasses or round-trip
-    through ``to_packet``/``from_packet`` — materializing the object model is
-    exactly the cost the wire path exists to avoid.  The byte-level parse
-    (all of ``repro.dataplane.parser``, and ``_process_media_wire``) reads
+    The media fast path (``PipelineDatapath._process_media``, which serves
+    object and wire ingress alike, ``PacketView`` methods and the columnar
+    ``repro.rtp.wirebatch``) must never construct ``RtpPacket`` dataclasses
+    or round-trip through ``to_packet``/``from_packet`` — materializing the
+    object model is exactly the cost the header transform exists to avoid.
+    The byte-level parse (all of ``repro.dataplane.parser``, and
+    ``_process_media``) reads
     header bytes, not protocol objects: it never builds an
     ``RtpHeaderExtension``, ``ExtensionElement``, ``DependencyDescriptor``
     or ``TemplateStructure``, nor calls ``decode_extensions`` or
@@ -471,16 +473,16 @@ class DeterminismRule:
 
 
 class WireHygieneRule:
-    """Rule 5: the wire fast path never materializes protocol objects."""
+    """Rule 5: the media fast path never materializes protocol objects."""
 
     name = "wire-hygiene"
     description = (
         "constructing RtpPacket (or calling to_packet/from_packet) inside "
-        "_process_media_wire, PacketView fast-path methods, or the columnar "
-        "wirebatch module; or building extension / descriptor objects "
-        "(or calling decode_extensions/parse_prefix) in the byte-level parse "
-        "— materializing the object model is the cost the wire path exists "
-        "to avoid"
+        "the datapath's _process_media, PacketView fast-path methods, or the "
+        "columnar wirebatch module; or building extension / descriptor "
+        "objects (or calling decode_extensions/parse_prefix) in the "
+        "byte-level parse — materializing the object model is the cost the "
+        "header transform exists to avoid"
     )
 
     #: PacketView methods allowed to touch RtpPacket: the two explicit
@@ -512,14 +514,14 @@ class WireHygieneRule:
             def _in_fast_path(self) -> bool:
                 if batch_module:
                     return True
-                if self.in_function("_process_media_wire"):
+                if self.in_function("_process_media"):
                     return True
                 if wire_module and self.enclosing_class() == "PacketView":
                     return not any(name in conversions for name in self.scope)
                 return False
 
             def _in_byte_parse(self) -> bool:
-                return parser_module or self.in_function("_process_media_wire")
+                return parser_module or self.in_function("_process_media")
 
             def visit_Call(self, node: ast.Call) -> None:
                 name = dotted_name(node.func)
@@ -530,7 +532,7 @@ class WireHygieneRule:
                             (
                                 node.lineno,
                                 node.col_offset,
-                                f"{self.qualname!r} constructs RtpPacket on the wire fast path",
+                                f"{self.qualname!r} constructs RtpPacket on the media fast path",
                             )
                         )
                     elif parts[-1] in conversions and len(parts) > 1:
@@ -538,7 +540,7 @@ class WireHygieneRule:
                             (
                                 node.lineno,
                                 node.col_offset,
-                                f"{self.qualname!r} calls {parts[-1]}() on the wire fast path "
+                                f"{self.qualname!r} calls {parts[-1]}() on the media fast path "
                                 "(object-model round trip)",
                             )
                         )
