@@ -6,7 +6,7 @@ cross-SFU meeting migration over versioned zero-pickle control-plane
 snapshots.
 """
 
-from .cluster import ClusterSfu, SfuCluster, trunk_participant_id
+from .cluster import ClusterSfu, SfuCluster, audit_box, trunk_participant_id
 from .snapshot import (
     MeetingSnapshot,
     restore_meeting,
@@ -18,6 +18,7 @@ from .trunk import TRUNK_FORWARD_SRC_META, SfuTrunk, TrunkManager, TrunkStats
 __all__ = [
     "ClusterSfu",
     "SfuCluster",
+    "audit_box",
     "MeetingSnapshot",
     "SfuTrunk",
     "TrunkManager",

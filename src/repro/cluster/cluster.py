@@ -20,11 +20,18 @@ meeting already home is a no-op.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.replication import ParticipantEndpoint
 from ..core.scallop import ScallopSfu
-from ..dataplane.pipeline import SWITCH_FORWARDING_DELAY_S
+from ..dataplane.pipeline import (
+    SWITCH_FORWARDING_DELAY_S,
+    BoxState,
+    box_state,
+    mapping_diff,
+    state_diff,
+    state_sections,
+)
 from ..netsim.datagram import Address, Datagram
 from ..netsim.simulator import Simulator
 from ..netsim.link import Network
@@ -67,6 +74,14 @@ class ClusterSfu(ScallopSfu):
 
     def set_peers(self, addresses: Sequence[Address]) -> None:
         self._peer_addresses = {a for a in addresses if a != self.address}
+
+    def state(self) -> BoxState:
+        """The box's state with its trunk subscriptions: who sends through
+        each and who receives from it."""
+        trunks = self.trunks.subscriptions.items()
+        return super().state() | box_state(
+            {"trunk": {key: (frozenset(t.senders), frozenset(t.receivers)) for key, t in trunks}}
+        )
 
     # ------------------------------------------------------------------ ingress rerouting
 
@@ -156,9 +171,6 @@ class SfuCluster:
             member.set_peers(addresses)
         self._home: Dict[str, int] = {}
         self._clients: Dict[str, object] = {}
-        #: pre-meeting state fingerprints: what an idle box must return to
-        #: after every meeting it hosted migrates away or drains out
-        self._baselines = [self._fingerprint(member) for member in self.members]
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -336,163 +348,119 @@ class SfuCluster:
 
     # ------------------------------------------------------------------ reconciliation
 
-    def _fingerprint(self, member: ClusterSfu) -> Dict[str, int]:
-        control = member.pipeline.control
-        return {
-            "stream_entries": len(list(control.stream_table.entries())),
-            "replica_entries": len(list(control.replica_table.entries())),
-            "adaptation_entries": len(list(control.adaptation_table.entries())),
-            "feedback_entries": len(list(control.feedback_table.entries())),
-            "trees": control.pre.num_trees,
-            "l1_nodes": control.pre.total_l1_nodes(),
-            "tracker_cells": control.accountant.stream_tracker_cells_used,
-            "agent_participants": len(member.agent._participants),
-            "controller_participants": member.controller.total_participants(),
-            "trunk_subscriptions": len(member.trunks.subscriptions),
-        }
-
     def reconcile(self) -> List[str]:
-        """Audit every box against the surviving cross-SFU population.
-
-        Flushes drain windows first (the simulation horizon has passed), then
-        checks per box: controller/agent populations, table jurisdictions
-        (streams from local clients or subscribed peers only, adaptation
-        strictly egress-local, feedback toward local receivers or peer
-        trunks), accountant-vs-PRE-vs-register consistency, trunk
-        subscriptions matching the surviving remote population, and — for a
-        box hosting nothing — an exact return to its pre-meeting baseline
-        fingerprint.
-        """
-        problems: List[str] = []
+        """Audit every box (:func:`audit_box`) against the surviving
+        cross-SFU population, once the drain windows are flushed: per
+        meeting a box hosts, its remote population is the clients homed on
+        each other hosting box, one trunk subscription per box."""
         for member in self.members:
             member.trunks.flush_lingering()
             member.flush_straggler_routes()
-
-        meetings: Dict[str, Dict[int, List[str]]] = {}
+        homes: Dict[str, Dict[int, list]] = {}
         for pid, index in self._home.items():
             client = self._clients[pid]
-            meetings.setdefault(client.config.meeting_id, {}).setdefault(index, []).append(pid)
-
+            homes.setdefault(client.config.meeting_id, {}).setdefault(index, []).append(client)
+        problems: List[str] = []
         for index, member in enumerate(self.members):
+            remote = {
+                (meeting_id, self.members[peer].address): clients
+                for meeting_id, by_member in homes.items()
+                if index in by_member
+                for peer, clients in by_member.items()
+                if peer != index
+            }
+            local = [client for by_member in homes.values() for client in by_member.get(index, ())]
             tag = f"member {index} ({member.address})"
-            local_pids = {pid for pid, home in self._home.items() if home == index}
-            local_clients = [self._clients[pid] for pid in local_pids]
-            local_addresses = {client.address for client in local_clients}
-            local_ssrcs = set()
-            for client in local_clients:
-                if client.config.send_audio:
-                    local_ssrcs.add(client.audio_ssrc)
-                if client.config.send_video:
-                    local_ssrcs.add(client.video_ssrc)
-
-            remote_pids: Set[str] = set()
-            remote_ssrcs: Set[int] = set()
-            trunk_pids: Set[str] = set()
-            origin_addresses: Set[Address] = set()
-            expected_subscriptions: Dict[Tuple[str, Address], int] = {}
-            for meeting_id, by_member in meetings.items():
-                if index not in by_member:
-                    continue
-                for peer, pids in by_member.items():
-                    if peer == index:
-                        continue
-                    trunk_pids.add(trunk_participant_id(meeting_id, self.members[peer].address))
-                    origin_addresses.add(self.members[peer].address)
-                    expected_subscriptions[(meeting_id, self.members[peer].address)] = len(pids)
-                    for pid in pids:
-                        remote_pids.add(pid)
-                        client = self._clients[pid]
-                        if client.config.send_audio:
-                            remote_ssrcs.add(client.audio_ssrc)
-                        if client.config.send_video:
-                            remote_ssrcs.add(client.video_ssrc)
-
-            if member.controller.total_participants() != len(local_pids):
-                problems.append(
-                    f"{tag}: controller tracks {member.controller.total_participants()} "
-                    f"participants, {len(local_pids)} are homed here"
-                )
-            expected_agent_ids = local_pids | trunk_pids | remote_pids
-            agent_ids = set(member.agent._participants)
-            if agent_ids != expected_agent_ids:
-                problems.append(
-                    f"{tag}: agent tracks {sorted(agent_ids ^ expected_agent_ids)} inconsistently"
-                )
-
-            control = member.pipeline.control
-            peer_addresses = {m.address for m in self.members if m is not member}
-            for (src, ssrc), _entry in control.stream_table.entries():
-                if src in local_addresses and ssrc in local_ssrcs:
-                    continue
-                if src in origin_addresses and ssrc in remote_ssrcs:
-                    continue
-                problems.append(f"{tag}: stale stream entry for flow {src}/{ssrc}")
-            for (ssrc, receiver), _entry in control.adaptation_table.entries():
-                if receiver not in local_addresses or ssrc not in (local_ssrcs | remote_ssrcs):
-                    problems.append(f"{tag}: non-egress-local adaptation entry ({ssrc}, {receiver})")
-            for (receiver, ssrc), _rule in control.feedback_table.entries():
-                if receiver not in (local_addresses | peer_addresses) or ssrc not in (
-                    local_ssrcs | remote_ssrcs
-                ):
-                    problems.append(f"{tag}: stale feedback rule ({receiver}, {ssrc})")
-            for (src, ssrc), _shard in control.placement_table.entries():
-                if src not in (local_addresses | origin_addresses):
-                    problems.append(f"{tag}: stale placement exception {src}/{ssrc}")
-
-            accountant = control.accountant
-            pre = control.pre
-            if accountant.trees_allocated != pre.num_trees:
-                problems.append(
-                    f"{tag}: accountant holds {accountant.trees_allocated} trees, "
-                    f"PRE has {pre.num_trees}"
-                )
-            if accountant.l1_nodes_allocated != pre.total_l1_nodes():
-                problems.append(
-                    f"{tag}: accountant holds {accountant.l1_nodes_allocated} L1 nodes, "
-                    f"PRE has {pre.total_l1_nodes()}"
-                )
-            tracker_cells = sum(
-                getattr(rewriter, "state_cells", 1)
-                for _index, rewriter in control.stream_trackers.used_entries()
-            )
-            if accountant.stream_tracker_cells_used != tracker_cells:
-                problems.append(
-                    f"{tag}: accountant charges {accountant.stream_tracker_cells_used} tracker "
-                    f"cells, registers hold {tracker_cells}"
-                )
-            if control.stream_indices.in_use != len(control.adaptation_table):
-                problems.append(
-                    f"{tag}: {control.stream_indices.in_use} stream indices allocated for "
-                    f"{len(control.adaptation_table)} adaptation entries"
-                )
-
-            subscriptions = member.trunks.subscriptions
-            if set(subscriptions) != set(expected_subscriptions):
-                problems.append(
-                    f"{tag}: trunk subscriptions {sorted(str(k) for k in subscriptions)} != "
-                    f"expected {sorted(str(k) for k in expected_subscriptions)}"
-                )
-            else:
-                for key, expected_count in expected_subscriptions.items():
-                    if len(subscriptions[key].sender_ids) != expected_count:
-                        problems.append(
-                            f"{tag}: trunk {key} subscribes {len(subscriptions[key].sender_ids)} "
-                            f"remote senders, surviving remote population is {expected_count}"
-                        )
-
-            if not local_pids and not remote_pids:
-                fingerprint = self._fingerprint(member)
-                baseline = self._baselines[index]
-                if fingerprint != baseline:
-                    drift = {
-                        k: (baseline[k], fingerprint[k])
-                        for k in fingerprint
-                        if fingerprint[k] != baseline[k]
-                    }
-                    problems.append(f"{tag}: idle box has not returned to baseline: {drift}")
+            for problem in audit_box(member, local, remote, member._peer_addresses):
+                problems.append(f"{tag}: {problem}")
         return problems
 
     # ------------------------------------------------------------------ reporting
 
     def total_participants(self) -> int:
         return len(self._home)
+
+
+def media_ssrcs(clients) -> Set[int]:
+    ssrcs = {client.audio_ssrc for client in clients if client.config.send_audio}
+    return ssrcs | {client.video_ssrc for client in clients if client.config.send_video}
+
+
+def audit_box(
+    box: ScallopSfu,
+    local: Sequence,
+    remote: Dict[Tuple[str, Address], Sequence],
+    peers: Collection[Address],
+) -> List[str]:
+    """Check one Scallop box's :meth:`~repro.core.scallop.ScallopSfu.state`
+    against the population it should hold; returns the discrepancies.
+
+    ``local`` are the clients homed on the box, ``remote`` maps each trunk
+    subscription it should hold, ``(meeting, peer box address)``, to the
+    clients homed on that peer, and ``peers`` are the other boxes'
+    addresses.  Checked: table jurisdictions (streams from local clients or
+    subscribed peers, adaptation egress-local, feedback toward local
+    receivers or peers, placements of local or trunked flows); resources in
+    use against their account; the controller's and agent's populations and
+    each trunk's senders; the indexes against what they index; and that a
+    box hosting nobody is empty.  (The shard load tracker is telemetry, not
+    state: a departed client's in-flight packets re-mint decaying rows.)
+    """
+    state = box.state()
+    view = state_sections(state)
+    remote_clients = [client for clients in remote.values() for client in clients]
+    local_ssrcs, remote_ssrcs = media_ssrcs(local), media_ssrcs(remote_clients)
+    ssrcs = local_ssrcs | remote_ssrcs
+    addresses = {client.address for client in local}
+    origins = {origin for _meeting, origin in remote}
+    receivers = addresses | set(peers)
+    jurisdiction = {
+        "stream": lambda src, ssrc: (
+            src in addresses and ssrc in local_ssrcs or src in origins and ssrc in remote_ssrcs
+        ),
+        "adaptation": lambda ssrc, receiver: receiver in addresses and ssrc in ssrcs,
+        "feedback": lambda receiver, ssrc: receiver in receivers and ssrc in ssrcs,
+        "placement": lambda src, _ssrc: src in addresses or src in origins,
+    }
+    problems: List[str] = []
+    for name, in_jurisdiction in jurisdiction.items():
+        problems += [f"stale {name} entry {key}" for key in view[name] if not in_jurisdiction(*key)]
+    for name, (used, held) in view["resource"].items():
+        if used != held:
+            problems.append(f"{used} {name} in use, {held} accounted for")
+    tracked = box.controller.total_participants()
+    if tracked != len(local):
+        problems.append(f"controller tracks {tracked} participants, {len(local)} are homed here")
+
+    registry = view["registry"]
+    population = [client.config.participant_id for client in local + remote_clients]
+    population += [trunk_participant_id(meeting_id, origin) for meeting_id, origin in remote]
+    feedback = dict.fromkeys(view["feedback"], True)
+    placements = dict.fromkeys(view["placement"], True)
+    derived = {
+        "registry": (dict.fromkeys(registry, True), dict.fromkeys(population, True)),
+        "trunk": (
+            {key: len(senders) for key, (senders, _receivers) in view["trunk"].items()},
+            {key: len(clients) for key, clients in remote.items()},
+        ),
+        "feedback_by_receiver": (view["feedback_by_receiver"], feedback),
+        "feedback_by_ssrc": (view["feedback_by_ssrc"], feedback),
+        "placement_by_src": (view["placement_by_src"], placements),
+        "by_address": (
+            view["by_address"],
+            {r.address: pid for pid, r in registry.items() if not (r.remote or r.trunk)},
+        ),
+        "by_ssrc": (
+            view["by_ssrc"],
+            {ssrc: pid for pid, r in registry.items() for _kind, ssrc in r.media},
+        ),
+    }
+    for name, (held, expected) in derived.items():
+        diff = mapping_diff(held, expected)
+        if diff is not None:
+            problems.append(f"disagrees with its source: {name}{diff}")
+    if not local and not remote:
+        diff = state_diff(state, frozenset())
+        if diff is not None:
+            problems.append(f"idle box is not empty: {diff}")
+    return problems

@@ -84,10 +84,6 @@ class SfuTrunk:
         return (self.meeting_id, self.origin)
 
     @property
-    def sender_ids(self) -> Tuple[str, ...]:
-        return tuple(self.senders)
-
-    @property
     def ssrcs(self) -> Tuple[int, ...]:
         """Remote media SSRCs routed through this trunk."""
         return tuple(ssrc for sender in self.senders.values() for _kind, ssrc in sender.media_ssrcs())

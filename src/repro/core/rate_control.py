@@ -97,9 +97,6 @@ class DownlinkFilter:
         state = self._state.get((sender_id, receiver_id))
         return None if state is None else state.ewma_bps
 
-    def receivers_for(self, sender_id: str) -> List[str]:
-        return [receiver for (sender, receiver) in self._state if sender == sender_id]
-
     def best_receiver(self, sender_id: str) -> Optional[Tuple[str, float]]:
         """The receiver with the highest EWMA estimate for this sender."""
         best: Optional[Tuple[str, float]] = None

@@ -199,13 +199,16 @@ class ReplicationManager:
         would leave it.  A design change (or a first install) re-lays its
         trees instead (:meth:`_relay`).  A single remaining participant has
         nobody to forward to: the meeting record stays, with no forwarding
-        state installed.
+        state installed.  A departed participant gives up its egress port;
+        ports are never reused, so nobody present changes port.
         """
         wanted: Dict[str, ParticipantEndpoint] = {}
         for participant in participants:
             self._assign_port(participant)
             wanted[participant.participant_id] = participant
         state = self.meetings.get(meeting_id)
+        for pid in (state.participants.keys() - wanted.keys()) if state is not None else ():
+            del self._port_by_participant[pid]
         if state is None:
             state = MeetingReplicationState(meeting_id=meeting_id, design=design)
             self.meetings[meeting_id] = state
@@ -218,12 +221,13 @@ class ReplicationManager:
         return state
 
     def remove_meeting(self, meeting_id: str) -> None:
-        """Tear down a meeting's trees and ingress entries."""
+        """Tear down a meeting's trees, ingress entries and egress ports."""
         state = self.meetings.pop(meeting_id, None)
         if state is None:
             return
         for participant in state.participants.values():
             self._remove_sender_entries(participant)
+            del self._port_by_participant[participant.participant_id]
         self._release(*self._detach(state))
 
     # ------------------------------------------------------------------ incremental membership

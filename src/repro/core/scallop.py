@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..dataplane.pipeline import ScallopPipeline, SWITCH_FORWARDING_DELAY_S
+from ..dataplane.pipeline import BoxState, ScallopPipeline, SWITCH_FORWARDING_DELAY_S
 from ..dataplane.rebalance import RebalancerConfig
 from ..obs.hooks import ObsConfig
 from ..dataplane.resources import DEFAULT_CAPACITIES, TofinoCapacities
@@ -244,6 +244,10 @@ class ScallopSfu:
             "packets": counters.data_plane_packets / total_packets,
             "bytes": counters.data_plane_bytes / total_bytes if total_bytes else 0.0,
         }
+
+    def state(self) -> BoxState:
+        """What the box has installed (:meth:`SwitchAgent.state`)."""
+        return self.agent.state()
 
     @property
     def forwarding_delay_s(self) -> float:

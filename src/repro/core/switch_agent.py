@@ -25,9 +25,9 @@ is picked again when a new rate-adaptation entry is installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Sized, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Sized, Tuple
 
-from ..dataplane.pipeline import FeedbackRule, ScallopPipeline
+from ..dataplane.pipeline import BoxState, FeedbackRule, ScallopPipeline, box_state, index_pairs
 from ..netsim.datagram import Address, Datagram, PayloadKind
 from ..rtp.av1 import DecodeTarget, TemplateStructure, extract_dependency_descriptor
 from ..rtp.packet import RtpPacket
@@ -239,7 +239,8 @@ class SwitchAgent:
             self._forget_participant(pid)
         self._participants[pid] = _ParticipantState(endpoint=participant, meeting_id=meeting_id)
         self._members.setdefault(meeting_id, {})[pid] = participant
-        self._participant_by_address[participant.address] = pid
+        if not participant.trunk:  # REMB, the one punt resolved by address, never crosses a trunk
+            self._participant_by_address[participant.address] = pid
         for _kind, ssrc in participant.media_ssrcs():
             self._participant_by_ssrc[ssrc] = pid
 
@@ -249,7 +250,6 @@ class SwitchAgent:
         if state is None:
             return
         if self._participant_by_address.get(state.endpoint.address) == participant_id:
-            # trunk endpoints of several meetings share the peer's address
             del self._participant_by_address[state.endpoint.address]
         for _kind, ssrc in state.endpoint.media_ssrcs():
             self._participant_by_ssrc.pop(ssrc, None)
@@ -509,9 +509,53 @@ class SwitchAgent:
 
     # ------------------------------------------------------------------ inspection helpers
 
+    def state(self) -> BoxState:
+        """The box's state: the control plane's
+        :meth:`~repro.dataplane.pipeline.PipelineControlPlane.state`, the
+        registry and its indexes, the adaptation bookkeeping, the keys of the
+        downlink-filter and decode-target state, the replicated meetings and
+        who holds an egress port."""
+        replication = self.replication
+        return self.pipeline.control.state() | box_state(
+            {
+                "registry": {pid: Registration.of(p) for pid, p in self._participants.items()},
+                "by_address": self._participant_by_address,
+                "by_ssrc": self._participant_by_ssrc,
+                "member": index_pairs(self._members),
+                "adaptation_meeting": self._adaptation_installed,
+                "adapted_meetings": self._adapted_meetings,
+                "filter": dict.fromkeys(self.downlink_filter._state, True),
+                "filter_selected": self.downlink_filter._selected,
+                "decode_target": dict.fromkeys(self.decode_targets._targets, True),
+                "meeting": {
+                    meeting_id: (m.design, tuple(m.participants), tuple(t.layer for t in m.trees))
+                    for meeting_id, m in replication.meetings.items()
+                },
+                "port": dict.fromkeys(replication._port_by_participant, True),
+            }
+        )
+
     def decode_target_for(self, sender_id: str, receiver_id: str) -> DecodeTarget:
         return self.decode_targets.current(sender_id, receiver_id)
 
-    def participants_in(self, meeting_id: str) -> List[str]:
-        meeting = self.replication.meetings.get(meeting_id)
-        return [] if meeting is None else list(meeting.participants)
+
+class Registration(NamedTuple):
+    """A registry entry of :meth:`SwitchAgent.state`: a registration without
+    its egress port (an allocation id)."""
+
+    meeting_id: str
+    remote: bool
+    address: Address
+    #: ``(kind, SSRC)`` of each media stream the participant sends
+    media: Tuple[Tuple[str, int], ...]
+    trunk: bool
+    #: the SVC template structure, as sorted (template, layer) and
+    #: (decode target, layers) pairs
+    structure: tuple
+
+    @classmethod
+    def of(cls, p: _ParticipantState) -> "Registration":
+        e, s = p.endpoint, p.structure
+        layers = tuple(sorted(s.template_to_layer.items()))
+        structure = layers, tuple(sorted(s.decode_target_layers.items()))
+        return cls(p.meeting_id, p.remote, e.address, tuple(e.media_ssrcs()), e.trunk, structure)

@@ -42,6 +42,7 @@ own generation stamp); a burst pays the stamp check and accounting fold once.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -578,13 +579,13 @@ class PipelineControlPlane:
         leaking it.
         """
         key = (sender_ssrc, receiver)
-        cells = getattr(rewriter, "state_cells", 1)
+        cells = rewriter.state_cells
         existing_index = self.stream_indices.lookup(key)
         old_cells = 0
         if existing_index is not None:
             old = self.stream_trackers.peek(existing_index)
             if old is not None:
-                old_cells = getattr(old, "state_cells", 1)
+                old_cells = old.state_cells
         # charge only the net growth, so a same-size swap succeeds even at
         # full occupancy; unwind the charge (and a freshly allocated index)
         # if the index pool or the table turns out to be exhausted
@@ -624,7 +625,7 @@ class PipelineControlPlane:
         if entry is not None:
             rewriter = self.stream_trackers.peek(entry.stream_index)
             if rewriter is not None:
-                self.accountant.release_stream_state(getattr(rewriter, "state_cells", 1))
+                self.accountant.release_stream_state(rewriter.state_cells)
             self._write_tracker(entry.stream_index, None)
             self.stream_indices.release(key)
             self.adaptation_table.remove(key)
@@ -731,6 +732,132 @@ class PipelineControlPlane:
             for sender_ssrc, receiver, allowed, rewriter in records:
                 self.install_adaptation(sender_ssrc, receiver, allowed, rewriter)
         return len(records)
+
+    # ------------------------------------------------------------------ box state
+
+    def state(self) -> "BoxState":
+        """What this control plane has installed, as one canonical value: a
+        frozenset of ``(section, key, value)`` triples, ``frozenset()`` when
+        empty.  Allocation ids are replaced by what they point to: a PRE node
+        and its replica target by ``(participant id, address, L1 XID, prune
+        flag)``, a stream entry's MGIDs by per-layer sets of those and its
+        (RID, L2 XID) by the participant whose copy it suppresses, a stream
+        index by its rewriter's class.  No counter, generation or datapath
+        cache moves."""
+        targets = dict(self.replica_table.entries())
+        pre_trees = self.pre._trees
+        nodes = {
+            (mgid, node.rid): node
+            for mgid, tree in pre_trees.items()
+            for node in tree.nodes.values()
+        }
+
+        def member(slot: Tuple[int, int]) -> tuple:
+            node, target = nodes.get(slot), targets.get(slot)
+            pid, address = (target.participant_id, target.address) if target else (None, None)
+            if node is None:
+                return (pid, address, None, None)
+            return (pid, address, node.l1_xid, node.prune_enabled)
+
+        trees = {
+            mgid: frozenset(member((mgid, rid)) for rid in tree.used_rids)
+            for mgid, tree in pre_trees.items()
+        }
+        streams = {}
+        for key, entry in self.stream_table.entries():
+            own = nodes.get((entry.mgid, entry.rid))
+            suppressed = own is not None and any(port.l2_xid == entry.l2_xid for port in own.ports)
+            layers = sorted((entry.mgid_by_layer or {None: entry.mgid}).items())
+            streams[key] = (
+                entry.mode,
+                entry.meeting_id,
+                entry.sender,
+                entry.unicast_receiver,
+                entry.l1_xid,
+                member((entry.mgid, entry.rid))[0] if suppressed else None,
+                tuple((layer, trees.get(mgid)) for layer, mgid in layers),
+            )
+        trackers, accountant = self.stream_trackers, self.accountant
+        cells = sum(rewriter.state_cells for _index, rewriter in trackers.used_entries())
+        resources = (
+            ("trees", self.pre.num_trees, accountant.trees_allocated),
+            ("l1_nodes", self.pre.total_l1_nodes(), accountant.l1_nodes_allocated),
+            ("tracker_cells", cells, accountant.stream_tracker_cells_used),
+            ("stream_indices", self.stream_indices.in_use, len(self.adaptation_table)),
+        )
+        return box_state(
+            {
+                "stream": streams,
+                "l1_node": Counter(member(slot) for slot in nodes.keys() | targets.keys()),
+                "adaptation": {
+                    key: (entry.allowed_templates, type(trackers.peek(entry.stream_index)).__name__)
+                    for key, entry in self.adaptation_table.entries()
+                },
+                "feedback": dict(self.feedback_table.entries()),
+                "feedback_by_receiver": index_pairs(self._feedback_by_receiver),
+                "feedback_by_ssrc": {(r, s): True for s, r in index_pairs(self._feedback_by_ssrc)},
+                "ssrc_owner": dict(self.ssrc_table.entries()),
+                "placement": dict(self.placement_table.entries()),
+                "placement_by_src": index_pairs(self._placements_by_src),
+                # (in use, accounted for): the accountant's charge, or the
+                # adaptation entries a stream index serves
+                "resource": {name: (used, held) for name, used, held in resources if used or held},
+            }
+        )
+
+
+#: A box's state (:meth:`PipelineControlPlane.state`): ``(section, key, value)`` triples.
+BoxState = FrozenSet[Tuple[str, object, object]]
+
+
+def index_pairs(index: Dict) -> Dict[tuple, bool]:
+    """A two-level ``key -> {member: ...}`` index as a set of pairs."""
+    return {(key, member): True for key, members in index.items() for member in members}
+
+
+def box_state(sections: Dict[str, Dict]) -> BoxState:
+    """Fold ``section -> {key: value}`` mappings into a :data:`BoxState`."""
+    return frozenset(
+        (name, key, value) for name, pairs in sections.items() for key, value in pairs.items()
+    )
+
+
+def state_sections(state: BoxState) -> Dict[str, Dict]:
+    """Unfold a :data:`BoxState` into ``section -> {key: value}``; a
+    section the state lacks reads as empty."""
+    sections: Dict[str, Dict] = defaultdict(dict)
+    for name, key, value in state:
+        sections[name][key] = value
+    return sections
+
+
+_ABSENT = object()
+
+
+def mapping_diff(a: Dict, b: Dict) -> Optional[str]:
+    """``[key]: value != value`` for the first key, in ``repr`` order, whose
+    value differs between two mappings ("absent" where one lacks it), or
+    ``None`` when they are equal."""
+    differing = [k for k in a.keys() | b.keys() if a.get(k, _ABSENT) != b.get(k, _ABSENT)]
+    if not differing:
+        return None
+    first = min(differing, key=repr)
+    values = [repr(side[first]) if first in side else "absent" for side in (a, b)]
+    return f"[{first!r}]: {values[0]} != {values[1]}"
+
+
+def state_diff(a: BoxState, b: BoxState) -> Optional[str]:
+    """The first ``section[key]`` whose value differs between two box
+    states, with both values, or ``None`` when they are equal.  The
+    ``resource`` counts come last, so the key named is the most specific
+    one."""
+    mine, theirs = state_sections(a), state_sections(b)
+    for name in sorted(mine.keys() | theirs.keys(), key=lambda name: (name == "resource", name)):
+        diff = mapping_diff(mine[name], theirs[name])
+        if diff is not None:
+            return name + diff
+    return None
+
 
 class PipelineDatapath:
     """The per-packet engine: parses, matches, replicates, rewrites.

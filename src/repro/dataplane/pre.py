@@ -122,11 +122,6 @@ class PacketReplicationEngine:
             return
         self._bump_generation()
         self.accountant.release_tree(l1_nodes=len(tree.nodes))
-        # the tree slot itself was accounted with 0 nodes at creation; node
-        # counts were added per add_node call, so balance them out here
-        self.accountant.l1_nodes_allocated = max(
-            0, self.accountant.l1_nodes_allocated
-        )
 
     def add_node(
         self,

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..baseline.software_sfu import SoftwareSfu
-from ..cluster import SfuCluster
+from ..cluster import SfuCluster, audit_box
+from ..cluster.cluster import media_ssrcs
 from ..core.rate_control import select_decode_target
 from ..core.scallop import ScallopSfu
 from ..netsim.datagram import Address
@@ -485,99 +486,31 @@ class ScenarioRun(Testbed):
         """Check that SFU-side state matches the surviving population.
 
         Returns a list of human-readable discrepancies (empty = consistent).
-        After any amount of churn the controller, switch agent, data-plane
-        tables, and the resource accountant must all describe exactly the
-        participants still in the run — a leave that leaks table entries,
-        PRE nodes, or accountant charges shows up here.
+        Every Scallop box, a lone one or each member of a cluster
+        (:meth:`SfuCluster.reconcile`), goes through one audit,
+        :func:`~repro.cluster.cluster.audit_box`, of its
+        :meth:`~repro.core.scallop.ScallopSfu.state`; a lone box is a
+        population with no peers.  A software SFU is checked for departed
+        SSRC routes.
         """
         problems: List[str] = []
-        surviving_ids = {client.config.participant_id for client in self.clients}
-        surviving_addresses = {client.address for client in self.clients}
-        surviving_ssrcs = set()
-        for client in self.clients:
-            if client.config.send_audio:
-                surviving_ssrcs.add(client.audio_ssrc)
-            if client.config.send_video:
-                surviving_ssrcs.add(client.video_ssrc)
-
-        sfu = self.sfu
+        sfu, survive = self.sfu, len(self.clients)
         if isinstance(sfu, SfuCluster):
             # the cluster audits each box against the cross-SFU population it
-            # tracks itself (homes, trunk subscriptions, idle baselines); the
-            # driver only cross-checks the two population ledgers agree
-            if sfu.total_participants() != len(self.clients):
-                problems.append(
-                    f"cluster tracks {sfu.total_participants()} participants, "
-                    f"{len(self.clients)} survive"
-                )
+            # tracks itself; the driver cross-checks the two ledgers agree
+            tracked = sfu.total_participants()
+            if tracked != survive:
+                problems.append(f"cluster tracks {tracked} participants, {survive} survive")
             problems.extend(sfu.reconcile())
-            return problems
-        if isinstance(sfu, SoftwareSfu):
-            if sfu.total_participants != len(self.clients):
-                problems.append(
-                    f"software SFU tracks {sfu.total_participants} participants, "
-                    f"{len(self.clients)} survive"
-                )
-            stale = set(sfu._by_ssrc) - surviving_ssrcs
+        elif isinstance(sfu, ScallopSfu):
+            problems.extend(audit_box(sfu, self.clients, {}, ()))
+        elif isinstance(sfu, SoftwareSfu):
+            tracked = sfu.total_participants
+            if tracked != survive:
+                problems.append(f"software SFU tracks {tracked} participants, {survive} survive")
+            stale = set(sfu._by_ssrc) - media_ssrcs(self.clients)
             if stale:
                 problems.append(f"software SFU keeps {len(stale)} departed SSRC routes")
-            return problems
-        if not isinstance(sfu, ScallopSfu):
-            return problems
-
-        controller = sfu.controller
-        if controller.total_participants() != len(self.clients):
-            problems.append(
-                f"controller tracks {controller.total_participants()} participants, "
-                f"{len(self.clients)} survive"
-            )
-        agent_ids = set(sfu.agent._participants)
-        if agent_ids != surviving_ids:
-            problems.append(
-                f"switch agent tracks {sorted(agent_ids ^ surviving_ids)} inconsistently"
-            )
-        control = sfu.pipeline.control
-        for (src, ssrc), _entry in control.stream_table.entries():
-            if src not in surviving_addresses or ssrc not in surviving_ssrcs:
-                problems.append(f"stale stream entry for departed flow {src}/{ssrc}")
-        for (ssrc, receiver), _entry in control.adaptation_table.entries():
-            if receiver not in surviving_addresses or ssrc not in surviving_ssrcs:
-                problems.append(f"stale adaptation entry ({ssrc}, {receiver})")
-        for (receiver, ssrc), _rule in control.feedback_table.entries():
-            if receiver not in surviving_addresses or ssrc not in surviving_ssrcs:
-                problems.append(f"stale feedback rule ({receiver}, {ssrc})")
-        # (the load tracker is deliberately NOT checked: in-flight tail
-        # traffic of a departed client legitimately re-mints telemetry rows,
-        # which are bounded and decay to zero — placement pins are the state
-        # that must not outlive the population, enforced here)
-        for (src, ssrc), _shard in control.placement_table.entries():
-            if src not in surviving_addresses:
-                problems.append(f"stale placement exception for departed flow {src}/{ssrc}")
-        accountant = control.accountant
-        pre = control.pre
-        if accountant.trees_allocated != pre.num_trees:
-            problems.append(
-                f"accountant holds {accountant.trees_allocated} trees, PRE has {pre.num_trees}"
-            )
-        if accountant.l1_nodes_allocated != pre.total_l1_nodes():
-            problems.append(
-                f"accountant holds {accountant.l1_nodes_allocated} L1 nodes, "
-                f"PRE has {pre.total_l1_nodes()}"
-            )
-        tracker_cells = sum(
-            getattr(rewriter, "state_cells", 1)
-            for _index, rewriter in control.stream_trackers.used_entries()
-        )
-        if accountant.stream_tracker_cells_used != tracker_cells:
-            problems.append(
-                f"accountant charges {accountant.stream_tracker_cells_used} tracker cells, "
-                f"registers hold {tracker_cells}"
-            )
-        if control.stream_indices.in_use != len(control.adaptation_table):
-            problems.append(
-                f"{control.stream_indices.in_use} stream indices allocated for "
-                f"{len(control.adaptation_table)} adaptation entries"
-            )
         return problems
 
 

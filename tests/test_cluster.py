@@ -1,6 +1,6 @@
 """Suite for ``repro.cluster`` (PR 10): multi-SFU federation.
 
-Six layers:
+Seven layers:
 
 * **cascade stat-identity** — the headline property: a meeting cascaded
   across two Scallop boxes over an inter-SFU trunk delivers *exactly* the
@@ -17,8 +17,8 @@ Six layers:
   round trip is field-for-field identical.
 * **live migration end to end** — a cascaded meeting live-migrates between
   boxes mid-run: no receiver ends with a sequence gap, no decoder-state
-  corruption, and the migrated-away box drains back to its pre-meeting
-  baseline fingerprint.
+  corruption, and the migrated-away box drains to the empty
+  ``ClusterSfu.state()``.
 * **meetings sharing a trunk** — trunk endpoints are keyed per meeting, so
   emptying one cascaded meeting leaves the trunk endpoint and the feedback
   rules of every other meeting on the same peer in place.
@@ -26,6 +26,8 @@ Six layers:
   series (zero-valued on a classic single-box engine), live trunk counters
   surface through ``TelemetryBus.add_engine``, and ``validate_snapshot``
   requires the federation series.
+* **one audit per box** — ``state()`` moves no counter, generation or cache,
+  and ``audit_box`` names a derived index that disagrees with its table.
 """
 
 import dataclasses
@@ -54,6 +56,7 @@ from repro.dataplane.pipeline import (
     SnapshotVersionError,
     StreamForwardingEntry,
     decode_flow_state,
+    state_diff,
 )
 from repro.dataplane.pre import L2Port
 from repro.netsim.datagram import Address, Datagram
@@ -375,11 +378,11 @@ class TestLiveMigrationEndToEnd:
     def test_migrated_away_box_returns_to_baseline(self, finished_run):
         cluster = finished_run.sfu
         finished_run.reconcile()  # flushes lingering trunks + straggler routes
-        drained = cluster._fingerprint(cluster.members[0])
-        assert drained == cluster._baselines[0]
+        # empty: tables, PRE, registers, registry, indexes, egress ports and
+        # trunk subscriptions
+        assert state_diff(cluster.members[0].state(), frozenset()) is None
         # the destination box is now the meeting's only home: no trunk
         # subscriptions survive the consolidation
-        assert len(cluster.members[0].trunks.subscriptions) == 0
         assert len(cluster.members[1].trunks.subscriptions) == 0
 
     def test_summary_reports_the_federation(self, finished_run):
@@ -587,3 +590,53 @@ class TestClusterApiContract:
         )
         assert packed > 0
         assert snapshot_size_bytes(snapshot) >= packed
+
+
+# --------------------------------------------------------------------------- one audit per box
+
+
+def _audited_run():
+    """One box, three participants, adapted streams and a warm flow cache."""
+    meeting = MeetingSpec(participants=3, video_bitrate_bps=650_000.0)
+    backend = BackendSpec(adaptation_thresholds_bps=(1_300_000.0, 650_000.0))
+    run = build_scenario(Scenario(meetings=(meeting,), backend=backend, seed=3))
+    run.run_for(2.0)
+    assert run.reconcile() == []
+    assert len(run.sfu.pipeline.adaptation_table) and run.sfu.pipeline.datapath._flow_cache
+    return run
+
+
+def test_state_moves_no_counter_generation_or_cache():
+    with _audited_run() as run:
+        pipeline, agent = run.sfu.pipeline, run.sfu.agent
+
+        def counters():
+            pre, datapath = pipeline.pre, pipeline.datapath
+            tables = [(table.lookups, table.hits, table.version) for table in pipeline.control._all_tables()]
+            return (pre.replications_performed, pre.copies_produced, pre.generation, tables,
+                    pipeline.stream_trackers.accesses, dict(datapath._flow_cache), datapath._cache_stamp)
+
+        before = counters()
+        state = agent.state()
+        assert counters() == before
+        assert agent.state() == state and hash(agent.state()) == hash(state)
+
+
+CORRUPTIONS = {
+    "feedback_by_receiver": lambda control, _agent, c: control._feedback_by_receiver[c[1].address].popitem(),
+    "feedback_by_ssrc": lambda control, _agent, c: control._feedback_by_ssrc[c[0].video_ssrc].popitem(),
+    "placement_by_src": lambda control, _agent, c: (
+        control.install_placement(c[0].address, c[0].video_ssrc, 1),
+        control._placements_by_src.clear(),
+    ),
+    "by_address": lambda _control, agent, c: agent._participant_by_address.pop(c[1].address),
+    "by_ssrc": lambda _control, agent, c: agent._participant_by_ssrc.update({c[2].audio_ssrc: "ghost"}),
+}
+
+
+@pytest.mark.parametrize("index", sorted(CORRUPTIONS))
+def test_the_audit_names_an_index_that_disagrees_with_its_table(index):
+    with _audited_run() as run:
+        CORRUPTIONS[index](run.sfu.pipeline.control, run.sfu.agent, run.clients)
+        problems = run.reconcile()
+        assert len(problems) == 1 and problems[0].startswith(f"disagrees with its source: {index}["), problems

@@ -53,7 +53,7 @@ from repro.core.capacity import ReplicationDesign
 from repro.core.controller import ScallopController
 from repro.core.replication import ParticipantEndpoint, ReplicationManager
 from repro.core.switch_agent import SwitchAgent
-from repro.dataplane.pipeline import ForwardingMode, ReplicaTarget, ScallopPipeline
+from repro.dataplane.pipeline import ForwardingMode, ReplicaTarget, ScallopPipeline, state_diff
 from repro.dataplane.pre import L2Port
 from repro.dataplane.tables import ExactMatchTable
 from repro.dataplane.resources import DEFAULT_CAPACITIES
@@ -339,7 +339,7 @@ class TestWriteCounts:
             ("sync_meeting", agent.replication): 1,
             ("configure wrote", agent): 1,
         }
-        assert agent.participants_in("m") == ["p1", "p3", "p4"]
+        assert list(agent.replication.meetings["m"].participants) == ["p1", "p3", "p4"]
 
 
 def write_stamp(pipeline):
@@ -576,7 +576,7 @@ def test_departures_are_forgotten_and_indexes_follow():
     assert participants[0].address not in agent._participant_by_address
     assert participants[0].video_ssrc not in agent._participant_by_ssrc
     assert set(agent._participants) == {f"p{index}" for index in range(2, 8)}
-    assert agent.participants_in("m") == ["p2", "p3", "p4"]
+    assert list(agent.replication.meetings["m"].participants) == ["p2", "p3", "p4"]
 
 
 # --------------------------------------------------------------------------- the fresh-install oracle
@@ -723,38 +723,11 @@ def _in_meeting_delivery(box):
     return delivery
 
 
-def _box_view(box):
-    """Box-wide state that does not depend on tree groups or node order."""
-    pipeline, agent = box.pipeline, box.agent
-    replication = agent.replication
-    meetings = {}
-    for meeting_id, state in replication.meetings.items():
-        meetings[meeting_id] = (
-            state.design,
-            tuple(state.participants.items()),
-            tuple(
-                (tree.layer, frozenset(key for key in tree.node_ids if key.startswith(f"{meeting_id}:")))
-                for tree in state.trees
-            ),
-        )
-    return {
-        "meetings": meetings,
-        "ssrc_owners": dict(pipeline.ssrc_table.entries()),
-        "feedback": dict(pipeline.feedback_table.entries()),
-        "adaptation": dict(pipeline.adaptation_table.entries()),
-        "registry": {
-            pid: (state.meeting_id, state.remote, state.endpoint, state.structure)
-            for pid, state in agent._participants.items()
-        },
-        "by_address": dict(agent._participant_by_address),
-        "by_ssrc": dict(agent._participant_by_ssrc),
-        "trunks": {
-            key: (trunk.senders, trunk.receivers)
-            for key, trunk in box.trunks.subscriptions.items()
-        },
-        "l1_nodes": pipeline.accountant.l1_nodes_allocated,
-        "delivery": _in_meeting_delivery(box),
-    }
+def _layout_free(state):
+    """A box state without what a re-lay may move: the tree group and XID
+    slot a meeting sits in show in its stream entries, the L1 nodes and the
+    tree count."""
+    return frozenset(t for t in state if t[0] not in ("stream", "l1_node") and t[1] != "trees")
 
 
 def _assert_designs(run):
@@ -776,9 +749,9 @@ def _assert_oracle_agrees(sequence):
             for manager, meeting_id in synced:
                 _assert_fresh_install(boxes[manager], meeting_id)
             for index, (box, oracle) in enumerate(zip(incremental.sfu.members, rebuilt.sfu.members)):
-                view, expected = _box_view(box), _box_view(oracle)
-                for part in expected:
-                    assert view[part] == expected[part], f"box {index} {part} differs after op {step} {operation}"
+                diff = state_diff(_layout_free(box.state()), _layout_free(oracle.state()))
+                assert diff is None, f"box {index} differs after op {step} {operation}: {diff}"
+                assert _in_meeting_delivery(box) == _in_meeting_delivery(oracle), f"box {index} delivery"
             _assert_designs(incremental)
             assert incremental.reconcile() == rebuilt.reconcile()
     finally:
@@ -847,44 +820,6 @@ def test_oracle_sequence_exercises_both_paths():
 # --------------------------------------------------------------------------- idempotence
 
 
-def _installed_view(box):
-    """Everything a configure or a trunk sync may write on one box: the
-    tables, the PRE trees, the replication records, the agent registry and
-    the trunk subscriptions."""
-    pipeline, agent = box.pipeline, box.agent
-    control = pipeline.control
-    return {
-        "tables": {table.name: dict(table.entries()) for table in control._all_tables()},
-        "pre": {
-            mgid: {node_id: (node.rid, node.ports, node.l1_xid, node.prune_enabled) for node_id, node in tree.nodes.items()}
-            for mgid, tree in control.pre._trees.items()
-        },
-        "meetings": {
-            meeting_id: (
-                state.design,
-                tuple(state.participants.items()),
-                state.l1_xid,
-                state.tree_group,
-                state.stamped_xid,
-                tuple(tree.mgid for tree in state.trees),
-            )
-            for meeting_id, state in agent.replication.meetings.items()
-        },
-        "registry": {
-            pid: (state.meeting_id, state.remote, state.endpoint, state.structure)
-            for pid, state in agent._participants.items()
-        },
-        "members": {meeting_id: tuple(members) for meeting_id, members in agent._members.items()},
-        "by_address": dict(agent._participant_by_address),
-        "by_ssrc": dict(agent._participant_by_ssrc),
-        "adaptations": (dict(agent._adaptation_installed), dict(agent._adapted_meetings)),
-        "trunks": {
-            key: (trunk.mgid, dict(trunk.senders), dict(trunk.receivers), dict(trunk.nodes))
-            for key, trunk in box.trunks.subscriptions.items()
-        },
-    }
-
-
 def _reconfigure_everything(run):
     """Configure every installed meeting on every hosting box and re-sync
     its trunk subscriptions, as an op on that meeting would."""
@@ -902,6 +837,21 @@ def without_the_no_op_return():
         yield
 
 
+def _allocations(box):
+    """The allocation ids the replication records, trunks and registry hold,
+    which ``state()`` leaves out, and the order of each meeting's members."""
+    agent = box.agent
+    return (
+        {
+            meeting_id: (state.l1_xid, state.tree_group, state.stamped_xid, tuple(t.mgid for t in state.trees))
+            for meeting_id, state in agent.replication.meetings.items()
+        },
+        {key: (trunk.mgid, dict(trunk.nodes)) for key, trunk in box.trunks.subscriptions.items()},
+        {meeting_id: tuple(members) for meeting_id, members in agent._members.items()},
+        dict(agent.replication._port_by_participant),
+    )
+
+
 def _assert_idempotent(run):
     boxes = run.sfu.members
     # entries left stale by a partner entering or leaving the group (defect
@@ -915,14 +865,17 @@ def _assert_idempotent(run):
     for index, box in enumerate(boxes):
         if not stale[index]:
             assert write_stamp(box.pipeline) == stamps[index], f"box {index}: an unchanged configure wrote"
-    views = [_installed_view(box) for box in boxes]
+    # the state leaves allocation ids out: the write stamps pin the tables'
+    # and PRE's, _allocations the bookkeeping's
+    states = [(box.state(), _allocations(box)) for box in boxes]
     stamps = [write_stamp(box.pipeline) for box in boxes]
     with without_the_no_op_return():
         _reconfigure_everything(run)
     for index, box in enumerate(boxes):
-        view = _installed_view(box)
-        for part in views[index]:
-            assert view[part] == views[index][part], f"box {index}: a full re-configure changed {part}"
+        state, allocations = states[index]
+        diff = state_diff(box.state(), state)
+        assert diff is None, f"box {index}: a full re-configure changed {diff}"
+        assert _allocations(box) == allocations, f"box {index}: a full re-configure moved an id"
         assert write_stamp(box.pipeline) == stamps[index], f"box {index}: a full re-configure wrote"
 
 

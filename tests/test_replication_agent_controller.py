@@ -1,4 +1,7 @@
-"""Unit tests for the replication manager, switch agent, and controller."""
+"""Unit tests for the replication manager, switch agent, and controller,
+and for the agent's one definition of box state (``SwitchAgent.state``)."""
+
+from unittest import mock
 
 import pytest
 
@@ -6,7 +9,7 @@ from repro.core.capacity import ReplicationDesign, RewriteVariant
 from repro.core.controller import ScallopController, SignalingError
 from repro.core.replication import ParticipantEndpoint, ReplicationManager
 from repro.core.switch_agent import SwitchAgent
-from repro.dataplane.pipeline import ForwardingMode, ScallopPipeline
+from repro.dataplane.pipeline import FeedbackRule, ForwardingMode, ScallopPipeline, state_diff
 from repro.netsim.datagram import Address, Datagram
 from repro.rtp.av1 import DecodeTarget
 from repro.rtp.rtcp import Remb
@@ -219,16 +222,10 @@ class TestSwitchAgent:
         assert self.agent.counters.extended_descriptors_handled == 1
 
     def test_leave_cleans_up(self):
-        leaver = self.participants[2]
-        self._remb_from(leaver, self.participants[0], bitrate=700_000)
+        self._remb_from(self.participants[2], self.participants[0], bitrate=700_000)
         assert len(self.pipeline.adaptation_table) == 1
         self.agent.configure_meeting("m", self.participants[:2])
-        assert "p3" not in self.agent.participants_in("m")
-        assert len(self.pipeline.adaptation_table) == 0
-        assert all(
-            receiver != leaver.address and ssrc not in (leaver.audio_ssrc, leaver.video_ssrc)
-            for (receiver, ssrc), _rule in self.pipeline.feedback_table.entries()
-        )
+        assert state_diff(self.agent.state(), _box(1, 2).state()) is None
 
     def test_adapted_meeting_stays_ra_r_across_a_join_and_a_leave(self):
         self._remb_from(self.participants[2], self.participants[0], bitrate=700_000)
@@ -250,24 +247,7 @@ class TestSwitchAgent:
     def test_configure_empty_returns_the_box_to_its_empty_fingerprint(self):
         pipeline = ScallopPipeline(SFU)
         agent = SwitchAgent(pipeline)
-
-        def fingerprint():
-            return (
-                len(pipeline.stream_table),
-                len(pipeline.replica_table),
-                len(pipeline.adaptation_table),
-                len(pipeline.feedback_table),
-                len(pipeline.ssrc_table),
-                pipeline.pre.num_trees,
-                pipeline.pre.total_l1_nodes(),
-                pipeline.accountant.stream_tracker_cells_used,
-                len(agent._participants),
-                len(agent._participant_by_address),
-                len(agent._participant_by_ssrc),
-                len(agent._adapted_meetings),
-            )
-
-        empty = fingerprint()
+        assert agent.state() == frozenset()
         participants = [endpoint(i) for i in range(1, 5)]
         agent.configure_meeting("m", participants)
         receiver, sender = participants[1], participants[0]
@@ -276,7 +256,8 @@ class TestSwitchAgent:
         assert agent.meeting_design("m") == ReplicationDesign.RA_R
         agent.configure_meeting("m", [])
         assert "m" not in agent.replication.meetings
-        assert fingerprint() == empty
+        # tables, PRE, registers, registry, indexes, filter and egress ports
+        assert state_diff(agent.state(), frozenset()) is None
 
 
 class TestController:
@@ -329,3 +310,47 @@ class TestController:
             self.controller.handle_signal(
                 SignalMessage(type=SignalType.JOIN, meeting_id="m", participant_id="p1")
             )
+
+
+# --------------------------------------------------------------------------- box state
+
+
+def _box(*indexes):
+    agent = SwitchAgent(ScallopPipeline(SFU))
+    agent.configure_meeting("m", [endpoint(index) for index in indexes])
+    return agent
+
+
+def test_a_leave_leaves_what_a_fresh_install_of_the_survivors_holds():
+    """Other RIDs, node ids and ports on the way, one state (the leaver's port leaked before)."""
+    churned = _box(1, 2, 3, 4)
+    churned.configure_meeting("m", [endpoint(index) for index in (1, 2, 3)])
+    assert state_diff(churned.state(), _box(1, 2, 3).state()) is None
+
+
+STALE_ROW = (endpoint(4).address, 1011), FeedbackRule(endpoint(1).address)
+
+
+def _orphan_l1_node(agent):
+    """A leave whose PRE node removal is lost."""
+    agent.configure_meeting("m", [endpoint(index) for index in (1, 2, 3, 4)])
+    with mock.patch("repro.core.replication.remove_replica_node"):
+        agent.configure_meeting("m", [endpoint(index) for index in (1, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (
+            lambda agent: agent.pipeline.feedback_table.install(*STALE_ROW),
+            "feedback[{!r}]: {!r} != absent".format(*STALE_ROW),
+        ),
+        (_orphan_l1_node, f"l1_node[{('p4', endpoint(4).address, 1, True)!r}]: 1 != absent"),
+        (lambda agent: agent.replication._port_by_participant.update(p4=4), "port['p4']: True != absent"),
+    ],
+    ids=["stale-feedback-row", "orphan-l1-node", "leaked-egress-port"],
+)
+def test_state_diff_names_the_key(mutate, named):
+    agent = _box(1, 2, 3)
+    mutate(agent)
+    assert state_diff(agent.state(), _box(1, 2, 3).state()) == named

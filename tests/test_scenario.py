@@ -16,7 +16,7 @@ Three layers:
 import pytest
 
 from repro.core.scallop import ScallopSfu
-from repro.dataplane.pipeline import PipelineControlPlane, ScallopPipeline
+from repro.dataplane.pipeline import PipelineControlPlane, ScallopPipeline, state_diff
 from repro.dataplane.rebalance import RebalancerConfig
 from repro.dataplane.sharding import ShardedScallopPipeline
 from repro.netsim.datagram import Address
@@ -132,24 +132,9 @@ class TestRemovedOptions:
         assert "--profile" in capsys.readouterr().err
 
 
-def _control_snapshot(sfu):
-    """Everything a leave must return to baseline (keys + counted charges)."""
-    control = sfu.pipeline.control
-    return {
-        "trees": control.pre.num_trees,
-        "l1_nodes": control.pre.total_l1_nodes(),
-        "accountant_trees": control.accountant.trees_allocated,
-        "accountant_l1_nodes": control.accountant.l1_nodes_allocated,
-        "tracker_cells_charged": control.accountant.stream_tracker_cells_used,
-        "stream_keys": sorted(key for key, _v in control.stream_table.entries()),
-        "adaptation_keys": sorted(key for key, _v in control.adaptation_table.entries()),
-        "feedback_keys": sorted(key for key, _v in control.feedback_table.entries()),
-        "stream_indices_in_use": control.stream_indices.in_use,
-        "used_tracker_registers": sorted(
-            index for index, _v in control.stream_trackers.used_entries()
-        ),
-        "agent_participants": sorted(sfu.agent._participants),
-    }
+def _without_remb_selection(state):
+    """A box state without the REMB selection, which follows the downlink estimates."""
+    return frozenset((s, k, v.sender if s == "feedback" else v) for s, k, v in state if s != "filter_selected")
 
 
 class TestMidRunLeave:
@@ -165,8 +150,10 @@ class TestMidRunLeave:
         )
         with build_scenario(scenario) as run:
             run.run_for(5.0)
-            baseline = _control_snapshot(run.sfu)
-            assert baseline["adaptation_keys"] == []  # no congestion yet
+            baseline = run.sfu.agent.state()
+            assert not any(section == "adaptation" for section, _key, _value in baseline)  # no congestion yet
+            cells = run.sfu.pipeline.accountant.stream_tracker_cells_used
+            l1_nodes = run.sfu.pipeline.pre.total_l1_nodes()
 
             # a fourth participant joins on a constrained downlink: the agent
             # installs adaptation entries (rewriter registers + accountant
@@ -179,15 +166,15 @@ class TestMidRunLeave:
                 key for key, _v in control.adaptation_table.entries() if key[1] == joiner.address
             ]
             assert joiner_keys, "the constrained joiner never triggered adaptation"
-            assert control.accountant.stream_tracker_cells_used > baseline["tracker_cells_charged"]
-            assert run.sfu.pipeline.pre.total_l1_nodes() > baseline["l1_nodes"]
+            assert control.accountant.stream_tracker_cells_used > cells
+            assert run.sfu.pipeline.pre.total_l1_nodes() > l1_nodes
 
             # ... and leaves: every table entry, PRE node, register, stream
             # index, and accountant charge they consumed must be released
             run.leave(0, joiner.config.participant_id)
             run.run_for(2.0)
-            after = _control_snapshot(run.sfu)
-            assert after == baseline
+            after = _without_remb_selection(run.sfu.agent.state())
+            assert state_diff(after, _without_remb_selection(baseline)) is None
             assert run.reconcile() == []
 
     def test_leave_stops_media_and_detaches_endpoint(self):
