@@ -19,6 +19,7 @@ examples and experiments read like the paper's methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dataplane.pipeline import BoxState, ScallopPipeline, SWITCH_FORWARDING_DELAY_S
@@ -35,6 +36,8 @@ from .capacity import RewriteVariant
 from .controller import ScallopController
 from .rate_control import select_decode_target
 from .switch_agent import AGENT_PROCESSING_DELAY_S, FILTER_RESELECT_INTERVAL_S, SwitchAgent
+
+_SIZE = attrgetter("size")
 
 
 @dataclass
@@ -187,13 +190,14 @@ class ScallopSfu:
         stats = self.stats
         stats.packets_in += 1
         stats.bytes_in += datagram.size
-        latency_samples = self.forwarding_latency_samples_ms
-        for output in result.outputs:
-            stats.packets_out += 1
-            stats.bytes_out += output.size
-            if len(latency_samples) < 500_000:
-                latency_samples.append(result.forwarding_delay_s * 1000.0)
-        now = self.simulator.now
+        outputs = result.outputs
+        if outputs:
+            stats.packets_out += len(outputs)
+            stats.bytes_out += sum(map(_SIZE, outputs))
+            samples = self.forwarding_latency_samples_ms
+            room = min(500_000 - len(samples), len(outputs))
+            if room > 0:
+                samples.extend([result.forwarding_delay_s * 1000.0] * room)
         for copy in result.cpu_copies:
             stats.packets_to_cpu += 1
             stats.bytes_to_cpu += copy.size
@@ -202,7 +206,7 @@ class ScallopSfu:
             # CPU-path timing matches per-packet delivery
             arrived = copy.arrived_at
             delay = AGENT_PROCESSING_DELAY_S if arrived is None else max(
-                0.0, arrived + AGENT_PROCESSING_DELAY_S - now
+                0.0, arrived + AGENT_PROCESSING_DELAY_S - self.simulator.now
             )
             self.simulator.schedule(delay, self.agent.handle_cpu_packet, copy)
 

@@ -928,6 +928,10 @@ class PipelineDatapath:
         # instead of the former entry-cache + (src, ssrc, layer) pair.
         self._flow_cache: Dict[Tuple[Address, int], _FlowFastState] = {}
         self._cache_stamp: Tuple[int, int, int, int] = (-1, -1, -1, -1)
+        #: The media path's deferred accounting (see
+        #: :meth:`_fold_batch_accounting`), emptied by every fold.
+        self._tally: Dict[Tuple[str, bool], List[int]] = {}
+        self._acc = [0, 0, 0, 0, 0]
         self._layer_by_template: Dict[int, int] = {}
 
         #: Shard-isolation sanitizer (opt-in debug mode): wraps the aliases
@@ -950,12 +954,8 @@ class PipelineDatapath:
             # processing stay indistinguishable (the unmemoized walk lives on
             # as the test suites' oracle, tests/reference_datapath.py)
             self._ensure_resolution_cache_fresh()
-            tally: Dict[Tuple[str, bool], List[int]] = {}
-            acc = [0, 0, 0, 0, 0]
-            result = self._process_media(datagram, tally, acc)
-            self._fold_batch_accounting(acc)
-            if tally:
-                self.counters.account_tally(tally)
+            result = self._process_media(datagram, self._tally, self._acc)
+            self._fold_batch_accounting()
             return result
         parse = self.parser.parse(datagram)
         result = PipelineResult(parse=parse)
@@ -991,40 +991,44 @@ class PipelineDatapath:
         append = results.append
         media = self._process_media
         rtp_kind = PayloadKind.RTP
-        # per-batch accounting tally and accumulator, folded into the
+        # the accounting tally and accumulator are folded into the
         # counters/parser/PRE once at the end; the counter state after the
         # batch equals per-packet accounting
-        tally: Dict[Tuple[str, bool], List[int]] = {}
-        acc = [0, 0, 0, 0, 0]
+        tally, acc = self._tally, self._acc
         for datagram in datagrams:
             if datagram.kind is rtp_kind and isinstance(datagram.payload, _MEDIA_PAYLOADS):
                 append(media(datagram, tally, acc))
             else:
                 append(self.process(datagram))
-        self._fold_batch_accounting(acc)
-        if tally:
-            self.counters.account_tally(tally)
+        self._fold_batch_accounting()
         return results
 
-    def _fold_batch_accounting(self, acc: List[int]) -> None:
-        """Fold the batch paths' deferred per-packet accounting.
+    def _fold_batch_accounting(self) -> None:
+        """Fold and empty the media path's deferred per-packet accounting.
 
-        ``acc`` carries ``[parse cache hits, punts on those hits, memoized
-        replication replays, copies those replays produced, replicas out]``,
-        accumulated as plain list increments on the per-packet hot path and
-        folded here in one pass — the parser, PRE, and pipeline counters end
-        the batch exactly where per-packet accounting would leave them.
+        ``self._acc`` carries ``[parse cache hits, punts on those hits,
+        memoized replication replays, copies those replays produced, replicas
+        out]`` and ``self._tally`` the ``(label, to_cpu) -> [packets, bytes]``
+        tallies, accumulated as plain increments on the hot path and folded
+        here in one pass — the parser, PRE, and pipeline counters end the
+        batch exactly where per-packet accounting would leave them.
         """
-        hits = acc[0]
+        acc = self._acc
+        hits, punts, replays, copies, replicas = acc
         if hits:
             parser = self.parser
             parser.packets_parsed += hits
             parser.parse_cache_hits += hits
-            parser.cpu_punts += acc[1]
-        if acc[2]:
-            self.pre.note_replications(acc[2], acc[3])
-        if acc[4]:
-            self.counters.replicas_out += acc[4]
+            parser.cpu_punts += punts
+        if replays:
+            self.pre.note_replications(replays, copies)
+        if replicas:
+            self.counters.replicas_out += replicas
+        acc[:] = (0, 0, 0, 0, 0)
+        tally = self._tally
+        if tally:
+            self.counters.account_tally(tally)
+            tally.clear()
 
     def _ensure_resolution_cache_fresh(self) -> None:
         """Drop memoized forwarding state if the control plane wrote anything."""
@@ -1192,7 +1196,6 @@ class PipelineDatapath:
             "payload": payload,
             "size": size,
             "kind": PayloadKind.RTP,
-            "sent_at": 0.0,
             "arrived_at": schedule,
             "meta": meta,
         }.copy
@@ -1395,7 +1398,6 @@ class PipelineDatapath:
             "payload": datagram.payload,
             "size": datagram.size,
             "kind": datagram.kind,
-            "sent_at": 0.0,
             "arrived_at": self._egress_schedule(datagram),
             "meta": None,
         }.copy

@@ -84,8 +84,9 @@ class ResourceAccountant:
 
     Fixed resources (stages, PHV, crossbars, ...) are attributes of the
     compiled program and do not change with load; dynamic resources (trees,
-    L1 nodes, stream-tracker cells, SRAM entries, egress throughput) grow with
-    the number of meetings/participants and are tracked here.  The ledger is
+    L1 nodes, stream-tracker cells) grow with the number of
+    meetings/participants and are tracked here.  The match-action tables
+    bound their own entries (``max_entries``).  The ledger is
     exact: a release of more than is in use raises :class:`ValueError` and
     changes nothing, so a double release cannot hide behind a clamp.
     """
@@ -95,8 +96,6 @@ class ResourceAccountant:
         self.trees_allocated = 0
         self.l1_nodes_allocated = 0
         self.stream_tracker_cells_used = 0
-        self.exact_match_entries_used = 0
-        self.egress_bps = 0.0
 
     # -- allocation hooks -------------------------------------------------------
 
@@ -123,15 +122,6 @@ class ResourceAccountant:
         _check_release("stream tracker cells", cells, self.stream_tracker_cells_used)
         self.stream_tracker_cells_used -= cells
 
-    def allocate_match_entries(self, entries: int) -> None:
-        if self.exact_match_entries_used + entries > self.capacities.exact_match_entries:
-            raise ResourceExhausted("exact-match entries exhausted")
-        self.exact_match_entries_used += entries
-
-    def release_match_entries(self, entries: int) -> None:
-        _check_release("exact-match entries", entries, self.exact_match_entries_used)
-        self.exact_match_entries_used -= entries
-
     # -- reporting ---------------------------------------------------------------
 
     def utilization(self) -> Dict[str, float]:
@@ -141,8 +131,6 @@ class ResourceAccountant:
             "multicast_trees": self.trees_allocated / caps.max_multicast_trees,
             "l1_nodes": self.l1_nodes_allocated / caps.max_l1_nodes,
             "stream_tracker_cells": self.stream_tracker_cells_used / caps.stream_tracker_cells,
-            "exact_match_entries": self.exact_match_entries_used / caps.exact_match_entries,
-            "egress_bandwidth": self.egress_bps / caps.switch_bandwidth_bps,
         }
 
 

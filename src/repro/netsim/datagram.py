@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ..rtp.packet import RtpPacket, is_rtcp, looks_like_rtp
 from ..rtp.rtcp import RtcpPacket, parse_compound, serialize_compound
@@ -22,24 +22,18 @@ from ..stun.message import StunMessage, looks_like_stun
 NETWORK_OVERHEAD_BYTES = 42
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """A UDP endpoint address."""
+class Address(NamedTuple):
+    """A UDP endpoint address.
+
+    A named tuple, so hashing and equality run in C; the hash is
+    ``hash((ip, port))`` and the order is ``(ip, port)``.
+    """
 
     ip: str
     port: int
 
     def __str__(self) -> str:
         return f"{self.ip}:{self.port}"
-
-    def __hash__(self) -> int:
-        # The datapath probes a dict keyed on (src, ssrc) once per packet, so
-        # the generated field-tuple hash is memoized on the instance.
-        state = self.__dict__
-        cached = state.get("_hash")
-        if cached is None:
-            cached = state["_hash"] = hash((self.ip, self.port))
-        return cached
 
 
 class PayloadKind(str, Enum):
@@ -94,7 +88,6 @@ class Datagram:
     payload: Payload
     size: int = 0                      # UDP payload bytes; derived if zero
     kind: PayloadKind = PayloadKind.OTHER
-    sent_at: float = 0.0               # stamped by the sending endpoint
     #: Schedule-preserving burst timestamp: when this datagram travels inside
     #: a coalesced burst, the time it would have arrived at (or, on the send
     #: side, departed towards) its current hop under per-packet delivery.
@@ -137,15 +130,15 @@ class Datagram:
         object.__setattr__(instance, "__dict__", fields)
         return instance
 
-    def restamped(self, sent_at: float, arrived_at: Optional[float]) -> "Datagram":
-        """Return a copy with new schedule stamps (what every link hop does).
+    def restamped(self, arrived_at: Optional[float]) -> "Datagram":
+        """Return a copy with a new ``arrived_at`` schedule stamp (what every
+        burst hop does).
 
         One field-dict copy: a hop never changes ``size``/``kind``, so nothing
         is re-derived; ``payload`` and ``meta`` are shared with the source,
         which is left untouched.
         """
         fields = self.__dict__.copy()
-        fields["sent_at"] = sent_at
         fields["arrived_at"] = arrived_at
         return Datagram.from_fields(fields)
 

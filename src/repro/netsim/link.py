@@ -29,8 +29,9 @@ the receiving endpoint decodes them exactly once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass, replace
+from heapq import heappush
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from .datagram import NETWORK_OVERHEAD_BYTES, Address, Datagram
 from .simulator import Simulator
@@ -148,10 +149,16 @@ class Link:
         # per-packet path would overtake it and skew the burst's schedule
         if self._pending_burst:
             self._flush_pending_burst()
-        delay = self._admit(datagram)
+        simulator = self.simulator
+        now = simulator._now
+        delay = self._admit(datagram, now)
         if delay is None:
             return False
-        self.simulator.schedule(delay, self.deliver, datagram)
+        # Simulator.schedule inlined (the delay is never negative): the entry
+        # holds what schedule() would push, as a plain list, which compares
+        # like an EventHandle; nothing cancels a link delivery
+        entry = [now + delay, next(simulator._counter), self.deliver, (datagram,)]
+        heappush(simulator._queue, entry)
         return True
 
     def send_burst(self, datagrams: Sequence[Datagram]) -> int:
@@ -204,7 +211,7 @@ class Link:
             if delay is None:
                 continue
             arrival = at + delay
-            accepted.append(datagram.restamped(datagram.sent_at, arrival))
+            accepted.append(datagram.restamped(arrival))
             if arrival > last_arrival:
                 last_arrival = arrival
         if accepted:
@@ -218,13 +225,12 @@ class Link:
                 )
         return len(accepted)
 
-    def _admit(self, datagram: Datagram, at: Optional[float] = None) -> Optional[float]:
-        """Run one datagram through the link model at admission time ``at``
-        (default: now); returns its delivery delay relative to ``at``, or
-        ``None`` if it was dropped (loss or queue overflow)."""
+    def _admit(self, datagram: Datagram, at: float) -> Optional[float]:
+        """Run one datagram through the link model at admission time ``at``;
+        returns its delivery delay relative to ``at``, or ``None`` if it was
+        dropped (loss or queue overflow)."""
         profile = self.profile
-        origin = self.simulator.now if at is None else at
-        now = origin
+        now = at
         if now < self._admission_frontier:
             now = self._admission_frontier
         else:
@@ -237,17 +243,18 @@ class Link:
         wire_size = datagram.size + NETWORK_OVERHEAD_BYTES
         bandwidth_bps = profile.bandwidth_bps
         busy_until = self._busy_until
-        serialization = wire_size * 8.0 / bandwidth_bps
-        queue_delay = busy_until - now if busy_until > now else 0.0
-        queued_bytes = queue_delay * bandwidth_bps / 8.0
-        if queued_bytes + wire_size > profile.queue_limit_bytes:
+        if busy_until < now:
+            busy_until = now  # an idle link: the queue delay below is 0.0
+        queue_delay = busy_until - now
+        if queue_delay * bandwidth_bps / 8.0 + wire_size > profile.queue_limit_bytes:
             self.packets_dropped += 1
             return None
 
-        self._busy_until = (now if now > busy_until else busy_until) + serialization
+        serialization = wire_size * 8.0 / bandwidth_bps
+        self._busy_until = busy_until + serialization
         # the returned delay is relative to the caller's admission time, so a
         # frontier lift shows up as extra queueing delay
-        delay = (now - origin) + queue_delay + serialization + profile.propagation_delay_s
+        delay = (now - at) + queue_delay + serialization + profile.propagation_delay_s
         if profile.jitter_s > 0:
             delay += self.rng.uniform(0, profile.jitter_s)
         if profile.reorder_rate > 0 and self.rng.random() < profile.reorder_rate:
@@ -317,7 +324,7 @@ class Network:
         self._uplinks[address] = Link(
             self.simulator,
             up_profile,
-            self._make_core_hop(address),
+            self._make_core_hop(),
             rng=random.Random(self._rng.getrandbits(32)),
             name=f"up:{address}",
             deliver_batch=self._core_hop_burst,
@@ -391,7 +398,9 @@ class Network:
             raise KeyError(f"source not attached: {datagram.src}")
         # per-packet mode: the simulator event carries the timing, so any
         # stale burst schedule from an earlier hop must not leak through
-        return uplink.send(datagram.restamped(self.simulator.now, None))
+        if datagram.arrived_at is not None:
+            datagram = datagram.restamped(None)
+        return uplink.send(datagram)
 
     def send_burst(self, datagrams: Sequence[Datagram]) -> int:
         """Send a burst of datagrams (e.g. one video frame) as a unit.
@@ -408,10 +417,9 @@ class Network:
         Returns how many datagrams were accepted by their uplinks.
         """
         accepted = 0
-        now = self.simulator.now
         by_src: Dict[Address, List[Datagram]] = {}
         for datagram in datagrams:
-            by_src.setdefault(datagram.src, []).append(datagram.restamped(now, datagram.arrived_at))
+            by_src.setdefault(datagram.src, []).append(datagram)
         # validate every source before transmitting anything, so a burst with
         # a detached sender fails atomically instead of half-sent
         for src in by_src:
@@ -421,9 +429,11 @@ class Network:
             accepted += self._uplinks[src].send_burst(group)
         return accepted
 
-    def _make_core_hop(self, src: Address) -> Callable[[Datagram], None]:
+    def _make_core_hop(self) -> Callable[[Datagram], None]:
+        downlinks = self._downlinks
+
         def hop(datagram: Datagram) -> None:
-            downlink = self._downlinks.get(datagram.dst)
+            downlink = downlinks.get(datagram.dst)
             if downlink is None:
                 return  # destination left the meeting; drop silently
             downlink.send(datagram)
@@ -442,8 +452,10 @@ class Network:
             downlink.send_burst(group)
 
     def _make_delivery(self, dst: Address) -> Callable[[Datagram], None]:
+        endpoints = self._endpoints
+
         def deliver(datagram: Datagram) -> None:
-            endpoint = self._endpoints.get(dst)
+            endpoint = endpoints.get(dst)
             if endpoint is None:
                 return
             self.datagrams_delivered += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Sequence
 
 
@@ -102,23 +103,27 @@ class Simulator:
         """
         queue = self._queue
         heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         processed = 0
-        while queue:
-            event = queue[0]
-            time = event[0]
-            if until is not None and time > until:
-                break
-            heappop(queue)
-            callback = event[2]
-            if callback is None:
-                continue
-            if time > self._now:
+        try:
+            while queue:
+                time, _order, callback, args = event = heappop(queue)
+                if time > horizon:
+                    # put it back: the (time, order) keys are unique, so the
+                    # pop sequence does not depend on the heap's layout
+                    heapq.heappush(queue, event)
+                    break
+                if callback is None:
+                    continue
+                # popped times never go backwards: schedule() clamps
+                # negative delays and the horizon only ever moves forwards
                 self._now = time
-            callback(*event[3])
-            self._events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return
+                callback(*args)
+                processed += 1
+                if max_events is not None and processed >= max_events:
+                    return
+        finally:
+            self._events_processed += processed
         if until is not None and self._now < until:
             self._now = until
 

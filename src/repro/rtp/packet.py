@@ -83,6 +83,10 @@ class RtpPacket:
     csrcs: Tuple[int, ...] = ()
     extension: Optional[RtpHeaderExtension] = None
     payload: bytes = b""
+    #: Total serialized size in bytes, derived once by ``__post_init__``
+    #: (which every copy made by ``replace`` / :meth:`with_sequence_number` /
+    #: :meth:`with_ssrc` runs again).
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.payload_type < 128:
@@ -95,6 +99,7 @@ class RtpPacket:
             raise ValueError(f"ssrc out of range: {self.ssrc}")
         if len(self.csrcs) > 15:
             raise ValueError("at most 15 CSRCs are allowed")
+        object.__setattr__(self, "size", self.header_length + len(self.payload))
 
     # -- helpers used by SFUs -------------------------------------------------
 
@@ -110,16 +115,6 @@ class RtpPacket:
     def header_length(self) -> int:
         """Length in bytes of the serialized header (incl. CSRCs/extension)."""
         length = RTP_HEADER_LEN + 4 * len(self.csrcs)
-        if self.extension is not None:
-            length += 4 + len(self.extension.data)
-        return length
-
-    @property
-    def size(self) -> int:
-        """Total serialized size in bytes."""
-        # header_length inlined: one property frame instead of two on the
-        # replica fan-out path, which stamps this on every media packet
-        length = RTP_HEADER_LEN + 4 * len(self.csrcs) + len(self.payload)
         if self.extension is not None:
             length += 4 + len(self.extension.data)
         return length

@@ -341,17 +341,19 @@ class WebRtcClient:
 
     def handle_datagram(self, datagram: Datagram) -> None:
         """Entry point called by the network for every delivered datagram."""
-        if datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, RtpPacket):
-            self._handle_rtp(datagram.payload, datagram)
-        elif datagram.kind == PayloadKind.RTP and isinstance(datagram.payload, PacketView):
+        payload = datagram.payload
+        payload_type = type(payload)
+        if payload_type is RtpPacket:
+            self._handle_rtp(payload, datagram)
+        elif payload_type is PacketView:
             # wire-native delivery: the browser decodes the packet exactly
             # once, here, at the edge of the receive pipeline
-            self._handle_rtp(datagram.payload.to_packet(), datagram)
+            self._handle_rtp(payload.to_packet(), datagram)
+        elif payload_type is StunMessage:
+            self._handle_stun(payload, datagram)
         elif datagram.kind == PayloadKind.RTCP:
-            for packet in datagram.payload:  # type: ignore[union-attr]
+            for packet in payload:  # type: ignore[union-attr]
                 self._handle_rtcp(packet)
-        elif datagram.kind == PayloadKind.STUN and isinstance(datagram.payload, StunMessage):
-            self._handle_stun(datagram.payload, datagram)
 
     def handle_datagram_batch(self, datagrams: List[Datagram]) -> None:
         """Drain one RX-queue batch (deliver-with-schedule burst mode).
@@ -359,46 +361,45 @@ class WebRtcClient:
         The client still processes every packet individually — a browser has
         no batch semantics — but receiving the drain as one call keeps the
         burst coalesced end to end.  Per-packet timing is taken from each
-        datagram's ``arrived_at`` schedule (see :meth:`_receive_clock`), so
-        jitter, latency, and GCC measurements are unaffected by coalescing.
+        datagram's ``arrived_at`` schedule, so jitter, latency, and GCC
+        measurements are unaffected by coalescing.
         """
         for datagram in datagrams:
             self.handle_datagram(datagram)
 
-    def _receive_clock(self, datagram: Datagram) -> float:
-        """The packet's true arrival time: its burst schedule if it rode a
-        coalesced burst, the current event time otherwise."""
-        arrived_at = datagram.arrived_at
-        return self.simulator.now if arrived_at is None else arrived_at
-
     def _handle_rtp(self, packet: RtpPacket, datagram: Datagram) -> None:
-        now = self._receive_clock(datagram)
+        # the packet's true arrival time: its burst schedule if it rode a
+        # coalesced burst, the current event time otherwise
+        now = datagram.arrived_at
+        if now is None:
+            now = self.simulator.now
         tx_time = datagram.meta.get("tx_time")
         if tx_time is not None:
             self.rtp_latency_samples_ms.append((now - tx_time) * 1000.0)
             if len(self.rtp_latency_samples_ms) > 200_000:
                 del self.rtp_latency_samples_ms[:100_000]
+        ssrc = packet.ssrc
         if packet.payload_type == PT_AUDIO_OPUS:
-            receiver = self.audio_receivers.setdefault(packet.ssrc, AudioReceiveStream(packet.ssrc))
-            receiver.on_packet(packet, now)
+            audio = self.audio_receivers.get(ssrc)
+            if audio is None:
+                audio = self.audio_receivers[ssrc] = AudioReceiveStream(ssrc)
+            audio.on_packet(packet, now)
             return
-        receiver = self.video_receivers.get(packet.ssrc)
+        receiver = self.video_receivers.get(ssrc)
         if receiver is None:
-            receiver = VideoReceiveStream(packet.ssrc)
-            self.video_receivers[packet.ssrc] = receiver
-            self.estimators[packet.ssrc] = RemoteBitrateEstimator(
+            receiver = VideoReceiveStream(ssrc)
+            self.video_receivers[ssrc] = receiver
+            self.estimators[ssrc] = RemoteBitrateEstimator(
                 initial_estimate_bps=self.config.video_bitrate_bps
             )
         new_nacks = receiver.on_packet(packet, now)
-        estimator = self.estimators[packet.ssrc]
         send_time = packet.timestamp / VIDEO_CLOCK_RATE
-        estimator.on_packet(recv_time=now, send_time=send_time, size_bytes=datagram.wire_size)
+        self.estimators[ssrc].on_packet(now, send_time, datagram.wire_size)
         if new_nacks:
-            pending = self._pending_nacks.setdefault(packet.ssrc, [])
-            pending.extend(new_nacks)
-            self.simulator.schedule(NACK_BATCH_DELAY_S, self._flush_nacks, packet.ssrc)
+            self._pending_nacks.setdefault(ssrc, []).extend(new_nacks)
+            self.simulator.schedule(NACK_BATCH_DELAY_S, self._flush_nacks, ssrc)
         if receiver.frozen and receiver.plis_sent > 0:
-            self._send_rtcp([PictureLossIndication(sender_ssrc=self.video_ssrc, media_ssrc=packet.ssrc)])
+            self._send_rtcp([PictureLossIndication(sender_ssrc=self.video_ssrc, media_ssrc=ssrc)])
 
     def _flush_nacks(self, ssrc: int) -> None:
         receiver = self.video_receivers.get(ssrc)
@@ -439,7 +440,9 @@ class WebRtcClient:
         elif message.is_success_response:
             sent_at = self._stun_pending.pop(message.transaction_id, None)
             if sent_at is not None:
-                self.rtt_samples_ms.append((self._receive_clock(datagram) - sent_at) * 1000.0)
+                arrived_at = datagram.arrived_at
+                received_at = self.simulator.now if arrived_at is None else arrived_at
+                self.rtt_samples_ms.append((received_at - sent_at) * 1000.0)
 
     # ------------------------------------------------------------------ stats
 

@@ -42,16 +42,8 @@ class _PendingFrame:
     packets: Dict[int, int] = field(default_factory=dict)  # seq -> size
     saw_start: bool = False
     saw_end: bool = False
-    first_seq: Optional[int] = None
-    last_seq: Optional[int] = None
-
-    def complete(self) -> bool:
-        if not (self.saw_start and self.saw_end):
-            return False
-        if self.first_seq is None or self.last_seq is None:
-            return False
-        expected = (seq_delta(self.last_seq, self.first_seq)) + 1
-        return expected == len(self.packets)
+    first_seq: Optional[int] = None  # set with saw_start
+    last_seq: Optional[int] = None  # set with saw_end
 
     def size_bytes(self) -> int:
         return sum(self.packets.values())
@@ -75,7 +67,6 @@ class VideoReceiveStream:
         # jitter (RFC 3550 interarrival jitter, in timestamp units)
         self._jitter = 0.0
         self._last_transit: Optional[float] = None
-        self.jitter_samples_ms: List[float] = []
 
         # frame reassembly
         self._pending: Dict[int, _PendingFrame] = {}
@@ -106,7 +97,10 @@ class VideoReceiveStream:
         """
         self.packets_received += 1
         self.bytes_received += packet.size
-        self._update_jitter(packet, recv_time)
+        transit = recv_time - packet.timestamp / self.clock_rate
+        if self._last_transit is not None:
+            self._jitter += (abs(transit - self._last_transit) - self._jitter) / 16.0
+        self._last_transit = transit
 
         new_nacks = self._update_sequence_state(packet, recv_time)
         self._assemble(packet, recv_time)
@@ -126,19 +120,17 @@ class VideoReceiveStream:
                 self.duplicate_count += 1
                 self._enter_freeze(recv_time)
             return nacks
-        self.received_seqs[seq] = packet.timestamp
-        if len(self.received_seqs) > 65_536:
-            self.received_seqs = {seq: packet.timestamp}
+        self.received_seqs[seq] = packet.timestamp  # at most 2**16 keys
 
         if self.highest_seq is None:
             self.highest_seq = seq
             return nacks
 
-        delta = seq_delta(seq, self.highest_seq)
+        delta = ((seq - self.highest_seq + 32768) % 65536) - 32768  # seq_delta inlined
         if delta > 0:
-            for missing_seq in ((self.highest_seq + offset) % 65536 for offset in range(1, delta)):
-                self.missing.add(missing_seq)
-                nacks.append(missing_seq)
+            if delta > 1:
+                nacks = [(self.highest_seq + offset) % 65536 for offset in range(1, delta)]
+                self.missing.update(nacks)
             self.highest_seq = seq
             if len(self.missing) > MAX_TRACKED_MISSING:
                 # bound state like a real receiver does
@@ -148,14 +140,6 @@ class VideoReceiveStream:
             # late packet fills a gap
             self.missing.discard(seq)
         return nacks
-
-    def _update_jitter(self, packet: RtpPacket, recv_time: float) -> None:
-        transit = recv_time - packet.timestamp / self.clock_rate
-        if self._last_transit is not None:
-            d = abs(transit - self._last_transit)
-            self._jitter += (d - self._jitter) / 16.0
-            self.jitter_samples_ms.append(self._jitter * 1000.0)
-        self._last_transit = transit
 
     # -- frame assembly ------------------------------------------------------------
 
@@ -180,7 +164,9 @@ class VideoReceiveStream:
             frame.last_seq = packet.sequence_number
         frame.is_keyframe = frame.is_keyframe or descriptor.is_extended
 
-        if frame.complete():
+        # complete: both edges seen and every sequence number between them
+        edges = frame.saw_start and frame.saw_end
+        if edges and seq_delta(frame.last_seq, frame.first_seq) + 1 == len(frame.packets):
             del self._pending[descriptor.frame_number]
             self._deliver_frame(frame, recv_time)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rtp.av1 import (
     DecodeTarget,
@@ -23,7 +23,7 @@ from ..rtp.av1 import (
     dependency_descriptor_element,
 )
 from ..rtp.extensions import encode_extensions
-from ..rtp.packet import PT_AUDIO_OPUS, PT_VIDEO_AV1, RtpPacket, SEQ_MOD, TS_MOD
+from ..rtp.packet import PT_AUDIO_OPUS, PT_VIDEO_AV1, RtpHeaderExtension, RtpPacket, SEQ_MOD, TS_MOD
 
 #: The repeating 4-frame temporal pattern of L1T3 (Figure 9 of the paper):
 #: temporal layer of frames 0..3 within a group of pictures.
@@ -198,19 +198,26 @@ class RtpPacketizer:
             remaining -= chunk
 
         packets: List[RtpPacket] = []
+        # a frame's descriptors differ only in the start/end flags, so each
+        # flag pair's extension block is encoded once; the packets share it,
+        # and full-size chunks share one (immutable) payload
+        extensions: Dict[Tuple[bool, bool], RtpHeaderExtension] = {}
+        full_payload = b"\x00" * self.max_payload_bytes
         for index, chunk in enumerate(chunks):
             start = index == 0
             end = index == len(chunks) - 1
-            descriptor = DependencyDescriptor(
-                start_of_frame=start,
-                end_of_frame=end,
-                template_id=frame.template_id,
-                frame_number=frame.frame_number & 0xFFFF,
-                structure=(
-                    TemplateStructure.l1t3() if frame.is_keyframe and start and structure_on_key else None
-                ),
-            )
-            extension = encode_extensions([dependency_descriptor_element(descriptor)])
+            extension = extensions.get((start, end))
+            if extension is None:
+                with_structure = frame.is_keyframe and start and structure_on_key
+                descriptor = DependencyDescriptor(
+                    start_of_frame=start,
+                    end_of_frame=end,
+                    template_id=frame.template_id,
+                    frame_number=frame.frame_number & 0xFFFF,
+                    structure=TemplateStructure.l1t3() if with_structure else None,
+                )
+                extension = encode_extensions([dependency_descriptor_element(descriptor)])
+                extensions[start, end] = extension
             packet = RtpPacket(
                 payload_type=self.payload_type,
                 sequence_number=self._sequence_number,
@@ -218,7 +225,7 @@ class RtpPacketizer:
                 ssrc=self.ssrc,
                 marker=end,
                 extension=extension,
-                payload=b"\x00" * chunk,
+                payload=full_payload if chunk == self.max_payload_bytes else b"\x00" * chunk,
             )
             self._sequence_number = (self._sequence_number + 1) % SEQ_MOD
             packets.append(packet)

@@ -189,20 +189,13 @@ class TestResourceAccounting:
         accountant.release_stream_state()
         accountant.allocate_stream_state()
 
-    def test_match_entry_budget(self):
-        accountant = ResourceAccountant(TofinoCapacities(exact_match_entries=10))
-        accountant.allocate_match_entries(10)
-        with pytest.raises(ResourceExhausted):
-            accountant.allocate_match_entries(1)
-
     @pytest.mark.parametrize(
         "allocate, release",
         [
             (lambda a: a.allocate_tree(l1_nodes=3), lambda a: a.release_tree(l1_nodes=3)),
             (lambda a: a.allocate_stream_state(6), lambda a: a.release_stream_state(6)),
-            (lambda a: a.allocate_match_entries(4), lambda a: a.release_match_entries(4)),
         ],
-        ids=["tree", "stream_state", "match_entries"],
+        ids=["tree", "stream_state"],
     )
     def test_double_release_raises_and_changes_nothing(self, allocate, release):
         accountant = ResourceAccountant()
@@ -226,6 +219,7 @@ class TestResourceAccounting:
         utilization = accountant.utilization()
         assert 0 < utilization["multicast_trees"] < 1
         assert 0 < utilization["l1_nodes"] < 1
+        assert set(utilization) == {"multicast_trees", "l1_nodes", "stream_tracker_cells"}
 
     def test_table3_rows_structure(self):
         rows = table3_rows(peak_campus_egress_bps=1.2e9, max_egress_bps=197e9)

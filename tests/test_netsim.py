@@ -202,21 +202,38 @@ class TestSimulatorEventOrder:
         assert seen == list(range(50))
 
 
+class TestAddress:
+    def test_hash_order_and_str_are_those_of_the_field_tuple(self):
+        address = Address("10.0.0.2", 6000)
+        assert hash(address) == hash(("10.0.0.2", 6000))
+        assert str(address) == f"{address}" == "10.0.0.2:6000"
+        assert repr(address) == "Address(ip='10.0.0.2', port=6000)"
+        unsorted = [Address("10.0.0.3", 1), Address("10.0.0.2", 9), Address("10.0.0.2", 5)]
+        assert sorted(unsorted) == [unsorted[2], unsorted[1], unsorted[0]]
+        assert {address: 1}[Address("10.0.0.2", 6000)] == 1
+
+    def test_fields_are_read_only(self):
+        address = Address("10.0.0.2", 6000)
+        with pytest.raises(AttributeError):
+            address.port = 6001  # type: ignore[misc]
+        assert address == Address("10.0.0.2", 6000)
+
+
 class TestDatagram:
     def test_restamped_copies_the_record_only(self):
         packet = video_packet()
         meta = {"tx_time": 1.5}
-        original = Datagram(src=A, dst=B, payload=packet, sent_at=0.25, meta=meta)
+        original = Datagram(src=A, dst=B, payload=packet, meta=meta)
         before = dict(original.__dict__)
-        stamped = original.restamped(2.0, 2.5)
-        assert (stamped.sent_at, stamped.arrived_at) == (2.0, 2.5)
+        stamped = original.restamped(2.5)
+        assert stamped.arrived_at == 2.5
         assert stamped.payload is packet and stamped.meta is meta
         assert (stamped.src, stamped.dst) == (A, B)
         assert (stamped.size, stamped.kind) == (original.size, PayloadKind.RTP)
         assert stamped.wire_size == original.wire_size
         # value semantics: the source record is untouched
         assert original.__dict__ == before and original.arrived_at is None
-        assert stamped.restamped(0.25, None) == original
+        assert stamped.restamped(None) == original
         assert sorted(stamped.__dict__) == sorted(before)
 
     def test_size_and_kind_derived(self):
@@ -353,6 +370,30 @@ class TestLinkBursts:
         assert 0 < accepted < 20
         assert link.packets_dropped == 20 - accepted
 
+    def test_send_behind_a_burst_frontier_is_lifted_to_it(self):
+        # a burst stamped for the future (an SFU's replicas) moves the
+        # admission frontier past the clock; a per-packet send made before
+        # that time is admitted at the frontier, behind the burst
+        prop = 0.001
+        sim, got = Simulator(), []
+        profile = LinkProfile(bandwidth_bps=1e6, propagation_delay_s=prop)
+        link = Link(sim, profile, lambda d: got.append((sim.now, d)))
+        early = Datagram(src=A, dst=B, payload=video_packet(1)).restamped(0.05)
+        late = Datagram(src=A, dst=B, payload=video_packet(2))
+        assert link.send_burst([early]) == 1
+        sim.run(until=0.01)
+        assert link.send(late)
+        sim.run()
+        serialization = late.wire_size * 8.0 / 1e6
+        burst_arrival = 0.05 + (0.0 + serialization + prop)
+        queue_delay = (0.05 + serialization) - 0.05
+        late_arrival = 0.01 + ((0.05 - 0.01) + queue_delay + serialization + prop)
+        assert [(time, d.payload.sequence_number, d.arrived_at) for time, d in got] == [
+            (burst_arrival, 1, burst_arrival),
+            (late_arrival, 2, None),
+        ]
+        assert got[1][1] is late
+
     def test_burst_coalesced_into_one_simulator_event(self):
         sim = Simulator()
         got = []
@@ -374,7 +415,8 @@ class TestNetworkBursts:
         assert net.send_burst(burst) == 4
         sim.run()
         assert len(receiver.batches) == 1 and len(receiver.batches[0]) == 4
-        assert all(d.sent_at == 0.0 for d in receiver.received)
+        # deliver-with-schedule: each datagram carries its own arrival time
+        assert all(d.arrived_at is not None for d in receiver.received)
 
     def test_plain_endpoint_receives_burst_per_packet(self):
         sim = Simulator()
@@ -445,7 +487,34 @@ class TestNetwork:
         net.send(Datagram(src=A, dst=B, payload=video_packet()))
         sim.run()
         assert len(b.received) == 1
-        assert b.received[0].sent_at == 0.0
+        assert b.received[0].arrived_at is None
+
+    def test_send_forwards_an_unstamped_datagram_as_is(self):
+        sim = Simulator()
+        net = Network(sim, seed=1)
+        a, b = _Sink(A), _Sink(B)
+        net.attach(a)
+        net.attach(b)
+        datagram = Datagram(src=A, dst=B, payload=video_packet())
+        net.send(datagram)
+        sim.run()
+        assert b.received == [datagram] and b.received[0] is datagram
+
+    def test_send_clears_a_stale_burst_schedule_on_a_copy(self):
+        sim = Simulator()
+        net = Network(sim, seed=1)
+        a, b = _Sink(A), _Sink(B)
+        net.attach(a)
+        net.attach(b)
+        original = Datagram(src=A, dst=B, payload=video_packet(), meta={"tx_time": 0.0})
+        stale = original.restamped(7.0)
+        before = dict(stale.__dict__)
+        net.send(stale)
+        sim.run()
+        (received,) = b.received
+        assert received is not stale and received.arrived_at is None
+        assert received.payload is stale.payload and received.meta is stale.meta
+        assert stale.__dict__ == before
 
     def test_unknown_destination_dropped_silently(self):
         sim = Simulator()

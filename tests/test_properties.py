@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +49,28 @@ rtp_packets = st.builds(
 @given(packet=rtp_packets)
 def test_rtp_serialize_parse_round_trip(packet):
     assert RtpPacket.parse(packet.serialize()) == packet
+
+
+@common_settings
+@given(
+    packet=rtp_packets,
+    seq=st.integers(min_value=0, max_value=2**17),
+    ssrc=st.integers(min_value=0, max_value=2**32 - 1),
+    payload=st.binary(max_size=64),
+    csrcs=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=15).map(tuple),
+)
+def test_rtp_size_is_the_serialized_length_of_every_copy(packet, seq, ssrc, payload, csrcs):
+    # size is derived once at construction; each copy derives its own
+    copies = (
+        packet,
+        packet.with_sequence_number(seq),
+        packet.with_ssrc(ssrc),
+        replace(packet, payload=payload),
+        replace(packet, csrcs=csrcs, extension=None),
+        RtpPacket.parse(packet.serialize()),
+    )
+    for copy in copies:
+        assert copy.size == len(copy.serialize())
 
 
 @common_settings
