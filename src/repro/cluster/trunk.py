@@ -36,15 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.replication import ParticipantEndpoint, add_replica_node, population_delta, remove_replica_node
-from ..dataplane.pipeline import FeedbackRule, ForwardingMode, StreamForwardingEntry
+from ..core.replication import (
+    ParticipantEndpoint,
+    add_replica_node,
+    population_delta,
+    remove_replica_node,
+    write_feedback_rows,
+)
+from ..dataplane.pipeline import ForwardingMode, StreamForwardingEntry
 from ..netsim.datagram import Address
 
 #: Datagram meta key carrying the original source address of a straggler
-#: forwarded over a trunk after a migration cutover.  A meta key (never a new
-#: Datagram field: ``Datagram.from_fields`` pins the exact field set) — the
-#: receiving box restores the original source before pipeline ingress, so
-#: stragglers hit the real stream entries of the migrated-in flows.
+#: forwarded over a trunk after a migration cutover.  A meta key, never a new
+#: Datagram field (the pipeline and ``Datagram.restamped`` mint datagrams from
+#: field dicts that hold exactly the dataclass's fields) — the receiving box
+#: restores the original source before pipeline ingress, so stragglers hit
+#: the real stream entries of the migrated-in flows.
 TRUNK_FORWARD_SRC_META = "trunk_fwd_src"
 
 
@@ -237,17 +244,11 @@ class TrunkManager:
         senders: Sequence[ParticipantEndpoint],
         receivers: Sequence[ParticipantEndpoint],
     ) -> None:
-        """NACK/PLI from ``receivers`` about ``senders``' media go to the origin."""
-        if not receivers:
-            return
+        """NACK/PLI from ``receivers`` about ``senders``' media go to the origin
+        (one SSRC at a time, toward every receiver)."""
         for sender in senders:
             for _kind, ssrc in sender.media_ssrcs():
-                for receiver in receivers:
-                    self.sfu.pipeline.install_feedback_rule(
-                        receiver.address,
-                        ssrc,
-                        FeedbackRule(sender=trunk.origin, forward_remb=False, forward_nack_pli=True),
-                    )
+                write_feedback_rows(self.sfu.pipeline, (ssrc,), trunk.origin, receivers)
 
     def _teardown_batched(self, trunk: SfuTrunk) -> None:
         if trunk.released:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dataplane.pipeline import (
+    FeedbackRule,
     ForwardingMode,
     ReplicaTarget,
     ScallopPipeline,
@@ -48,8 +49,9 @@ class ParticipantEndpoint:
 
     participant_id: str
     address: Address
-    #: assigned by the replication manager, once per participant id, so it
-    #: is not part of what makes two endpoints the same participant
+    #: assigned by the replication manager when the participant enters a
+    #: meeting and kept while it stays, so it is not part of what makes two
+    #: endpoints the same participant
     egress_port: int = field(compare=False)
     audio_ssrc: Optional[int] = None
     video_ssrc: Optional[int] = None
@@ -121,6 +123,24 @@ def remove_replica_node(pipeline: ScallopPipeline, mgid: int, node_id: int, rid:
     pipeline.remove_replica_target(mgid, rid)
 
 
+def write_feedback_rows(
+    pipeline: ScallopPipeline,
+    ssrcs: Sequence[int],
+    next_hop: Address,
+    receivers: Sequence[ParticipantEndpoint],
+    remb_to: Optional[str] = None,
+) -> int:
+    """Send the feedback ``receivers`` give about a sender's media ``ssrcs``
+    to ``next_hop``: NACK/PLI from every receiver, REMB only from the one
+    ``remb_to`` names.  Writes the rows receiver by receiver and returns
+    how many it wrote."""
+    for receiver in receivers:
+        rule = FeedbackRule(sender=next_hop, forward_remb=receiver.participant_id == remb_to)
+        for ssrc in ssrcs:
+            pipeline.install_feedback_rule(receiver.address, ssrc, rule)
+    return len(receivers) * len(ssrcs)
+
+
 @dataclass
 class _TreeState:
     """One allocated multicast tree and its membership bookkeeping."""
@@ -170,7 +190,6 @@ class ReplicationManager:
         self.pipeline = pipeline
         self.meetings: Dict[str, MeetingReplicationState] = {}
         self._next_port = 1
-        self._port_by_participant: Dict[str, int] = {}
         # NRA / RA-R tree groups with a free meeting slot, in the order a new
         # meeting tries them
         self._open_groups: Dict[ReplicationDesign, List[str]] = {ReplicationDesign.NRA: [], ReplicationDesign.RA_R: []}
@@ -199,16 +218,21 @@ class ReplicationManager:
         would leave it.  A design change (or a first install) re-lays its
         trees instead (:meth:`_relay`).  A single remaining participant has
         nobody to forward to: the meeting record stays, with no forwarding
-        state installed.  A departed participant gives up its egress port;
-        ports are never reused, so nobody present changes port.
+        state installed.  A participant the meeting holds keeps its egress
+        port and a newcomer takes the next one; ports are never reused, so
+        nobody present changes port.
         """
+        state = self.meetings.get(meeting_id)
+        installed = state.participants if state is not None else {}
         wanted: Dict[str, ParticipantEndpoint] = {}
         for participant in participants:
-            self._assign_port(participant)
+            held = installed.get(participant.participant_id)
+            if held is None:
+                participant.egress_port = self._next_port
+                self._next_port += 1
+            else:
+                participant.egress_port = held.egress_port
             wanted[participant.participant_id] = participant
-        state = self.meetings.get(meeting_id)
-        for pid in (state.participants.keys() - wanted.keys()) if state is not None else ():
-            del self._port_by_participant[pid]
         if state is None:
             state = MeetingReplicationState(meeting_id=meeting_id, design=design)
             self.meetings[meeting_id] = state
@@ -221,13 +245,12 @@ class ReplicationManager:
         return state
 
     def remove_meeting(self, meeting_id: str) -> None:
-        """Tear down a meeting's trees, ingress entries and egress ports."""
+        """Tear down a meeting's trees and ingress entries."""
         state = self.meetings.pop(meeting_id, None)
         if state is None:
             return
         for participant in state.participants.values():
             self._remove_sender_entries(participant)
-            del self._port_by_participant[participant.participant_id]
         self._release(*self._detach(state))
 
     # ------------------------------------------------------------------ incremental membership
@@ -488,13 +511,3 @@ class ReplicationManager:
             del self._groups[group_id]
         elif len(group.meetings) < self.pipeline.capacities.meetings_per_tree and group_id not in open_groups:
             open_groups.append(group_id)
-
-    # ------------------------------------------------------------------ misc helpers
-
-    def _assign_port(self, participant: ParticipantEndpoint) -> None:
-        if participant.participant_id not in self._port_by_participant:
-            self._port_by_participant[participant.participant_id] = self._next_port
-            participant.egress_port = self._next_port
-            self._next_port += 1
-        else:
-            participant.egress_port = self._port_by_participant[participant.participant_id]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Sized, Tuple
 
-from ..dataplane.pipeline import BoxState, FeedbackRule, ScallopPipeline, box_state, index_pairs
+from ..dataplane.pipeline import BoxState, ScallopPipeline, box_state
 from ..netsim.datagram import Address, Datagram, PayloadKind
 from ..rtp.av1 import DecodeTarget, TemplateStructure, extract_dependency_descriptor
 from ..rtp.packet import RtpPacket
@@ -36,7 +36,13 @@ from ..rtp.rtcp import Nack, PictureLossIndication, ReceiverReport, Remb, RtcpPa
 from ..stun.message import StunMessage, make_binding_response
 from .capacity import ReplicationDesign, RewriteVariant
 from .rate_control import DecodeTargetTracker, DownlinkFilter, SelectDecodeTargetFn, select_decode_target
-from .replication import ParticipantEndpoint, ReplicationManager, population_delta, same_endpoint
+from .replication import (
+    ParticipantEndpoint,
+    ReplicationManager,
+    population_delta,
+    same_endpoint,
+    write_feedback_rows,
+)
 from .seqrewrite import (
     SequenceRewriterLowMemory,
     SequenceRewriterLowRetransmission,
@@ -102,8 +108,6 @@ class SwitchAgent:
         self._clock = clock or (lambda: 0.0)
 
         self._participants: Dict[str, _ParticipantState] = {}
-        #: meeting -> its locally configured (non-remote) participants, by id
-        self._members: Dict[str, Dict[str, ParticipantEndpoint]] = {}
         self._participant_by_address: Dict[Address, str] = {}
         self._participant_by_ssrc: Dict[int, str] = {}
         #: installed adaptation entry (sender ssrc, receiver) -> the sender's meeting
@@ -120,7 +124,8 @@ class SwitchAgent:
         nothing: it returns before opening a write batch when
         :meth:`_unchanged` holds.  Otherwise departed participants (and
         members whose endpoint changed,
-        :func:`~repro.core.replication.population_delta`) release their
+        :func:`~repro.core.replication.population_delta` from the replication
+        manager's record of the meeting) release their
         adaptation entries, feedback rules, placements, downlink-filter and
         decode-target state and registration; newcomers are registered, and only their feedback rows — as a
         receiver of every other sender and as a sender toward every other
@@ -134,8 +139,9 @@ class SwitchAgent:
         """
         if self._unchanged(meeting_id, participants):
             return
+        installed = self.replication.meetings.get(meeting_id)
         with self.pipeline.batched_writes():
-            arriving, leaving = population_delta(self._members.get(meeting_id, {}), participants)
+            arriving, leaving = population_delta(installed.participants if installed is not None else {}, participants)
             for participant in leaving:
                 self._release_participant(meeting_id, participant.participant_id)
             if participants:
@@ -238,14 +244,12 @@ class SwitchAgent:
         if pid in self._participants:
             self._forget_participant(pid)
         self._participants[pid] = _ParticipantState(endpoint=participant, meeting_id=meeting_id)
-        self._members.setdefault(meeting_id, {})[pid] = participant
         if not participant.trunk:  # REMB, the one punt resolved by address, never crosses a trunk
             self._participant_by_address[participant.address] = pid
         for _kind, ssrc in participant.media_ssrcs():
             self._participant_by_ssrc[ssrc] = pid
 
     def _forget_participant(self, participant_id: str) -> None:
-        self._unindex(participant_id)
         state = self._participants.pop(participant_id, None)
         if state is None:
             return
@@ -253,17 +257,6 @@ class SwitchAgent:
             del self._participant_by_address[state.endpoint.address]
         for _kind, ssrc in state.endpoint.media_ssrcs():
             self._participant_by_ssrc.pop(ssrc, None)
-
-    def _unindex(self, participant_id: str) -> None:
-        """Drop a participant from its meeting's member index."""
-        state = self._participants.get(participant_id)
-        if state is None or state.remote:
-            return
-        members = self._members.get(state.meeting_id)
-        if members is not None:
-            members.pop(participant_id, None)
-            if not members:
-                del self._members[state.meeting_id]
 
     def _install_feedback_rules(self, meeting_id: str, arriving: Sequence[ParticipantEndpoint]) -> None:
         """Install NACK/PLI forwarding for the (receiver, sender-ssrc) pairs
@@ -275,26 +268,18 @@ class SwitchAgent:
         participants = meeting.participants.values()
         newcomers = {participant.participant_id for participant in arriving}
         for sender in participants:
-            ssrcs = sender.media_ssrcs()
+            ssrcs = [ssrc for _kind, ssrc in sender.media_ssrcs()]
             if not ssrcs:
                 continue
             sender_arrives = sender.participant_id in newcomers
+            receivers = [
+                receiver
+                for receiver in participants
+                if receiver.participant_id != sender.participant_id
+                and (sender_arrives or receiver.participant_id in newcomers)
+            ]
             selected = self.downlink_filter.selected_receiver(sender.participant_id)
-            for receiver in participants:
-                if receiver.participant_id == sender.participant_id:
-                    continue
-                if not sender_arrives and receiver.participant_id not in newcomers:
-                    continue
-                for _kind, ssrc in ssrcs:
-                    self.pipeline.install_feedback_rule(
-                        receiver.address,
-                        ssrc,
-                        FeedbackRule(
-                            sender=sender.address,
-                            forward_remb=(selected == receiver.participant_id),
-                            forward_nack_pli=True,
-                        ),
-                    )
+            write_feedback_rows(self.pipeline, ssrcs, sender.address, receivers, remb_to=selected)
 
     # ------------------------------------------------------------------ cluster federation
 
@@ -313,7 +298,6 @@ class SwitchAgent:
         state = self._participants.get(endpoint.participant_id)
         if state is not None and state.remote and state.meeting_id == meeting_id and same_endpoint(state.endpoint, endpoint):
             return
-        self._unindex(endpoint.participant_id)
         self._participants[endpoint.participant_id] = _ParticipantState(
             endpoint=endpoint, meeting_id=meeting_id, remote=True
         )
@@ -489,20 +473,9 @@ class SwitchAgent:
                 meeting = self.replication.meetings.get(state.meeting_id)
                 if meeting is None:
                     continue
-                for receiver in meeting.participants.values():
-                    if receiver.participant_id == sender_id:
-                        continue
-                    for _kind, ssrc in state.endpoint.media_ssrcs():
-                        self.pipeline.install_feedback_rule(
-                            receiver.address,
-                            ssrc,
-                            FeedbackRule(
-                                sender=state.endpoint.address,
-                                forward_remb=(receiver.participant_id == best),
-                                forward_nack_pli=True,
-                            ),
-                        )
-                        updates += 1
+                receivers = [r for r in meeting.participants.values() if r.participant_id != sender_id]
+                ssrcs = [ssrc for _kind, ssrc in state.endpoint.media_ssrcs()]
+                updates += write_feedback_rows(self.pipeline, ssrcs, state.endpoint.address, receivers, remb_to=best)
         if updates:
             self.counters.rule_updates += updates
         return updates
@@ -513,15 +486,12 @@ class SwitchAgent:
         """The box's state: the control plane's
         :meth:`~repro.dataplane.pipeline.PipelineControlPlane.state`, the
         registry and its indexes, the adaptation bookkeeping, the keys of the
-        downlink-filter and decode-target state, the replicated meetings and
-        who holds an egress port."""
-        replication = self.replication
+        downlink-filter and decode-target state and the replicated meetings."""
         return self.pipeline.control.state() | box_state(
             {
                 "registry": {pid: Registration.of(p) for pid, p in self._participants.items()},
                 "by_address": self._participant_by_address,
                 "by_ssrc": self._participant_by_ssrc,
-                "member": index_pairs(self._members),
                 "adaptation_meeting": self._adaptation_installed,
                 "adapted_meetings": self._adapted_meetings,
                 "filter": dict.fromkeys(self.downlink_filter._state, True),
@@ -529,9 +499,8 @@ class SwitchAgent:
                 "decode_target": dict.fromkeys(self.decode_targets._targets, True),
                 "meeting": {
                     meeting_id: (m.design, tuple(m.participants), tuple(t.layer for t in m.trees))
-                    for meeting_id, m in replication.meetings.items()
+                    for meeting_id, m in self.replication.meetings.items()
                 },
-                "port": dict.fromkeys(replication._port_by_participant, True),
             }
         )
 

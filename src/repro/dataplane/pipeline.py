@@ -19,14 +19,13 @@ Architecturally the model is split the way the paper splits the system:
 
 * :class:`PipelineControlPlane` owns everything the switch agent writes —
   match-action tables, the PRE configuration, stream-index allocation, the
-  sequence-rewriter register file, and the one global resource ledger.  All
-  writes fan out to every attached datapath (per-shard register copies), so
-  a datapath never blocks on another datapath's state.
+  sequence-rewriter register file, and the one global resource ledger.
 * :class:`PipelineDatapath` is the per-packet engine: it holds only
-  read-mostly references into the control plane plus private state (parser,
-  counters, memoized flow resolution, its rewriter register view).  Per-flow
-  operations commute (the Scalable Commutativity Rule), so datapaths can be
-  replicated into shards that share nothing but the control plane — see
+  read-mostly references into the control plane (the register file
+  included) plus private state (parser, counters, memoized flow
+  resolution).  Per-flow operations commute (the Scalable Commutativity
+  Rule), so datapaths can be replicated into shards that share nothing but
+  the control plane — see
   :class:`~repro.dataplane.sharding.ShardedScallopPipeline`, whose output
   is byte-identical to one datapath at every shard count.
 * :class:`ScallopPipeline` is the single-datapath composition of the two,
@@ -84,6 +83,10 @@ CONTROL_SNAPSHOT_VERSION = 1
 #: The media payloads :meth:`PipelineDatapath._process_media` reads: object
 #: packets and wire views.
 _MEDIA_PAYLOADS = (RtpPacket, PacketView)
+
+#: The meta every replica of a meta-less ingress packet (and every SR/SDES
+#: replica) shares.
+_NO_META = MappingProxyType({})
 
 
 class SnapshotVersionError(RuntimeError):
@@ -289,9 +292,6 @@ class _CachedResolution:
     target of the flow carries an adaptation entry (or the packet is audio,
     which adaptation never touches), the fan-out loop iterates the bare
     address tuple with none of the per-replica adaptation checks.
-    ``meta_proxy`` lazily holds the flow's shared replica-meta view (origin
-    fields depend only on the flow), built by the first meta-less packet and
-    reused by every later one.
     """
 
     __slots__ = (
@@ -300,7 +300,6 @@ class _CachedResolution:
         "replica_misses",
         "addresses",
         "has_adaptation",
-        "meta_proxy",
     )
 
     def __init__(
@@ -314,7 +313,6 @@ class _CachedResolution:
         self.replica_misses = replica_misses
         self.addresses = tuple(address for address, _adaptation in addressed)
         self.has_adaptation = any(adaptation is not None for _address, adaptation in addressed)
-        self.meta_proxy: Optional[MappingProxyType] = None
 
 
 class _FlowFastState:
@@ -347,7 +345,7 @@ class _FlowFastState:
         self.traced = False
 
 
-def _unindex(index: Dict, key, member) -> None:
+def _discard(index: Dict, key, member) -> None:
     """Drop ``member`` from ``index[key]``, and the key once it is empty."""
     members = index.get(key)
     if members is not None:
@@ -361,14 +359,14 @@ class PipelineControlPlane:
 
     The control plane is the single writer of all match-action and register
     state.  Datapaths (one for :class:`ScallopPipeline`, N for the sharded
-    engine) attach themselves via :meth:`attach_datapath`; every
-    sequence-rewriter register write then fans out to each attached datapath's
-    register view, and every table/PRE write bumps the corresponding write
-    generation so datapath caches invalidate on their next batch.
+    engine) read it: the tables, the PRE and the one sequence-rewriter
+    register file, at the collision-free indices the control plane assigns.
+    Every table/PRE write bumps the corresponding write generation so
+    datapath caches invalidate on their next batch.
 
     Resource charges land in one global :class:`ResourceAccountant` ledger,
-    whatever the number of attached datapaths: the Tofino budget belongs to
-    the switch.
+    whatever the number of datapaths: the Tofino budget belongs to the
+    switch.
     """
 
     def __init__(
@@ -381,7 +379,7 @@ class PipelineControlPlane:
         self.capacities = capacities
         self.accountant = ResourceAccountant(capacities)
         self.pre = PacketReplicationEngine(self.accountant)
-        #: Optional observability config; every attached datapath arms its
+        #: Optional observability config; every datapath arms its
         #: obs state from it, so instrumentation is shard-count-invariant.
         self.obs_config = obs
 
@@ -418,28 +416,12 @@ class PipelineControlPlane:
         self._placements_by_src: Dict[Address, Dict[int, None]] = {}
 
         self.stream_indices = IndexAllocator(capacities.stream_tracker_cells)
-        #: Canonical rewriter register file; shard datapaths hold fanned-out
-        #: copies so their packet path never reads another shard's registers.
+        #: The rewriter register file; every datapath reads this one array.
         self.stream_trackers: RegisterArray[SequenceRewriter] = RegisterArray(
             "stream_tracker", size=capacities.stream_tracker_cells
         )
-
-        self._datapaths: List["PipelineDatapath"] = []
-        #: Write-batching state (:meth:`batched_writes`): nesting depth and
-        #: the register indices whose datapath fan-out is deferred.
+        #: Nesting depth of :meth:`batched_writes`.
         self._write_batch_depth = 0
-        self._deferred_tracker_indices: Set[int] = set()
-
-    # ------------------------------------------------------------------ datapath wiring
-
-    def attach_datapath(self, datapath: "PipelineDatapath") -> None:
-        """Register a datapath for register-write fan-out."""
-        self._datapaths.append(datapath)
-        # late attach: replay current register contents into the new view
-        # (a no-op scan for the usual attach-before-any-install order)
-        if datapath.trackers is not self.stream_trackers:
-            for index, value in self.stream_trackers.used_entries():
-                datapath.trackers.write(index, value)
 
     def write_stamp(self) -> Tuple[int, int, int, int]:
         """Aggregate write generation over all cache-relevant control state."""
@@ -450,18 +432,6 @@ class PipelineControlPlane:
             self.pre.generation,
         )
 
-    def _write_tracker(self, index: int, rewriter: Optional[SequenceRewriter]) -> None:
-        self.stream_trackers.write(index, rewriter)
-        if self._write_batch_depth:
-            # inside batched_writes(): the canonical register is current (so
-            # later control reads in the same batch see it), but the per-shard
-            # fan-out is coalesced to one write per index at batch exit
-            self._deferred_tracker_indices.add(index)
-            return
-        for datapath in self._datapaths:
-            if datapath.trackers is not self.stream_trackers:
-                datapath.trackers.write(index, rewriter)
-
     # ------------------------------------------------------------------ write batching
 
     @contextmanager
@@ -469,12 +439,10 @@ class PipelineControlPlane:
         """Coalesce a burst of control-plane writes into one generation bump.
 
         Meeting setup installs dozens of table entries, PRE nodes, and
-        rewriter registers back to back; outside this context every one of
-        them bumps a write generation (invalidating every datapath's
-        memoized flow resolution) and fans register writes out
-        to every shard view individually.  Inside the context, each touched
-        table/PRE bumps its generation exactly once at exit and register
-        fan-out happens once per index.
+        rewriter registers back to back; outside this context every table or
+        PRE write bumps a write generation (invalidating every datapath's
+        memoized flow resolution).  Inside the context, each touched
+        table/PRE bumps its generation exactly once at exit.
 
         All writes remain immediately visible to control-plane *reads*
         (``peek``/allocator state); only the change *notifications* are
@@ -516,15 +484,6 @@ class PipelineControlPlane:
         self._write_batch_depth -= 1
         if self._write_batch_depth:
             return
-        deferred = self._deferred_tracker_indices
-        if deferred:
-            trackers = self.stream_trackers
-            for index in sorted(deferred):
-                value = trackers.peek(index)
-                for datapath in self._datapaths:
-                    if datapath.trackers is not trackers:
-                        datapath.trackers.write(index, value)
-            deferred.clear()
         for table in self._all_tables():
             table.commit_version_bumps()
         self.pre.commit_generation_bumps()
@@ -605,7 +564,7 @@ class PipelineControlPlane:
             raise
         if cells < old_cells:
             self.accountant.release_stream_state(old_cells - cells)
-        self._write_tracker(index, rewriter)
+        self.stream_trackers.write(index, rewriter)
         return index
 
     def update_adaptation_templates(
@@ -626,7 +585,7 @@ class PipelineControlPlane:
             rewriter = self.stream_trackers.peek(entry.stream_index)
             if rewriter is not None:
                 self.accountant.release_stream_state(rewriter.state_cells)
-            self._write_tracker(entry.stream_index, None)
+            self.stream_trackers.write(entry.stream_index, None)
             self.stream_indices.release(key)
             self.adaptation_table.remove(key)
 
@@ -637,8 +596,8 @@ class PipelineControlPlane:
 
     def remove_feedback_rule(self, receiver: Address, media_ssrc: int) -> None:
         self.feedback_table.remove((receiver, media_ssrc))
-        _unindex(self._feedback_by_receiver, receiver, media_ssrc)
-        _unindex(self._feedback_by_ssrc, media_ssrc, receiver)
+        _discard(self._feedback_by_receiver, receiver, media_ssrc)
+        _discard(self._feedback_by_ssrc, media_ssrc, receiver)
 
     def feedback_rules_for(
         self, address: Optional[Address], media_ssrcs: Sequence[int] = ()
@@ -660,7 +619,7 @@ class PipelineControlPlane:
     def remove_placement(self, src: Address, ssrc: int) -> None:
         """Drop a placement exception; the flow reverts to the CRC32 default."""
         self.placement_table.remove((src, ssrc))
-        _unindex(self._placements_by_src, src, ssrc)
+        _discard(self._placements_by_src, src, ssrc)
 
     def placement_of(self, src: Address, ssrc: int) -> Optional[int]:
         """Control-plane read of a flow's pinned shard (``None`` = hashed)."""
@@ -862,11 +821,11 @@ def state_diff(a: BoxState, b: BoxState) -> Optional[str]:
 class PipelineDatapath:
     """The per-packet engine: parses, matches, replicates, rewrites.
 
-    Holds only private state (parser, counters, flow-resolution caches, its
-    rewriter register view) plus read-mostly references into the shared
-    :class:`PipelineControlPlane`.  Per-flow operations commute, so multiple
-    datapaths over one control plane process disjoint flow partitions with
-    results identical to a single datapath (see
+    Holds only private state (parser, counters, flow-resolution caches) plus
+    read-mostly references into the shared :class:`PipelineControlPlane`,
+    its rewriter register file included.  Per-flow operations commute, so
+    multiple datapaths over one control plane process disjoint flow
+    partitions with results identical to a single datapath (see
     :class:`~repro.dataplane.sharding.ShardedScallopPipeline`).
     """
 
@@ -879,7 +838,6 @@ class PipelineDatapath:
     def __init__(
         self,
         control: PipelineControlPlane,
-        trackers: Optional[RegisterArray] = None,
         shard_id: int = 0,
         sanitize: Optional[bool] = None,
     ) -> None:
@@ -888,12 +846,6 @@ class PipelineDatapath:
         self.sfu_address = control.sfu_address
         self.parser = IngressParser()
         self.counters = PipelineCounters()
-        #: This datapath's rewriter register view.  The single-datapath
-        #: pipeline shares the control plane's canonical array; shard
-        #: datapaths get their own fanned-out copy.
-        self.trackers: RegisterArray[SequenceRewriter] = (
-            trackers if trackers is not None else control.stream_trackers
-        )
         #: Per-shard observability bundle (metrics registry + packet tracer),
         #: armed iff the control plane carries an :class:`ObsConfig`.  Private
         #: to this datapath — never aliased across shards, never written by
@@ -911,6 +863,7 @@ class PipelineDatapath:
         )
 
         # read-mostly bindings into the control plane (hot-path aliases)
+        self.trackers: RegisterArray[SequenceRewriter] = control.stream_trackers
         self.pre = control.pre
         self.stream_table = control.stream_table
         self.replica_table = control.replica_table
@@ -1179,14 +1132,7 @@ class PipelineDatapath:
 
         arrived_at = datagram.arrived_at
         schedule = None if arrived_at is None else arrived_at + SWITCH_FORWARDING_DELAY_S
-        if datagram.meta:
-            meta = MappingProxyType(dict(datagram.meta, origin=datagram.src, origin_ssrc=ssrc))
-        else:
-            meta = resolution.meta_proxy
-            if meta is None:
-                meta = resolution.meta_proxy = MappingProxyType(
-                    {"origin": datagram.src, "origin_ssrc": ssrc}
-                )
+        meta = MappingProxyType(datagram.meta) if datagram.meta else _NO_META
         # every replica is a C-level copy of this prepared field dict made
         # the instance __dict__ of a bare Datagram (no __init__, no size or
         # kind derivation; a sequence-number rewrite does not change size)
@@ -1399,13 +1345,12 @@ class PipelineDatapath:
             "size": datagram.size,
             "kind": datagram.kind,
             "arrived_at": self._egress_schedule(datagram),
-            "meta": None,
+            "meta": _NO_META,
         }.copy
         for address in addresses:
             out = Datagram.__new__(Datagram)
             instance = base_copy()
             instance["dst"] = address
-            instance["meta"] = {}
             object.__setattr__(out, "__dict__", instance)
             result.outputs.append(out)
         counters.replicas_out += len(addresses)
@@ -1557,7 +1502,6 @@ class ScallopPipeline(ControlPlaneFacade):
     ) -> None:
         self.control = PipelineControlPlane(sfu_address, capacities, obs=obs)
         self.datapath = PipelineDatapath(self.control, sanitize=sanitize)
-        self.control.attach_datapath(self.datapath)
         self.sfu_address = sfu_address
 
         # hot entry points bound directly (no wrapper frame on the data path)

@@ -6,8 +6,9 @@ AST level, but static analysis cannot see mutations through aliased
 references (``table = self.stream_table; table.install(...)``).  This module
 is the dynamic half of the same invariant: an opt-in debug mode that wraps
 each :class:`~repro.dataplane.pipeline.PipelineDatapath`'s read-mostly
-control-plane bindings (``pre``, the four hot tables, and ``control``
-itself) in :class:`WriteBarrierProxy` objects.  Reads forward transparently
+control-plane bindings (``pre``, the four hot tables, the rewriter register
+file ``trackers``, and ``control`` itself) in :class:`WriteBarrierProxy`
+objects.  Reads forward transparently
 — ``lookup``/``peek``/``read``/``replicate`` and the PRE's sanctioned
 data-plane accounting behave identically, so sanitized runs stay
 byte-identical to unsanitized ones — while any mutating method call or
@@ -122,8 +123,6 @@ BLOCKED_METHODS = frozenset(
         "install_placement",
         "remove_placement",
         "remove_placements_for",
-        "attach_datapath",
-        "_write_tracker",
         "allocate_stream_state",
         "release_stream_state",
         "allocate_tree",
@@ -231,10 +230,17 @@ def resolve_sanitize(flag) -> bool:
 
 #: The datapath attributes wrapped by :func:`sanitize_datapath` — the
 #: read-mostly control-plane bindings established in
-#: ``PipelineDatapath.__init__`` (``trackers`` stays raw: it is the shard's
-#: own register view, and control-plane fan-out writes to it through the raw
-#: datapath attribute, not through the shard's proxy).
-SANITIZED_BINDINGS = ("control", "pre", "stream_table", "replica_table", "adaptation_table", "feedback_table")
+#: ``PipelineDatapath.__init__``.  The control plane writes the register
+#: file through its own raw ``stream_trackers`` handle.
+SANITIZED_BINDINGS = (
+    "control",
+    "pre",
+    "stream_table",
+    "replica_table",
+    "adaptation_table",
+    "feedback_table",
+    "trackers",
+)
 
 
 def sanitize_datapath(datapath) -> IsolationLog:

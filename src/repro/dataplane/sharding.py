@@ -6,11 +6,12 @@ flows touch disjoint forwarding, adaptation, and rewriter state.  The sharded
 engine exploits that by partitioning every ingress burst with a deterministic
 ``hash(src, ssrc) % n_shards`` and running each partition through its own
 :class:`~repro.dataplane.pipeline.PipelineDatapath` — private parser, private
-counters, private flow-resolution caches, private sequence-rewriter register
-view — while a single :class:`~repro.dataplane.pipeline.PipelineControlPlane`
-remains the only shared state (tables and PRE configuration are read-mostly;
-control-plane writes fan out and bump generations that each shard observes
-independently).  Results are reassembled in input order, byte-identical to
+counters, private flow-resolution caches — while a single
+:class:`~repro.dataplane.pipeline.PipelineControlPlane` remains the only
+shared state (tables, PRE configuration and the rewriter register file are
+read-mostly; control-plane writes bump generations that each shard observes
+independently, and a flow's register cells are read only by the shard that
+owns the flow).  Results are reassembled in input order, byte-identical to
 the unsharded pipeline; resource charges land in the one global
 :class:`~repro.dataplane.resources.ResourceAccountant` ledger, because the
 Tofino budget belongs to the switch, not to a shard.
@@ -41,8 +42,8 @@ partitioning feed an EWMA tracker (:mod:`repro.dataplane.loadstats`), a
 greedy hysteresis-damped policy (:mod:`repro.dataplane.rebalance`) turns
 observed skew into migration plans, and :meth:`ShardedScallopPipeline.migrate_flow`
 executes them at batch boundaries — the migrating sender's rewriter register
-state follows the flow (every shard's register view aliases the same rewriter
-objects), so outputs remain byte-identical to the unsharded pipeline across
+state follows the flow (every shard reads the control plane's one register
+file), so outputs remain byte-identical to the unsharded pipeline across
 every migration epoch.  The policy ranks flows by packet and egress rate;
 nothing here reads a clock.
 """
@@ -69,7 +70,6 @@ from .pipeline import (
 )
 from .resources import DEFAULT_CAPACITIES, TofinoCapacities
 from .sanitize import IsolationViolation, resolve_sanitize
-from .tables import RegisterArray
 
 
 def flow_shard(src: Address, ssrc: int, n_shards: int) -> int:
@@ -130,18 +130,10 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         else:
             obs_config = None
         self.control = PipelineControlPlane(sfu_address, capacities, obs=obs_config)
-        self.shards: List[PipelineDatapath] = []
-        for shard_id in range(n_shards):
-            datapath = PipelineDatapath(
-                self.control,
-                trackers=RegisterArray(
-                    f"stream_tracker/shard{shard_id}", size=capacities.stream_tracker_cells
-                ),
-                shard_id=shard_id,
-                sanitize=self.sanitize,
-            )
-            self.control.attach_datapath(datapath)
-            self.shards.append(datapath)
+        self.shards: List[PipelineDatapath] = [
+            PipelineDatapath(self.control, shard_id=shard_id, sanitize=self.sanitize)
+            for shard_id in range(n_shards)
+        ]
         # control API and table/register/ledger delegation shared with
         # ScallopPipeline via ControlPlaneFacade, so the switch agent and
         # replication manager are oblivious to sharding
@@ -407,7 +399,7 @@ class ShardedScallopPipeline(ControlPlaneFacade):
         Installs (or, when the target is the flow's CRC32 default, removes)
         the placement exception — bumping the placement generation, which
         drops the flow-routing cache.  Rewriter state needs no move: every
-        shard's register view aliases the same rewriter objects, and resource
+        shard reads the control plane's one register file, and resource
         charges stay on the one global ledger.  Safe while traffic is in
         flight because routing is only read at batch partitioning time: the
         current batch completed with the old placement, the next one sees

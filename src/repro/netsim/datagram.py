@@ -109,38 +109,21 @@ class Datagram:
         """Bytes on the wire, including Ethernet/IP/UDP overhead."""
         return self.size + NETWORK_OVERHEAD_BYTES
 
-    @classmethod
-    def from_fields(cls, fields: dict) -> "Datagram":
-        """Mint an instance directly from a prepared field dict.
-
-        Fast-path constructor for the SFU's replica fan-out: bypasses the
-        frozen-dataclass ``__init__`` (seven guarded ``object.__setattr__``
-        calls) and the size/kind derivation in ``__post_init__``.  ``fields``
-        becomes the instance ``__dict__`` and must therefore contain exactly
-        this dataclass's fields, already validated/derived.
-        """
-        # O(1) guard: a field added to the dataclass but not to the caller's
-        # template shows up as a length mismatch here instead of as a distant
-        # AttributeError (a full key comparison would dominate the fan-out)
-        if len(fields) != len(cls.__dataclass_fields__):
-            raise TypeError(
-                f"from_fields requires exactly the {cls.__name__} fields, got {sorted(fields)}"
-            )
-        instance = object.__new__(cls)
-        object.__setattr__(instance, "__dict__", fields)
-        return instance
-
     def restamped(self, arrived_at: Optional[float]) -> "Datagram":
         """Return a copy with a new ``arrived_at`` schedule stamp (what every
         burst hop does).
 
-        One field-dict copy: a hop never changes ``size``/``kind``, so nothing
-        is re-derived; ``payload`` and ``meta`` are shared with the source,
-        which is left untouched.
+        Minted the way the SFU pipeline mints replicas: a bare instance whose
+        ``__dict__`` is a copy of this one's, so no ``__init__`` runs and
+        nothing is re-derived (a hop never changes ``size``/``kind``);
+        ``payload`` and ``meta`` are shared with the source, which is left
+        untouched.
         """
         fields = self.__dict__.copy()
         fields["arrived_at"] = arrived_at
-        return Datagram.from_fields(fields)
+        copy = Datagram.__new__(Datagram)
+        object.__setattr__(copy, "__dict__", fields)
+        return copy
 
     def redirect(self, src: Address, dst: Address) -> "Datagram":
         """Return a copy with rewritten addresses (what the SFU egress does)."""

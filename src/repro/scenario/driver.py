@@ -41,9 +41,13 @@ from .spec import (
     MigrateEvent,
     ParticipantRef,
     Scenario,
+    TrafficSpec,
 )
 
 SFU_ADDRESS = Address("10.0.0.1", 5000)
+#: NIC-style RX interrupt-moderation window of the SFU's downlinks when
+#: frame bursts are on.
+RX_COALESCE_WINDOW_S = 250e-6
 
 
 @dataclass
@@ -246,14 +250,8 @@ class ScenarioRun(Testbed):
         """Create, attach, and sign in one participant (not yet started)."""
         scenario = self.scenario
         spec = self._spec_for(meeting_id)
-        traffic = scenario.traffic if scenario is not None else None
+        traffic = scenario.traffic if scenario is not None else TrafficSpec()
         seed = scenario.seed if scenario is not None else 1
-        frame_bursts = spec.frame_bursts
-        if frame_bursts is None:
-            frame_bursts = traffic.frame_bursts if traffic is not None else False
-        wire_native = spec.wire_native
-        if wire_native is None:
-            wire_native = traffic.wire_native if traffic is not None else False
         config = ClientConfig(
             participant_id=self._participant_id(meeting_index, participant_index),
             meeting_id=meeting_id,
@@ -264,8 +262,8 @@ class ScenarioRun(Testbed):
             video_bitrate_bps=spec.video_bitrate_bps,
             frame_rate=spec.frame_rate,
             seed=seed * 1000 + meeting_index * 37 + participant_index,
-            send_frames_as_bursts=frame_bursts,
-            wire_native=wire_native,
+            send_frames_as_bursts=traffic.frame_bursts,
+            wire_native=traffic.wire_native,
         )
         client = WebRtcClient(config, self.simulator, self.network)
         self.network.attach(client, uplink=spec.uplink, downlink=spec.downlink)
@@ -592,9 +590,7 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
     network = Network(
         simulator,
         seed=scenario.seed,
-        rx_coalesce_window_s=(
-            scenario.traffic.rx_coalesce_window_s if scenario.effective_frame_bursts() else 0.0
-        ),
+        rx_coalesce_window_s=RX_COALESCE_WINDOW_S if scenario.traffic.frame_bursts else 0.0,
     )
     sfu = _build_sfu(scenario, simulator, network)
     run = ScenarioRun(simulator=simulator, network=network, sfu=sfu, scenario=scenario)

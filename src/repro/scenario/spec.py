@@ -37,12 +37,7 @@ ParticipantRef = Union[int, str]
 
 @dataclass(frozen=True)
 class MeetingSpec:
-    """One meeting's population and media parameters.
-
-    ``frame_bursts`` / ``wire_native`` default to ``None`` (inherit the
-    scenario's :class:`TrafficSpec`); setting them makes the meeting's
-    traffic model heterogeneous relative to the rest of the population.
-    """
+    """One meeting's population and media parameters."""
 
     participants: int = 3
     meeting_id: Optional[str] = None
@@ -54,9 +49,6 @@ class MeetingSpec:
     #: :data:`~repro.netsim.link.DEFAULT_ACCESS_PROFILE`).
     uplink: Optional[LinkProfile] = None
     downlink: Optional[LinkProfile] = None
-    #: Per-meeting traffic-model overrides (``None`` inherits the scenario).
-    frame_bursts: Optional[bool] = None
-    wire_native: Optional[bool] = None
     #: Cluster placement (``repro.cluster``): home every participant on this
     #: member index (``None`` = the cluster's default placement).
     sfu: Optional[int] = None
@@ -74,13 +66,11 @@ class TrafficSpec:
     ``frame_bursts`` delivers each video frame as one schedule-preserving
     network burst (the SFU ingests batches); ``wire_native`` makes senders
     serialize each packet exactly once into a packed
-    :class:`~repro.rtp.wire.PacketView` buffer; ``rx_coalesce_window_s`` is
-    the NIC-style RX interrupt-moderation window used when bursts are on.
+    :class:`~repro.rtp.wire.PacketView` buffer.
     """
 
     frame_bursts: bool = False
     wire_native: bool = False
-    rx_coalesce_window_s: float = 250e-6
 
 
 @dataclass(frozen=True)
@@ -288,19 +278,6 @@ class Scenario:
         if participants_per_meeting is not None:
             template = replace(template, participants=participants_per_meeting)
         return cls(meetings=tuple(template for _ in range(num_meetings)), **kwargs)
-
-    def effective_frame_bursts(self) -> bool:
-        """Whether any meeting in the population sends frame bursts."""
-        if any(spec.frame_bursts for spec in self.meetings):
-            return True
-        if any(spec.frame_bursts is None for spec in self.meetings) and self.traffic.frame_bursts:
-            return True
-        if self.default_meeting is not None:
-            if self.default_meeting.frame_bursts or (
-                self.default_meeting.frame_bursts is None and self.traffic.frame_bursts
-            ):
-                return True
-        return not self.meetings and self.traffic.frame_bursts
 
 
 def zipf_meetings(

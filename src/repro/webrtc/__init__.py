@@ -1,7 +1,7 @@
 """Simulated WebRTC client substrate (encoder, receiver, GCC, stats, client)."""
 
 from .encoder import AudioSource, EncodedFrame, RtpPacketizer, SvcEncoder
-from .decoder import AudioReceiveStream, DecodedFrame, VideoReceiveStream
+from .decoder import AudioReceiveStream, VideoReceiveStream
 from .gcc import RemoteBitrateEstimator
 from .stats import (
     InboundAudioStats,
@@ -19,7 +19,6 @@ __all__ = [
     "RtpPacketizer",
     "SvcEncoder",
     "AudioReceiveStream",
-    "DecodedFrame",
     "VideoReceiveStream",
     "RemoteBitrateEstimator",
     "InboundAudioStats",

@@ -11,6 +11,7 @@ the next key frame.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -24,29 +25,15 @@ MAX_TRACKED_MISSING = 512
 
 
 @dataclass
-class DecodedFrame:
-    """A fully reassembled, decodable frame delivered to the application."""
-
-    frame_number: int
-    temporal_layer: int
-    size_bytes: int
-    completed_at: float
-    is_keyframe: bool
-
-
-@dataclass
 class _PendingFrame:
     frame_number: int
     temporal_layer: int
     is_keyframe: bool
-    packets: Dict[int, int] = field(default_factory=dict)  # seq -> size
+    packets: Set[int] = field(default_factory=set)  # sequence numbers received
     saw_start: bool = False
     saw_end: bool = False
     first_seq: Optional[int] = None  # set with saw_start
     last_seq: Optional[int] = None  # set with saw_end
-
-    def size_bytes(self) -> int:
-        return sum(self.packets.values())
 
 
 class VideoReceiveStream:
@@ -70,7 +57,8 @@ class VideoReceiveStream:
 
         # frame reassembly
         self._pending: Dict[int, _PendingFrame] = {}
-        self.decoded_frames: List[DecodedFrame] = []
+        #: when each decoded frame completed, sorted
+        self._completion_times: List[float] = []
         self.frames_decoded = 0
         self.keyframes_decoded = 0
 
@@ -155,7 +143,7 @@ class VideoReceiveStream:
                 is_keyframe=descriptor.is_extended,
             )
             self._pending[descriptor.frame_number] = frame
-        frame.packets[packet.sequence_number] = packet.size
+        frame.packets.add(packet.sequence_number)
         if descriptor.start_of_frame:
             frame.saw_start = True
             frame.first_seq = packet.sequence_number
@@ -183,15 +171,7 @@ class VideoReceiveStream:
         self.frames_decoded += 1
         if frame.is_keyframe:
             self.keyframes_decoded += 1
-        self.decoded_frames.append(
-            DecodedFrame(
-                frame_number=frame.frame_number,
-                temporal_layer=frame.temporal_layer,
-                size_bytes=frame.size_bytes(),
-                completed_at=recv_time,
-                is_keyframe=frame.is_keyframe,
-            )
-        )
+        insort(self._completion_times, recv_time)
 
     # -- freeze handling -------------------------------------------------------------
 
@@ -224,22 +204,21 @@ class VideoReceiveStream:
         """Frames decoded per second over the trailing ``window_s`` seconds."""
         if window_s <= 0:
             return 0.0
-        recent = [f for f in self.decoded_frames if f.completed_at >= now - window_s]
-        return len(recent) / window_s
+        times = self._completion_times
+        return (len(times) - bisect_left(times, now - window_s)) / window_s
 
     def frame_rate_series(self, bucket_s: float = 1.0) -> List[Tuple[float, float]]:
         """Return ``(bucket_end_time, fps)`` samples over the whole stream."""
-        if not self.decoded_frames:
+        times = self._completion_times
+        if not times:
             return []
         series: List[Tuple[float, float]] = []
-        start = self.decoded_frames[0].completed_at
-        end = self.decoded_frames[-1].completed_at
-        bucket_start = start
+        bucket_start, end = times[0], times[-1]
         index = 0
         while bucket_start <= end:
             bucket_end = bucket_start + bucket_s
             count = 0
-            while index < len(self.decoded_frames) and self.decoded_frames[index].completed_at < bucket_end:
+            while index < len(times) and times[index] < bucket_end:
                 count += 1
                 index += 1
             series.append((bucket_end, count / bucket_s))

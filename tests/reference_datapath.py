@@ -66,7 +66,7 @@ def _handle_media(
                 dst=target.address,
                 payload=out_packet,
                 arrived_at=egress_schedule,
-                meta=dict(datagram.meta, origin=datagram.src, origin_ssrc=packet.ssrc),
+                meta=dict(datagram.meta),
             )
         )
         counters.replicas_out += 1

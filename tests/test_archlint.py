@@ -719,6 +719,16 @@ class TestEndToEnd:
         assert any("replication.sync_meeting()" in message for message in messages)
         assert any("replication.remove_meeting()" in message for message in messages)
 
+    def test_trackers_fixture_trips_share_nothing(self):
+        # the datapath's trackers binding is the control plane's register
+        # file: a write through it is a control-plane write
+        fixture = REPO_ROOT / "tools" / "archlint" / "fixtures" / "violating_trackers.py"
+        report = run_paths([str(fixture)])
+        assert "share-nothing" in {finding.rule for finding in report.new}
+        messages = [finding.message for finding in report.new if finding.rule == "share-nothing"]
+        assert any("self.trackers.write()" in message for message in messages)
+        assert any("self.trackers._cells[...]" in message for message in messages)
+
     def test_wirebatch_fixture_trips_wire_hygiene(self):
         # proves the extended jurisdiction bites: the fixture impersonates
         # repro.rtp.wirebatch via the module override and must produce both

@@ -24,7 +24,7 @@ from repro.dataplane.pipeline import (
 )
 from repro.dataplane.pre import L2Port
 from repro.netsim.datagram import Address, Datagram
-from repro.rtp.rtcp import Nack, Remb, SenderReport
+from repro.rtp.rtcp import Nack, Remb, SenderReport, SourceDescription
 from repro.stun.message import make_binding_request
 from repro.webrtc.encoder import AudioSource, RtpPacketizer, SvcEncoder
 
@@ -151,9 +151,65 @@ class TestBatchEquivalence:
         result = batched.process_batch([Datagram(src=ALICE, dst=SFU, payload=packet, meta={"tx_time": 1.0})])[0]
         assert len(result.outputs) == 2
         meta = result.outputs[0].meta
-        assert meta["tx_time"] == 1.0 and meta["origin"] == ALICE
+        assert meta["tx_time"] == 1.0
         with pytest.raises(TypeError):
             meta["tampered"] = True
+
+    @pytest.mark.parametrize("ingress_meta", [{"tx_time": 1.0, "trunk_fwd_src": BOB}, {}])
+    def test_replica_meta_equals_the_ingress_meta_key_for_key(self, ingress_meta):
+        pipeline, _ = build_pipeline(with_adaptation=True)
+        for packet in video_packets(6):
+            datagram = Datagram(src=ALICE, dst=SFU, payload=packet, meta=dict(ingress_meta))
+            for process in (pipeline.process, lambda d: pipeline.process_batch([d])[0]):
+                outputs = process(datagram).outputs
+                assert outputs
+                for replica in outputs:
+                    assert dict(replica.meta) == ingress_meta
+                    with pytest.raises(TypeError):
+                        replica.meta["origin"] = ALICE
+
+
+class TestMintedDatagramFields:
+    """The pipeline mints datagrams through ``Datagram.__new__`` plus a
+    prepared field dict, and ``restamped`` copies one, so no ``__init__``
+    checks the field set: every minted datagram and every restamped copy
+    must hold exactly the dataclass's fields."""
+
+    FIELDS = set(Datagram.__dataclass_fields__)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["process", "process_batch"])
+    def test_every_minted_datagram_holds_exactly_the_dataclass_fields(self, batched):
+        pipeline, _ = build_pipeline()
+        # two templates toward Bob: the others drop, later packets are rewritten
+        pipeline.install_adaptation(
+            VIDEO_SSRC, BOB, frozenset({0, 1}), SequenceRewriterLowRetransmission(SkipCadence(1, 2))
+        )
+        pipeline.install_feedback_rule(BOB, VIDEO_SSRC, FeedbackRule(sender=ALICE))
+        media = [
+            Datagram(src=ALICE, dst=SFU, payload=packet, arrived_at=0.5, meta={"tx_time": 0.5})
+            for packet in video_packets(12)
+        ]
+        sender_reports = [
+            Datagram(src=ALICE, dst=SFU, payload=(SenderReport(sender_ssrc=VIDEO_SSRC),)),
+            Datagram(
+                src=ALICE,
+                dst=SFU,
+                payload=(SenderReport(sender_ssrc=VIDEO_SSRC), SourceDescription(((VIDEO_SSRC, "alice"),))),
+            ),
+        ]
+        feedback = [Datagram(src=BOB, dst=SFU, payload=(Nack(2002, VIDEO_SSRC, (5,)),))]
+        minted = {}
+        for kind, traffic in (("media", media), ("sr", sender_reports), ("feedback", feedback)):
+            results = pipeline.process_batch(traffic) if batched else [pipeline.process(d) for d in traffic]
+            for ingress, result in zip(traffic, results):
+                for out in result.outputs:
+                    rewritten = kind == "media" and out.payload is not ingress.payload
+                    minted.setdefault("rewritten" if rewritten else kind, []).append(out)
+        assert set(minted) == {"media", "rewritten", "sr", "feedback"}
+        for outputs in minted.values():
+            for out in outputs:
+                assert set(vars(out)) == self.FIELDS
+                assert set(vars(out.restamped(1.0))) == self.FIELDS
 
 
 class TestBatchCacheInvalidation:

@@ -1,9 +1,9 @@
 """Tests for shard-aware control-plane write batching (``batched_writes``).
 
 The contract: inside the context every write is immediately visible to
-control-plane reads, but each touched table/PRE bumps its write generation
-exactly once at exit and rewriter register fan-out coalesces to one write per
-index — and none of this changes a single observable datapath byte.
+control-plane reads and to every shard's reads of the one rewriter register
+file, but each touched table/PRE bumps its write generation exactly once at
+exit — and none of this changes a single observable datapath byte.
 """
 
 import dataclasses
@@ -100,16 +100,19 @@ class TestBatchedWrites:
         # caches over the mutated tables would otherwise go stale forever
         assert pipeline.stream_table.version == before + 1
 
-    def test_shard_register_views_fan_out_once_and_agree(self):
+    def test_shards_read_the_one_register_file(self):
         engine = ShardedScallopPipeline(SFU, n_shards=4)
         with engine.batched_writes():
             addresses, ssrc = _install_meeting(engine)
             rewriter = SequenceRewriterLowRetransmission(SkipCadence(1, 2))
             index = engine.install_adaptation(ssrc, addresses[1], frozenset({0, 1}), rewriter)
-            # canonical register is current inside the batch
+            # the register is current inside the batch, for every shard
             assert engine.stream_trackers.peek(index) is rewriter
+            for shard in engine.shards:
+                assert shard.trackers.read(index) is rewriter
+        engine.remove_adaptation(ssrc, addresses[1])
         for shard in engine.shards:
-            assert shard.trackers.peek(index) is rewriter
+            assert shard.trackers.read(index) is None
 
     def test_batched_setup_is_datapath_equivalent(self):
         plain = ScallopPipeline(SFU)

@@ -666,8 +666,9 @@ def _assert_fresh_install(box, meeting_id):
     population at its tree group and XID slot writes."""
     replication, pipeline, agent = box.agent.replication, box.pipeline, box.agent
     state = replication.meetings.get(meeting_id)
+    registered = {pid for pid, p in agent._participants.items() if p.meeting_id == meeting_id and not p.remote}
     if state is None:
-        assert meeting_id not in agent._members
+        assert not registered
         return
     shared = state.tree_group is not None
     if shared:
@@ -688,7 +689,7 @@ def _assert_fresh_install(box, meeting_id):
             target = pipeline.replica_table.peek((tree.mgid, node.rid))
             assert target == ReplicaTarget(address=participant.address, participant_id=pid)
     _assert_sync_invariants(replication, meeting_id)
-    assert set(agent._members.get(meeting_id, ())) == set(state.participants)
+    assert registered == set(state.participants)
     for pid, participant in state.participants.items():
         registered = agent._participants[pid]
         assert (registered.meeting_id, registered.remote, registered.endpoint) == (meeting_id, False, participant)
@@ -838,8 +839,9 @@ def without_the_no_op_return():
 
 
 def _allocations(box):
-    """The allocation ids the replication records, trunks and registry hold,
-    which ``state()`` leaves out, and the order of each meeting's members."""
+    """The allocation ids the replication records and trunks hold, which
+    ``state()`` leaves out, and each meeting's members in order with their
+    egress ports."""
     agent = box.agent
     return (
         {
@@ -847,8 +849,10 @@ def _allocations(box):
             for meeting_id, state in agent.replication.meetings.items()
         },
         {key: (trunk.mgid, dict(trunk.nodes)) for key, trunk in box.trunks.subscriptions.items()},
-        {meeting_id: tuple(members) for meeting_id, members in agent._members.items()},
-        dict(agent.replication._port_by_participant),
+        {
+            meeting_id: tuple((pid, p.egress_port) for pid, p in state.participants.items())
+            for meeting_id, state in agent.replication.meetings.items()
+        },
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core.capacity import ReplicationDesign, RewriteVariant
 from repro.core.controller import ScallopController, SignalingError
 from repro.core.replication import ParticipantEndpoint, ReplicationManager
-from repro.core.switch_agent import SwitchAgent
+from repro.core.switch_agent import Registration, SwitchAgent, _ParticipantState
 from repro.dataplane.pipeline import FeedbackRule, ForwardingMode, ScallopPipeline, state_diff
 from repro.netsim.datagram import Address, Datagram
 from repro.rtp.av1 import DecodeTarget
@@ -329,6 +329,8 @@ def test_a_leave_leaves_what_a_fresh_install_of_the_survivors_holds():
 
 
 STALE_ROW = (endpoint(4).address, 1011), FeedbackRule(endpoint(1).address)
+#: a departed participant's registration the agent failed to release
+LEFT_BEHIND = _ParticipantState(endpoint=endpoint(4), meeting_id="m")
 
 
 def _orphan_l1_node(agent):
@@ -346,9 +348,12 @@ def _orphan_l1_node(agent):
             "feedback[{!r}]: {!r} != absent".format(*STALE_ROW),
         ),
         (_orphan_l1_node, f"l1_node[{('p4', endpoint(4).address, 1, True)!r}]: 1 != absent"),
-        (lambda agent: agent.replication._port_by_participant.update(p4=4), "port['p4']: True != absent"),
+        (
+            lambda agent: agent._participants.update(p4=LEFT_BEHIND),
+            f"registry['p4']: {Registration.of(LEFT_BEHIND)!r} != absent",
+        ),
     ],
-    ids=["stale-feedback-row", "orphan-l1-node", "leaked-egress-port"],
+    ids=["stale-feedback-row", "orphan-l1-node", "leaked-registration"],
 )
 def test_state_diff_names_the_key(mutate, named):
     agent = _box(1, 2, 3)

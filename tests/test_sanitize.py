@@ -61,6 +61,15 @@ class TestWriteBarrier:
         assert [finding.operation for finding in findings] == ["setattr"]
         assert findings[0].target == "pre.copies_produced"
 
+    def test_register_write_through_a_shard_raises(self):
+        # every shard reads the control plane's one register file; writing
+        # it is the control plane's job
+        engine = ShardedScallopPipeline(SFU, n_shards=2, sanitize=True)
+        with pytest.raises(ShardIsolationError, match="trackers.write"):
+            engine.shards[1].trackers.write(0, object())
+        assert engine.stream_trackers.peek(0) is None
+        assert [finding.target for finding in engine.isolation_findings()] == ["trackers.write"]
+
     def test_control_method_call_from_datapath_handle_raises(self):
         pipeline = ScallopPipeline(SFU, sanitize=True)
         with pytest.raises(ShardIsolationError, match="control.install_stream"):

@@ -541,8 +541,8 @@ class TestSerialShardState:
         assert_engines_agree(reference, sharded)
 
     def test_live_migration_mid_stream_matches_reference(self):
-        # moving a flow between shards moves no rewriter state: every shard's
-        # register view aliases the same rewriter objects
+        # moving a flow between shards moves no rewriter state: every shard
+        # reads the control plane's one register file
         scenario_a, scenario_b = MeetingScenario(13, num_meetings=2), MeetingScenario(13, num_meetings=2)
         reference = scenario_a.configure(ScallopPipeline(SFU))
         sharded = scenario_b.configure(ShardedScallopPipeline(SFU, n_shards=2))

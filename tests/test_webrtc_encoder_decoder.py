@@ -231,6 +231,26 @@ class TestVideoReceiveStream:
         rates = [fps for _t, fps in series[:-1]]
         assert all(25 <= fps <= 35 for fps in rates)
 
+    def test_frame_rate_counts_out_of_order_completion_times(self):
+        # burst delivery can complete a frame at an earlier receive time than
+        # the frame before it: the trailing-window count must not depend on
+        # the order completions arrive in
+        import random
+
+        encoder = SvcEncoder(seed=4)
+        packetizer = RtpPacketizer(ssrc=50, seed=4)
+        stream = VideoReceiveStream(ssrc=50)
+        completions = [index * 0.04 for index in range(40)]
+        random.Random(7).shuffle(completions)
+        for index, completed_at in enumerate(completions):
+            for packet in packetizer.packetize(encoder.next_frame(index / 30)):
+                stream.on_packet(packet, completed_at)
+        assert stream.frames_decoded == len(completions)
+        for window_s, now in ((0.5, 1.6), (1.0, 0.9), (0.12, 0.8), (2.0, 1.56), (0.04, 0.0)):
+            recent = [t for t in completions if t >= now - window_s]
+            assert stream.frame_rate(window_s, now) == len(recent) / window_s
+        assert stream.frame_rate(0.0, 1.0) == 0.0
+
 
 class TestAudioReceiveStream:
     def test_counters(self):

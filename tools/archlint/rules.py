@@ -90,6 +90,7 @@ CONTROL_OWNED_SEGMENTS: FrozenSet[str] = frozenset(
         "ssrc_table",
         "placement_table",
         "stream_trackers",
+        "trackers",
         "stream_indices",
         "accountant",
     }
@@ -124,8 +125,6 @@ MUTATING_METHODS: FrozenSet[str] = frozenset(
         "install_placement",
         "remove_placement",
         "remove_placements_for",
-        "attach_datapath",
-        "_write_tracker",
         "allocate_stream_state",
         "release_stream_state",
         "allocate_tree",
